@@ -145,6 +145,8 @@ def _cmd_solvable(args) -> int:
         mults = tuple(int(z) for z in args.zeros.split(",")) if args.zeros else ()
     except ValueError:
         raise InputFormatError("--zeros must be a comma-separated list of integers") from None
+    if any(z < 1 for z in mults):
+        raise InputFormatError("--zeros multiplicities must be positive integers")
     if not mults and not args.inf:
         raise InputFormatError("need at least one zero: --zeros and/or --inf")
     spec = ZeroSpec(mults, args.inf)
@@ -230,6 +232,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for name in ("p", "samples"):
+            if getattr(args, name, 1) < 1:
+                raise InputFormatError(f"--{name} must be a positive integer")
         return args.func(args)
     except InputFormatError as exc:
         print(f"input error: {exc}", file=sys.stderr)

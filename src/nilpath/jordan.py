@@ -19,7 +19,7 @@ from .matrix import (
     jordan_cell,
     kernel_basis,
     matrix_mul,
-    rank,
+    power_ranks,
 )
 from .profiles import Profile
 
@@ -38,20 +38,11 @@ class JordanDecomposition:
 def _power_ranks(m: Matrix) -> list[int]:
     """Ranks of M^0, M^1, ... down to the first zero power.
 
-    Raises if M is not nilpotent (rank fails to reach zero by exponent n).
+    Raises if M is not nilpotent (the ranks settle above zero).
     """
-    if not m.is_square():
-        raise ValueError("profile of a non-square matrix")
-    n = m.rows
-    ranks = [n]
-    power = m
-    k = 1
-    while ranks[-1] > 0:
-        if k > n:
-            raise NotNilpotentError("matrix is not nilpotent")
-        ranks.append(rank(power))
-        power = matrix_mul(power, m)
-        k += 1
+    ranks = power_ranks(m)
+    if ranks[-1] > 0:
+        raise NotNilpotentError("matrix is not nilpotent")
     return ranks
 
 

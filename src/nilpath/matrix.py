@@ -327,6 +327,31 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     return Matrix(m.rows, m.cols, data), pivots
 
 
+def power_ranks(m: Matrix) -> list[int]:
+    """Ranks of M^0, M^1, ..., M^s, where s is the first exponent with
+    rank(M^s) = rank(M^(s+1)); the sequence is constant from there on.
+
+    Since im(M^(k+1)) = M im(M^k), the rows of an echelon basis of im(M^k),
+    pushed through M (times M^T on the right) and row-reduced again, give one
+    of im(M^(k+1)).  No power of M is formed, so entries stay those of
+    reduced echelon bases instead of growing with k.
+    """
+    if not m.is_square():
+        raise ValueError("power ranks of a non-square matrix")
+    mt = m.transpose()
+    ranks = [m.rows]
+    images = mt  # rows span im(M)
+    while True:
+        red, pivots = rref(images)
+        r = len(pivots)
+        if r == ranks[-1]:
+            return ranks
+        ranks.append(r)
+        if r == 0:
+            return ranks
+        images = matrix_mul(Matrix(r, m.cols, red.data[:r]), mt)
+
+
 def kernel_basis(m: Matrix) -> list[Matrix]:
     """Echelon-ordered basis of the null space, as column matrices.
 

@@ -46,9 +46,6 @@ from .matrix import (
     matrix_mul,
     matrix_pow,
     matrix_to_json_obj,
-    rank,
-    solve,
-    unvec,
 )
 from .polynomials import (
     RatPoly,
@@ -58,9 +55,16 @@ from .polynomials import (
     sturm_root_count,
 )
 from .errors import SizeCapExceededError
-from .profiles import AdjacencyMove, Profile, apply_move, enumerate_preimages, profile_power
+from .profiles import (
+    AdjacencyMove,
+    Profile,
+    _window_a,
+    apply_move,
+    enumerate_preimages,
+    profile_power,
+)
 from .scalar import ONE, ZERO, Scalar, format_rational, format_scalar, parse_scalar
-from .sections import ConjugationSection, ad_operator, conjugation_section
+from .sections import ConjugationSection, conjugation_section
 
 LIFT_DEPTH_CAP = 32
 INITIAL_LIFT_INTERVALS = 4
@@ -235,22 +239,6 @@ class LiftCore:
         q = self.q_at(t)
         return matrix_mul(inverse(q), matrix_mul(self.family_matrix(t), q))
 
-    def gamma_samples(self) -> list[tuple[Fraction, Matrix]]:
-        """gamma at the partition points (cheap: conjugators are stored)."""
-        out = []
-        for t, q, q_inv in zip(self.partition, self.conjugators, self.conjugator_invs):
-            out.append((t, matrix_mul(q_inv, matrix_mul(self.family_matrix(t), q))))
-        return out
-
-
-def _admissible_window(k: int, l: int, p: int) -> Optional[int]:
-    a = -(-l // p) - 1
-    if a < 0:
-        a = 0
-    if p * a <= k < l <= p * (a + 1):
-        return a
-    return None
-
 
 def lift_family(k: int, l: int, p: int, mode: str = "sampled") -> LiftCore:
     """Adaptive lift of the two-cell deformation with exact power lock.
@@ -270,7 +258,7 @@ def lift_family(k: int, l: int, p: int, mode: str = "sampled") -> LiftCore:
     """
     if mode not in ("sampled", "certified"):
         raise ValueError("mode must be 'sampled' or 'certified'")
-    if _admissible_window(k, l, p) is None:
+    if _window_a(k, l, p) is None:
         raise WindowViolationError(f"no window index a with {p}a <= {k} < {l} <= {p}(a+1)")
     u0 = basic_family(k, l, 0)
     a0 = matrix_pow(u0, p)
@@ -414,7 +402,8 @@ def certify_lift_interval(
     try:
         for t in nodes:
             b = matrix_mul(anchor_inv, matrix_mul(family_power(t), anchor))
-            d_val, g = _section_det_and_conjugator(section, b)
+            block, g = section.evaluate(b)
+            d_val = det(block)
             d1_samples.append((t, Matrix(1, 1, [[d_val]])))
             ghat_samples.append((t, g.scale(d_val)))
     except OutsideNeighborhoodError:
@@ -445,42 +434,6 @@ def certify_lift_interval(
     record["conjugatorDetRoots"] = roots_g
     record["ok"] = roots_d1 == 0 and roots_g == 0
     return record
-
-
-def _section_det_and_conjugator(section: ConjugationSection, b: Matrix) -> tuple[Scalar, Matrix]:
-    """Leading-block determinant and g(B) in one pass (validity enforced)."""
-    sd = section.section
-    n_op = sd.dimension
-    rho = sd.rank
-    op = ad_operator(b, section.base)
-    if rank(op) != rho:
-        raise OutsideNeighborhoodError("displacement rank differs from base point")
-    if rho == 0:
-        g = unvec(
-            Matrix(n_op, 1, [[row[n_op - 1]] for row in sd.basis_domain.data]),
-            section.base.rows,
-        )
-        return ONE, g
-    top = matrix_mul(matrix_mul(sd.codomain_inv_top, op), sd.basis_domain)
-    a_block = Matrix(rho, rho, [row[:rho] for row in top.data])
-    d_val = det(a_block)
-    if d_val.is_zero():
-        raise OutsideNeighborhoodError("leading block singular at this operator")
-    c_last = Matrix(rho, 1, [[row[n_op - 1]] for row in top.data])
-    correction = solve(a_block, c_last)
-    coords = [-correction.data[i][0] for i in range(rho)] + [ZERO] * (n_op - rho - 1) + [ONE]
-    out = [ZERO] * n_op
-    for j, coeff in enumerate(coords):
-        if coeff.is_zero():
-            continue
-        for i in range(n_op):
-            e = sd.basis_domain.data[i][j]
-            if not e.is_zero():
-                out[i] = out[i] + coeff * e
-    g = unvec(Matrix.column(out), section.base.rows)
-    if det(g).is_zero():
-        raise OutsideNeighborhoodError("section conjugator is singular")
-    return d_val, g
 
 
 # -- centralizer segments -----------------------------------------------------

@@ -105,10 +105,6 @@ class Scalar:
     def conjugate(self) -> "Scalar":
         return _mk(self.re, -self.im)
 
-    def norm2(self) -> Fraction:
-        """Squared modulus ``re**2 + im**2`` (a non-negative rational)."""
-        return self.re * self.re + self.im * self.im
-
     # -- comparison ------------------------------------------------------
 
     def __eq__(self, other):
@@ -183,16 +179,21 @@ def parse_rational(text: str) -> Fraction:
 
 
 def parse_scalar(text: str) -> Scalar:
-    m = _SCALAR_RE.match(text)
-    if m:
-        re_part = Fraction(m.group("re"))
-        if m.group("im") is None:
-            return Scalar(re_part)
-        im_part = Fraction(m.group("im"))
-        if m.group("sign") == "-":
-            im_part = -im_part
-        return Scalar(re_part, im_part)
-    m = _PURE_IM_RE.match(text)
-    if m:
-        return Scalar(0, Fraction(m.group("im")))
+    if not isinstance(text, str):
+        raise InputFormatError(f"scalar entry must be a string, not {text!r}")
+    try:
+        m = _SCALAR_RE.match(text)
+        if m:
+            re_part = Fraction(m.group("re"))
+            if m.group("im") is None:
+                return Scalar(re_part)
+            im_part = Fraction(m.group("im"))
+            if m.group("sign") == "-":
+                im_part = -im_part
+            return Scalar(re_part, im_part)
+        m = _PURE_IM_RE.match(text)
+        if m:
+            return Scalar(0, Fraction(m.group("im")))
+    except ZeroDivisionError:
+        raise InputFormatError(f"zero denominator in scalar entry {text!r}") from None
     raise InputFormatError(f"bad scalar entry {text!r}")

@@ -8,14 +8,23 @@ produces a vector f(v) depending continuously (rationally) on v with
 
 Specializing to the operator ``M -> B@M - M@A0`` on matrix space with
 anchor x0 = vec(I) turns this into a local cross-section of conjugation:
-g(B) with ``B @ g(B) = g(B) @ A0`` and ``g(A0) = I``.
+g(B) with ``B @ g(B) = g(B) @ A0`` and ``g(A0) = I``.  Its n^2 x n^2 matrix
+is built once, to set up the adapted bases around A0.  Evaluating at B
+forms no such matrix: the rank test comes from the power-rank sequences of
+B and A0, and the operator is applied only to the rank + 1 adapted-domain
+basis vectors that the leading block and the last column need.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotInKernelError, OutsideNeighborhoodError, SingularMatrixError
+from .errors import (
+    NotInKernelError,
+    NotNilpotentError,
+    OutsideNeighborhoodError,
+    SingularMatrixError,
+)
 from .matrix import (
     Matrix,
     SpanTracker,
@@ -23,12 +32,12 @@ from .matrix import (
     inverse,
     kernel_basis,
     matrix_mul,
-    rank,
+    power_ranks,
     solve,
     unvec,
     vec,
 )
-from .scalar import ONE, ZERO
+from .scalar import ONE, ZERO, Scalar
 
 
 @dataclass(frozen=True)
@@ -40,14 +49,19 @@ class SectionData:
     rank: int
     basis_domain: Matrix  # columns: adapted domain basis, x0 last
     codomain_inv_top: Matrix  # first `rank` rows of the codomain basis inverse
+    front: tuple[int, ...]  # indices of the standard vectors spanning the complement
 
     @property
     def dimension(self) -> int:
         return self.operator.rows
 
 
-def _extend_with_standard(tracker: SpanTracker, columns: list[Matrix], n: int, want: int):
-    """Grow `columns` to `want` vectors using standard basis vectors in order."""
+def _extend_with_standard(tracker: SpanTracker, columns: list[Matrix], n: int, want: int) -> list[int]:
+    """Grow `columns` to `want` vectors using standard basis vectors in order.
+
+    Returns the indices of the standard vectors added.
+    """
+    added = []
     i = 0
     while len(columns) < want:
         if i >= n:
@@ -56,7 +70,9 @@ def _extend_with_standard(tracker: SpanTracker, columns: list[Matrix], n: int, w
         e.data[i][0] = ONE
         if tracker.add(e):
             columns.append(e)
+            added.append(i)
         i += 1
+    return added
 
 
 def section_setup(u: Matrix, x0: Matrix) -> SectionData:
@@ -64,8 +80,9 @@ def section_setup(u: Matrix, x0: Matrix) -> SectionData:
 
     Domain basis: complement vectors first, then the rest of the kernel,
     then x0 last.  Codomain basis: images of the complement vectors,
-    completed by standard vectors.  The reference operator's leading block
-    is the identity by construction (asserted).
+    completed by standard vectors.  The complement vectors are standard
+    vectors, so their images are columns of u.  The reference operator's
+    leading block is the identity by construction (asserted).
     """
     if not u.is_square():
         raise ValueError("section operator must be square")
@@ -87,12 +104,12 @@ def section_setup(u: Matrix, x0: Matrix) -> SectionData:
         if tracker.add(v):
             kernel_rest.append(v)
     front: list[Matrix] = []
-    _extend_with_standard(tracker, front, n, len(front) + rho)
+    front_index = _extend_with_standard(tracker, front, n, rho)
 
     domain_cols = front + kernel_rest + [x0]
     basis_domain = Matrix(n, n, [list(r) for r in zip(*(c.column_entries() for c in domain_cols))])
 
-    image_cols = [matrix_mul(u, c) for c in front]
+    image_cols = [Matrix.column(u.column_entries(i)) for i in front_index]
     im_tracker = SpanTracker()
     for c in image_cols:
         if not im_tracker.add(c):
@@ -102,7 +119,7 @@ def section_setup(u: Matrix, x0: Matrix) -> SectionData:
     codomain_inv = inverse(codomain)
     top = Matrix(rho, n, [list(codomain_inv.data[i]) for i in range(rho)])
 
-    data = SectionData(u, x0, rho, basis_domain, top)
+    data = SectionData(u, x0, rho, basis_domain, top, tuple(front_index))
     head = matrix_mul(top, matrix_mul(u, basis_domain))
     for i in range(rho):
         for j in range(n):
@@ -112,38 +129,44 @@ def section_setup(u: Matrix, x0: Matrix) -> SectionData:
     return data
 
 
-def section_eval(s: SectionData, v: Matrix) -> Matrix:
-    """Kernel-section vector f(v) for an operator v near the reference.
+def _section_from_images(s: SectionData, images: list[list[Scalar]]) -> tuple[Matrix, Matrix]:
+    """Leading block A and section vector from an operator's probe images.
 
-    Only the leading block and the last column of v's adapted matrix are
-    needed: with A the leading block and c the top of the last column, the
-    section is x0's basis slot minus the correction ``front @ (A^-1 c)``.
-    Raises OutsideNeighborhood when the leading block is singular; the
-    identity ``v @ f(v) = 0`` then holds whenever rank(v) = rank(u).
+    ``images`` are the operator's images of the complement vectors, then of
+    x0.  Their first `rank` adapted-codomain coordinates form ``[A | c]``,
+    the leading block and the top of the last column of the operator's
+    adapted matrix; the section is x0 minus the complement vectors weighted
+    by ``A^-1 c``.  Raises OutsideNeighborhood when A is singular.
     """
-    n = s.dimension
-    if v.rows != n or v.cols != n:
-        raise ValueError("operator dimension mismatch")
     rho = s.rank
-    if rho == 0:
-        return Matrix(s.basis_domain.rows, 1, [[row[n - 1]] for row in s.basis_domain.data])
-    top = matrix_mul(matrix_mul(s.codomain_inv_top, v), s.basis_domain)
+    columns = Matrix(s.dimension, rho + 1, [list(r) for r in zip(*images)])
+    top = matrix_mul(s.codomain_inv_top, columns)
     a_block = Matrix(rho, rho, [row[:rho] for row in top.data])
-    c_last = Matrix(rho, 1, [[row[n - 1]] for row in top.data])
+    c_last = Matrix(rho, 1, [row[rho:] for row in top.data])
     try:
         correction = solve(a_block, c_last)
     except SingularMatrixError:
         raise OutsideNeighborhoodError("leading block singular at this operator") from None
-    coords = [-correction.data[i][0] for i in range(rho)] + [ZERO] * (n - rho - 1) + [ONE]
-    out = [ZERO] * n
-    for j, coeff in enumerate(coords):
-        if coeff.is_zero():
-            continue
-        for i in range(n):
-            b = s.basis_domain.data[i][j]
-            if not b.is_zero():
-                out[i] = out[i] + coeff * b
-    return Matrix.column(out)
+    x = s.anchor.column_entries()
+    for i, e in zip(s.front, correction.column_entries()):
+        x[i] = x[i] - e
+    return a_block, Matrix.column(x)
+
+
+def section_eval(s: SectionData, v: Matrix) -> Matrix:
+    """Kernel-section vector f(v) for an operator v near the reference.
+
+    Only the leading block and the last column of v's adapted matrix are
+    needed, so only v's images of the complement vectors (columns of v)
+    and of x0.  Raises OutsideNeighborhood when the leading block is
+    singular; the identity ``v @ f(v) = 0`` then holds whenever
+    rank(v) = rank(u).
+    """
+    n = s.dimension
+    if v.rows != n or v.cols != n:
+        raise ValueError("operator dimension mismatch")
+    images = [v.column_entries(i) for i in s.front] + [matrix_mul(v, s.anchor).column_entries()]
+    return _section_from_images(s, images)[1]
 
 
 def ad_operator(b: Matrix, a0: Matrix) -> Matrix:
@@ -170,41 +193,82 @@ def ad_operator(b: Matrix, a0: Matrix) -> Matrix:
 
 @dataclass(frozen=True)
 class ConjugationSection:
-    """Exact local cross-section of B -> conjugators onto a base point."""
+    """Exact local cross-section of B -> conjugators onto a nilpotent base point."""
 
     base: Matrix  # A0
     section: SectionData
+    base_ranks: tuple[int, ...]  # ranks of A0^0, A0^1, ..., down to 0
 
     @property
     def rank(self) -> int:
         return self.section.rank
 
-    def conjugator_at(self, b: Matrix) -> Matrix:
-        """g(B), invertible with ``B @ g(B) = g(B) @ A0``, and g(A0) = I.
+    def displacement_rank(self, b: Matrix) -> int:
+        """Rank of ``M -> B@M - M@A0``, from the power-rank sequences of B and A0.
 
-        Validity is checked exactly: rank of the displacement operator must
-        match the base point's, the section's leading block must be
-        invertible, and g(B) itself must be invertible; otherwise
-        OutsideNeighborhood is raised.
+        Its kernel has dimension sum over k >= 1 of
+        ``(r[k-1](B) - r[k](B)) * (r[k-1](A0) - r[k](A0))``, with r[k] the
+        rank of the k-th power: the number of pairs of Jordan cells, one of
+        B at eigenvalue 0 and one of A0, both of size at least k (Gantmacher,
+        Theory of Matrices I, ch. VIII).  Exact for any B, as A0 is nilpotent.
+        """
+        n = self.base.rows
+        ra = self.base_ranks
+        rb = power_ranks(b)
+        rb += [rb[-1]] * (len(ra) - len(rb))
+        kernel = sum((rb[k - 1] - rb[k]) * (ra[k - 1] - ra[k]) for k in range(1, len(ra)))
+        return n * n - kernel
+
+    def evaluate(self, b: Matrix) -> tuple[Matrix, Matrix]:
+        """The section's leading block at B and the conjugator g(B).
+
+        Validity is checked exactly: the displacement rank must match the
+        base point's, the leading block must be invertible, and g(B) itself
+        must be invertible; otherwise OutsideNeighborhood is raised.
         """
         n = self.base.rows
         if b.rows != n or b.cols != n:
             raise ValueError("dimension mismatch")
-        op = ad_operator(b, self.base)
-        if rank(op) != self.section.rank:
+        if self.displacement_rank(b) != self.rank:
             raise OutsideNeighborhoodError("displacement rank differs from base point")
-        g = unvec(section_eval(self.section, op), n)
+        # The complement vectors are vec(E_ij), vec index j*n + i; column j of
+        # B@E_ij is column i of B, and row i of E_ij@A0 is row j of A0.  The
+        # anchor vec(I) maps to vec(B - A0).
+        b_cols = b.transpose().data
+        a0 = self.base.data
+        images = []
+        for idx in self.section.front:
+            i, j = idx % n, idx // n
+            out = [ZERO] * (n * n)
+            out[j * n : (j + 1) * n] = b_cols[i]
+            for c, e in enumerate(a0[j]):
+                if not e.is_zero():
+                    out[c * n + i] = out[c * n + i] - e
+            images.append(out)
+        images.append(vec(b - self.base).column_entries())
+        block, x = _section_from_images(self.section, images)
+        g = unvec(x, n)
         if det(g).is_zero():
             raise OutsideNeighborhoodError("section conjugator is singular")
         if matrix_mul(b, g) != matrix_mul(g, self.base):
             raise AssertionError("section identity failed despite rank match")
-        return g
+        return block, g
+
+    def conjugator_at(self, b: Matrix) -> Matrix:
+        """g(B), invertible with ``B @ g(B) = g(B) @ A0``, and g(A0) = I."""
+        return self.evaluate(b)[1]
 
 
 def conjugation_section(a0: Matrix) -> ConjugationSection:
-    """Cross-section of the conjugation action around the matrix a0."""
+    """Cross-section of the conjugation action around the nilpotent matrix a0."""
     if not a0.is_square():
         raise ValueError("base point must be square")
-    op = ad_operator(a0, a0)
-    anchor = vec(Matrix.identity(a0.rows))
-    return ConjugationSection(a0, section_setup(op, anchor))
+    ranks = power_ranks(a0)
+    if ranks[-1] > 0:
+        raise NotNilpotentError("base point must be nilpotent")
+    n = a0.rows
+    sd = section_setup(ad_operator(a0, a0), vec(Matrix.identity(n)))
+    cs = ConjugationSection(a0, sd, tuple(ranks))
+    if cs.displacement_rank(a0) != sd.rank:
+        raise AssertionError("rank formula disagrees with the base point's operator")
+    return cs

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -203,6 +204,43 @@ def test_output_byte_stability(files, capsys):
         ["connect", "--p", "2", "--a", files["A"], "--x", files["X"], "--y", files["Y"], "--samples", "5"],
     )
     assert c1 == c2
+
+
+def test_connect_output_pinned(files, capsys):
+    # sha256 of this stdout as first recorded; any change to the path JSON or
+    # the certificate shows here, not only a change between two runs
+    code, out = run(
+        capsys,
+        ["connect", "--p", "2", "--a", files["A"], "--x", files["X"], "--y", files["Y"], "--samples", "5"],
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "23db0b8fcb3557c71d0ea4a91c24294ecb1f9b34b38c10ec02f50eb341e71733"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["profile", "{ZERO_DENOMINATOR}"],
+        ["profile", "{NUMBER_ENTRY}"],
+        ["root", "--p", "0", "{A}"],
+        ["chain", "--p", "0", "--from", "1:2", "--to", "2:1"],
+        ["solvable", "--zeros", "0", "--profile", "2:1"],
+        ["connect", "--p", "2", "--a", "{A}", "--x", "{X}", "--y", "{Y}", "--samples", "0"],
+    ],
+)
+def test_bad_arguments_exit_two_without_traceback(files, capsys, argv):
+    names = dict(files)
+    for name, entry in (("ZERO_DENOMINATOR", "1/0"), ("NUMBER_ENTRY", 5)):
+        bad = files["dir"] / f"{name}.json"
+        bad.write_text(json.dumps({"rows": 1, "cols": 1, "entries": [[entry]]}))
+        names[name] = str(bad)
+    code = main([a.format(**names) if a.startswith("{") else a for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
 
 
 def test_input_error_exit_code(files, capsys, tmp_path):

@@ -137,3 +137,15 @@ def test_profile_matrix_model():
     m = profile_matrix(prof)
     assert nilpotent_profile(m) == prof
     assert m.rows == 5
+
+
+def test_non_nilpotent_inputs_still_rejected():
+    rng = random.Random(17)
+    m, _ = random_nilpotent(rng, 5)
+    shifted = m + Matrix.identity(5)  # eigenvalue 1, full rank
+    singular = direct_sum([jordan_cell(2), Matrix.identity(1)])  # ranks settle at 1
+    for bad in (shifted, singular):
+        with pytest.raises(NotNilpotentError):
+            nilpotent_profile(bad)
+        with pytest.raises(NotNilpotentError):
+            jordan_basis(bad)

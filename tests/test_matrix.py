@@ -16,6 +16,7 @@ from nilpath.matrix import (
     matrix_mul,
     matrix_pow,
     matrix_to_json,
+    power_ranks,
     rank,
     random_invertible,
     rref,
@@ -153,3 +154,24 @@ def test_empty_matrix_operations():
     assert direct_sum([e, jordan_cell(2), e]) == jordan_cell(2)
     assert det(e) == ONE
     assert rank(e) == 0
+
+
+def test_power_ranks_match_ranks_of_powers():
+    rng = random.Random(41)
+    cases = [Matrix.zeros(0, 0), Matrix.zeros(3, 3), Matrix.identity(3), jordan_cell(4)]
+    for _ in range(12):
+        n = rng.randint(1, 6)
+        cases.append(
+            Matrix.from_rows([[Fraction(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)])
+        )
+        r = random_invertible(n, rng, -1, 1)
+        model = direct_sum([jordan_cell(k) for k in (n - n // 2, n // 2)])
+        cases.append(matrix_mul(r, matrix_mul(model, inverse(r))))
+    for m in cases:
+        ranks = power_ranks(m)
+        assert ranks[0] == m.rows
+        assert all(r0 > r1 for r0, r1 in zip(ranks, ranks[1:]))
+        for k in range(m.rows + 2):
+            assert rank(matrix_pow(m, k)) == ranks[min(k, len(ranks) - 1)], (m, k)
+    with pytest.raises(ValueError):
+        power_ranks(Matrix.zeros(2, 3))

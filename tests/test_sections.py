@@ -3,16 +3,20 @@ from fractions import Fraction
 
 import pytest
 
-from nilpath.errors import NotInKernelError, OutsideNeighborhoodError
+from nilpath.errors import NotInKernelError, NotNilpotentError, OutsideNeighborhoodError
 from nilpath.matrix import (
     Matrix,
+    det,
     direct_sum,
     inverse,
     jordan_cell,
     matrix_mul,
+    matrix_pow,
     rank,
     random_invertible,
+    unvec,
 )
+from nilpath.paths import basic_family, lift_family
 from nilpath.scalar import Scalar
 from nilpath.sections import (
     ad_operator,
@@ -143,3 +147,74 @@ def test_conjugation_section_singular_conjugator():
     # the zero matrix keeps the displacement rank but forces g J2 = 0
     with pytest.raises(OutsideNeighborhoodError):
         cs.conjugator_at(Matrix.zeros(2, 2))
+
+
+# Every lift window (k, l, p) that the benchmark catalogs' chains use.
+CATALOG_WINDOWS = (
+    (0, 2, 2), (0, 2, 3), (0, 3, 3), (1, 3, 3), (2, 4, 2), (3, 5, 3), (3, 6, 3), (4, 6, 2),
+)
+
+
+def _window_base(k, l, p):
+    return matrix_pow(basic_family(k, l, 0), p)
+
+
+def _scrambled_nilpotent(rng, n):
+    parts = []
+    while sum(parts) < n:
+        parts.append(rng.randint(1, n - sum(parts)))
+    r = random_invertible(n, rng, -1, 1)
+    return matrix_mul(r, matrix_mul(direct_sum([jordan_cell(k) for k in parts]), inverse(r)))
+
+
+def _reference_conjugator(cs, b):
+    """The section conjugator through the n^2 x n^2 operator and its rank."""
+    op = ad_operator(b, cs.base)
+    if rank(op) != cs.rank:
+        raise OutsideNeighborhoodError("displacement rank differs from base point")
+    g = unvec(section_eval(cs.section, op), b.rows)
+    if det(g).is_zero():
+        raise OutsideNeighborhoodError("section conjugator is singular")
+    return g
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except OutsideNeighborhoodError:
+        return "outside"
+
+
+def test_displacement_rank_matches_ad_operator_rank():
+    rng = random.Random(101)
+    for k, l, p in CATALOG_WINDOWS:
+        a0 = _window_base(k, l, p)
+        n = a0.rows
+        cs = conjugation_section(a0)
+        r = random_invertible(n, rng, -1, 1)
+        t = Fraction(rng.randint(1, 4), 4)
+        pulled_back = matrix_mul(inverse(r), matrix_mul(matrix_pow(basic_family(k, l, t), p), r))
+        for b in (a0, pulled_back, _scrambled_nilpotent(rng, n), Matrix.identity(n)):
+            assert cs.displacement_rank(b) == rank(ad_operator(b, a0)), (k, l, p)
+
+
+def test_conjugator_at_matches_operator_section():
+    seen = set()
+    for k, l, p in ((2, 4, 2), (0, 3, 3), (1, 3, 3)):
+        lift = lift_family(k, l, p)
+        cs = lift.section
+        n = k + l
+        probes = [Matrix.identity(n), matrix_pow(basic_family(k, l, 1), p)]
+        for iv in lift.intervals:
+            for t in (iv.left, (iv.left + iv.right) / 2, iv.right):
+                u_p = matrix_pow(basic_family(k, l, t), p)
+                probes.append(matrix_mul(iv.anchor_inv, matrix_mul(u_p, iv.anchor)))
+        for b in probes:
+            got = _outcome(cs.conjugator_at, b)
+            assert got == _outcome(_reference_conjugator, cs, b), (k, l, p)
+            seen.add(got == "outside")
+    assert seen == {True, False}  # both outcomes were exercised
+def test_conjugation_section_rejects_non_nilpotent_base():
+    for a0 in (Matrix.identity(2), direct_sum([jordan_cell(2), Matrix.identity(1)])):
+        with pytest.raises(NotNilpotentError):
+            conjugation_section(a0)
