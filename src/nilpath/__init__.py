@@ -81,10 +81,8 @@ from .paths import (
     basic_family_similarity,
     centralizer_segment,
     connect_roots,
-    evaluate,
     lift_family,
     path_from_json_obj,
-    path_to_json_obj,
     verify,
 )
 

@@ -29,7 +29,7 @@ from .matrix import (
     matrix_to_json_obj,
     inverse,
 )
-from .paths import connect_roots, path_from_json_obj, path_to_json_obj, verify
+from .paths import connect_roots, path_from_json_obj, verify
 from .profiles import Profile, profile_power, size_cap
 from .scalar import parse_rational
 
@@ -120,7 +120,7 @@ def _cmd_connect(args) -> int:
     y = _read_matrix(args.y)
     path = connect_roots(a, args.p, x, y, mode=args.mode)
     cert = verify(path, args.samples, mode=args.mode)
-    _emit({"path": path_to_json_obj(path), "certificate": cert.to_json_obj()})
+    _emit({"path": path.to_json_obj(), "certificate": cert.to_json_obj()})
     return 0 if cert.ok else 1
 
 

@@ -3,7 +3,9 @@
 Matrices are stored row-major as lists of :class:`~nilpath.scalar.Scalar`
 and treated as immutable after construction; all operations return new
 values, so concurrent readers are safe.  Rank and determinant use
-fraction-free (Bareiss) elimination to bound intermediate growth.
+fraction-free (Bareiss) elimination to bound intermediate growth; inverse,
+solve, rref (and through it kernel_basis and power_ranks) share one
+Gauss-Jordan routine, and :class:`SpanTracker` reduces rows one at a time.
 """
 
 from __future__ import annotations
@@ -230,81 +232,24 @@ def det(m: Matrix) -> Scalar:
     return piv if sign > 0 else -piv
 
 
-def inverse(m: Matrix) -> Matrix:
-    """Exact inverse by Gauss-Jordan elimination; raises if singular."""
-    if not m.is_square():
-        raise ValueError("inverse of a non-square matrix")
-    n = m.rows
-    aug = [list(m.data[i]) + [ONE if j == i else ZERO for j in range(n)] for i in range(n)]
-    for c in range(n):
-        p = c
-        while p < n and aug[p][c].is_zero():
-            p += 1
-        if p == n:
-            raise SingularMatrixError("matrix is singular")
-        if p != c:
-            aug[p], aug[c] = aug[c], aug[p]
-        piv = aug[c][c]
-        if piv != ONE:
-            aug[c] = [e / piv for e in aug[c]]
-        prow = aug[c]
-        for i in range(n):
-            if i == c:
-                continue
-            f = aug[i][c]
-            if f.is_zero():
-                continue
-            row = aug[i]
-            for j in range(c, 2 * n):
-                if not prow[j].is_zero():
-                    row[j] = row[j] - f * prow[j]
-    return Matrix(n, n, [row[n:] for row in aug])
+def _gauss_jordan(data: list[list[Scalar]], pivot_cols: int) -> list[int]:
+    """Reduce ``data`` in place to reduced row echelon form.
 
-
-def solve(a: Matrix, b: Matrix) -> Matrix:
-    """Solve ``a @ x = b`` for square invertible ``a``; raises if singular."""
-    if not a.is_square() or a.rows != b.rows:
-        raise ValueError("solve shape mismatch")
-    n = a.rows
-    w = b.cols
-    aug = [list(a.data[i]) + list(b.data[i]) for i in range(n)]
-    for c in range(n):
-        p = c
-        while p < n and aug[p][c].is_zero():
-            p += 1
-        if p == n:
-            raise SingularMatrixError("singular system")
-        if p != c:
-            aug[p], aug[c] = aug[c], aug[p]
-        piv = aug[c][c]
-        if piv != ONE:
-            aug[c] = [e / piv for e in aug[c]]
-        prow = aug[c]
-        for i in range(n):
-            if i == c:
-                continue
-            f = aug[i][c]
-            if f.is_zero():
-                continue
-            row = aug[i]
-            for j in range(c, n + w):
-                if not prow[j].is_zero():
-                    row[j] = row[j] - f * prow[j]
-    return Matrix(n, w, [row[n:] for row in aug])
-
-
-def rref(m: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and the list of pivot columns."""
-    data = [list(r) for r in m.data]
+    Pivots are sought in the first ``pivot_cols`` columns only; row
+    operations run across the full width, so columns past ``pivot_cols``
+    carry an augmented block along.  Returns the pivot columns.
+    """
+    rows = len(data)
+    width = len(data[0]) if rows else 0
     pivots: list[int] = []
     r = 0
-    for c in range(m.cols):
-        if r >= m.rows:
+    for c in range(pivot_cols):
+        if r >= rows:
             break
         p = r
-        while p < m.rows and data[p][c].is_zero():
+        while p < rows and data[p][c].is_zero():
             p += 1
-        if p == m.rows:
+        if p == rows:
             continue
         if p != r:
             data[p], data[r] = data[r], data[p]
@@ -312,18 +257,49 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
         if piv != ONE:
             data[r] = [e / piv for e in data[r]]
         prow = data[r]
-        for i in range(m.rows):
+        for i in range(rows):
             if i == r:
                 continue
             f = data[i][c]
             if f.is_zero():
                 continue
             row = data[i]
-            for j in range(c, m.cols):
+            for j in range(c, width):
                 if not prow[j].is_zero():
                     row[j] = row[j] - f * prow[j]
         pivots.append(c)
         r += 1
+    return pivots
+
+
+def _solve_square(a: Matrix, b: Matrix) -> Matrix:
+    """``a^-1 b``, read off the right block of ``[a | b]`` row-reduced over
+    the columns of a; raises SingularMatrixError unless they all pivot."""
+    n = a.rows
+    aug = [list(a.data[i]) + list(b.data[i]) for i in range(n)]
+    if len(_gauss_jordan(aug, n)) < n:
+        raise SingularMatrixError("matrix is singular")
+    return Matrix(n, b.cols, [row[n:] for row in aug])
+
+
+def inverse(m: Matrix) -> Matrix:
+    """Exact inverse by Gauss-Jordan elimination; raises if singular."""
+    if not m.is_square():
+        raise ValueError("inverse of a non-square matrix")
+    return _solve_square(m, Matrix.identity(m.rows))
+
+
+def solve(a: Matrix, b: Matrix) -> Matrix:
+    """Solve ``a @ x = b`` for square invertible ``a``; raises if singular."""
+    if not a.is_square() or a.rows != b.rows:
+        raise ValueError("solve shape mismatch")
+    return _solve_square(a, b)
+
+
+def rref(m: Matrix) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form and the list of pivot columns."""
+    data = [list(r) for r in m.data]
+    pivots = _gauss_jordan(data, m.cols)
     return Matrix(m.rows, m.cols, data), pivots
 
 
@@ -379,9 +355,6 @@ class SpanTracker:
     def __init__(self):
         self._rows: list[list[Scalar]] = []
         self._pivots: list[int] = []
-
-    def contains(self, vec: Matrix) -> bool:
-        return self._reduce(vec.column_entries()) is None
 
     def add(self, vec: Matrix) -> bool:
         """Add the vector; returns True if it enlarged the span."""

@@ -32,6 +32,7 @@ from .errors import (
     MissingCellsError,
     OutsideNeighborhoodError,
     PowerMismatchError,
+    SingularMatrixError,
     WindowViolationError,
 )
 from .graph import profile_chain
@@ -164,13 +165,8 @@ class LiftCore:
     section: ConjugationSection
     partition: tuple[Fraction, ...]
     conjugators: tuple[Matrix, ...]
-    conjugator_invs: tuple[Matrix, ...]
     intervals: tuple[LiftInterval, ...]
     certifications: Optional[tuple[dict, ...]]
-
-    @property
-    def dim(self) -> int:
-        return self.k + self.l
 
     def family_matrix(self, t: ParamLike) -> Matrix:
         return basic_family(self.k, self.l, t)
@@ -187,7 +183,9 @@ class LiftCore:
         return lo
 
     def q_at(self, t: ParamLike) -> Matrix:
-        """Lift conjugator q(t); exact at partition points by construction."""
+        """Lift conjugator q(t) by its interval's formula; exact at partition
+        points by construction.  Raises OutsideNeighborhood where the
+        formula is invalid, which a certified interval rules out."""
         t = _as_fraction(t)
         if t < 0 or t > 1:
             raise ValueError("lift parameter must lie in [0, 1]")
@@ -198,40 +196,10 @@ class LiftCore:
             return self.conjugators[i + 1]
         iv = self.intervals[i]
         u_p = matrix_pow(self.family_matrix(t), self.p)
-        try:
-            g = self.section.conjugator_at(
-                matrix_mul(iv.anchor_inv, matrix_mul(u_p, iv.anchor))
-            )
-            return matrix_mul(matrix_mul(iv.anchor, g), iv.correction)
-        except OutsideNeighborhoodError:
-            return self._ladder(i, t)
-
-    def _ladder(self, i: int, t: Fraction) -> Matrix:
-        """Deterministic step-halving walk from the interval's left end."""
-        cur_t = self.partition[i]
-        cur_q = self.conjugators[i]
-        cur_q_inv = self.conjugator_invs[i]
-        depth = 0
-        while cur_t < t:
-            step = t - cur_t
-            while True:
-                nt = cur_t + step
-                u_p = matrix_pow(self.family_matrix(nt), self.p)
-                b = matrix_mul(cur_q_inv, matrix_mul(u_p, cur_q))
-                try:
-                    g = self.section.conjugator_at(b)
-                    break
-                except OutsideNeighborhoodError:
-                    step = step / 2
-                    depth += 1
-                    if depth > LIFT_DEPTH_CAP:
-                        raise LiftDepthExceededError(
-                            f"lift refinement beyond depth {LIFT_DEPTH_CAP}"
-                        ) from None
-            cur_q = matrix_mul(cur_q, g)
-            cur_q_inv = inverse(cur_q)
-            cur_t = nt
-        return cur_q
+        g = self.section.conjugator_at(
+            matrix_mul(iv.anchor_inv, matrix_mul(u_p, iv.anchor))
+        )
+        return matrix_mul(matrix_mul(iv.anchor, g), iv.correction)
 
     def gamma(self, t: ParamLike) -> Matrix:
         """The deformed root: q(t)^-1 U_t q(t), with gamma(t)^p = A0."""
@@ -278,61 +246,54 @@ def lift_family(k: int, l: int, p: int, mode: str = "sampled") -> LiftCore:
             right_anchor = (q1, inverse(q1))
         return right_anchor
 
+    identity = Matrix.identity(n)
     points = [Fraction(0)]
-    qs = [Matrix.identity(n)]
-    q_invs = [Matrix.identity(n)]
+    qs = [identity]
+    q_left_inv = identity  # inverse of qs[-1] while the march anchors on the left
     intervals: list[LiftInterval] = []
     certs: list[dict] = []
     pending = [Fraction(i, INITIAL_LIFT_INTERVALS) for i in range(1, INITIAL_LIFT_INTERVALS + 1)]
     min_len = Fraction(1, INITIAL_LIFT_INTERVALS) / (2**LIFT_DEPTH_CAP)
-    identity = Matrix.identity(n)
 
-    def probe(anchor: Matrix, anchor_inv: Matrix, ts: Sequence[Fraction]) -> Optional[Matrix]:
-        """Section conjugator at the last parameter, or None on any failure."""
-        g = None
+    def accept(
+        anchor: Matrix, anchor_inv: Matrix, left: Fraction, right: Fraction, ts: Sequence[Fraction]
+    ) -> tuple[Optional[Matrix], Optional[dict]]:
+        """Section conjugator at the last of ``ts`` if the anchored interval
+        is accepted, else None; with its certification record in certified
+        mode.  The interval must probe valid at every parameter of ``ts``
+        and, in certified mode, certify on all of [left, right]."""
         try:
             for t in ts:
                 b = matrix_mul(anchor_inv, matrix_mul(family_power(t), anchor))
                 g = section.conjugator_at(b)
         except OutsideNeighborhoodError:
-            return None
-        return g
+            return None, None
+        if mode != "certified":
+            return g, None
+        cert = certify_lift_interval(section, family_power, p, anchor, anchor_inv, left, right)
+        return (g if cert["ok"] else None), cert
 
     while pending:
         left = points[-1]
         right = pending[0]
-        q_left, q_left_inv = qs[-1], q_invs[-1]
+        q_left = qs[-1]
         mid = (left + right) / 2
 
-        g_right = probe(q_left, q_left_inv, (mid, right))
-        cert = None
-        if g_right is not None and mode == "certified":
-            cert = certify_lift_interval(
-                section, family_power, p, q_left, q_left_inv, left, right
-            )
-            if not cert["ok"]:
-                g_right = None
+        g_right, cert = accept(q_left, q_left_inv, left, right, (mid, right))
         if g_right is not None:
             pending.pop(0)
             q_right = matrix_mul(q_left, g_right)
             points.append(right)
             qs.append(q_right)
-            q_invs.append(inverse(q_right))
             intervals.append(LiftInterval(left, right, q_left, q_left_inv, identity))
+            q_left_inv = inverse(q_right)
             if cert is not None:
                 certs.append(cert)
             continue
 
         if right == end:
             anchor, anchor_inv = get_right_anchor()
-            g_left = probe(anchor, anchor_inv, (mid, left))
-            cert = None
-            if g_left is not None and mode == "certified":
-                cert = certify_lift_interval(
-                    section, family_power, p, anchor, anchor_inv, left, right
-                )
-                if not cert["ok"]:
-                    g_left = None
+            g_left, cert = accept(anchor, anchor_inv, left, right, (mid, left))
             if g_left is not None:
                 # glue: correction S with anchor g_left S = q_left, S in C(A0)
                 correction = matrix_mul(
@@ -344,7 +305,6 @@ def lift_family(k: int, l: int, p: int, mode: str = "sampled") -> LiftCore:
                 pending.pop(0)
                 points.append(end)
                 qs.append(q_end)
-                q_invs.append(inverse(q_end))
                 intervals.append(LiftInterval(left, end, anchor, anchor_inv, correction))
                 if cert is not None:
                     certs.append(cert)
@@ -362,13 +322,12 @@ def lift_family(k: int, l: int, p: int, mode: str = "sampled") -> LiftCore:
         section,
         tuple(points),
         tuple(qs),
-        tuple(q_invs),
         tuple(intervals),
         tuple(certs) if mode == "certified" else None,
     )
-    # Exact invariant at every partition point: U_t^p = q(t) A0 q(t)^-1.
-    for t, q, q_inv in zip(core.partition, core.conjugators, core.conjugator_invs):
-        if family_power(t) != matrix_mul(q, matrix_mul(a0, q_inv)):
+    # Exact invariant at every (invertible) partition conjugator: U_t^p q = q A0.
+    for t, q in zip(core.partition, core.conjugators):
+        if matrix_mul(family_power(t), q) != matrix_mul(q, a0):
             raise AssertionError("lift invariant failed at a partition point")
     return core
 
@@ -452,8 +411,6 @@ class CentralizerSegment:
 
     def _omega(self, s: Fraction) -> Scalar:
         pieces = len(self.waypoints) - 1
-        if pieces == 0:
-            return self.waypoints[0]
         v = s * pieces
         j = min(int(v), pieces - 1)
         r = Scalar(v - j)
@@ -795,11 +752,6 @@ def connect_roots(a: Matrix, p: int, x: Matrix, y: Matrix, mode: str = "sampled"
     return RootPath(a, p, tuple(segments))
 
 
-def evaluate(path: RootPath, t: ParamLike) -> Matrix:
-    """Exact value of the path at a rational parameter in [0, 1]."""
-    return path.evaluate(t)
-
-
 def _certify_segment(seg, mode: str) -> dict:
     if seg.kind == "centralizer":
         d = _blend_determinant(seg.conjugator)
@@ -898,17 +850,23 @@ def verify(path: RootPath, sample_count: int, mode: str = "sampled") -> Certific
 # -- path JSON ---------------------------------------------------------------
 
 
-def path_to_json_obj(path: RootPath) -> dict:
-    return path.to_json_obj()
-
-
 def _segment_from_json_obj(obj) -> object:
+    """One segment from its JSON object.
+
+    Stored adjacency certifications are not read back: a certified verify
+    recomputes them from the lift itself.
+    """
+    if not isinstance(obj, dict):
+        raise InputFormatError("segment JSON must be an object")
     kind = obj.get("kind")
     if kind == "centralizer":
+        waypoints = tuple(parse_scalar(w) for w in obj["waypoints"])
+        if len(waypoints) < 2 or waypoints[0] != ZERO or waypoints[-1] != ONE:
+            raise InputFormatError("centralizer waypoints must run from 0 to 1")
         return CentralizerSegment(
             matrix_from_json_obj(obj["baseRoot"]),
             matrix_from_json_obj(obj["conjugator"]),
-            tuple(parse_scalar(w) for w in obj["waypoints"]),
+            waypoints,
             tuple(obj.get("certifications", ())),
         )
     if kind == "adjacency":
@@ -918,12 +876,21 @@ def _segment_from_json_obj(obj) -> object:
         p = int(obj["p"])
         partition = tuple(Fraction(t) for t in obj["partition"])
         conjugators = tuple(matrix_from_json_obj(m) for m in obj["liftConjugators"])
+        stored_intervals = obj["liftIntervals"]
+        if (
+            len(partition) < 2
+            or partition[0] != 0
+            or partition[-1] != 1
+            or any(t0 >= t1 for t0, t1 in zip(partition, partition[1:]))
+        ):
+            raise InputFormatError("lift partition must increase strictly from 0 to 1")
+        if len(conjugators) != len(partition) or len(stored_intervals) != len(partition) - 1:
+            raise InputFormatError("lift conjugators and intervals do not match the partition")
         u0 = basic_family(k, l, 0)
         a0 = matrix_pow(u0, p)
         section = conjugation_section(a0)
-        conj_invs = tuple(inverse(q) for q in conjugators)
         intervals = []
-        for iv, left, right in zip(obj["liftIntervals"], partition, partition[1:]):
+        for iv, left, right in zip(stored_intervals, partition, partition[1:]):
             anchor = matrix_from_json_obj(iv["anchor"])
             if (Fraction(iv["left"]), Fraction(iv["right"])) != (left, right):
                 raise InputFormatError("lift intervals do not match the partition")
@@ -936,23 +903,13 @@ def _segment_from_json_obj(obj) -> object:
                     matrix_from_json_obj(iv["correction"]),
                 )
             )
-        certs = obj.get("certifications")
-        lift = LiftCore(
-            k,
-            l,
-            p,
-            a0,
-            section,
-            partition,
-            conjugators,
-            conj_invs,
-            tuple(intervals),
-            tuple(certs) if certs is not None else None,
-        )
+        lift = LiftCore(k, l, p, a0, section, partition, conjugators, tuple(intervals), None)
         if lift.conjugators[0] != Matrix.identity(k + l):
             raise InputFormatError("lift conjugator at t=0 must be the identity")
-        for t, q, q_inv in zip(partition, conjugators, conj_invs):
-            if matrix_pow(basic_family(k, l, t), p) != matrix_mul(q, matrix_mul(a0, q_inv)):
+        for t, q in zip(partition, conjugators):
+            if det(q).is_zero():
+                raise InputFormatError("lift conjugators must be invertible")
+            if matrix_mul(matrix_pow(basic_family(k, l, t), p), q) != matrix_mul(q, a0):
                 raise InputFormatError("lift conjugators violate the power identity")
         outer = matrix_from_json_obj(obj["outerConjugator"])
         return AdjacencySegment(
@@ -972,7 +929,11 @@ def path_from_json_obj(obj) -> RootPath:
     try:
         target = matrix_from_json_obj(obj["A"])
         power = int(obj["p"])
+        if power < 1:
+            raise InputFormatError("path power p must be a positive integer")
+        if not isinstance(obj["segments"], list):
+            raise InputFormatError("path segments must be a list")
         segments = tuple(_segment_from_json_obj(s) for s in obj["segments"])
-    except (KeyError, TypeError, ValueError) as exc:
+        return RootPath(target, power, segments)
+    except (KeyError, TypeError, ValueError, ZeroDivisionError, SingularMatrixError) as exc:
         raise InputFormatError(f"bad path JSON: {exc}") from None
-    return RootPath(target, power, segments)

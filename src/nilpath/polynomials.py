@@ -103,9 +103,6 @@ class RatPoly:
             acc = acc * x + c
         return acc
 
-    def derivative(self) -> "RatPoly":
-        return RatPoly([c * i for i, c in enumerate(self.coeffs) if i > 0])
-
     def compose_affine(self, c0: Scalar, c1: Scalar) -> "RatPoly":
         """The polynomial s -> f(c0 + c1*s)."""
         acc = RatPoly(())

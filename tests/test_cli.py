@@ -4,8 +4,10 @@ import json
 import pytest
 
 from nilpath.cli import main
+from nilpath.paths import connect_roots
 from nilpath.jordan import similarity_witness
 from nilpath.matrix import (
+    Matrix,
     direct_sum,
     inverse,
     jordan_cell,
@@ -237,6 +239,39 @@ def test_bad_arguments_exit_two_without_traceback(files, capsys, argv):
         bad.write_text(json.dumps({"rows": 1, "cols": 1, "entries": [[entry]]}))
         names[name] = str(bad)
     code = main([a.format(**names) if a.startswith("{") else a for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+
+
+MALFORMED_PATHS = {
+    "empty_segments": lambda obj: obj.update(segments=[]),
+    "misordered_segments": lambda obj: obj["segments"].reverse(),
+    "zero_power": lambda obj: obj.update(p=0),
+    "segments_not_a_list": lambda obj: obj.update(segments="abc"),
+    "one_point_partition": lambda obj: obj["segments"][0].update(partition=["0/1"]),
+    "single_waypoint": lambda obj: obj["segments"][1].update(waypoints=["0/1"]),
+}
+
+
+@pytest.fixture(scope="module")
+def path_text():
+    # zero 2x2 -> J2: one adjacency segment, then one centralizer segment
+    z = Matrix.zeros(2, 2)
+    obj = connect_roots(z, 2, z, jordan_cell(2)).to_json_obj()
+    assert [s["kind"] for s in obj["segments"]] == ["adjacency", "centralizer"]
+    return json.dumps(obj)
+
+
+@pytest.mark.parametrize("verb", [["verify"], ["eval-path", "--t", "1/2"]], ids=["verify", "eval-path"])
+@pytest.mark.parametrize("case", sorted(MALFORMED_PATHS))
+def test_malformed_path_json_exits_two_without_traceback(path_text, tmp_path, capsys, verb, case):
+    obj = json.loads(path_text)
+    MALFORMED_PATHS[case](obj)
+    bad = tmp_path / "path.json"
+    bad.write_text(json.dumps(obj))
+    code = main([verb[0], str(bad), *verb[1:]])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""

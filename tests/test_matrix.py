@@ -87,6 +87,30 @@ def test_solve():
     assert matrix_mul(a, x) == b
 
 
+def test_solve_singular_raises():
+    # a missing pivot in a later column must be caught as well as in the first
+    for a in (
+        jordan_cell(2),
+        Matrix.from_rows([[1, 2, 3], [2, 4, 6], [0, 0, 1]]),
+    ):
+        with pytest.raises(SingularMatrixError):
+            solve(a, Matrix.identity(a.rows))
+
+
+def test_solve_multi_column():
+    rng = random.Random(13)
+    for n, w in ((0, 2), (1, 3), (3, 2), (5, 4)):
+        a = random_invertible(n, rng)
+        b = Matrix(
+            n,
+            w,
+            [[Scalar(Fraction(rng.randint(-5, 5), rng.randint(1, 4))) for _ in range(w)] for _ in range(n)],
+        )
+        x = solve(a, b)
+        assert (x.rows, x.cols) == (n, w)
+        assert matrix_mul(a, x) == b
+
+
 def test_bareiss_det_matches_inverse_route():
     rng = random.Random(11)
     for _ in range(20):

@@ -5,6 +5,7 @@ import pytest
 
 from nilpath.errors import (
     DegenerateParameterError,
+    InputFormatError,
     MissingCellsError,
     PowerMismatchError,
     WindowViolationError,
@@ -24,10 +25,8 @@ from nilpath.paths import (
     basic_family_similarity,
     centralizer_segment,
     connect_roots,
-    evaluate,
     lift_family,
     path_from_json_obj,
-    path_to_json_obj,
     verify,
 )
 from nilpath.profiles import AdjacencyMove, Profile, apply_move
@@ -121,16 +120,6 @@ def test_lift_partition_point_consistency():
     lift = lift_family(2, 3, 2)
     for t, q in zip(lift.partition, lift.conjugators):
         assert lift.q_at(t) == q
-
-
-def test_lift_ladder_reproduces_valid_conjugators():
-    # the step-halving fallback must satisfy the same exact power identity
-    lift = lift_family(2, 4, 2)
-    a0 = lift.base_power
-    for i, t in ((0, Fraction(1, 8)), (1, Fraction(3, 8)), (3, Fraction(15, 16))):
-        q = lift._ladder(i, t)
-        u_p = matrix_pow(lift.family_matrix(t), 2)
-        assert u_p == matrix_mul(q, matrix_mul(a0, inverse(q)))
 
 
 def test_lift_interval_formula_continuous_at_seams():
@@ -305,7 +294,7 @@ def test_connect_identical_roots():
     assert len(path.segments) == 1
     assert path.segments[0].kind == "centralizer"
     for num in range(0, 5):
-        assert evaluate(path, Fraction(num, 4)) == x
+        assert path.evaluate(Fraction(num, 4)) == x
 
 
 def test_connect_main_example():
@@ -327,8 +316,8 @@ def test_connect_zero_matrix_crossing():
     z = Matrix.zeros(2, 2)
     j2 = jordan_cell(2)
     path = connect_roots(z, 2, z, j2)
-    assert evaluate(path, 0) == z
-    assert evaluate(path, 1) == j2
+    assert path.evaluate(0) == z
+    assert path.evaluate(1) == j2
     cert = verify(path, 40)
     assert cert.ok
     profs = {p for _, _, p in cert.samples}
@@ -406,14 +395,14 @@ def test_path_segments_stitch_exactly():
 def test_path_json_roundtrip():
     z = Matrix.zeros(2, 2)
     path = connect_roots(z, 2, z, jordan_cell(2))
-    obj = path_to_json_obj(path)
+    obj = path.to_json_obj()
     text = json.dumps(obj)
     again = path_from_json_obj(json.loads(text))
     assert again.start == path.start and again.end == path.end
     for num in range(0, 9):
         t = Fraction(num, 8)
         assert again.evaluate(t) == path.evaluate(t)
-    assert json.dumps(path_to_json_obj(again)) == text
+    assert json.dumps(again.to_json_obj()) == text
 
 
 def test_path_json_roundtrip_with_complex_detour():
@@ -423,12 +412,12 @@ def test_path_json_roundtrip_with_complex_detour():
     path = connect_roots(e, 2, x, y)
     detours = [s for s in path.segments if s.kind == "centralizer"]
     assert any(len(s.waypoints) == 4 for s in detours)  # complex corners present
-    text = json.dumps(path_to_json_obj(path))
+    text = json.dumps(path.to_json_obj())
     again = path_from_json_obj(json.loads(text))
     for num in range(0, 13):
         t = Fraction(num, 12)
         assert again.evaluate(t) == path.evaluate(t)
-    assert json.dumps(path_to_json_obj(again)) == text
+    assert json.dumps(again.to_json_obj()) == text
 
 
 def test_certificate_json_schema():
@@ -439,7 +428,7 @@ def test_certificate_json_schema():
     for sample in cert["samples"]:
         assert set(sample) == {"t", "residualZero", "profile"}
         assert isinstance(sample["t"], str) and "/" in sample["t"]
-    pathobj = path_to_json_obj(path)
+    pathobj = path.to_json_obj()
     assert set(pathobj) == {"A", "p", "endpoints", "segments"}
     assert set(pathobj["endpoints"]) == {"X", "Y"}
 
@@ -460,12 +449,39 @@ def test_certified_path_json_keeps_certifications():
     z3 = Matrix.zeros(3, 3)
     assert a == z3  # (J2+J1)^2 = 0
     path = connect_roots(a, 2, x, z3, mode="certified")
-    obj = path_to_json_obj(path)
+    obj = path.to_json_obj()
     again = path_from_json_obj(json.loads(json.dumps(obj)))
     cert = verify(again, 8, mode="certified")
     assert cert.ok
     for seg_cert in cert.segment_certifications:
         assert seg_cert["ok"]
+
+
+def test_certified_verify_ignores_stored_certifications():
+    x = direct_sum([jordan_cell(2), jordan_cell(1)])
+    path = connect_roots(matrix_pow(x, 2), 2, x, Matrix.zeros(3, 3), mode="certified")
+    obj = path.to_json_obj()
+    tampered = json.loads(json.dumps(obj))
+    adjacency = [s for s in tampered["segments"] if s["kind"] == "adjacency"]
+    assert adjacency
+    for seg in adjacency:
+        seg["certifications"] = [{"ok": True}]
+    fresh = verify(path, 4, mode="certified").to_json_obj()
+    for stored in (obj, tampered):
+        again = path_from_json_obj(json.loads(json.dumps(stored)))
+        assert verify(again, 4, mode="certified").to_json_obj() == fresh
+
+
+def test_path_json_rejects_singular_lift_conjugator():
+    z = Matrix.zeros(2, 2)
+    obj = connect_roots(z, 2, z, jordan_cell(2)).to_json_obj()
+    seg = next(s for s in obj["segments"] if s["kind"] == "adjacency")
+    assert len(seg["liftConjugators"]) > 2
+    n = seg["k"] + seg["l"]
+    # the zero matrix satisfies U_t^p q = q A0, so only invertibility rules it out
+    seg["liftConjugators"][1] = {"rows": n, "cols": n, "entries": [["0"] * n for _ in range(n)]}
+    with pytest.raises(InputFormatError):
+        path_from_json_obj(obj)
 
 
 def test_certified_mode_on_nontrivial_lift():
@@ -481,7 +497,7 @@ def test_evaluate_rejects_out_of_range():
     z = Matrix.zeros(2, 2)
     path = connect_roots(z, 2, z, jordan_cell(2))
     with pytest.raises(ValueError):
-        evaluate(path, Fraction(3, 2))
+        path.evaluate(Fraction(3, 2))
 
 
 def test_connect_mixed_direction_chain():
