@@ -47,6 +47,7 @@ from .matrix import (
     matrix_mul,
     matrix_pow,
     matrix_to_json_obj,
+    rank,
 )
 from .polynomials import (
     RatPoly,
@@ -343,28 +344,41 @@ def certify_lift_interval(
 ) -> dict:
     """Sturm-certify section validity across one whole lift interval.
 
-    U_t is affine in t, so the anchored power curve B(t) has polynomial
-    entries of degree at most p.  The section's leading-block determinant
-    d1(t) and the cleared-denominator conjugator ``ghat(t) = d1(t) g(B(t))``
-    are then polynomials of degree at most rank*p, recovered exactly by
+    The section's leading-block determinant d1(t) and the cleared-denominator
+    conjugator ``ghat(t) = d1(t) g(B(t))`` along the anchored power curve
+    ``B(t) = anchor^-1 U_t^p anchor`` are polynomials, recovered exactly by
     interpolation; nonvanishing of d1 and det(ghat) on [left, right] makes
     the interval's lift formula valid everywhere on it.
-    """
-    rho = section.rank
-    node_count = max(rho, 1) * p + 1
-    nodes = [
-        left + (right - left) * Fraction(i, node_count - 1) for i in range(node_count)
-    ] if node_count > 1 else [left]
 
-    d1_samples: list[tuple[Fraction, Matrix]] = []
-    ghat_samples: list[tuple[Fraction, Matrix]] = []
+    Their degrees are bounded from the two endpoint evaluations.  U_t^p is
+    affine in t (checked here: it has degree at most p and matches its chord
+    at p + 1 parameters), so B(t), the leading block A(t) and the block's
+    last column c(t) are affine too.  As ``det(M0 + t M1)`` has degree at
+    most rank(M1), d1 has degree at most r = rank(A(right) - A(left)), and
+    by Cramer's rule ``adj(A) c``, hence ghat, has degree at most r + 1.
+    So r + 2 equally spaced nodes suffice (never more than the rank*p + 1
+    of the generic bound), and the interpolants are the unique ones.
+    """
+    span = right - left
+    power_left = family_power(left)
+    power_right = family_power(right)
+    for i in range(1, p):
+        s = Fraction(i, p)
+        chord = power_left + (power_right - power_left).scale(Scalar(s))
+        if family_power(left + span * s) != chord:
+            raise AssertionError("family power must be affine in the lift parameter")
+
+    def node(power: Matrix) -> tuple[Matrix, Scalar, Matrix]:
+        block, g = section.evaluate(matrix_mul(anchor_inv, matrix_mul(power, anchor)))
+        d_val = det(block)
+        return block, d_val, g.scale(d_val)
+
     try:
-        for t in nodes:
-            b = matrix_mul(anchor_inv, matrix_mul(family_power(t), anchor))
-            block, g = section.evaluate(b)
-            d_val = det(block)
-            d1_samples.append((t, Matrix(1, 1, [[d_val]])))
-            ghat_samples.append((t, g.scale(d_val)))
+        block_left, *at_left = node(power_left)
+        block_right, *at_right = node(power_right)
+        node_count = min(max(section.rank, 1) * p + 1, rank(block_right - block_left) + 2)
+        nodes = [left + span * Fraction(i, node_count - 1) for i in range(node_count)]
+        values = [at_left] + [node(family_power(t))[1:] for t in nodes[1:-1]] + [at_right]
     except OutsideNeighborhoodError:
         return {
             "interval": [format_rational(left), format_rational(right)],
@@ -372,8 +386,9 @@ def certify_lift_interval(
             "reason": "section invalid at a certification node",
         }
 
+    d1_samples = [(t, Matrix(1, 1, [[d_val]])) for t, (d_val, _) in zip(nodes, values)]
     d1 = poly_interpolate_entries(d1_samples, node_count - 1)[0][0]
-    ghat = poly_interpolate_entries(ghat_samples, node_count - 1)
+    ghat = poly_interpolate_entries([(t, g) for t, (_, g) in zip(nodes, values)], node_count - 1)
     det_ghat = poly_matrix_det(ghat)
 
     record = {
@@ -850,6 +865,36 @@ def verify(path: RootPath, sample_count: int, mode: str = "sampled") -> Certific
 # -- path JSON ---------------------------------------------------------------
 
 
+def _check_lift_glue(lift: LiftCore) -> None:
+    """Stored interval anchors and corrections must glue to the conjugators.
+
+    Every interval but the last anchors at its left conjugator with the
+    identity correction.  The last may instead anchor at t = 1: then
+    ``anchor @ correction`` is the last conjugator, the correction commutes
+    with A0, and the interval's formula at its left end gives the
+    conjugator stored there.
+    """
+    identity = Matrix.identity(lift.k + lift.l)
+    last = len(lift.intervals) - 1
+    for i, iv in enumerate(lift.intervals):
+        if iv.anchor == lift.conjugators[i] and iv.correction == identity:
+            continue
+        if i != last:
+            raise InputFormatError("only the final lift interval may anchor at its right end")
+        if matrix_mul(iv.anchor, iv.correction) != lift.conjugators[-1]:
+            raise InputFormatError("final lift interval does not end at the last conjugator")
+        a0 = lift.base_power
+        if matrix_mul(iv.correction, a0) != matrix_mul(a0, iv.correction):
+            raise InputFormatError("lift correction does not commute with the base power")
+        u_p = matrix_pow(lift.family_matrix(iv.left), lift.p)
+        try:
+            g = lift.section.conjugator_at(matrix_mul(iv.anchor_inv, matrix_mul(u_p, iv.anchor)))
+        except OutsideNeighborhoodError:
+            raise InputFormatError("final lift interval is invalid at its left end") from None
+        if matrix_mul(matrix_mul(iv.anchor, g), iv.correction) != lift.conjugators[i]:
+            raise InputFormatError("final lift interval does not glue onto the previous conjugator")
+
+
 def _segment_from_json_obj(obj) -> object:
     """One segment from its JSON object.
 
@@ -911,6 +956,7 @@ def _segment_from_json_obj(obj) -> object:
                 raise InputFormatError("lift conjugators must be invertible")
             if matrix_mul(matrix_pow(basic_family(k, l, t), p), q) != matrix_mul(q, a0):
                 raise InputFormatError("lift conjugators violate the power identity")
+        _check_lift_glue(lift)
         outer = matrix_from_json_obj(obj["outerConjugator"])
         return AdjacencySegment(
             outer,

@@ -1,10 +1,17 @@
+import contextlib
 import hashlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilpath.cli import main
 from nilpath.paths import connect_roots
+from nilpath.scalar import ONE
 from nilpath.jordan import similarity_witness
 from nilpath.matrix import (
     Matrix,
@@ -12,19 +19,26 @@ from nilpath.matrix import (
     inverse,
     jordan_cell,
     matrix_from_json,
+    matrix_from_json_obj,
     matrix_mul,
     matrix_pow,
     matrix_to_json,
+    matrix_to_json_obj,
 )
 
 
-@pytest.fixture
-def files(tmp_path):
+def fixture_roots():
+    # A = X^2 with X of profile (4,2), and a root Y of A with profile (3,3)
     x = direct_sum([jordan_cell(4), jordan_cell(2)])
     a = matrix_pow(x, 2)
     model = direct_sum([jordan_cell(3), jordan_cell(3)])
     s = similarity_witness(matrix_pow(model, 2), a)
-    y = matrix_mul(s, matrix_mul(model, inverse(s)))
+    return a, x, matrix_mul(s, matrix_mul(model, inverse(s)))
+
+
+@pytest.fixture
+def files(tmp_path):
+    a, x, y = fixture_roots()
     paths = {}
     for name, m in (("A", a), ("X", x), ("Y", y), ("J2", jordan_cell(2))):
         f = tmp_path / f"{name}.json"
@@ -221,6 +235,19 @@ def test_connect_output_pinned(files, capsys):
     )
 
 
+def test_connect_certified_output_pinned(files, capsys):
+    # the certified path JSON carries every lift interval's certification record
+    code, out = run(
+        capsys,
+        ["connect", "--p", "2", "--a", files["A"], "--x", files["X"], "--y", files["Y"],
+         "--samples", "5", "--mode", "certified"],
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "c3414c274f9b5a96d620c84fde0f05c4042896b9e3928db5bfc704d31de160ed"
+    )
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -252,7 +279,29 @@ MALFORMED_PATHS = {
     "segments_not_a_list": lambda obj: obj.update(segments="abc"),
     "one_point_partition": lambda obj: obj["segments"][0].update(partition=["0/1"]),
     "single_waypoint": lambda obj: obj["segments"][1].update(waypoints=["0/1"]),
+    "tampered_anchor": lambda obj: _tamper_anchor(obj["segments"][0]),
+    "noncommuting_correction": lambda obj: _non_commuting_correction(obj["segments"][0]),
 }
+# cases on the (4,2) -> (3,3) path, whose last lift interval anchors at t = 1
+RIGHT_ANCHORED_CASES = {"tampered_anchor", "noncommuting_correction"}
+
+
+def _tamper_anchor(seg):
+    ivs = seg["liftIntervals"]
+    ivs[1]["anchor"] = ivs[2]["anchor"]
+
+
+def _non_commuting_correction(seg):
+    # anchor @ correction is kept, so only the commutation check can reject it
+    last = seg["liftIntervals"][-1]
+    anchor = matrix_from_json_obj(last["anchor"])
+    n = anchor.rows
+    z = Matrix.identity(n)
+    z.data[n - 2][0] = ONE
+    last["anchor"] = matrix_to_json_obj(matrix_mul(anchor, z))
+    last["correction"] = matrix_to_json_obj(
+        matrix_mul(inverse(z), matrix_from_json_obj(last["correction"]))
+    )
 
 
 @pytest.fixture(scope="module")
@@ -264,10 +313,21 @@ def path_text():
     return json.dumps(obj)
 
 
+@pytest.fixture(scope="module")
+def right_anchored_path_text():
+    a, x, y = fixture_roots()
+    obj = connect_roots(a, 2, x, y).to_json_obj()
+    seg = obj["segments"][0]
+    assert seg["liftIntervals"][-1]["anchor"] != seg["liftConjugators"][-2]
+    return json.dumps(obj)
+
+
 @pytest.mark.parametrize("verb", [["verify"], ["eval-path", "--t", "1/2"]], ids=["verify", "eval-path"])
 @pytest.mark.parametrize("case", sorted(MALFORMED_PATHS))
-def test_malformed_path_json_exits_two_without_traceback(path_text, tmp_path, capsys, verb, case):
-    obj = json.loads(path_text)
+def test_malformed_path_json_exits_two_without_traceback(
+    path_text, right_anchored_path_text, tmp_path, capsys, verb, case
+):
+    obj = json.loads(right_anchored_path_text if case in RIGHT_ANCHORED_CASES else path_text)
     MALFORMED_PATHS[case](obj)
     bad = tmp_path / "path.json"
     bad.write_text(json.dumps(obj))
@@ -293,3 +353,118 @@ def test_size_cap_env_guard(files, capsys, monkeypatch):
     code, _ = run(capsys, ["graph", "--p", "2", "--profile", "2:2,1:2"])
     assert code == 3
     monkeypatch.delenv("NILPATH_SIZE_CAP")
+
+
+# -- fuzzing: exit codes 0-3 and no traceback for any argv or small file -----
+
+LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 3),
+    st.sampled_from(["0", "1", "-1", "1/2", "1/0", "2+i", "i", "x", "", "0/1", "1/1"]),
+)
+KEYS = st.sampled_from(["rows", "cols", "entries", "A", "p", "segments", "kind", "k", "l"])
+JSON_VALUES = st.recursive(
+    LEAVES,
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(KEYS, kids, max_size=3),
+    max_leaves=8,
+)
+SMALL_MATRICES = [
+    Matrix.zeros(2, 2),
+    Matrix.zeros(3, 3),
+    jordan_cell(2),
+    jordan_cell(3),
+    direct_sum([jordan_cell(2), jordan_cell(1)]),
+    Matrix.identity(2),
+]
+MATRIX_OBJS = st.one_of(
+    st.sampled_from([matrix_to_json_obj(m) for m in SMALL_MATRICES]),
+    st.fixed_dictionaries(
+        {
+            "rows": st.integers(0, 3),
+            "cols": st.integers(0, 3),
+            "entries": st.lists(
+                st.lists(st.sampled_from(["0", "1", "-1", "1/2", "i"]) | LEAVES, max_size=3),
+                max_size=3,
+            ),
+        }
+    ),
+    JSON_VALUES,
+)
+FILE_TEXTS = st.one_of(MATRIX_OBJS.map(json.dumps), st.text(max_size=12))
+VERBS = ["profile", "root", "graph", "chain", "connect", "eval-path", "verify", "solvable", "bogus"]
+TOKENS = [
+    "--p", "--a", "--x", "--y", "--samples", "--mode", "--t", "--profile", "--from", "--to",
+    "--zeros", "--inf", "--dot", "--matrix", "--help", "certified", "sampled", "0", "1", "2", "3",
+    "-1", "1/2", "2:1", "1:2", "1:3", "2:1,1:1", "x", "{A}", "{X}", "{Y}", "{PATH}",
+]
+
+
+def _small_path_obj(x):
+    # a path of 2x2 or 3x3 roots of the zero matrix, ending in the zero matrix
+    z = Matrix.zeros(x.rows, x.rows)
+    return connect_roots(z, 2, x, z).to_json_obj()
+
+
+SMALL_PATHS = [_small_path_obj(jordan_cell(2)), _small_path_obj(direct_sum([jordan_cell(2), jordan_cell(1)]))]
+
+
+def _places(node):
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in list(items):
+        yield node, key
+        if isinstance(child, (dict, list)):
+            yield from _places(child)
+
+
+@st.composite
+def mutated_path_texts(draw):
+    # up to two leaves or subtrees of a valid path replaced or deleted
+    obj = json.loads(json.dumps(draw(st.sampled_from(SMALL_PATHS))))
+    for _ in range(draw(st.integers(0, 2))):
+        node, key = draw(st.sampled_from(list(_places(obj))))
+        if draw(st.booleans()):
+            node[key] = draw(JSON_VALUES)
+        else:
+            del node[key]
+    return json.dumps(obj)
+
+
+def _run_cli_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    verb=st.sampled_from(VERBS),
+    tokens=st.lists(st.sampled_from(TOKENS), max_size=8),
+    texts=st.fixed_dictionaries(
+        {"A": FILE_TEXTS, "X": FILE_TEXTS, "Y": FILE_TEXTS, "PATH": mutated_path_texts()}
+    ),
+)
+def test_cli_fuzz_exit_codes(verb, tokens, texts):
+    with tempfile.TemporaryDirectory() as tmp:
+        names = {}
+        for name, text in texts.items():
+            names[name] = os.path.join(tmp, f"{name}.json")
+            with open(names[name], "w", encoding="utf-8") as fh:
+                fh.write(text)
+        code, err = _run_cli_quietly([verb] + [t.format(**names) for t in tokens])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+
+
+@settings(max_examples=40, deadline=None)
+@given(verb=st.sampled_from([["verify", "--samples", "2"], ["eval-path", "--t", "1/3"]]),
+       text=mutated_path_texts())
+def test_cli_fuzz_path_json(verb, text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "path.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        code, err = _run_cli_quietly([verb[0], path, *verb[1:]])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err

@@ -13,24 +13,30 @@ from nilpath.errors import (
 from nilpath.jordan import nilpotent_profile, similarity_witness
 from nilpath.matrix import (
     Matrix,
+    det,
     direct_sum,
     inverse,
     jordan_cell,
+    matrix_from_json_obj,
     matrix_mul,
     matrix_pow,
+    matrix_to_json_obj,
 )
+import nilpath.paths as paths_module
 from nilpath.paths import (
     adjacency_segment,
     basic_family,
     basic_family_similarity,
     centralizer_segment,
+    certify_lift_interval,
     connect_roots,
     lift_family,
     path_from_json_obj,
     verify,
 )
+from nilpath.polynomials import poly_interpolate_entries, poly_matrix_det, sturm_root_count
 from nilpath.profiles import AdjacencyMove, Profile, apply_move
-from nilpath.scalar import Scalar
+from nilpath.scalar import Scalar, format_rational
 
 
 def conjugate(m, p):
@@ -484,6 +490,54 @@ def test_path_json_rejects_singular_lift_conjugator():
         path_from_json_obj(obj)
 
 
+def right_anchored_path_obj():
+    # (4,2) -> (3,3) at p = 2: one (2,4,2) lift whose last interval anchors at t = 1
+    x = direct_sum([jordan_cell(4), jordan_cell(2)])
+    a = matrix_pow(x, 2)
+    model = direct_sum([jordan_cell(3), jordan_cell(3)])
+    y = conjugate(model, similarity_witness(matrix_pow(model, 2), a))
+    return connect_roots(a, 2, x, y).to_json_obj()
+
+
+def test_path_json_rejects_unglued_lift_intervals():
+    obj = right_anchored_path_obj()
+    seg = obj["segments"][0]
+    ivs = seg["liftIntervals"]
+    assert ivs[-1]["anchor"] != seg["liftConjugators"][-2]
+    a0 = matrix_pow(basic_family(seg["k"], seg["l"], 0), seg["p"])
+    anchor = matrix_from_json_obj(ivs[-1]["anchor"])
+    correction = matrix_from_json_obj(ivs[-1]["correction"])
+    n = a0.rows
+
+    def tamper_anchor(s):
+        s["liftIntervals"][1]["anchor"] = s["liftIntervals"][2]["anchor"]
+
+    def non_commuting_correction(s):
+        # keeps anchor @ correction, so only the commutation check can fail
+        z = Matrix.identity(n)
+        z.data[n - 2][0] = Scalar(1)
+        assert matrix_mul(z, a0) != matrix_mul(a0, z)
+        s["liftIntervals"][-1]["anchor"] = matrix_to_json_obj(matrix_mul(anchor, z))
+        s["liftIntervals"][-1]["correction"] = matrix_to_json_obj(matrix_mul(inverse(z), correction))
+
+    def unglued_final_interval(s):
+        # z commutes with A0: the end and the commutation hold, the left glue fails
+        z = Matrix.identity(n) + a0
+        s["liftIntervals"][-1]["anchor"] = matrix_to_json_obj(matrix_mul(anchor, z))
+        s["liftIntervals"][-1]["correction"] = matrix_to_json_obj(matrix_mul(inverse(z), correction))
+
+    for tamper, message in (
+        (tamper_anchor, "only the final lift interval"),
+        (non_commuting_correction, "does not commute"),
+        (unglued_final_interval, "does not glue"),
+    ):
+        bad = json.loads(json.dumps(obj))
+        tamper(bad["segments"][0])
+        with pytest.raises(InputFormatError, match=message):
+            path_from_json_obj(bad)
+    path_from_json_obj(obj)
+
+
 def test_certified_mode_on_nontrivial_lift():
     lift = lift_family(2, 3, 2, mode="certified")
     assert lift.certifications is not None
@@ -491,6 +545,80 @@ def test_certified_mode_on_nontrivial_lift():
     a0 = lift.base_power
     for num in range(0, 7):
         assert matrix_pow(lift.gamma(Fraction(num, 6)), 2) == a0
+
+
+def reference_certify_lift_interval(section, family_power, p, anchor, anchor_inv, left, right):
+    """The certification record from the generic rank*p + 1 node bound."""
+    node_count = max(section.rank, 1) * p + 1
+    nodes = [left + (right - left) * Fraction(i, node_count - 1) for i in range(node_count)]
+    d1_samples, ghat_samples = [], []
+    for t in nodes:
+        b = matrix_mul(anchor_inv, matrix_mul(family_power(t), anchor))
+        block, g = section.evaluate(b)
+        d_val = det(block)
+        d1_samples.append((t, Matrix(1, 1, [[d_val]])))
+        ghat_samples.append((t, g.scale(d_val)))
+    d1 = poly_interpolate_entries(d1_samples, node_count - 1)[0][0]
+    det_ghat = poly_matrix_det(poly_interpolate_entries(ghat_samples, node_count - 1))
+    roots_d1 = sturm_root_count(d1, left, right)
+    roots_g = sturm_root_count(det_ghat, left, right)
+    return {
+        "interval": [format_rational(left), format_rational(right)],
+        "sectionDetDegree": d1.degree(),
+        "conjugatorDetDegree": det_ghat.degree(),
+        "sectionDetRoots": roots_d1,
+        "conjugatorDetRoots": roots_g,
+        "ok": roots_d1 == 0 and roots_g == 0,
+    }
+
+
+def test_certify_lift_interval_matches_generic_degree_bound(monkeypatch):
+    node_counts = []
+    interpolate = paths_module.poly_interpolate_entries
+
+    def counting(samples, degree_bound):
+        node_counts.append(len(samples))
+        return interpolate(samples, degree_bound)
+
+    monkeypatch.setattr(paths_module, "poly_interpolate_entries", counting)
+    for (k, l, p), nodes in (((2, 3, 2), 5), ((1, 3, 3), 2), ((2, 4, 2), 4)):
+        lift = lift_family(k, l, p)
+
+        def family_power(t):
+            return matrix_pow(basic_family(k, l, t), p)
+
+        for iv in lift.intervals:
+            args = (lift.section, family_power, p, iv.anchor, iv.anchor_inv, iv.left, iv.right)
+            node_counts.clear()
+            record = certify_lift_interval(*args)
+            assert record == reference_certify_lift_interval(*args), (k, l, p, iv.left)
+            assert record["ok"]
+            # d1 and ghat are each interpolated through rank(dA) + 2 nodes
+            assert node_counts == [nodes, nodes], (k, l, p)
+
+
+def test_certified_lift_on_large_windows():
+    for k, l, p in ((3, 5, 3), (4, 6, 2)):
+        lift = lift_family(k, l, p, mode="certified")
+        assert len(lift.certifications) == len(lift.intervals)
+        assert all(c["ok"] for c in lift.certifications)
+        a0 = lift.base_power
+        for t in (Fraction(1, 3), Fraction(7, 8), Fraction(1)):
+            assert matrix_pow(lift.gamma(t), p) == a0, (k, l, p, t)
+
+
+def test_certify_lift_interval_rejects_non_affine_family():
+    for k, l, p in ((2, 3, 2), (2, 4, 2)):
+        lift = lift_family(k, l, p)
+        iv = lift.intervals[0]
+
+        def bent_power(t):
+            return matrix_pow(basic_family(k, l, t * t), p)
+
+        with pytest.raises(AssertionError):
+            certify_lift_interval(
+                lift.section, bent_power, p, iv.anchor, iv.anchor_inv, iv.left, iv.right
+            )
 
 
 def test_evaluate_rejects_out_of_range():
