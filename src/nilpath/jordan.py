@@ -13,13 +13,14 @@ from dataclasses import dataclass
 from .errors import NotNilpotentError, NotSimilarError
 from .matrix import (
     Matrix,
-    SpanTracker,
     direct_sum,
     inverse,
     jordan_cell,
     kernel_basis,
     matrix_mul,
+    pivot_columns,
     power_ranks,
+    rref,
 )
 from .profiles import Profile
 
@@ -75,24 +76,24 @@ def jordan_basis(m: Matrix) -> JordanDecomposition:
     if n == 0:
         return JordanDecomposition(Matrix.identity(0), ())
 
-    powers = [Matrix.identity(n)]
+    # ker(M^j) from an echelon basis of row(M^j) = row(M^(j-1)) M: the
+    # reduced echelon kernel basis depends only on the row space.
+    rows = Matrix.identity(n)
+    kernels = [[]]
     for _ in range(s):
-        powers.append(matrix_mul(powers[-1], m))
-    kernels = [kernel_basis(powers[j]) for j in range(s + 1)]
+        red, pivots = rref(matrix_mul(rows, m))
+        rows = Matrix(len(pivots), n, red.data[: len(pivots)])
+        kernels.append([v.column_entries() for v in kernel_basis(rows)])
 
-    chains: list[list[Matrix]] = []  # chains[i][0] is the seed of chain i
-    seeds: list[tuple[int, Matrix]] = []  # (length, seed)
+    chains: list[list[Matrix]] = []  # chains[i][k] is M^k applied to seed i
     for j in range(s, 0, -1):
-        tracker = SpanTracker()
-        for v in kernels[j - 1]:
-            tracker.add(v)
-        for length, seed in seeds:
-            if length > j:
-                tracker.add(matrix_mul(powers[length - j], seed))
-        for v in kernels[j]:
-            if tracker.add(v):
-                seeds.append((j, v))
-                chain = [v]
+        # seeds: kernel vectors of M^j independent of ker(M^(j-1)) and of
+        # the vectors M^(L-j) seed carried down from chains of length L > j
+        carried = [chain[len(chain) - j].column_entries() for chain in chains if len(chain) > j]
+        skip = len(kernels[j - 1]) + len(carried)
+        for c in pivot_columns(n, kernels[j - 1] + carried + kernels[j]):
+            if c >= skip:
+                chain = [Matrix.column(kernels[j][c - skip])]
                 for _ in range(j - 1):
                     chain.append(matrix_mul(m, chain[-1]))
                 chains.append(chain)

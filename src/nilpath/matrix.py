@@ -2,10 +2,10 @@
 
 Matrices are stored row-major as lists of :class:`~nilpath.scalar.Scalar`
 and treated as immutable after construction; all operations return new
-values, so concurrent readers are safe.  Rank and determinant use
-fraction-free (Bareiss) elimination to bound intermediate growth; inverse,
-solve, rref (and through it kernel_basis and power_ranks) share one
-Gauss-Jordan routine, and :class:`SpanTracker` reduces rows one at a time.
+values, so concurrent readers are safe.  One Gauss-Jordan routine does all
+elimination: rank counts its pivots, det is the signed product of its
+pivots, inverse and solve read the reduced augmented block, and rref,
+kernel_basis, power_ranks and pivot_columns read the echelon form.
 """
 
 from __future__ import annotations
@@ -178,70 +178,19 @@ def matrix_pow(m: Matrix, e: int) -> Matrix:
 # -- elimination -----------------------------------------------------------
 
 
-def _bareiss(data: list[list[Scalar]], rows: int, cols: int):
-    """Fraction-free elimination; returns (rank, sign, last_pivot)."""
-    r = 0
-    sign = 1
-    prev = ONE
-    piv_val = ONE
-    for c in range(cols):
-        if r >= rows:
-            break
-        p = r
-        while p < rows and data[p][c].is_zero():
-            p += 1
-        if p == rows:
-            continue
-        if p != r:
-            data[p], data[r] = data[r], data[p]
-            sign = -sign
-        piv = data[r][c]
-        for i in range(r + 1, rows):
-            lead = data[i][c]
-            row_i = data[i]
-            row_r = data[r]
-            if lead.is_zero():
-                for j in range(c + 1, cols):
-                    if not row_i[j].is_zero():
-                        row_i[j] = (piv * row_i[j]) / prev
-            else:
-                for j in range(c + 1, cols):
-                    row_i[j] = (piv * row_i[j] - lead * row_r[j]) / prev
-                row_i[c] = ZERO
-        prev = piv
-        piv_val = piv
-        r += 1
-    return r, sign, piv_val
-
-
-def rank(m: Matrix) -> int:
-    data = [list(r) for r in m.data]
-    rk, _, _ = _bareiss(data, m.rows, m.cols)
-    return rk
-
-
-def det(m: Matrix) -> Scalar:
-    if not m.is_square():
-        raise ValueError("determinant of a non-square matrix")
-    if m.rows == 0:
-        return ONE
-    data = [list(r) for r in m.data]
-    rk, sign, piv = _bareiss(data, m.rows, m.cols)
-    if rk < m.rows:
-        return ZERO
-    return piv if sign > 0 else -piv
-
-
-def _gauss_jordan(data: list[list[Scalar]], pivot_cols: int) -> list[int]:
+def _gauss_jordan(data: list[list[Scalar]], pivot_cols: int) -> tuple[list[int], Scalar]:
     """Reduce ``data`` in place to reduced row echelon form.
 
     Pivots are sought in the first ``pivot_cols`` columns only; row
     operations run across the full width, so columns past ``pivot_cols``
-    carry an augmented block along.  Returns the pivot columns.
+    carry an augmented block along.  Returns the pivot columns and the
+    signed product of the pivots, negated on each row swap and ZERO once a
+    column fails to pivot: for a square block, its determinant.
     """
     rows = len(data)
     width = len(data[0]) if rows else 0
     pivots: list[int] = []
+    d = ONE
     r = 0
     for c in range(pivot_cols):
         if r >= rows:
@@ -250,10 +199,13 @@ def _gauss_jordan(data: list[list[Scalar]], pivot_cols: int) -> list[int]:
         while p < rows and data[p][c].is_zero():
             p += 1
         if p == rows:
+            d = ZERO
             continue
         if p != r:
             data[p], data[r] = data[r], data[p]
+            d = -d
         piv = data[r][c]
+        d = d * piv
         if piv != ONE:
             data[r] = [e / piv for e in data[r]]
         prow = data[r]
@@ -269,37 +221,56 @@ def _gauss_jordan(data: list[list[Scalar]], pivot_cols: int) -> list[int]:
                     row[j] = row[j] - f * prow[j]
         pivots.append(c)
         r += 1
-    return pivots
+    return pivots, d
 
 
-def _solve_square(a: Matrix, b: Matrix) -> Matrix:
-    """``a^-1 b``, read off the right block of ``[a | b]`` row-reduced over
-    the columns of a; raises SingularMatrixError unless they all pivot."""
+def _solve_square(a: Matrix, b: Matrix) -> tuple[Matrix, Scalar]:
+    """``(a^-1 b, det a)``, read off ``[a | b]`` row-reduced over the
+    columns of a; raises SingularMatrixError unless they all pivot."""
     n = a.rows
     aug = [list(a.data[i]) + list(b.data[i]) for i in range(n)]
-    if len(_gauss_jordan(aug, n)) < n:
+    pivots, d = _gauss_jordan(aug, n)
+    if len(pivots) < n:
         raise SingularMatrixError("matrix is singular")
-    return Matrix(n, b.cols, [row[n:] for row in aug])
+    return Matrix(n, b.cols, [row[n:] for row in aug]), d
+
+
+def rank(m: Matrix) -> int:
+    return len(_gauss_jordan([list(r) for r in m.data], m.cols)[0])
+
+
+def det(m: Matrix) -> Scalar:
+    if not m.is_square():
+        raise ValueError("determinant of a non-square matrix")
+    return _gauss_jordan([list(r) for r in m.data], m.cols)[1]
+
+
+def pivot_columns(rows: int, columns: Sequence[Sequence[Scalar]]) -> list[int]:
+    """Indices of the greedy independent subset of ``columns`` (each of
+    length ``rows``): a column is kept unless it lies in the span of those
+    before it, which makes the kept ones the pivot columns of their rref."""
+    data = [list(r) for r in zip(*columns)] if columns else [[] for _ in range(rows)]
+    return _gauss_jordan(data, len(columns))[0]
 
 
 def inverse(m: Matrix) -> Matrix:
     """Exact inverse by Gauss-Jordan elimination; raises if singular."""
     if not m.is_square():
         raise ValueError("inverse of a non-square matrix")
-    return _solve_square(m, Matrix.identity(m.rows))
+    return _solve_square(m, Matrix.identity(m.rows))[0]
 
 
 def solve(a: Matrix, b: Matrix) -> Matrix:
     """Solve ``a @ x = b`` for square invertible ``a``; raises if singular."""
     if not a.is_square() or a.rows != b.rows:
         raise ValueError("solve shape mismatch")
-    return _solve_square(a, b)
+    return _solve_square(a, b)[0]
 
 
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and the list of pivot columns."""
     data = [list(r) for r in m.data]
-    pivots = _gauss_jordan(data, m.cols)
+    pivots, _ = _gauss_jordan(data, m.cols)
     return Matrix(m.rows, m.cols, data), pivots
 
 
@@ -347,40 +318,6 @@ def kernel_basis(m: Matrix) -> list[Matrix]:
                 v[pc] = -e
         basis.append(Matrix.column(v))
     return basis
-
-
-class SpanTracker:
-    """Incremental row-reduction structure for independence tests."""
-
-    def __init__(self):
-        self._rows: list[list[Scalar]] = []
-        self._pivots: list[int] = []
-
-    def add(self, vec: Matrix) -> bool:
-        """Add the vector; returns True if it enlarged the span."""
-        reduced = self._reduce(vec.column_entries())
-        if reduced is None:
-            return False
-        v, piv = reduced
-        lead = v[piv]
-        if lead != ONE:
-            v = [e / lead for e in v]
-        self._rows.append(v)
-        self._pivots.append(piv)
-        return True
-
-    def _reduce(self, v: list[Scalar]):
-        v = list(v)
-        for row, piv in zip(self._rows, self._pivots):
-            f = v[piv]
-            if not f.is_zero():
-                for j in range(len(v)):
-                    if not row[j].is_zero():
-                        v[j] = v[j] - f * row[j]
-        for j, e in enumerate(v):
-            if not e.is_zero():
-                return v, j
-        return None
 
 
 # -- matrix-space vectorization (column-major stacking) ---------------------

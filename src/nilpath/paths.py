@@ -195,7 +195,10 @@ class LiftCore:
             return self.conjugators[i]
         if t == self.partition[i + 1]:
             return self.conjugators[i + 1]
-        iv = self.intervals[i]
+        return self.formula(self.intervals[i], t)
+
+    def formula(self, iv: LiftInterval, t: Fraction) -> Matrix:
+        """``anchor @ g(anchor^-1 U_t^p anchor) @ correction`` of one interval."""
         u_p = matrix_pow(self.family_matrix(t), self.p)
         g = self.section.conjugator_at(
             matrix_mul(iv.anchor_inv, matrix_mul(u_p, iv.anchor))
@@ -369,8 +372,7 @@ def certify_lift_interval(
             raise AssertionError("family power must be affine in the lift parameter")
 
     def node(power: Matrix) -> tuple[Matrix, Scalar, Matrix]:
-        block, g = section.evaluate(matrix_mul(anchor_inv, matrix_mul(power, anchor)))
-        d_val = det(block)
+        block, d_val, g = section.evaluate(matrix_mul(anchor_inv, matrix_mul(power, anchor)))
         return block, d_val, g.scale(d_val)
 
     try:
@@ -869,7 +871,8 @@ def _check_lift_glue(lift: LiftCore) -> None:
     """Stored interval anchors and corrections must glue to the conjugators.
 
     Every interval but the last anchors at its left conjugator with the
-    identity correction.  The last may instead anchor at t = 1: then
+    identity correction, and its formula at its right end gives the
+    conjugator stored there.  The last may instead anchor at t = 1: then
     ``anchor @ correction`` is the last conjugator, the correction commutes
     with A0, and the interval's formula at its left end gives the
     conjugator stored there.
@@ -878,21 +881,22 @@ def _check_lift_glue(lift: LiftCore) -> None:
     last = len(lift.intervals) - 1
     for i, iv in enumerate(lift.intervals):
         if iv.anchor == lift.conjugators[i] and iv.correction == identity:
-            continue
-        if i != last:
-            raise InputFormatError("only the final lift interval may anchor at its right end")
-        if matrix_mul(iv.anchor, iv.correction) != lift.conjugators[-1]:
-            raise InputFormatError("final lift interval does not end at the last conjugator")
-        a0 = lift.base_power
-        if matrix_mul(iv.correction, a0) != matrix_mul(a0, iv.correction):
-            raise InputFormatError("lift correction does not commute with the base power")
-        u_p = matrix_pow(lift.family_matrix(iv.left), lift.p)
+            t, stored = iv.right, lift.conjugators[i + 1]
+        else:
+            if i != last:
+                raise InputFormatError("only the final lift interval may anchor at its right end")
+            if matrix_mul(iv.anchor, iv.correction) != lift.conjugators[-1]:
+                raise InputFormatError("final lift interval does not end at the last conjugator")
+            a0 = lift.base_power
+            if matrix_mul(iv.correction, a0) != matrix_mul(a0, iv.correction):
+                raise InputFormatError("lift correction does not commute with the base power")
+            t, stored = iv.left, lift.conjugators[i]
         try:
-            g = lift.section.conjugator_at(matrix_mul(iv.anchor_inv, matrix_mul(u_p, iv.anchor)))
+            q = lift.formula(iv, t)
         except OutsideNeighborhoodError:
-            raise InputFormatError("final lift interval is invalid at its left end") from None
-        if matrix_mul(matrix_mul(iv.anchor, g), iv.correction) != lift.conjugators[i]:
-            raise InputFormatError("final lift interval does not glue onto the previous conjugator")
+            raise InputFormatError(f"lift interval {i} is invalid at t = {t}") from None
+        if q != stored:
+            raise InputFormatError(f"lift interval {i} does not glue onto the conjugator at t = {t}")
 
 
 def _segment_from_json_obj(obj) -> object:

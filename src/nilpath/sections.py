@@ -1,10 +1,12 @@
 """Local kernel sections and the conjugation cross-section.
 
 Around a reference operator u with a marked kernel vector x0, a pair of
-adapted bases puts u into the block form [[I, 0], [0, 0]].  For any nearby
-operator v whose leading block stays invertible, eliminating that block
-produces a vector f(v) depending continuously (rationally) on v with
-``v @ f(v) = 0`` whenever v has the same rank as u, and ``f(u) = x0``.
+adapted bases puts u into the block form [[I, 0], [0, 0]]; both bases are
+completed by standard vectors, chosen greedily as the pivot columns of one
+row reduction each.  For any nearby operator v whose leading block stays
+invertible, eliminating that block produces a vector f(v) depending
+continuously (rationally) on v with ``v @ f(v) = 0`` whenever v has the
+same rank as u, and ``f(u) = x0``.
 
 Specializing to the operator ``M -> B@M - M@A0`` on matrix space with
 anchor x0 = vec(I) turns this into a local cross-section of conjugation:
@@ -12,7 +14,9 @@ g(B) with ``B @ g(B) = g(B) @ A0`` and ``g(A0) = I``.  Its n^2 x n^2 matrix
 is built once, to set up the adapted bases around A0.  Evaluating at B
 forms no such matrix: the rank test comes from the power-rank sequences of
 B and A0, and the operator is applied only to the rank + 1 adapted-domain
-basis vectors that the leading block and the last column need.
+basis vectors that the leading block and the last column need.  The one
+elimination that solves the leading block also yields its determinant,
+which certification interpolates.
 """
 
 from __future__ import annotations
@@ -27,13 +31,13 @@ from .errors import (
 )
 from .matrix import (
     Matrix,
-    SpanTracker,
+    _solve_square,
     det,
     inverse,
     kernel_basis,
     matrix_mul,
+    pivot_columns,
     power_ranks,
-    solve,
     unvec,
     vec,
 )
@@ -56,25 +60,6 @@ class SectionData:
         return self.operator.rows
 
 
-def _extend_with_standard(tracker: SpanTracker, columns: list[Matrix], n: int, want: int) -> list[int]:
-    """Grow `columns` to `want` vectors using standard basis vectors in order.
-
-    Returns the indices of the standard vectors added.
-    """
-    added = []
-    i = 0
-    while len(columns) < want:
-        if i >= n:
-            raise AssertionError("standard vectors failed to complete the basis")
-        e = Matrix.zeros(n, 1)
-        e.data[i][0] = ONE
-        if tracker.add(e):
-            columns.append(e)
-            added.append(i)
-        i += 1
-    return added
-
-
 def section_setup(u: Matrix, x0: Matrix) -> SectionData:
     """Build the adapted bases around u with anchor x0 in its kernel.
 
@@ -94,28 +79,27 @@ def section_setup(u: Matrix, x0: Matrix) -> SectionData:
     if not matrix_mul(u, x0).is_zero():
         raise NotInKernelError("anchor vector is not in the kernel")
 
-    kernel = kernel_basis(u)
+    kernel = [v.column_entries() for v in kernel_basis(u)]
     rho = n - len(kernel)
+    standard = Matrix.identity(n).data  # row i of I is the standard vector e_i
+    anchor = x0.column_entries()
 
-    tracker = SpanTracker()
-    tracker.add(x0)
-    kernel_rest: list[Matrix] = []
-    for v in kernel:
-        if tracker.add(v):
-            kernel_rest.append(v)
-    front: list[Matrix] = []
-    front_index = _extend_with_standard(tracker, front, n, rho)
+    # Greedy over [x0 | ker u | e_0 ... e_(n-1)]: x0 always pivots, kernel
+    # vectors fill out ker u, and the standard vectors complete the basis.
+    skip = 1 + len(kernel)
+    pivots = pivot_columns(n, [anchor] + kernel + standard)
+    kernel_rest = [kernel[c - 1] for c in pivots[1:] if c < skip]
+    front_index = [c - skip for c in pivots if c >= skip]
 
-    domain_cols = front + kernel_rest + [x0]
-    basis_domain = Matrix(n, n, [list(r) for r in zip(*(c.column_entries() for c in domain_cols))])
+    domain_cols = [standard[i] for i in front_index] + kernel_rest + [anchor]
+    basis_domain = Matrix(n, n, [list(r) for r in zip(*domain_cols)])
 
-    image_cols = [Matrix.column(u.column_entries(i)) for i in front_index]
-    im_tracker = SpanTracker()
-    for c in image_cols:
-        if not im_tracker.add(c):
-            raise AssertionError("images of complement vectors must be independent")
-    _extend_with_standard(im_tracker, image_cols, n, n)
-    codomain = Matrix(n, n, [list(r) for r in zip(*(c.column_entries() for c in image_cols))])
+    image_cols = [u.column_entries(i) for i in front_index]
+    im_pivots = pivot_columns(n, image_cols + standard)
+    if im_pivots[:rho] != list(range(rho)):
+        raise AssertionError("images of complement vectors must be independent")
+    codomain_cols = image_cols + [standard[c - rho] for c in im_pivots[rho:]]
+    codomain = Matrix(n, n, [list(r) for r in zip(*codomain_cols)])
     codomain_inv = inverse(codomain)
     top = Matrix(rho, n, [list(codomain_inv.data[i]) for i in range(rho)])
 
@@ -129,14 +113,15 @@ def section_setup(u: Matrix, x0: Matrix) -> SectionData:
     return data
 
 
-def _section_from_images(s: SectionData, images: list[list[Scalar]]) -> tuple[Matrix, Matrix]:
-    """Leading block A and section vector from an operator's probe images.
+def _section_from_images(s: SectionData, images: list[list[Scalar]]) -> tuple[Matrix, Scalar, Matrix]:
+    """Leading block A, det A and section vector from an operator's probe images.
 
     ``images`` are the operator's images of the complement vectors, then of
     x0.  Their first `rank` adapted-codomain coordinates form ``[A | c]``,
     the leading block and the top of the last column of the operator's
     adapted matrix; the section is x0 minus the complement vectors weighted
-    by ``A^-1 c``.  Raises OutsideNeighborhood when A is singular.
+    by ``A^-1 c``, and det A comes from the same elimination.  Raises
+    OutsideNeighborhood when A is singular.
     """
     rho = s.rank
     columns = Matrix(s.dimension, rho + 1, [list(r) for r in zip(*images)])
@@ -144,13 +129,13 @@ def _section_from_images(s: SectionData, images: list[list[Scalar]]) -> tuple[Ma
     a_block = Matrix(rho, rho, [row[:rho] for row in top.data])
     c_last = Matrix(rho, 1, [row[rho:] for row in top.data])
     try:
-        correction = solve(a_block, c_last)
+        correction, block_det = _solve_square(a_block, c_last)
     except SingularMatrixError:
         raise OutsideNeighborhoodError("leading block singular at this operator") from None
     x = s.anchor.column_entries()
     for i, e in zip(s.front, correction.column_entries()):
         x[i] = x[i] - e
-    return a_block, Matrix.column(x)
+    return a_block, block_det, Matrix.column(x)
 
 
 def section_eval(s: SectionData, v: Matrix) -> Matrix:
@@ -166,7 +151,7 @@ def section_eval(s: SectionData, v: Matrix) -> Matrix:
     if v.rows != n or v.cols != n:
         raise ValueError("operator dimension mismatch")
     images = [v.column_entries(i) for i in s.front] + [matrix_mul(v, s.anchor).column_entries()]
-    return _section_from_images(s, images)[1]
+    return _section_from_images(s, images)[2]
 
 
 def ad_operator(b: Matrix, a0: Matrix) -> Matrix:
@@ -219,8 +204,8 @@ class ConjugationSection:
         kernel = sum((rb[k - 1] - rb[k]) * (ra[k - 1] - ra[k]) for k in range(1, len(ra)))
         return n * n - kernel
 
-    def evaluate(self, b: Matrix) -> tuple[Matrix, Matrix]:
-        """The section's leading block at B and the conjugator g(B).
+    def evaluate(self, b: Matrix) -> tuple[Matrix, Scalar, Matrix]:
+        """The section's leading block at B, its determinant and g(B).
 
         Validity is checked exactly: the displacement rank must match the
         base point's, the leading block must be invertible, and g(B) itself
@@ -246,17 +231,17 @@ class ConjugationSection:
                     out[c * n + i] = out[c * n + i] - e
             images.append(out)
         images.append(vec(b - self.base).column_entries())
-        block, x = _section_from_images(self.section, images)
+        block, block_det, x = _section_from_images(self.section, images)
         g = unvec(x, n)
         if det(g).is_zero():
             raise OutsideNeighborhoodError("section conjugator is singular")
         if matrix_mul(b, g) != matrix_mul(g, self.base):
             raise AssertionError("section identity failed despite rank match")
-        return block, g
+        return block, block_det, g
 
     def conjugator_at(self, b: Matrix) -> Matrix:
         """g(B), invertible with ``B @ g(B) = g(B) @ A0``, and g(A0) = I."""
-        return self.evaluate(b)[1]
+        return self.evaluate(b)[2]
 
 
 def conjugation_section(a0: Matrix) -> ConjugationSection:

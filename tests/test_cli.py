@@ -281,9 +281,10 @@ MALFORMED_PATHS = {
     "single_waypoint": lambda obj: obj["segments"][1].update(waypoints=["0/1"]),
     "tampered_anchor": lambda obj: _tamper_anchor(obj["segments"][0]),
     "noncommuting_correction": lambda obj: _non_commuting_correction(obj["segments"][0]),
+    "unreached_right_end": lambda obj: _unreached_right_end(obj["segments"][0]),
 }
 # cases on the (4,2) -> (3,3) path, whose last lift interval anchors at t = 1
-RIGHT_ANCHORED_CASES = {"tampered_anchor", "noncommuting_correction"}
+RIGHT_ANCHORED_CASES = {"tampered_anchor", "noncommuting_correction", "unreached_right_end"}
 
 
 def _tamper_anchor(seg):
@@ -302,6 +303,17 @@ def _non_commuting_correction(seg):
     last["correction"] = matrix_to_json_obj(
         matrix_mul(inverse(z), matrix_from_json_obj(last["correction"]))
     )
+
+
+def _unreached_right_end(seg):
+    # q1 (I + E01) commutes with A0, so the power identity still holds at
+    # t = 1/4; only the first interval's formula misses it at its right end
+    q1 = matrix_from_json_obj(seg["liftConjugators"][1])
+    z = Matrix.identity(q1.rows)
+    z.data[0][1] = ONE
+    moved = matrix_to_json_obj(matrix_mul(q1, z))
+    seg["liftConjugators"][1] = moved
+    seg["liftIntervals"][1]["anchor"] = moved
 
 
 @pytest.fixture(scope="module")

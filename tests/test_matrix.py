@@ -16,6 +16,7 @@ from nilpath.matrix import (
     matrix_mul,
     matrix_pow,
     matrix_to_json,
+    pivot_columns,
     power_ranks,
     rank,
     random_invertible,
@@ -199,3 +200,118 @@ def test_power_ranks_match_ranks_of_powers():
             assert rank(matrix_pow(m, k)) == ranks[min(k, len(ranks) - 1)], (m, k)
     with pytest.raises(ValueError):
         power_ranks(Matrix.zeros(2, 3))
+
+
+def _cofactor_det(rows):
+    """Determinant by expansion along the first row (reference)."""
+    if not rows:
+        return ONE
+    total = ZERO
+    for j, e in enumerate(rows[0]):
+        if not e.is_zero():
+            minor = _cofactor_det([r[:j] + r[j + 1 :] for r in rows[1:]])
+            total = total + e * minor if j % 2 == 0 else total - e * minor
+    return total
+
+
+def _minor_rank(m):
+    """Rank as the size of the largest nonvanishing minor (reference)."""
+    from itertools import combinations
+
+    for k in range(min(m.rows, m.cols), 0, -1):
+        for rs in combinations(range(m.rows), k):
+            for cs in combinations(range(m.cols), k):
+                if not _cofactor_det([[m.data[i][j] for j in cs] for i in rs]).is_zero():
+                    return k
+    return 0
+
+
+def _random_gaussian(rng, rows, cols):
+    def entry():
+        if rng.random() < 0.3:
+            return ZERO
+        re = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        im = Fraction(rng.randint(-3, 3), rng.randint(1, 2)) if rng.random() < 0.6 else 0
+        return Scalar(re, im)
+
+    return Matrix(rows, cols, [[entry() for _ in range(cols)] for _ in range(rows)])
+
+
+def test_det_and_rank_match_cofactor_reference():
+    rng = random.Random(23)
+    cases = []
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        m = _random_gaussian(rng, n, n)
+        kind = rng.randrange(4)
+        if kind == 1:  # forced row swap: the first column's leading entries vanish
+            for i in range(n - 1):
+                m.data[i][0] = ZERO
+        elif kind == 2:  # singular: one row a combination of the others
+            i = rng.randrange(n)
+            row = [ZERO] * n
+            for r in range(n):
+                if r != i:
+                    c = Scalar(Fraction(rng.randint(-2, 2)), rng.randint(-1, 1))
+                    row = [a + c * b for a, b in zip(row, m.data[r])]
+            m.data[i] = row
+        elif kind == 3:  # singular: a zero column
+            for row in m.data:
+                row[rng.randrange(n)] = ZERO
+        cases.append(m)
+    for _ in range(15):
+        cases.append(_random_gaussian(rng, rng.randint(1, 4), rng.randint(1, 5)))
+    assert any(not _cofactor_det(m.data).is_zero() for m in cases if m.is_square())
+    assert any(_cofactor_det(m.data).is_zero() for m in cases if m.is_square())
+    assert any(not e.is_real() for m in cases for row in m.data for e in row)
+    for m in cases:
+        if m.is_square():
+            assert det(m) == _cofactor_det(m.data), m
+        assert rank(m) == _minor_rank(m), m
+    with pytest.raises(ValueError):
+        det(Matrix.zeros(2, 3))
+
+
+class _GreedySpan:
+    """Row-at-a-time independence test (reference for pivot-column choice)."""
+
+    def __init__(self):
+        self._rows = []
+        self._pivots = []
+
+    def add(self, v):
+        v = list(v)
+        for row, piv in zip(self._rows, self._pivots):
+            f = v[piv]
+            if not f.is_zero():
+                v = [a - f * b for a, b in zip(v, row)]
+        lead = next((j for j, e in enumerate(v) if not e.is_zero()), None)
+        if lead is None:
+            return False
+        self._rows.append([e / v[lead] for e in v])
+        self._pivots.append(lead)
+        return True
+
+
+def test_pivot_columns_match_greedy_independent_subset():
+    rng = random.Random(29)
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        cols = []
+        for _ in range(rng.randint(0, 8)):
+            kind = rng.randrange(4)
+            if kind == 0 or not cols:  # fresh, often complex
+                cols.append(_random_gaussian(rng, n, 1).column_entries())
+            elif kind == 1:  # zero column
+                cols.append([ZERO] * n)
+            elif kind == 2:  # a repeat, scaled by a Gaussian rational
+                c = Scalar(Fraction(rng.randint(1, 3)), rng.randint(-1, 1))
+                cols.append([c * e for e in rng.choice(cols)])
+            else:  # a combination of two earlier columns
+                a, b = rng.choice(cols), rng.choice(cols)
+                cols.append([x + Scalar(0, 1) * y for x, y in zip(a, b)])
+        tracker = _GreedySpan()
+        expected = [i for i, c in enumerate(cols) if tracker.add(c)]
+        assert pivot_columns(n, cols) == expected
+        if cols:
+            assert rref(Matrix(n, len(cols), [list(r) for r in zip(*cols)]))[1] == expected

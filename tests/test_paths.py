@@ -526,10 +526,21 @@ def test_path_json_rejects_unglued_lift_intervals():
         s["liftIntervals"][-1]["anchor"] = matrix_to_json_obj(matrix_mul(anchor, z))
         s["liftIntervals"][-1]["correction"] = matrix_to_json_obj(matrix_mul(inverse(z), correction))
 
+    def unreached_right_end(s):
+        # q1 (I + E01) commutes with A0 and is stored as both the conjugator at
+        # t = 1/4 and the next anchor: only the first interval's right end fails
+        z = Matrix.identity(n)
+        z.data[0][1] = Scalar(1)
+        assert matrix_mul(z, a0) == matrix_mul(a0, z)
+        moved = matrix_to_json_obj(matrix_mul(matrix_from_json_obj(s["liftConjugators"][1]), z))
+        s["liftConjugators"][1] = moved
+        s["liftIntervals"][1]["anchor"] = moved
+
     for tamper, message in (
         (tamper_anchor, "only the final lift interval"),
         (non_commuting_correction, "does not commute"),
         (unglued_final_interval, "does not glue"),
+        (unreached_right_end, "interval 0 does not glue onto the conjugator at t = 1/4"),
     ):
         bad = json.loads(json.dumps(obj))
         tamper(bad["segments"][0])
@@ -554,7 +565,7 @@ def reference_certify_lift_interval(section, family_power, p, anchor, anchor_inv
     d1_samples, ghat_samples = [], []
     for t in nodes:
         b = matrix_mul(anchor_inv, matrix_mul(family_power(t), anchor))
-        block, g = section.evaluate(b)
+        block, _, g = section.evaluate(b)
         d_val = det(block)
         d1_samples.append((t, Matrix(1, 1, [[d_val]])))
         ghat_samples.append((t, g.scale(d_val)))

@@ -218,3 +218,26 @@ def test_conjugation_section_rejects_non_nilpotent_base():
     for a0 in (Matrix.identity(2), direct_sum([jordan_cell(2), Matrix.identity(1)])):
         with pytest.raises(NotNilpotentError):
             conjugation_section(a0)
+
+
+def test_evaluate_returns_leading_block_determinant():
+    for k, l, p in CATALOG_WINDOWS:
+        a0 = _window_base(k, l, p)
+        n = a0.rows
+        cs = conjugation_section(a0)
+        r = Matrix.identity(n)
+        r.data[0][n - 1] = Scalar(Fraction(1, 3), 1)
+        probes = [a0]
+        for t in (Fraction(1, 8), Fraction(1, 4)):
+            u_p = matrix_pow(basic_family(k, l, t), p)
+            probes += [u_p, matrix_mul(inverse(r), matrix_mul(u_p, r))]
+        nontrivial = 0
+        for b in probes:
+            try:
+                block, block_det, g = cs.evaluate(b)
+            except OutsideNeighborhoodError:
+                continue
+            assert block_det == det(block), (k, l, p)
+            assert g == cs.conjugator_at(b)
+            nontrivial += block != Matrix.identity(cs.rank)
+        assert nontrivial > 0 or cs.rank == 0, (k, l, p)
