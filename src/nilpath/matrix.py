@@ -305,6 +305,13 @@ def kernel_basis(m: Matrix) -> list[Matrix]:
     Basis vectors are parametrized by free columns in ascending order, so
     the result is deterministic.
     """
+    return kernel_and_pivots(m)[0]
+
+
+def kernel_and_pivots(m: Matrix) -> tuple[list[Matrix], list[int]]:
+    """:func:`kernel_basis` and the pivot columns of rref(m), from one
+    elimination.  The kernel vector of a free column is nonzero only there
+    and on pivot columns to its left."""
     red, pivots = rref(m)
     pivot_set = set(pivots)
     free = [c for c in range(m.cols) if c not in pivot_set]
@@ -317,7 +324,7 @@ def kernel_basis(m: Matrix) -> list[Matrix]:
             if not e.is_zero():
                 v[pc] = -e
         basis.append(Matrix.column(v))
-    return basis
+    return basis, pivots
 
 
 # -- matrix-space vectorization (column-major stacking) ---------------------

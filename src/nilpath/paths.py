@@ -9,13 +9,15 @@ Two segment kinds compose into a root-connecting path:
   (k+1, l-1) through the one-parameter family ``U_t``, conjugating back by
   an exactly-lifted family q(t) so that ``gamma(t)^p`` is constant.
 
-The lift is realized piecewise: marching intervals compose the local
-cross-section around the power matrix with the accumulated conjugator and
-are bisected adaptively whenever the section leaves its validity
-neighborhood (or, in certified mode, whenever a Sturm certificate of the
-governing determinant polynomials fails).  The final interval instead
-anchors at the deformation endpoint, where the left-anchored chart always
-degenerates, and glues on through an exact centralizer correction.
+The lift is a deterministic function of its window (k, l, p), realized
+piecewise: marching intervals compose the local cross-section around the
+power matrix with the accumulated conjugator and are bisected adaptively
+whenever the section leaves its validity neighborhood.  The final interval
+instead anchors at the deformation endpoint, where the left-anchored chart
+always degenerates, and glues on through an exact centralizer correction.
+A stored adjacency segment is therefore just its move, outer conjugator and
+bystander block; loading rebuilds the lift, and a certified ``verify``
+Sturm-certifies each of its intervals.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from .graph import profile_chain
 from .jordan import jordan_basis, nilpotent_profile, similarity_witness
 from .matrix import (
     Matrix,
-    det,
     direct_sum,
     inverse,
     jordan_cell,
@@ -167,7 +168,6 @@ class LiftCore:
     partition: tuple[Fraction, ...]
     conjugators: tuple[Matrix, ...]
     intervals: tuple[LiftInterval, ...]
-    certifications: Optional[tuple[dict, ...]]
 
     def family_matrix(self, t: ParamLike) -> Matrix:
         return basic_family(self.k, self.l, t)
@@ -195,10 +195,7 @@ class LiftCore:
             return self.conjugators[i]
         if t == self.partition[i + 1]:
             return self.conjugators[i + 1]
-        return self.formula(self.intervals[i], t)
-
-    def formula(self, iv: LiftInterval, t: Fraction) -> Matrix:
-        """``anchor @ g(anchor^-1 U_t^p anchor) @ correction`` of one interval."""
+        iv = self.intervals[i]
         u_p = matrix_pow(self.family_matrix(t), self.p)
         g = self.section.conjugator_at(
             matrix_mul(iv.anchor_inv, matrix_mul(u_p, iv.anchor))
@@ -212,14 +209,15 @@ class LiftCore:
         return matrix_mul(inverse(q), matrix_mul(self.family_matrix(t), q))
 
 
-def lift_family(k: int, l: int, p: int, mode: str = "sampled") -> LiftCore:
+def lift_family(k: int, l: int, p: int) -> LiftCore:
     """Adaptive lift of the two-cell deformation with exact power lock.
 
     Marching from the left, each candidate interval anchors at its left
     endpoint and is accepted once the cross-section around A0 evaluates at
-    its midpoint and right end (the left end pulls back to A0 exactly); in
-    certified mode a Sturm certificate for the interval's validity
-    determinants is also required, and failures bisect the interval.
+    its midpoint and right end (the left end pulls back to A0 exactly);
+    otherwise it is bisected.  The result depends on (k, l, p) alone, so a
+    stored path rebuilds it; ``certify_lift_interval`` proves the section
+    valid on a whole interval.
 
     The left-anchored rule provably cannot close the deformation: pulling
     the family back by the accumulated conjugator rescales it so that t = 1
@@ -228,8 +226,6 @@ def lift_family(k: int, l: int, p: int, mode: str = "sampled") -> LiftCore:
     similarity of U_1^p onto A0, and is glued continuously onto the march
     by a centralizer correction.
     """
-    if mode not in ("sampled", "certified"):
-        raise ValueError("mode must be 'sampled' or 'certified'")
     if _window_a(k, l, p) is None:
         raise WindowViolationError(f"no window index a with {p}a <= {k} < {l} <= {p}(a+1)")
     u0 = basic_family(k, l, 0)
@@ -255,27 +251,19 @@ def lift_family(k: int, l: int, p: int, mode: str = "sampled") -> LiftCore:
     qs = [identity]
     q_left_inv = identity  # inverse of qs[-1] while the march anchors on the left
     intervals: list[LiftInterval] = []
-    certs: list[dict] = []
     pending = [Fraction(i, INITIAL_LIFT_INTERVALS) for i in range(1, INITIAL_LIFT_INTERVALS + 1)]
     min_len = Fraction(1, INITIAL_LIFT_INTERVALS) / (2**LIFT_DEPTH_CAP)
 
-    def accept(
-        anchor: Matrix, anchor_inv: Matrix, left: Fraction, right: Fraction, ts: Sequence[Fraction]
-    ) -> tuple[Optional[Matrix], Optional[dict]]:
-        """Section conjugator at the last of ``ts`` if the anchored interval
-        is accepted, else None; with its certification record in certified
-        mode.  The interval must probe valid at every parameter of ``ts``
-        and, in certified mode, certify on all of [left, right]."""
+    def accept(anchor: Matrix, anchor_inv: Matrix, ts: Sequence[Fraction]) -> Optional[Matrix]:
+        """Section conjugator at the last of ``ts`` if the anchored section
+        is valid at every parameter of ``ts``, else None."""
         try:
             for t in ts:
                 b = matrix_mul(anchor_inv, matrix_mul(family_power(t), anchor))
                 g = section.conjugator_at(b)
         except OutsideNeighborhoodError:
-            return None, None
-        if mode != "certified":
-            return g, None
-        cert = certify_lift_interval(section, family_power, p, anchor, anchor_inv, left, right)
-        return (g if cert["ok"] else None), cert
+            return None
+        return g
 
     while pending:
         left = points[-1]
@@ -283,7 +271,7 @@ def lift_family(k: int, l: int, p: int, mode: str = "sampled") -> LiftCore:
         q_left = qs[-1]
         mid = (left + right) / 2
 
-        g_right, cert = accept(q_left, q_left_inv, left, right, (mid, right))
+        g_right = accept(q_left, q_left_inv, (mid, right))
         if g_right is not None:
             pending.pop(0)
             q_right = matrix_mul(q_left, g_right)
@@ -291,13 +279,11 @@ def lift_family(k: int, l: int, p: int, mode: str = "sampled") -> LiftCore:
             qs.append(q_right)
             intervals.append(LiftInterval(left, right, q_left, q_left_inv, identity))
             q_left_inv = inverse(q_right)
-            if cert is not None:
-                certs.append(cert)
             continue
 
         if right == end:
             anchor, anchor_inv = get_right_anchor()
-            g_left, cert = accept(anchor, anchor_inv, left, right, (mid, left))
+            g_left = accept(anchor, anchor_inv, (mid, left))
             if g_left is not None:
                 # glue: correction S with anchor g_left S = q_left, S in C(A0)
                 correction = matrix_mul(
@@ -310,25 +296,13 @@ def lift_family(k: int, l: int, p: int, mode: str = "sampled") -> LiftCore:
                 points.append(end)
                 qs.append(q_end)
                 intervals.append(LiftInterval(left, end, anchor, anchor_inv, correction))
-                if cert is not None:
-                    certs.append(cert)
                 continue
 
         if right - left < min_len:
             raise LiftDepthExceededError("lift interval bisected below depth cap")
         pending.insert(0, mid)
 
-    core = LiftCore(
-        k,
-        l,
-        p,
-        a0,
-        section,
-        tuple(points),
-        tuple(qs),
-        tuple(intervals),
-        tuple(certs) if mode == "certified" else None,
-    )
+    core = LiftCore(k, l, p, a0, section, tuple(points), tuple(qs), tuple(intervals))
     # Exact invariant at every (invertible) partition conjugator: U_t^p q = q A0.
     for t, q in zip(core.partition, core.conjugators):
         if matrix_mul(family_power(t), q) != matrix_mul(q, a0):
@@ -532,10 +506,14 @@ class AdjacencySegment:
     outer_inv: Matrix
     bystander: Matrix  # untouched Jordan block sum
     lift: LiftCore
-    reversed_time: bool
     move: AdjacencyMove
 
     kind = "adjacency"
+
+    @property
+    def reversed_time(self) -> bool:
+        """A backward move runs the deformation from t = 1 back to t = 0."""
+        return self.move.direction == "backward"
 
     def evaluate(self, s: ParamLike) -> Matrix:
         s = _as_fraction(s)
@@ -553,29 +531,13 @@ class AdjacencySegment:
         return self.evaluate(Fraction(1))
 
     def to_json_obj(self) -> dict:
+        """The move and the conjugation into position; the lift is rebuilt
+        from the move's window on load."""
         return {
             "kind": "adjacency",
             "move": self.move.to_json_obj(),
             "outerConjugator": matrix_to_json_obj(self.outer),
             "bystander": matrix_to_json_obj(self.bystander),
-            "k": self.lift.k,
-            "l": self.lift.l,
-            "p": self.lift.p,
-            "reversedTime": self.reversed_time,
-            "partition": [format_rational(t) for t in self.lift.partition],
-            "liftConjugators": [matrix_to_json_obj(q) for q in self.lift.conjugators],
-            "liftIntervals": [
-                {
-                    "left": format_rational(iv.left),
-                    "right": format_rational(iv.right),
-                    "anchor": matrix_to_json_obj(iv.anchor),
-                    "correction": matrix_to_json_obj(iv.correction),
-                }
-                for iv in self.lift.intervals
-            ],
-            "certifications": list(self.lift.certifications)
-            if self.lift.certifications is not None
-            else None,
         }
 
 
@@ -604,9 +566,7 @@ def _reorder_cells_trailing(
     return others, chosen
 
 
-def adjacency_segment(
-    a: Matrix, p: int, n: Matrix, move: AdjacencyMove, mode: str = "sampled"
-) -> AdjacencySegment:
+def adjacency_segment(a: Matrix, p: int, n: Matrix, move: AdjacencyMove) -> AdjacencySegment:
     """Path from the root n across one adjacency move, power held at a.
 
     A Jordan decomposition of n is reordered so the move's cells sit last;
@@ -649,7 +609,7 @@ def adjacency_segment(
     p1 = Matrix(n.rows, n.rows, [list(row) for row in zip(*cols)]) if n.rows else Matrix.identity(0)
 
     bystander = direct_sum([jordan_cell(dec.cell_sizes[i]) for i in others])
-    lift = lift_family(k, l, p, mode=mode)
+    lift = lift_family(k, l, p)
 
     if forward:
         outer = p1
@@ -659,7 +619,7 @@ def adjacency_segment(
         w = similarity_witness(model, gamma1)  # gamma1 = w model w^-1
         outer = matrix_mul(p1, direct_sum([Matrix.identity(bystander.rows), inverse(w)]))
 
-    seg = AdjacencySegment(outer, inverse(outer), bystander, lift, not forward, move)
+    seg = AdjacencySegment(outer, inverse(outer), bystander, lift, move)
     if seg.start != n:
         raise AssertionError("adjacency segment must start exactly at the given root")
     if matrix_pow(seg.end, p) != a:
@@ -747,8 +707,12 @@ def connect_roots(a: Matrix, p: int, x: Matrix, y: Matrix, mode: str = "sampled"
 
     The profile chain between the two root profiles drives one adjacency
     segment per move (each starting exactly where the previous ended); a
-    closing centralizer segment lands exactly on y.
+    closing centralizer segment lands exactly on y.  ``mode`` is checked
+    but changes nothing: the path is the same in both modes, and only
+    ``verify`` certifies.
     """
+    if mode not in ("sampled", "certified"):
+        raise ValueError("mode must be 'sampled' or 'certified'")
     if matrix_pow(x, p) != a:
         raise PowerMismatchError("x^p differs from the target")
     if matrix_pow(y, p) != a:
@@ -762,7 +726,7 @@ def connect_roots(a: Matrix, p: int, x: Matrix, y: Matrix, mode: str = "sampled"
     segments = []
     current = x
     for mv in chain.moves:
-        seg = adjacency_segment(a, p, current, mv, mode=mode)
+        seg = adjacency_segment(a, p, current, mv)
         segments.append(seg)
         current = seg.end
     segments.append(centralizer_segment(a, p, current, y))
@@ -796,29 +760,20 @@ def _certify_segment(seg, mode: str) -> dict:
             ],
             "ok": True,
         }
-    if lift.certifications is not None:
-        intervals = list(lift.certifications)
-    else:
-        def fam_power(t: Fraction) -> Matrix:
-            return matrix_pow(lift.family_matrix(t), lift.p)
 
-        intervals = []
-        for iv in lift.intervals:
-            intervals.append(
-                certify_lift_interval(
-                    lift.section,
-                    fam_power,
-                    lift.p,
-                    iv.anchor,
-                    iv.anchor_inv,
-                    iv.left,
-                    iv.right,
-                )
-            )
+    def fam_power(t: Fraction) -> Matrix:
+        return matrix_pow(lift.family_matrix(t), lift.p)
+
+    intervals = [
+        certify_lift_interval(
+            lift.section, fam_power, lift.p, iv.anchor, iv.anchor_inv, iv.left, iv.right
+        )
+        for iv in lift.intervals
+    ]
     return {
         "kind": "adjacency",
         "intervals": intervals,
-        "ok": all(rec.get("ok", False) for rec in intervals),
+        "ok": all(rec["ok"] for rec in intervals),
     }
 
 
@@ -867,43 +822,12 @@ def verify(path: RootPath, sample_count: int, mode: str = "sampled") -> Certific
 # -- path JSON ---------------------------------------------------------------
 
 
-def _check_lift_glue(lift: LiftCore) -> None:
-    """Stored interval anchors and corrections must glue to the conjugators.
+def _segment_from_json_obj(obj, p: int) -> object:
+    """One segment of a path with power p, from its JSON object.
 
-    Every interval but the last anchors at its left conjugator with the
-    identity correction, and its formula at its right end gives the
-    conjugator stored there.  The last may instead anchor at t = 1: then
-    ``anchor @ correction`` is the last conjugator, the correction commutes
-    with A0, and the interval's formula at its left end gives the
-    conjugator stored there.
-    """
-    identity = Matrix.identity(lift.k + lift.l)
-    last = len(lift.intervals) - 1
-    for i, iv in enumerate(lift.intervals):
-        if iv.anchor == lift.conjugators[i] and iv.correction == identity:
-            t, stored = iv.right, lift.conjugators[i + 1]
-        else:
-            if i != last:
-                raise InputFormatError("only the final lift interval may anchor at its right end")
-            if matrix_mul(iv.anchor, iv.correction) != lift.conjugators[-1]:
-                raise InputFormatError("final lift interval does not end at the last conjugator")
-            a0 = lift.base_power
-            if matrix_mul(iv.correction, a0) != matrix_mul(a0, iv.correction):
-                raise InputFormatError("lift correction does not commute with the base power")
-            t, stored = iv.left, lift.conjugators[i]
-        try:
-            q = lift.formula(iv, t)
-        except OutsideNeighborhoodError:
-            raise InputFormatError(f"lift interval {i} is invalid at t = {t}") from None
-        if q != stored:
-            raise InputFormatError(f"lift interval {i} does not glue onto the conjugator at t = {t}")
-
-
-def _segment_from_json_obj(obj) -> object:
-    """One segment from its JSON object.
-
-    Stored adjacency certifications are not read back: a certified verify
-    recomputes them from the lift itself.
+    An adjacency segment is read as its move, outer conjugator and bystander
+    block, and its lift is rebuilt from the move's window; any other keys
+    (the lift data and certifications older files carry) are ignored.
     """
     if not isinstance(obj, dict):
         raise InputFormatError("segment JSON must be an object")
@@ -920,56 +844,14 @@ def _segment_from_json_obj(obj) -> object:
         )
     if kind == "adjacency":
         move = AdjacencyMove.from_json_obj(obj["move"])
-        k = int(obj["k"])
-        l = int(obj["l"])
-        p = int(obj["p"])
-        partition = tuple(Fraction(t) for t in obj["partition"])
-        conjugators = tuple(matrix_from_json_obj(m) for m in obj["liftConjugators"])
-        stored_intervals = obj["liftIntervals"]
-        if (
-            len(partition) < 2
-            or partition[0] != 0
-            or partition[-1] != 1
-            or any(t0 >= t1 for t0, t1 in zip(partition, partition[1:]))
-        ):
-            raise InputFormatError("lift partition must increase strictly from 0 to 1")
-        if len(conjugators) != len(partition) or len(stored_intervals) != len(partition) - 1:
-            raise InputFormatError("lift conjugators and intervals do not match the partition")
-        u0 = basic_family(k, l, 0)
-        a0 = matrix_pow(u0, p)
-        section = conjugation_section(a0)
-        intervals = []
-        for iv, left, right in zip(stored_intervals, partition, partition[1:]):
-            anchor = matrix_from_json_obj(iv["anchor"])
-            if (Fraction(iv["left"]), Fraction(iv["right"])) != (left, right):
-                raise InputFormatError("lift intervals do not match the partition")
-            intervals.append(
-                LiftInterval(
-                    left,
-                    right,
-                    anchor,
-                    inverse(anchor),
-                    matrix_from_json_obj(iv["correction"]),
-                )
-            )
-        lift = LiftCore(k, l, p, a0, section, partition, conjugators, tuple(intervals), None)
-        if lift.conjugators[0] != Matrix.identity(k + l):
-            raise InputFormatError("lift conjugator at t=0 must be the identity")
-        for t, q in zip(partition, conjugators):
-            if det(q).is_zero():
-                raise InputFormatError("lift conjugators must be invertible")
-            if matrix_mul(matrix_pow(basic_family(k, l, t), p), q) != matrix_mul(q, a0):
-                raise InputFormatError("lift conjugators violate the power identity")
-        _check_lift_glue(lift)
+        if move.p != p:
+            raise InputFormatError(f"adjacency move has p = {move.p} but the path has p = {p}")
         outer = matrix_from_json_obj(obj["outerConjugator"])
-        return AdjacencySegment(
-            outer,
-            inverse(outer),
-            matrix_from_json_obj(obj["bystander"]),
-            lift,
-            bool(obj["reversedTime"]),
-            move,
-        )
+        bystander = matrix_from_json_obj(obj["bystander"])
+        if not bystander.is_square() or outer.rows != bystander.rows + move.k + move.l:
+            raise InputFormatError("outer conjugator must have k + l more rows than the bystander")
+        lift = lift_family(move.k, move.l, p)
+        return AdjacencySegment(outer, inverse(outer), bystander, lift, move)
     raise InputFormatError(f"unknown segment kind {kind!r}")
 
 
@@ -983,7 +865,13 @@ def path_from_json_obj(obj) -> RootPath:
             raise InputFormatError("path power p must be a positive integer")
         if not isinstance(obj["segments"], list):
             raise InputFormatError("path segments must be a list")
-        segments = tuple(_segment_from_json_obj(s) for s in obj["segments"])
-        return RootPath(target, power, segments)
+        segments = tuple(_segment_from_json_obj(s, power) for s in obj["segments"])
+        path = RootPath(target, power, segments)
+        endpoints = obj["endpoints"]
+        if matrix_from_json_obj(endpoints["X"]) != path.start:
+            raise InputFormatError("stored endpoint X is not the start of the path")
+        if matrix_from_json_obj(endpoints["Y"]) != path.end:
+            raise InputFormatError("stored endpoint Y is not the end of the path")
+        return path
     except (KeyError, TypeError, ValueError, ZeroDivisionError, SingularMatrixError) as exc:
         raise InputFormatError(f"bad path JSON: {exc}") from None

@@ -221,7 +221,7 @@ class AdjacencyMove:
             return AdjacencyMove(
                 int(obj["a"]), int(obj["k"]), int(obj["l"]), obj["direction"], int(obj["p"])
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, InvalidMoveError) as exc:
             raise InputFormatError(f"bad move JSON: {exc}") from None
 
 

@@ -2,11 +2,11 @@
 
 Around a reference operator u with a marked kernel vector x0, a pair of
 adapted bases puts u into the block form [[I, 0], [0, 0]]; both bases are
-completed by standard vectors, chosen greedily as the pivot columns of one
-row reduction each.  For any nearby operator v whose leading block stays
-invertible, eliminating that block produces a vector f(v) depending
-continuously (rationally) on v with ``v @ f(v) = 0`` whenever v has the
-same rank as u, and ``f(u) = x0``.
+completed by standard vectors, the domain's at the pivot columns of the row
+reduction that gives u's kernel basis, the codomain's chosen greedily.  For
+any nearby operator v whose leading block stays invertible, eliminating
+that block produces a vector f(v) depending continuously (rationally) on v
+with ``v @ f(v) = 0`` whenever v has the same rank as u, and ``f(u) = x0``.
 
 Specializing to the operator ``M -> B@M - M@A0`` on matrix space with
 anchor x0 = vec(I) turns this into a local cross-section of conjugation:
@@ -34,7 +34,7 @@ from .matrix import (
     _solve_square,
     det,
     inverse,
-    kernel_basis,
+    kernel_and_pivots,
     matrix_mul,
     pivot_columns,
     power_ranks,
@@ -79,17 +79,18 @@ def section_setup(u: Matrix, x0: Matrix) -> SectionData:
     if not matrix_mul(u, x0).is_zero():
         raise NotInKernelError("anchor vector is not in the kernel")
 
-    kernel = [v.column_entries() for v in kernel_basis(u)]
-    rho = n - len(kernel)
+    kernel, front_index = kernel_and_pivots(u)
+    kernel = [v.column_entries() for v in kernel]
+    rho = len(front_index)
     standard = Matrix.identity(n).data  # row i of I is the standard vector e_i
     anchor = x0.column_entries()
 
-    # Greedy over [x0 | ker u | e_0 ... e_(n-1)]: x0 always pivots, kernel
-    # vectors fill out ker u, and the standard vectors complete the basis.
-    skip = 1 + len(kernel)
-    pivots = pivot_columns(n, [anchor] + kernel + standard)
-    kernel_rest = [kernel[c - 1] for c in pivots[1:] if c < skip]
-    front_index = [c - skip for c in pivots if c >= skip]
+    # Greedy over [x0 | ker u]: x0 always pivots and kernel vectors fill out
+    # ker u.  The standard vectors at rref(u)'s pivot columns complete the
+    # basis, and are exactly the ones a greedy pass over e_0 ... e_(n-1)
+    # would add: the kernel vector of a free column f is e_f plus a
+    # combination of the pivot e_j with j < f.
+    kernel_rest = [kernel[c - 1] for c in pivot_columns(n, [anchor] + kernel)[1:]]
 
     domain_cols = [standard[i] for i in front_index] + kernel_rest + [anchor]
     basis_domain = Matrix(n, n, [list(r) for r in zip(*domain_cols)])

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from nilpath.cli import main
 from nilpath.paths import connect_roots
-from nilpath.scalar import ONE
 from nilpath.jordan import similarity_witness
 from nilpath.matrix import (
     Matrix,
@@ -19,7 +18,6 @@ from nilpath.matrix import (
     inverse,
     jordan_cell,
     matrix_from_json,
-    matrix_from_json_obj,
     matrix_mul,
     matrix_pow,
     matrix_to_json,
@@ -231,12 +229,13 @@ def test_connect_output_pinned(files, capsys):
     )
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "23db0b8fcb3557c71d0ea4a91c24294ecb1f9b34b38c10ec02f50eb341e71733"
+        "a6d6a66d88041ddef67f8a673a7540553f82b3c1426106513215906ba9520d75"
     )
 
 
 def test_connect_certified_output_pinned(files, capsys):
-    # the certified path JSON carries every lift interval's certification record
+    # the path JSON is that of sampled mode; the certificate carries every lift
+    # interval's certification record
     code, out = run(
         capsys,
         ["connect", "--p", "2", "--a", files["A"], "--x", files["X"], "--y", files["Y"],
@@ -244,7 +243,7 @@ def test_connect_certified_output_pinned(files, capsys):
     )
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "c3414c274f9b5a96d620c84fde0f05c4042896b9e3928db5bfc704d31de160ed"
+        "2092a9fb9d2640dfefe87fe2842ac54eb479ef9e260781778906123e03e2c019"
     )
 
 
@@ -272,48 +271,22 @@ def test_bad_arguments_exit_two_without_traceback(files, capsys, argv):
     assert "Traceback" not in captured.err
 
 
+ZERO_2X2 = {"rows": 2, "cols": 2, "entries": [["0", "0"], ["0", "0"]]}
+
 MALFORMED_PATHS = {
     "empty_segments": lambda obj: obj.update(segments=[]),
     "misordered_segments": lambda obj: obj["segments"].reverse(),
     "zero_power": lambda obj: obj.update(p=0),
     "segments_not_a_list": lambda obj: obj.update(segments="abc"),
-    "one_point_partition": lambda obj: obj["segments"][0].update(partition=["0/1"]),
     "single_waypoint": lambda obj: obj["segments"][1].update(waypoints=["0/1"]),
-    "tampered_anchor": lambda obj: _tamper_anchor(obj["segments"][0]),
-    "noncommuting_correction": lambda obj: _non_commuting_correction(obj["segments"][0]),
-    "unreached_right_end": lambda obj: _unreached_right_end(obj["segments"][0]),
+    "tampered_endpoint_y": lambda obj: obj["endpoints"].update(Y=ZERO_2X2),
+    "tampered_endpoint_x": lambda obj: obj["endpoints"].update(X=obj["endpoints"]["Y"]),
+    "move_for_other_power": lambda obj: obj["segments"][0]["move"].update(p=3),
+    "move_outside_window": lambda obj: obj["segments"][0]["move"].update(l=5),
+    "outer_larger_than_lift": lambda obj: obj["segments"][0].update(
+        outerConjugator=matrix_to_json_obj(Matrix.identity(3))
+    ),
 }
-# cases on the (4,2) -> (3,3) path, whose last lift interval anchors at t = 1
-RIGHT_ANCHORED_CASES = {"tampered_anchor", "noncommuting_correction", "unreached_right_end"}
-
-
-def _tamper_anchor(seg):
-    ivs = seg["liftIntervals"]
-    ivs[1]["anchor"] = ivs[2]["anchor"]
-
-
-def _non_commuting_correction(seg):
-    # anchor @ correction is kept, so only the commutation check can reject it
-    last = seg["liftIntervals"][-1]
-    anchor = matrix_from_json_obj(last["anchor"])
-    n = anchor.rows
-    z = Matrix.identity(n)
-    z.data[n - 2][0] = ONE
-    last["anchor"] = matrix_to_json_obj(matrix_mul(anchor, z))
-    last["correction"] = matrix_to_json_obj(
-        matrix_mul(inverse(z), matrix_from_json_obj(last["correction"]))
-    )
-
-
-def _unreached_right_end(seg):
-    # q1 (I + E01) commutes with A0, so the power identity still holds at
-    # t = 1/4; only the first interval's formula misses it at its right end
-    q1 = matrix_from_json_obj(seg["liftConjugators"][1])
-    z = Matrix.identity(q1.rows)
-    z.data[0][1] = ONE
-    moved = matrix_to_json_obj(matrix_mul(q1, z))
-    seg["liftConjugators"][1] = moved
-    seg["liftIntervals"][1]["anchor"] = moved
 
 
 @pytest.fixture(scope="module")
@@ -325,21 +298,10 @@ def path_text():
     return json.dumps(obj)
 
 
-@pytest.fixture(scope="module")
-def right_anchored_path_text():
-    a, x, y = fixture_roots()
-    obj = connect_roots(a, 2, x, y).to_json_obj()
-    seg = obj["segments"][0]
-    assert seg["liftIntervals"][-1]["anchor"] != seg["liftConjugators"][-2]
-    return json.dumps(obj)
-
-
 @pytest.mark.parametrize("verb", [["verify"], ["eval-path", "--t", "1/2"]], ids=["verify", "eval-path"])
 @pytest.mark.parametrize("case", sorted(MALFORMED_PATHS))
-def test_malformed_path_json_exits_two_without_traceback(
-    path_text, right_anchored_path_text, tmp_path, capsys, verb, case
-):
-    obj = json.loads(right_anchored_path_text if case in RIGHT_ANCHORED_CASES else path_text)
+def test_malformed_path_json_exits_two_without_traceback(path_text, tmp_path, capsys, verb, case):
+    obj = json.loads(path_text)
     MALFORMED_PATHS[case](obj)
     bad = tmp_path / "path.json"
     bad.write_text(json.dumps(obj))

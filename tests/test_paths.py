@@ -17,7 +17,6 @@ from nilpath.matrix import (
     direct_sum,
     inverse,
     jordan_cell,
-    matrix_from_json_obj,
     matrix_mul,
     matrix_pow,
     matrix_to_json_obj,
@@ -478,81 +477,152 @@ def test_certified_verify_ignores_stored_certifications():
         assert verify(again, 4, mode="certified").to_json_obj() == fresh
 
 
-def test_path_json_rejects_singular_lift_conjugator():
-    z = Matrix.zeros(2, 2)
-    obj = connect_roots(z, 2, z, jordan_cell(2)).to_json_obj()
-    seg = next(s for s in obj["segments"] if s["kind"] == "adjacency")
-    assert len(seg["liftConjugators"]) > 2
-    n = seg["k"] + seg["l"]
-    # the zero matrix satisfies U_t^p q = q A0, so only invertibility rules it out
-    seg["liftConjugators"][1] = {"rows": n, "cols": n, "entries": [["0"] * n for _ in range(n)]}
-    with pytest.raises(InputFormatError):
-        path_from_json_obj(obj)
-
-
-def right_anchored_path_obj():
+def fixture_42_33():
     # (4,2) -> (3,3) at p = 2: one (2,4,2) lift whose last interval anchors at t = 1
     x = direct_sum([jordan_cell(4), jordan_cell(2)])
     a = matrix_pow(x, 2)
     model = direct_sum([jordan_cell(3), jordan_cell(3)])
-    y = conjugate(model, similarity_witness(matrix_pow(model, 2), a))
-    return connect_roots(a, 2, x, y).to_json_obj()
+    return a, x, conjugate(model, similarity_witness(matrix_pow(model, 2), a))
 
 
-def test_path_json_rejects_unglued_lift_intervals():
-    obj = right_anchored_path_obj()
-    seg = obj["segments"][0]
-    ivs = seg["liftIntervals"]
-    assert ivs[-1]["anchor"] != seg["liftConjugators"][-2]
-    a0 = matrix_pow(basic_family(seg["k"], seg["l"], 0), seg["p"])
-    anchor = matrix_from_json_obj(ivs[-1]["anchor"])
-    correction = matrix_from_json_obj(ivs[-1]["correction"])
-    n = a0.rows
+def roundtrip_paths():
+    """Paths with a forward move, a backward move and both, the (4,2) -> (3,3)
+    fixture and its reverse among them."""
+    a, x, y = fixture_42_33()
+    z = Matrix.zeros(2, 2)
+    x411 = direct_sum([jordan_cell(4), jordan_cell(1), jordan_cell(1)])
+    a411 = matrix_pow(x411, 2)
+    model = direct_sum([jordan_cell(3), jordan_cell(3)])
+    y33 = conjugate(model, similarity_witness(matrix_pow(model, 2), a411))
+    return [
+        connect_roots(a, 2, x, y),
+        connect_roots(a, 2, y, x),
+        connect_roots(z, 2, z, jordan_cell(2)),
+        connect_roots(a411, 2, x411, y33),
+    ]
 
-    def tamper_anchor(s):
-        s["liftIntervals"][1]["anchor"] = s["liftIntervals"][2]["anchor"]
 
-    def non_commuting_correction(s):
-        # keeps anchor @ correction, so only the commutation check can fail
-        z = Matrix.identity(n)
-        z.data[n - 2][0] = Scalar(1)
-        assert matrix_mul(z, a0) != matrix_mul(a0, z)
-        s["liftIntervals"][-1]["anchor"] = matrix_to_json_obj(matrix_mul(anchor, z))
-        s["liftIntervals"][-1]["correction"] = matrix_to_json_obj(matrix_mul(inverse(z), correction))
+def test_path_json_roundtrip_rebuilds_lifts():
+    directions = set()
+    for path in roundtrip_paths():
+        obj = path.to_json_obj()
+        text = json.dumps(obj)
+        again = path_from_json_obj(json.loads(text))
+        for seg_obj, seg, seg_again in zip(obj["segments"], path.segments, again.segments):
+            if seg.kind == "adjacency":
+                assert set(seg_obj) == {"kind", "move", "outerConjugator", "bystander"}
+                directions.add(seg.move.direction)
+                assert seg_again.reversed_time == seg.reversed_time
+                assert seg_again.lift.partition == seg.lift.partition
+                assert seg_again.lift.conjugators == seg.lift.conjugators
+        for num in range(0, 9):
+            t = Fraction(num, 8)
+            assert again.evaluate(t) == path.evaluate(t)
+        for mode in ("sampled", "certified"):
+            fresh = json.dumps(verify(path, 4, mode=mode).to_json_obj())
+            assert json.dumps(verify(again, 4, mode=mode).to_json_obj()) == fresh
+        assert json.dumps(again.to_json_obj()) == text
+    assert directions == {"forward", "backward"}
 
-    def unglued_final_interval(s):
-        # z commutes with A0: the end and the commutation hold, the left glue fails
-        z = Matrix.identity(n) + a0
-        s["liftIntervals"][-1]["anchor"] = matrix_to_json_obj(matrix_mul(anchor, z))
-        s["liftIntervals"][-1]["correction"] = matrix_to_json_obj(matrix_mul(inverse(z), correction))
 
-    def unreached_right_end(s):
-        # q1 (I + E01) commutes with A0 and is stored as both the conjugator at
-        # t = 1/4 and the next anchor: only the first interval's right end fails
-        z = Matrix.identity(n)
-        z.data[0][1] = Scalar(1)
-        assert matrix_mul(z, a0) == matrix_mul(a0, z)
-        moved = matrix_to_json_obj(matrix_mul(matrix_from_json_obj(s["liftConjugators"][1]), z))
-        s["liftConjugators"][1] = moved
-        s["liftIntervals"][1]["anchor"] = moved
+def with_old_lift_keys(seg_obj, seg):
+    """The adjacency segment keys that older files carry besides the move."""
+    lift = seg.lift
+    seg_obj.update(
+        k=lift.k,
+        l=lift.l,
+        p=lift.p,
+        reversedTime=seg.reversed_time,
+        partition=[format_rational(t) for t in lift.partition],
+        liftConjugators=[matrix_to_json_obj(q) for q in lift.conjugators],
+        liftIntervals=[
+            {
+                "left": format_rational(iv.left),
+                "right": format_rational(iv.right),
+                "anchor": matrix_to_json_obj(iv.anchor),
+                "correction": matrix_to_json_obj(iv.correction),
+            }
+            for iv in lift.intervals
+        ],
+        certifications=None,
+    )
 
-    for tamper, message in (
-        (tamper_anchor, "only the final lift interval"),
-        (non_commuting_correction, "does not commute"),
-        (unglued_final_interval, "does not glue"),
-        (unreached_right_end, "interval 0 does not glue onto the conjugator at t = 1/4"),
+
+def test_path_json_ignores_old_lift_keys():
+    a, x, y = fixture_42_33()
+    path = connect_roots(a, 2, x, y)
+    obj = path.to_json_obj()
+    old = json.loads(json.dumps(obj))
+    for seg_obj, seg in zip(old["segments"], path.segments):
+        if seg.kind == "adjacency":
+            with_old_lift_keys(seg_obj, seg)
+    garbled = json.loads(json.dumps(old))
+    for seg_obj in garbled["segments"]:
+        if seg_obj["kind"] == "adjacency":
+            seg_obj.update(k=0, l=2, p=5, reversedTime=True, partition=["0/1"])
+            seg_obj["liftConjugators"][1] = matrix_to_json_obj(Matrix.zeros(6, 6))
+    for mode in ("sampled", "certified"):
+        fresh = json.dumps(verify(path, 6, mode=mode).to_json_obj())
+        for stored in (old, garbled):
+            again = path_from_json_obj(json.loads(json.dumps(stored)))
+            assert json.dumps(verify(again, 6, mode=mode).to_json_obj()) == fresh
+            assert again.to_json_obj() == obj
+
+
+def test_path_json_rejects_tampered_endpoints():
+    a, x, y = fixture_42_33()
+    obj = connect_roots(a, 2, x, y).to_json_obj()
+    for end, replacement in (("X", y), ("Y", x), ("Y", Matrix.zeros(6, 6))):
+        bad = json.loads(json.dumps(obj))
+        bad["endpoints"][end] = matrix_to_json_obj(replacement)
+        with pytest.raises(InputFormatError, match=f"endpoint {end}"):
+            path_from_json_obj(bad)
+    missing = json.loads(json.dumps(obj))
+    del missing["endpoints"]
+    with pytest.raises(InputFormatError):
+        path_from_json_obj(missing)
+
+
+def test_path_json_checks_moves_before_lifting(monkeypatch):
+    z = Matrix.zeros(2, 2)
+    obj = connect_roots(z, 2, z, jordan_cell(2)).to_json_obj()
+    assert obj["segments"][0]["move"] == {"a": 0, "k": 0, "l": 2, "direction": "backward", "p": 2}
+    lifted = []
+    monkeypatch.setattr(paths_module, "lift_family", lambda *args: lifted.append(args))
+    for field, value, message in (
+        ("p", 3, "move has p = 3 but the path has p = 2"),
+        ("l", 5, "window violation"),
+        ("direction", "sideways", "direction"),
     ):
         bad = json.loads(json.dumps(obj))
-        tamper(bad["segments"][0])
+        bad["segments"][0]["move"][field] = value
         with pytest.raises(InputFormatError, match=message):
             path_from_json_obj(bad)
-    path_from_json_obj(obj)
+    bad = json.loads(json.dumps(obj))
+    bad["segments"][0]["bystander"] = matrix_to_json_obj(Matrix.zeros(1, 1))
+    with pytest.raises(InputFormatError, match="k \\+ l more rows"):
+        path_from_json_obj(bad)
+    assert lifted == []
+
+
+def certify_lift(lift):
+    """certify_lift_interval's record for every interval of the lift."""
+
+    def family_power(t):
+        return matrix_pow(basic_family(lift.k, lift.l, t), lift.p)
+
+    return [
+        certify_lift_interval(
+            lift.section, family_power, lift.p, iv.anchor, iv.anchor_inv, iv.left, iv.right
+        )
+        for iv in lift.intervals
+    ]
 
 
 def test_certified_mode_on_nontrivial_lift():
-    lift = lift_family(2, 3, 2, mode="certified")
-    assert lift.certifications is not None
-    assert all(c["ok"] for c in lift.certifications)
+    lift = lift_family(2, 3, 2)
+    certifications = certify_lift(lift)
+    assert all(c["ok"] for c in certifications)
     a0 = lift.base_power
     for num in range(0, 7):
         assert matrix_pow(lift.gamma(Fraction(num, 6)), 2) == a0
@@ -610,9 +680,10 @@ def test_certify_lift_interval_matches_generic_degree_bound(monkeypatch):
 
 def test_certified_lift_on_large_windows():
     for k, l, p in ((3, 5, 3), (4, 6, 2)):
-        lift = lift_family(k, l, p, mode="certified")
-        assert len(lift.certifications) == len(lift.intervals)
-        assert all(c["ok"] for c in lift.certifications)
+        lift = lift_family(k, l, p)
+        certifications = certify_lift(lift)
+        assert len(certifications) == len(lift.intervals)
+        assert all(c["ok"] for c in certifications)
         a0 = lift.base_power
         for t in (Fraction(1, 3), Fraction(7, 8), Fraction(1)):
             assert matrix_pow(lift.gamma(t), p) == a0, (k, l, p, t)

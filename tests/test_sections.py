@@ -10,11 +10,15 @@ from nilpath.matrix import (
     direct_sum,
     inverse,
     jordan_cell,
+    kernel_basis,
     matrix_mul,
     matrix_pow,
+    pivot_columns,
     rank,
     random_invertible,
+    rref,
     unvec,
+    vec,
 )
 from nilpath.paths import basic_family, lift_family
 from nilpath.scalar import Scalar
@@ -214,6 +218,24 @@ def test_conjugator_at_matches_operator_section():
             assert got == _outcome(_reference_conjugator, cs, b), (k, l, p)
             seen.add(got == "outside")
     assert seen == {True, False}  # both outcomes were exercised
+
+
+def test_front_is_rref_pivots_of_operator():
+    # the complement vectors are rref(u)'s pivot columns, which is also the
+    # greedy completion of [x0 | ker u] by e_0 ... e_(N-1) used before
+    for k, l, p in CATALOG_WINDOWS:
+        a0 = _window_base(k, l, p)
+        u = ad_operator(a0, a0)
+        x0 = vec(Matrix.identity(a0.rows))
+        front = section_setup(u, x0).front
+        assert list(front) == rref(u)[1], (k, l, p)
+        kernel = [v.column_entries() for v in kernel_basis(u)]
+        skip = 1 + len(kernel)
+        greedy = pivot_columns(u.rows, [x0.column_entries()] + kernel + Matrix.identity(u.rows).data)
+        assert list(front) == [c - skip for c in greedy if c >= skip], (k, l, p)
+        assert conjugation_section(a0).section.front == front
+
+
 def test_conjugation_section_rejects_non_nilpotent_base():
     for a0 in (Matrix.identity(2), direct_sum([jordan_cell(2), Matrix.identity(1)])):
         with pytest.raises(NotNilpotentError):
