@@ -2,20 +2,36 @@
 
 Matrices are stored row-major as lists of :class:`~nilpath.scalar.Scalar`
 and treated as immutable after construction; all operations return new
-values, so concurrent readers are safe.  One Gauss-Jordan routine does all
-elimination: rank counts its pivots, det is the signed product of its
-pivots, inverse and solve read the reduced augmented block, and rref,
-kernel_basis, power_ranks and pivot_columns read the echelon form.
+values, so concurrent readers are safe.
+
+The kernels run on integers.  Each operand is converted once to integer
+rows over a per-row common denominator (per column for the right factor of
+a product); entries that are the shared ZERO cost one identity test, so a
+conversion costs O(nonzero entries).  When an entry of the input is not
+real, the integers are Gaussian integers (``_GaussInt``) and the same loops
+run on them.  There is one product loop, which sums integer products, and
+one elimination loop, fraction-free Gauss-Jordan (Bareiss 1968): each row
+update is divided exactly by the pivot of the row's previous update.  Its
+pivot choice is that of rational Gauss-Jordan, so every result equals the
+rational one.  A pivot row divided by its pivot is a row of the rref, and
+the signed product of the rational pivots is ±(last pivot) over the
+product of the pivot rows' denominators.  rank counts the pivots, det is
+that product, inverse and solve read the reduced augmented block, and
+rref, kernel_basis and pivot_columns read the echelon form.  matrix_pow and
+power_ranks keep the integer form across their chained products.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import repeat
+from math import gcd, lcm, prod
+from operator import add, mul
 from typing import Iterable, Sequence
 
 from .errors import InputFormatError, SingularMatrixError
-from .scalar import ONE, ZERO, Scalar, format_scalar, parse_scalar
+from .scalar import _ZERO_F, ONE, ZERO, Scalar, _mk, format_scalar, parse_scalar
 
 
 class Matrix:
@@ -144,38 +160,239 @@ def direct_sum(blocks: Iterable[Matrix]) -> Matrix:
     return out
 
 
+# -- integer kernels ---------------------------------------------------------
+
+
+class _GaussInt:
+    """A Gaussian integer ``re + im*i``: the kernels' element type when an
+    entry of their input is not real.  It has what the loops use: ``+``,
+    ``-``, ``*``, exact ``//`` and ``bool``."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: int, im: int):
+        self.re = re
+        self.im = im
+
+    def __bool__(self) -> bool:
+        return bool(self.re) or bool(self.im)
+
+    def __add__(self, other: "_GaussInt") -> "_GaussInt":
+        return _GaussInt(self.re + other.re, self.im + other.im)
+
+    def __sub__(self, other: "_GaussInt") -> "_GaussInt":
+        return _GaussInt(self.re - other.re, self.im - other.im)
+
+    def __mul__(self, other: "_GaussInt") -> "_GaussInt":
+        a, b, c, d = self.re, self.im, other.re, other.im
+        if not b:
+            return _GaussInt(a * c, a * d)
+        return _GaussInt(a * c - b * d, a * d + b * c)
+
+    def __floordiv__(self, other: "_GaussInt") -> "_GaussInt":
+        """The exact quotient: ``other`` must divide ``self``."""
+        a, b, c, d = self.re, self.im, other.re, other.im
+        if not d:
+            return _GaussInt(a // c, b // c)
+        n = c * c + d * d
+        return _GaussInt((a * c + b * d) // n, (b * c - a * d) // n)
+
+
+_GAUSS_ZERO = _GaussInt(0, 0)
+_ZERO_RATIO = (0, 1)
+
+
+def _is_gaussian(data) -> bool:
+    """Whether some entry has a nonzero imaginary part."""
+    return any(e.im for row in data for e in row if e is not ZERO)
+
+
+def _int_rows(data: Sequence[Sequence[Scalar]], gaussian: bool) -> tuple[list[list], list[int]]:
+    """Each row as integers over its least common denominator: the integer
+    rows (Gaussian integers when ``gaussian``) and their denominators.
+    Entries that are the shared ZERO cost one identity test."""
+    width = len(data[0]) if data else 0
+    starts = range(0, len(data) * width, width) if width else [0] * len(data)
+    re = [_ZERO_RATIO if e is ZERO else e.re.as_integer_ratio() for row in data for e in row]
+    qs = [q for _, q in re]
+    if gaussian:
+        im = [_ZERO_RATIO if e is ZERO else e.im.as_integer_ratio() for row in data for e in row]
+        dens = [lcm(*qs[i : i + width], *[q for _, q in im[i : i + width]]) for i in starts]
+        rows = [
+            [
+                _GaussInt(a * (d // q), b * (d // s)) if a or b else _GAUSS_ZERO
+                for (a, q), (b, s) in zip(re[i : i + width], im[i : i + width])
+            ]
+            for i, d in zip(starts, dens)
+        ]
+    elif max(qs, default=1) == 1:
+        nums = [a for a, _ in re]
+        rows, dens = [nums[i : i + width] for i in starts], [1] * len(data)
+    else:
+        dens = [lcm(*qs[i : i + width]) for i in starts]
+        rows = [[a * (d // q) for a, q in re[i : i + width]] for i, d in zip(starts, dens)]
+    return rows, dens
+
+
+def _int_matrix(data: Sequence[Sequence[Scalar]], gaussian: bool) -> tuple[list[list], int]:
+    """The rows of a square matrix as integers over one common denominator."""
+    (flat,), (d,) = _int_rows([[e for row in data for e in row]], gaussian)
+    return [flat[i : i + len(data)] for i in range(0, len(flat), len(data) or 1)], d
+
+
+def _scalar(x, den: int) -> Scalar:
+    """``x / den`` for an integer or Gaussian integer x and an integer den."""
+    if not x:
+        return ZERO
+    if type(x) is int:
+        return _mk(Fraction(x, den), _ZERO_F)
+    return _mk(Fraction(x.re, den), Fraction(x.im, den) if x.im else _ZERO_F)
+
+
+def _mul_rows(arows: list[list], brows: list, width: int, zero) -> list[list]:
+    """The product loop: row i is the sum of ``a_ik * brows[k]`` over the
+    nonzero entries a_ik of ``arows[i]``, summed in integers."""
+    out = []
+    for arow in arows:
+        acc = [zero] * width
+        for a, brow in zip(arow, brows):
+            if a:
+                acc = list(map(add, acc, map(mul, repeat(a), brow)))
+        out.append(acc)
+    return out
+
+
 def matrix_mul(a: Matrix, b: Matrix) -> Matrix:
+    """The product, from integer rows of a (per-row denominators) and
+    integer columns of b (per-column denominators)."""
     if a.cols != b.rows:
         raise ValueError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    out = [[ZERO] * b.cols for _ in range(a.rows)]
-    bdata = b.data
-    for i in range(a.rows):
-        arow = a.data[i]
-        orow = out[i]
-        for k in range(a.cols):
-            aik = arow[k]
-            if not aik.is_zero():
-                brow = bdata[k]
-                for j in range(b.cols):
-                    bkj = brow[j]
-                    if not bkj.is_zero():
-                        orow[j] = orow[j] + aik * bkj
-    return Matrix(a.rows, b.cols, out)
+    gaussian = _is_gaussian(a.data) or _is_gaussian(b.data)
+    arows, adens = _int_rows(a.data, gaussian)
+    bcols, bdens = _int_rows(list(zip(*b.data)) if b.rows else [()] * b.cols, gaussian)
+    prods = _mul_rows(arows, list(zip(*bcols)), b.cols, _GAUSS_ZERO if gaussian else 0)
+    return Matrix(
+        a.rows,
+        b.cols,
+        [[_scalar(x, da * db) for x, db in zip(row, bdens)] for row, da in zip(prods, adens)],
+    )
 
 
 def matrix_pow(m: Matrix, e: int) -> Matrix:
-    """Power by repeated multiplication; the empty matrix stays empty."""
+    """Power by repeated multiplication in integers over one common
+    denominator; the empty matrix stays empty."""
     if not m.is_square():
         raise ValueError("power of a non-square matrix")
     if e < 0:
         raise ValueError("negative matrix power")
-    out = Matrix.identity(m.rows)
-    for _ in range(e):
-        out = matrix_mul(out, m)
-    return out
+    if e == 0:
+        return Matrix.identity(m.rows)
+    gaussian = _is_gaussian(m.data)
+    rows, d = _int_matrix(m.data, gaussian)
+    out = rows
+    for _ in range(e - 1):
+        out = _mul_rows(out, rows, m.cols, _GAUSS_ZERO if gaussian else 0)
+    den = d**e
+    return Matrix(m.rows, m.cols, [[_scalar(x, den) for x in row] for row in out])
 
 
 # -- elimination -----------------------------------------------------------
+
+
+def _eliminate(rows: list[list], dens: list[int], pivot_cols: int) -> tuple[list[int], list, int]:
+    """The elimination loop: fraction-free Gauss-Jordan on integer rows, in
+    place (Bareiss 1968).
+
+    The pivot of column c is the first nonzero entry at or below the current
+    row, in the first ``pivot_cols`` columns only; ``dens`` is permuted with
+    the rows.  Each row carries a scale, None until an update touches it
+    and then the pivot of that update.  Pivot ``piv`` in row r updates row i
+    to ``(piv * row_i - f * row_r) // scale_i`` with f the entry of row i in
+    column c, an exact division.  Rows with f = 0 are left alone: their
+    value only changes by the ratio of successive pivots, and a row is
+    brought up to date when it becomes the pivot row.  At the end row i is
+    ``scale_i`` times its row in the rational reduced form, times its
+    denominator unless the row holds a pivot.
+
+    Returns the pivot columns, the row scales and the sign of the row
+    permutation, 0 once a column fails to pivot.
+    """
+    n = len(rows)
+    scales: list = [None] * n
+    pivots: list[int] = []
+    sign = 1
+    prev = None
+    r = 0
+    for c in range(pivot_cols):
+        if r >= n:
+            break
+        p = r
+        while p < n and not rows[p][c]:
+            p += 1
+        if p == n:
+            sign = 0
+            continue
+        if p != r:
+            rows[p], rows[r] = rows[r], rows[p]
+            dens[p], dens[r] = dens[r], dens[p]
+            scales[p], scales[r] = scales[r], scales[p]
+            sign = -sign
+        prow = rows[r]
+        s = scales[r]
+        if s is not prev:
+            prow = [x * prev for x in prow] if s is None else [x * prev // s for x in prow]
+            rows[r] = prow
+        piv = prow[c]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if not f or i == r:
+                continue
+            s = scales[i]
+            if s is None:
+                rows[i] = [piv * x - f * y for x, y in zip(row, prow)]
+            else:
+                rows[i] = [(piv * x - f * y) // s for x, y in zip(row, prow)]
+            scales[i] = piv
+        scales[r] = prev = piv
+        pivots.append(c)
+        r += 1
+    return pivots, scales, sign
+
+
+class _Reduction:
+    """``data`` as integer rows, reduced by :func:`_eliminate` over its
+    first ``pivot_cols`` columns, with what the loop returned."""
+
+    __slots__ = ("rows", "dens", "pivots", "scales", "sign")
+
+    def __init__(self, data, pivot_cols: int):
+        self.rows, self.dens = _int_rows(data, _is_gaussian(data))
+        self.pivots, self.scales, self.sign = _eliminate(self.rows, self.dens, pivot_cols)
+
+    def row(self, i: int, start: int = 0) -> list[Scalar]:
+        """Row i of the rational reduced form, from column ``start`` on."""
+        s = self.scales[i]
+        den = 1 if i < len(self.pivots) else self.dens[i]
+        row = self.rows[i][start:]
+        if type(s) is _GaussInt:
+            if s.im:  # divide by s as conj(s) / |s|^2
+                conj = _GaussInt(s.re, -s.im)
+                row = [x * conj for x in row]
+                den *= s.re * s.re + s.im * s.im
+            else:
+                den *= s.re
+        elif s is not None:
+            den *= s
+        return [_scalar(x, den) for x in row]
+
+    def det(self) -> Scalar:
+        """The signed product of the rational pivots: ±(last pivot) over the
+        denominators of the pivot rows, ZERO once a column failed to pivot."""
+        if not self.sign:
+            return ZERO
+        k = len(self.pivots)
+        d = _scalar(self.rows[k - 1][self.pivots[-1]] if k else 1, prod(self.dens[:k]))
+        return d if self.sign > 0 else -d
 
 
 def _gauss_jordan(data: list[list[Scalar]], pivot_cols: int) -> tuple[list[int], Scalar]:
@@ -187,70 +404,37 @@ def _gauss_jordan(data: list[list[Scalar]], pivot_cols: int) -> tuple[list[int],
     signed product of the pivots, negated on each row swap and ZERO once a
     column fails to pivot: for a square block, its determinant.
     """
-    rows = len(data)
-    width = len(data[0]) if rows else 0
-    pivots: list[int] = []
-    d = ONE
-    r = 0
-    for c in range(pivot_cols):
-        if r >= rows:
-            break
-        p = r
-        while p < rows and data[p][c].is_zero():
-            p += 1
-        if p == rows:
-            d = ZERO
-            continue
-        if p != r:
-            data[p], data[r] = data[r], data[p]
-            d = -d
-        piv = data[r][c]
-        d = d * piv
-        if piv != ONE:
-            data[r] = [e / piv for e in data[r]]
-        prow = data[r]
-        for i in range(rows):
-            if i == r:
-                continue
-            f = data[i][c]
-            if f.is_zero():
-                continue
-            row = data[i]
-            for j in range(c, width):
-                if not prow[j].is_zero():
-                    row[j] = row[j] - f * prow[j]
-        pivots.append(c)
-        r += 1
-    return pivots, d
+    red = _Reduction(data, pivot_cols)
+    data[:] = [red.row(i) for i in range(len(data))]
+    return red.pivots, red.det()
 
 
 def _solve_square(a: Matrix, b: Matrix) -> tuple[Matrix, Scalar]:
     """``(a^-1 b, det a)``, read off ``[a | b]`` row-reduced over the
     columns of a; raises SingularMatrixError unless they all pivot."""
     n = a.rows
-    aug = [list(a.data[i]) + list(b.data[i]) for i in range(n)]
-    pivots, d = _gauss_jordan(aug, n)
-    if len(pivots) < n:
+    red = _Reduction([ra + rb for ra, rb in zip(a.data, b.data)], n)
+    if len(red.pivots) < n:
         raise SingularMatrixError("matrix is singular")
-    return Matrix(n, b.cols, [row[n:] for row in aug]), d
+    return Matrix(n, b.cols, [red.row(i, n) for i in range(n)]), red.det()
 
 
 def rank(m: Matrix) -> int:
-    return len(_gauss_jordan([list(r) for r in m.data], m.cols)[0])
+    return len(_Reduction(m.data, m.cols).pivots)
 
 
 def det(m: Matrix) -> Scalar:
     if not m.is_square():
         raise ValueError("determinant of a non-square matrix")
-    return _gauss_jordan([list(r) for r in m.data], m.cols)[1]
+    return _Reduction(m.data, m.cols).det()
 
 
 def pivot_columns(rows: int, columns: Sequence[Sequence[Scalar]]) -> list[int]:
     """Indices of the greedy independent subset of ``columns`` (each of
     length ``rows``): a column is kept unless it lies in the span of those
     before it, which makes the kept ones the pivot columns of their rref."""
-    data = [list(r) for r in zip(*columns)] if columns else [[] for _ in range(rows)]
-    return _gauss_jordan(data, len(columns))[0]
+    data = list(zip(*columns)) if columns else [()] * rows
+    return _Reduction(data, len(columns)).pivots
 
 
 def inverse(m: Matrix) -> Matrix:
@@ -274,29 +458,40 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     return Matrix(m.rows, m.cols, data), pivots
 
 
+def _primitive(row: list) -> list:
+    """``row`` divided by the gcd of its integer parts."""
+    if row and type(row[0]) is _GaussInt:
+        g = gcd(*[x.re for x in row], *[x.im for x in row])
+        return row if g < 2 else [_GaussInt(x.re // g, x.im // g) for x in row]
+    g = gcd(*row)
+    return row if g < 2 else [x // g for x in row]
+
+
 def power_ranks(m: Matrix) -> list[int]:
     """Ranks of M^0, M^1, ..., M^s, where s is the first exponent with
     rank(M^s) = rank(M^(s+1)); the sequence is constant from there on.
 
     Since im(M^(k+1)) = M im(M^k), the rows of an echelon basis of im(M^k),
     pushed through M (times M^T on the right) and row-reduced again, give one
-    of im(M^(k+1)).  No power of M is formed, so entries stay those of
-    reduced echelon bases instead of growing with k.
+    of im(M^(k+1)).  No power of M is formed.  The loop stays in integers:
+    M^T over one common denominator, and the fraction-free pivot rows with
+    their common factor divided out, so entries do not grow with k.
     """
     if not m.is_square():
         raise ValueError("power ranks of a non-square matrix")
-    mt = m.transpose()
-    ranks = [m.rows]
-    images = mt  # rows span im(M)
+    n = m.rows
+    gaussian = _is_gaussian(m.data)
+    mt, _ = _int_matrix(m.transpose().data, gaussian)
+    ranks = [n]
+    images = list(mt)  # rows span im(M); _eliminate replaces rows, never edits them
     while True:
-        red, pivots = rref(images)
-        r = len(pivots)
+        r = len(_eliminate(images, [1] * len(images), n)[0])
         if r == ranks[-1]:
             return ranks
         ranks.append(r)
         if r == 0:
             return ranks
-        images = matrix_mul(Matrix(r, m.cols, red.data[:r]), mt)
+        images = _mul_rows([_primitive(row) for row in images[:r]], mt, n, _GAUSS_ZERO if gaussian else 0)
 
 
 def kernel_basis(m: Matrix) -> list[Matrix]:

@@ -441,6 +441,14 @@ class CentralizerSegment:
         }
 
 
+def _detour_records(waypoints: tuple[Scalar, ...]) -> tuple[dict, ...]:
+    """The certification record of each detour piece, as the path JSON holds it."""
+    return tuple(
+        {"from": format_scalar(w0), "to": format_scalar(w1), "ok": True}
+        for w0, w1 in zip(waypoints, waypoints[1:])
+    )
+
+
 def _blend_determinant(q: Matrix) -> RatPoly:
     """det((1-z)I + zQ) as an exact polynomial in z."""
     n = q.rows
@@ -477,8 +485,7 @@ def centralizer_segment(
     one = Scalar(1)
     if certify_nonvanishing_segment(d, zero, one):
         waypoints = (zero, one)
-        certs = ({"from": "0/1", "to": "1/1", "ok": True},)
-        return CentralizerSegment(x, q, waypoints, certs)
+        return CentralizerSegment(x, q, waypoints, _detour_records(waypoints))
 
     for denom in range(2, 2 + detour_budget):
         eps = Fraction(1, denom)
@@ -487,11 +494,7 @@ def centralizer_segment(
         pieces = [(zero, corner0), (corner0, corner1), (corner1, one)]
         if all(certify_nonvanishing_segment(d, w0, w1) for w0, w1 in pieces):
             waypoints = (zero, corner0, corner1, one)
-            certs = tuple(
-                {"from": format_scalar(w0), "to": format_scalar(w1), "ok": True}
-                for w0, w1 in pieces
-            )
-            return CentralizerSegment(x, q, waypoints, certs)
+            return CentralizerSegment(x, q, waypoints, _detour_records(waypoints))
     raise DetourSearchExhaustedError("no certified detour within the epsilon budget")
 
 
@@ -825,9 +828,11 @@ def verify(path: RootPath, sample_count: int, mode: str = "sampled") -> Certific
 def _segment_from_json_obj(obj, p: int) -> object:
     """One segment of a path with power p, from its JSON object.
 
-    An adjacency segment is read as its move, outer conjugator and bystander
-    block, and its lift is rebuilt from the move's window; any other keys
-    (the lift data and certifications older files carry) are ignored.
+    A centralizer segment's certification records are derived from its
+    waypoints; stored records must equal them.  An adjacency segment is read
+    as its move, outer conjugator and bystander block, and its lift is
+    rebuilt from the move's window; any other keys (the lift data and
+    certifications older files carry) are ignored.
     """
     if not isinstance(obj, dict):
         raise InputFormatError("segment JSON must be an object")
@@ -836,11 +841,14 @@ def _segment_from_json_obj(obj, p: int) -> object:
         waypoints = tuple(parse_scalar(w) for w in obj["waypoints"])
         if len(waypoints) < 2 or waypoints[0] != ZERO or waypoints[-1] != ONE:
             raise InputFormatError("centralizer waypoints must run from 0 to 1")
+        records = _detour_records(waypoints)
+        if obj.get("certifications", list(records)) != list(records):
+            raise InputFormatError("centralizer certifications do not match its waypoints")
         return CentralizerSegment(
             matrix_from_json_obj(obj["baseRoot"]),
             matrix_from_json_obj(obj["conjugator"]),
             waypoints,
-            tuple(obj.get("certifications", ())),
+            records,
         )
     if kind == "adjacency":
         move = AdjacencyMove.from_json_obj(obj["move"])

@@ -23,6 +23,7 @@ from nilpath.matrix import (
     matrix_to_json,
     matrix_to_json_obj,
 )
+from nilpath.scalar import Scalar
 
 
 def fixture_roots():
@@ -247,6 +248,26 @@ def test_connect_certified_output_pinned(files, capsys):
     )
 
 
+def test_complex_detour_eval_output_pinned(tmp_path, capsys):
+    # J3 -> -J3 is one centralizer segment on the three-piece complex detour,
+    # so every interior point is evaluated in Gaussian-integer arithmetic;
+    # sha256 of each stdout as first recorded
+    x = jordan_cell(3)
+    path = connect_roots(matrix_pow(x, 2), 2, x, x.scale(Scalar(-1)))
+    assert [len(s.waypoints) for s in path.segments] == [4]
+    path_file = tmp_path / "path.json"
+    path_file.write_text(json.dumps(path.to_json_obj()))
+    for t, digest in (
+        ("1/6", "89fbb8d11d76ca7352c9698025657cf448b35442034a4d29e21a3bcaa3ec61a4"),
+        ("1/2", "0ee507126827ad0c99759128ab09b5c73b2ddcc9efd3493717daa7f81001d11e"),
+        ("5/6", "940a7d5d5dd383be43804771215dac98284bad34fc02405f286ce941a2cc768d"),
+    ):
+        code, out = run(capsys, ["eval-path", str(path_file), "--t", t])
+        assert code == 0
+        assert " i" in out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, t
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -282,6 +303,9 @@ MALFORMED_PATHS = {
     "tampered_endpoint_y": lambda obj: obj["endpoints"].update(Y=ZERO_2X2),
     "tampered_endpoint_x": lambda obj: obj["endpoints"].update(X=obj["endpoints"]["Y"]),
     "move_for_other_power": lambda obj: obj["segments"][0]["move"].update(p=3),
+    "unchecked_certification": lambda obj: obj["segments"][1].update(
+        certifications=[{"from": "0/1", "to": "1/1", "ok": True, "note": "never checked"}]
+    ),
     "move_outside_window": lambda obj: obj["segments"][0]["move"].update(l=5),
     "outer_larger_than_lift": lambda obj: obj["segments"][0].update(
         outerConjugator=matrix_to_json_obj(Matrix.identity(3))

@@ -7,10 +7,12 @@ import pytest
 from nilpath.errors import InputFormatError, SingularMatrixError
 from nilpath.matrix import (
     Matrix,
+    _gauss_jordan,
     det,
     direct_sum,
     inverse,
     jordan_cell,
+    kernel_and_pivots,
     kernel_basis,
     matrix_from_json,
     matrix_mul,
@@ -315,3 +317,216 @@ def test_pivot_columns_match_greedy_independent_subset():
         assert pivot_columns(n, cols) == expected
         if cols:
             assert rref(Matrix(n, len(cols), [list(r) for r in zip(*cols)]))[1] == expected
+
+
+# -- the integer kernels against the rational loops they replaced -------------
+#
+# _ref_gauss_jordan and _ref_matrix_mul are the Fraction-arithmetic loops that
+# matrix.py ran before its kernels moved to integers and Gaussian integers.
+# The _ref_* wrappers below them are the public functions as they were built
+# on those loops.  Every result of the integer kernels must equal theirs.
+
+
+def _ref_gauss_jordan(data, pivot_cols):
+    rows = len(data)
+    width = len(data[0]) if rows else 0
+    pivots = []
+    d = ONE
+    r = 0
+    for c in range(pivot_cols):
+        if r >= rows:
+            break
+        p = r
+        while p < rows and data[p][c].is_zero():
+            p += 1
+        if p == rows:
+            d = ZERO
+            continue
+        if p != r:
+            data[p], data[r] = data[r], data[p]
+            d = -d
+        piv = data[r][c]
+        d = d * piv
+        if piv != ONE:
+            data[r] = [e / piv for e in data[r]]
+        prow = data[r]
+        for i in range(rows):
+            if i == r:
+                continue
+            f = data[i][c]
+            if f.is_zero():
+                continue
+            row = data[i]
+            for j in range(c, width):
+                if not prow[j].is_zero():
+                    row[j] = row[j] - f * prow[j]
+        pivots.append(c)
+        r += 1
+    return pivots, d
+
+
+def _ref_matrix_mul(a, b):
+    out = [[ZERO] * b.cols for _ in range(a.rows)]
+    for i in range(a.rows):
+        arow = a.data[i]
+        orow = out[i]
+        for k in range(a.cols):
+            aik = arow[k]
+            if not aik.is_zero():
+                brow = b.data[k]
+                for j in range(b.cols):
+                    bkj = brow[j]
+                    if not bkj.is_zero():
+                        orow[j] = orow[j] + aik * bkj
+    return Matrix(a.rows, b.cols, out)
+
+
+def _ref_solve(a, b):
+    """a^-1 b, or None when a is singular."""
+    n = a.rows
+    aug = [list(a.data[i]) + list(b.data[i]) for i in range(n)]
+    pivots, _ = _ref_gauss_jordan(aug, n)
+    if len(pivots) < n:
+        return None
+    return Matrix(n, b.cols, [row[n:] for row in aug])
+
+
+def _ref_rref(m):
+    data = [list(r) for r in m.data]
+    pivots, _ = _ref_gauss_jordan(data, m.cols)
+    return Matrix(m.rows, m.cols, data), pivots
+
+
+def _ref_kernel_and_pivots(m):
+    red, pivots = _ref_rref(m)
+    basis = []
+    for fc in (c for c in range(m.cols) if c not in pivots):
+        v = [ZERO] * m.cols
+        v[fc] = ONE
+        for r, pc in enumerate(pivots):
+            if not red.data[r][fc].is_zero():
+                v[pc] = -red.data[r][fc]
+        basis.append(Matrix.column(v))
+    return basis, pivots
+
+
+def _ref_power_ranks(m):
+    mt = m.transpose()
+    ranks = [m.rows]
+    images = mt
+    while True:
+        red, pivots = _ref_rref(images)
+        r = len(pivots)
+        if r == ranks[-1]:
+            return ranks
+        ranks.append(r)
+        if r == 0:
+            return ranks
+        images = _ref_matrix_mul(Matrix(r, m.cols, red.data[:r]), mt)
+
+
+def _mixed_entry(rng, gaussian):
+    """Zero (the shared ZERO or a fresh one) or a Gaussian rational with
+    mixed denominators."""
+    u = rng.random()
+    if u < 0.3:
+        return ZERO
+    if u < 0.4:
+        return Scalar(0)
+    re = Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 4, 6, 9)))
+    im = Fraction(rng.randint(-4, 4), rng.choice((1, 2, 5))) if gaussian and rng.random() < 0.5 else 0
+    return Scalar(re, im)
+
+
+def _mixed_matrix(rng, rows, cols, gaussian):
+    m = Matrix(rows, cols, [[_mixed_entry(rng, gaussian) for _ in range(cols)] for _ in range(rows)])
+    kind = rng.randrange(5)
+    if kind == 1 and rows > 1 and cols:  # forced row swaps: leading entries vanish
+        for i in range(rows - 1):
+            m.data[i][0] = ZERO
+        m.data[rows - 1][0] = Scalar(Fraction(3, 2), 1 if gaussian else 0)
+    elif kind == 2 and rows > 1:  # singular: one row a combination of two others
+        c = Scalar(Fraction(rng.randint(-3, 3), 2), rng.randint(-1, 1) if gaussian else 0)
+        m.data[0] = [x + c * y for x, y in zip(m.data[1], m.data[-1])]
+    elif kind == 3 and cols:  # a zero column
+        j = rng.randrange(cols)
+        for row in m.data:
+            row[j] = ZERO
+    return m
+
+
+def _nilpotent_conjugate(rng, n, gaussian):
+    """S J S^-1 for a nilpotent Jordan matrix J: long power-rank sequences."""
+    while True:
+        s = _mixed_matrix(rng, n, n, gaussian)
+        if not det(s).is_zero():
+            break
+    cells = [n - n // 3, n // 3]
+    model = direct_sum([jordan_cell(k) for k in cells])
+    return _ref_matrix_mul(s, _ref_matrix_mul(model, _ref_solve(s, Matrix.identity(n))))
+
+
+def _reference_cases():
+    rng = random.Random(2024)
+    shapes = [(0, 0), (0, 3), (3, 0), (1, 1), (2, 2), (3, 3), (4, 4), (5, 5), (6, 6), (5, 3), (3, 6), (2, 7)]
+    cases = []
+    for gaussian in (False, True):
+        for rows, cols in shapes:
+            for _ in range(6):
+                cases.append(_mixed_matrix(rng, rows, cols, gaussian))
+        for n in (3, 5, 6):
+            cases.append(_nilpotent_conjugate(rng, n, gaussian))
+    return rng, cases
+
+
+def test_gauss_jordan_matches_rational_reference():
+    rng, cases = _reference_cases()
+    widths = set()
+    for m in cases:
+        # full width, a partial prefix, and an augmented block [m | b]
+        b = _mixed_matrix(rng, m.rows, rng.randint(1, 3), rng.random() < 0.5)
+        for data, pivot_cols in (
+            (m.data, m.cols),
+            (m.data, m.cols // 2),
+            ([ra + rb for ra, rb in zip(m.data, b.data)], m.cols),
+        ):
+            got, want = [list(r) for r in data], [list(r) for r in data]
+            pivots, d = _gauss_jordan(got, pivot_cols)
+            assert (pivots, d) == _ref_gauss_jordan(want, pivot_cols), m
+            assert got == want, m
+            widths.add((len(pivots) < min(len(data), pivot_cols), len(data) != pivot_cols))
+    assert widths == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_integer_kernels_match_rational_reference():
+    rng, cases = _reference_cases()
+    swaps = 0
+    for m in cases:
+        gaussian = rng.random() < 0.5
+        other = _mixed_matrix(rng, m.cols, rng.randint(0, 4), gaussian)
+        assert matrix_mul(m, other) == _ref_matrix_mul(m, other), m
+        assert rank(m) == len(_ref_rref(m)[1]), m
+        assert rref(m) == _ref_rref(m), m
+        assert kernel_and_pivots(m) == _ref_kernel_and_pivots(m), m
+        columns = [m.column_entries(j) for j in range(m.cols)]
+        assert pivot_columns(m.rows, columns) == _ref_rref(m)[1], m
+        swaps += m.rows > 1 and m.cols > 0 and m.data[0][0].is_zero() and not m.data[-1][0].is_zero()
+        if not m.is_square():
+            continue
+        assert det(m) == _ref_gauss_jordan([list(r) for r in m.data], m.cols)[1], m
+        assert power_ranks(m) == _ref_power_ranks(m), m
+        power = Matrix.identity(m.rows)
+        for e in range(4):
+            assert matrix_pow(m, e) == power, (m, e)
+            power = _ref_matrix_mul(power, m)
+        rhs = _mixed_matrix(rng, m.rows, rng.randint(1, 3), gaussian)
+        want_inv, want_x = _ref_solve(m, Matrix.identity(m.rows)), _ref_solve(m, rhs)
+        if want_inv is None:
+            with pytest.raises(SingularMatrixError):
+                inverse(m)
+            with pytest.raises(SingularMatrixError):
+                solve(m, rhs)
+        else:
+            assert inverse(m) == want_inv, m
+            assert solve(m, rhs) == want_x, m
+    assert swaps > 4

@@ -425,6 +425,26 @@ def test_path_json_roundtrip_with_complex_detour():
     assert json.dumps(again.to_json_obj()) == text
 
 
+def test_centralizer_records_come_from_the_waypoints():
+    x = jordan_cell(3)
+    path = connect_roots(matrix_pow(x, 2), 2, x, x.scale(Scalar(-1)))
+    text = json.dumps(path.to_json_obj())
+    obj = json.loads(text)
+    centralizers = [s for s in obj["segments"] if s["kind"] == "centralizer"]
+    assert [len(s["certifications"]) for s in centralizers] == [3]
+    for seg in centralizers:
+        del seg["certifications"]
+    assert json.dumps(path_from_json_obj(obj).to_json_obj()) == text
+    for records in (
+        [{"from": "0/1", "to": "1/1", "ok": True, "note": "never checked"}],
+        [{"from": "0/1", "to": "0/1+1/2 i", "ok": True}],
+        "not a list",
+    ):
+        centralizers[0]["certifications"] = records
+        with pytest.raises(InputFormatError):
+            path_from_json_obj(obj)
+
+
 def test_certificate_json_schema():
     z = Matrix.zeros(2, 2)
     path = connect_roots(z, 2, z, jordan_cell(2))
