@@ -45,9 +45,14 @@ def _read_json_file(path: str):
 
 
 def _read_matrix(path: str) -> Matrix:
+    """A square matrix from a JSON file; every command that reads one needs
+    it square."""
     from .matrix import matrix_from_json_obj
 
-    return matrix_from_json_obj(_read_json_file(path))
+    m = matrix_from_json_obj(_read_json_file(path))
+    if not m.is_square():
+        raise InputFormatError(f"{path}: matrix must be square, got {m.rows}x{m.cols}")
+    return m
 
 
 def _emit(obj) -> None:

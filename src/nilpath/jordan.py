@@ -13,14 +13,20 @@ from dataclasses import dataclass
 from .errors import NotNilpotentError, NotSimilarError
 from .matrix import (
     Matrix,
+    _int_matrix,
+    _int_rows,
+    _is_gaussian,
+    _mul_rows,
+    _primitive,
+    _Reduction,
+    _scalar,
+    _zero,
     direct_sum,
     inverse,
     jordan_cell,
-    kernel_basis,
     matrix_mul,
     pivot_columns,
     power_ranks,
-    rref,
 )
 from .profiles import Profile
 
@@ -76,26 +82,39 @@ def jordan_basis(m: Matrix) -> JordanDecomposition:
     if n == 0:
         return JordanDecomposition(Matrix.identity(0), ())
 
+    # M in integers over one denominator, as the kernels run on it.
+    gaussian = _is_gaussian(m.data)
+    m_int, m_den = _int_matrix(m.data, gaussian)
+    zero = _zero(gaussian)
+
     # ker(M^j) from an echelon basis of row(M^j) = row(M^(j-1)) M: the
-    # reduced echelon kernel basis depends only on the row space.
-    rows = Matrix.identity(n)
+    # reduced echelon kernel basis depends only on the row space, so the
+    # basis rows may carry any nonzero factor.
+    rows, _ = _int_matrix(Matrix.identity(n).data, gaussian)
     kernels = [[]]
     for _ in range(s):
-        red, pivots = rref(matrix_mul(rows, m))
-        rows = Matrix(len(pivots), n, red.data[: len(pivots)])
-        kernels.append([v.column_entries() for v in kernel_basis(rows)])
+        red = _Reduction(_mul_rows(rows, m_int, n, zero), [1] * len(rows), n)
+        kernels.append(red.kernel(n))
+        rows = [_primitive(row) for row in red.rows[: len(red.pivots)]]
 
-    chains: list[list[Matrix]] = []  # chains[i][k] is M^k applied to seed i
+    # A chain vector v is pushed through M as the integer row v^T M^T, over
+    # its denominator times M's.
+    mt = [list(col) for col in zip(*m_int)]
+    chains: list[list[list]] = []  # chains[i][k] is M^k applied to seed i
     for j in range(s, 0, -1):
         # seeds: kernel vectors of M^j independent of ker(M^(j-1)) and of
         # the vectors M^(L-j) seed carried down from chains of length L > j
-        carried = [chain[len(chain) - j].column_entries() for chain in chains if len(chain) > j]
+        carried = [chain[len(chain) - j] for chain in chains if len(chain) > j]
         skip = len(kernels[j - 1]) + len(carried)
         for c in pivot_columns(n, kernels[j - 1] + carried + kernels[j]):
             if c >= skip:
-                chain = [Matrix.column(kernels[j][c - skip])]
+                seed = kernels[j][c - skip]
+                (v,), (den,) = _int_rows([seed], gaussian)
+                chain = [seed]
                 for _ in range(j - 1):
-                    chain.append(matrix_mul(m, chain[-1]))
+                    (v,) = _mul_rows([v], mt, n, zero)
+                    den *= m_den
+                    chain.append([_scalar(x, den) for x in v])
                 chains.append(chain)
 
     chains.sort(key=len, reverse=True)  # list.sort is stable
@@ -103,8 +122,7 @@ def jordan_basis(m: Matrix) -> JordanDecomposition:
     sizes = []
     for chain in chains:
         sizes.append(len(chain))
-        for v in reversed(chain):  # cell columns: M^(j-1)v, ..., Mv, v
-            columns.append(v.column_entries())
+        columns.extend(reversed(chain))  # cell columns: M^(j-1)v, ..., Mv, v
     conj = Matrix(n, n, [list(row) for row in zip(*columns)])
     return JordanDecomposition(conj, tuple(sizes))
 

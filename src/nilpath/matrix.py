@@ -18,7 +18,9 @@ the signed product of the rational pivots is ±(last pivot) over the
 product of the pivot rows' denominators.  rank counts the pivots, det is
 that product, inverse and solve read the reduced augmented block, and
 rref, kernel_basis and pivot_columns read the echelon form.  matrix_pow and
-power_ranks keep the integer form across their chained products.
+power_ranks keep the integer form across their chained products.  Callers
+in the package that build their rows in integers hand them to the
+elimination as they are (``_Reduction``) and convert only what they return.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm, prod
 from operator import add, mul
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import InputFormatError, SingularMatrixError
 from .scalar import _ZERO_F, ONE, ZERO, Scalar, _mk, format_scalar, parse_scalar
@@ -166,7 +168,7 @@ def direct_sum(blocks: Iterable[Matrix]) -> Matrix:
 class _GaussInt:
     """A Gaussian integer ``re + im*i``: the kernels' element type when an
     entry of their input is not real.  It has what the loops use: ``+``,
-    ``-``, ``*``, exact ``//`` and ``bool``."""
+    ``-``, ``*``, exact ``//`` and ``bool``, and ``==`` for exact checks."""
 
     __slots__ = ("re", "im")
 
@@ -197,9 +199,33 @@ class _GaussInt:
         n = c * c + d * d
         return _GaussInt((a * c + b * d) // n, (b * c - a * d) // n)
 
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not _GaussInt:
+            return NotImplemented
+        return self.re == other.re and self.im == other.im
+
+    def __hash__(self) -> int:
+        return hash((self.re, self.im))
+
 
 _GAUSS_ZERO = _GaussInt(0, 0)
 _ZERO_RATIO = (0, 1)
+
+
+def _integer(x: int, gaussian: bool):
+    """The integer x as the kernels hold it: a Gaussian integer when ``gaussian``."""
+    return _GaussInt(x, 0) if gaussian else x
+
+
+def _zero(gaussian: bool):
+    """The kernels' zero: the Gaussian one when ``gaussian``."""
+    return _GAUSS_ZERO if gaussian else 0
+
+
+def _scaled(rows: list[list], k: int, gaussian: bool) -> list[list]:
+    """New integer rows: ``rows`` times the integer k."""
+    k = _integer(k, gaussian)
+    return [[x * k for x in row] for row in rows]
 
 
 def _is_gaussian(data) -> bool:
@@ -270,7 +296,7 @@ def matrix_mul(a: Matrix, b: Matrix) -> Matrix:
     gaussian = _is_gaussian(a.data) or _is_gaussian(b.data)
     arows, adens = _int_rows(a.data, gaussian)
     bcols, bdens = _int_rows(list(zip(*b.data)) if b.rows else [()] * b.cols, gaussian)
-    prods = _mul_rows(arows, list(zip(*bcols)), b.cols, _GAUSS_ZERO if gaussian else 0)
+    prods = _mul_rows(arows, list(zip(*bcols)), b.cols, _zero(gaussian))
     return Matrix(
         a.rows,
         b.cols,
@@ -291,7 +317,7 @@ def matrix_pow(m: Matrix, e: int) -> Matrix:
     rows, d = _int_matrix(m.data, gaussian)
     out = rows
     for _ in range(e - 1):
-        out = _mul_rows(out, rows, m.cols, _GAUSS_ZERO if gaussian else 0)
+        out = _mul_rows(out, rows, m.cols, _zero(gaussian))
     den = d**e
     return Matrix(m.rows, m.cols, [[_scalar(x, den) for x in row] for row in out])
 
@@ -360,20 +386,26 @@ def _eliminate(rows: list[list], dens: list[int], pivot_cols: int) -> tuple[list
 
 
 class _Reduction:
-    """``data`` as integer rows, reduced by :func:`_eliminate` over its
-    first ``pivot_cols`` columns, with what the loop returned."""
+    """Integer rows over their denominators, reduced in place by
+    :func:`_eliminate` over their first ``pivot_cols`` columns, with what
+    the loop returned."""
 
     __slots__ = ("rows", "dens", "pivots", "scales", "sign")
 
-    def __init__(self, data, pivot_cols: int):
-        self.rows, self.dens = _int_rows(data, _is_gaussian(data))
-        self.pivots, self.scales, self.sign = _eliminate(self.rows, self.dens, pivot_cols)
+    def __init__(self, rows: list[list], dens: list[int], pivot_cols: int):
+        self.rows, self.dens = rows, dens
+        self.pivots, self.scales, self.sign = _eliminate(rows, dens, pivot_cols)
 
-    def row(self, i: int, start: int = 0) -> list[Scalar]:
-        """Row i of the rational reduced form, from column ``start`` on."""
+    @staticmethod
+    def of(data: Sequence[Sequence[Scalar]], pivot_cols: int) -> "_Reduction":
+        """The reduction of a matrix of Scalars, converted to integer rows."""
+        return _Reduction(*_int_rows(data, _is_gaussian(data)), pivot_cols)
+
+    def row(self, i: int, columns: Optional[Iterable[int]] = None) -> list[Scalar]:
+        """Row i of the rational reduced form, at ``columns`` (all by default)."""
         s = self.scales[i]
         den = 1 if i < len(self.pivots) else self.dens[i]
-        row = self.rows[i][start:]
+        row = self.rows[i] if columns is None else [self.rows[i][c] for c in columns]
         if type(s) is _GaussInt:
             if s.im:  # divide by s as conj(s) / |s|^2
                 conj = _GaussInt(s.re, -s.im)
@@ -384,6 +416,24 @@ class _Reduction:
         elif s is not None:
             den *= s
         return [_scalar(x, den) for x in row]
+
+    def kernel(self, cols: int) -> list[list[Scalar]]:
+        """Echelon-ordered basis of the null space of the reduced ``cols``
+        columns, one vector per free column in ascending order: the vector
+        of free column f is e_f minus the rref's column f on the pivot
+        columns.  Only the rref's entries at free columns are converted."""
+        pivot_set = set(self.pivots)
+        free = [c for c in range(cols) if c not in pivot_set]
+        at_free = [self.row(r, free) for r in range(len(self.pivots))]
+        basis = []
+        for f, fc in enumerate(free):
+            v = [ZERO] * cols
+            v[fc] = ONE
+            for row, pc in zip(at_free, self.pivots):
+                if row[f]:
+                    v[pc] = -row[f]
+            basis.append(v)
+        return basis
 
     def det(self) -> Scalar:
         """The signed product of the rational pivots: ±(last pivot) over the
@@ -404,7 +454,7 @@ def _gauss_jordan(data: list[list[Scalar]], pivot_cols: int) -> tuple[list[int],
     signed product of the pivots, negated on each row swap and ZERO once a
     column fails to pivot: for a square block, its determinant.
     """
-    red = _Reduction(data, pivot_cols)
+    red = _Reduction.of(data, pivot_cols)
     data[:] = [red.row(i) for i in range(len(data))]
     return red.pivots, red.det()
 
@@ -413,20 +463,20 @@ def _solve_square(a: Matrix, b: Matrix) -> tuple[Matrix, Scalar]:
     """``(a^-1 b, det a)``, read off ``[a | b]`` row-reduced over the
     columns of a; raises SingularMatrixError unless they all pivot."""
     n = a.rows
-    red = _Reduction([ra + rb for ra, rb in zip(a.data, b.data)], n)
+    red = _Reduction.of([ra + rb for ra, rb in zip(a.data, b.data)], n)
     if len(red.pivots) < n:
         raise SingularMatrixError("matrix is singular")
-    return Matrix(n, b.cols, [red.row(i, n) for i in range(n)]), red.det()
+    return Matrix(n, b.cols, [red.row(i, range(n, n + b.cols)) for i in range(n)]), red.det()
 
 
 def rank(m: Matrix) -> int:
-    return len(_Reduction(m.data, m.cols).pivots)
+    return len(_Reduction.of(m.data, m.cols).pivots)
 
 
 def det(m: Matrix) -> Scalar:
     if not m.is_square():
         raise ValueError("determinant of a non-square matrix")
-    return _Reduction(m.data, m.cols).det()
+    return _Reduction.of(m.data, m.cols).det()
 
 
 def pivot_columns(rows: int, columns: Sequence[Sequence[Scalar]]) -> list[int]:
@@ -434,7 +484,7 @@ def pivot_columns(rows: int, columns: Sequence[Sequence[Scalar]]) -> list[int]:
     length ``rows``): a column is kept unless it lies in the span of those
     before it, which makes the kept ones the pivot columns of their rref."""
     data = list(zip(*columns)) if columns else [()] * rows
-    return _Reduction(data, len(columns)).pivots
+    return _Reduction.of(data, len(columns)).pivots
 
 
 def inverse(m: Matrix) -> Matrix:
@@ -491,7 +541,7 @@ def power_ranks(m: Matrix) -> list[int]:
         ranks.append(r)
         if r == 0:
             return ranks
-        images = _mul_rows([_primitive(row) for row in images[:r]], mt, n, _GAUSS_ZERO if gaussian else 0)
+        images = _mul_rows([_primitive(row) for row in images[:r]], mt, n, _zero(gaussian))
 
 
 def kernel_basis(m: Matrix) -> list[Matrix]:
@@ -507,19 +557,8 @@ def kernel_and_pivots(m: Matrix) -> tuple[list[Matrix], list[int]]:
     """:func:`kernel_basis` and the pivot columns of rref(m), from one
     elimination.  The kernel vector of a free column is nonzero only there
     and on pivot columns to its left."""
-    red, pivots = rref(m)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        v = [ZERO] * m.cols
-        v[fc] = ONE
-        for r, pc in enumerate(pivots):
-            e = red.data[r][fc]
-            if not e.is_zero():
-                v[pc] = -e
-        basis.append(Matrix.column(v))
-    return basis, pivots
+    red = _Reduction.of(m.data, m.cols)
+    return [Matrix.column(v) for v in red.kernel(m.cols)], red.pivots
 
 
 # -- matrix-space vectorization (column-major stacking) ---------------------

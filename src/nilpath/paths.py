@@ -41,6 +41,11 @@ from .graph import profile_chain
 from .jordan import jordan_basis, nilpotent_profile, similarity_witness
 from .matrix import (
     Matrix,
+    _int_matrix,
+    _integer,
+    _is_gaussian,
+    _Reduction,
+    _scaled,
     direct_sum,
     inverse,
     jordan_cell,
@@ -49,9 +54,11 @@ from .matrix import (
     matrix_pow,
     matrix_to_json_obj,
     rank,
+    solve,
 )
 from .polynomials import (
     RatPoly,
+    _newton_poly,
     certify_nonvanishing_segment,
     poly_interpolate_entries,
     poly_matrix_det,
@@ -416,10 +423,12 @@ class CentralizerSegment:
             out.data[i][i] = out.data[i][i] + one_minus
         return out
 
+    def _conjugate(self, q: Matrix) -> Matrix:
+        """``q X q^-1``, transposed from one solve: ``q^-T (q X)^T``."""
+        return solve(q.transpose(), matrix_mul(q, self.base_root).transpose()).transpose()
+
     def evaluate(self, s: ParamLike) -> Matrix:
-        s = _as_fraction(s)
-        qz = self._blend(self._omega(s))
-        return matrix_mul(qz, matrix_mul(self.base_root, inverse(qz)))
+        return self._conjugate(self._blend(self._omega(_as_fraction(s))))
 
     @property
     def start(self) -> Matrix:
@@ -427,9 +436,7 @@ class CentralizerSegment:
 
     @property
     def end(self) -> Matrix:
-        return matrix_mul(
-            self.conjugator, matrix_mul(self.base_root, inverse(self.conjugator))
-        )
+        return self._conjugate(self.conjugator)
 
     def to_json_obj(self) -> dict:
         return {
@@ -450,17 +457,25 @@ def _detour_records(waypoints: tuple[Scalar, ...]) -> tuple[dict, ...]:
 
 
 def _blend_determinant(q: Matrix) -> RatPoly:
-    """det((1-z)I + zQ) as an exact polynomial in z."""
+    """det((1-z)I + zQ) as an exact polynomial in z.
+
+    With Q = Q'/d over one common denominator, it is
+    ``det(d(1-z)I + zQ') / d^n``, of degree at most n: its values at
+    z = 0, ..., n come from integer eliminations, and one Newton
+    interpolation recovers it.
+    """
     n = q.rows
-    entries = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            const = ONE if i == j else ZERO
-            slope = q.data[i][j] - const
-            row.append(RatPoly((const, slope)))
-        entries.append(row)
-    return poly_matrix_det(entries, degree_bound=n)
+    gaussian = _is_gaussian(q.data)
+    q_int, d = _int_matrix(q.data, gaussian)
+    nodes = range(n + 1)
+    values = []
+    for z in nodes:
+        diagonal = _integer(d * (1 - z), gaussian)
+        rows = _scaled(q_int, z, gaussian)
+        for i in range(n):
+            rows[i][i] = rows[i][i] + diagonal
+        values.append(_Reduction(rows, [d] * n, n).det())
+    return _newton_poly([Scalar(z) for z in nodes], values)
 
 
 def centralizer_segment(

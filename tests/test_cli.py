@@ -277,6 +277,11 @@ def test_complex_detour_eval_output_pinned(tmp_path, capsys):
         ["chain", "--p", "0", "--from", "1:2", "--to", "2:1"],
         ["solvable", "--zeros", "0", "--profile", "2:1"],
         ["connect", "--p", "2", "--a", "{A}", "--x", "{X}", "--y", "{Y}", "--samples", "0"],
+        # a well-formed but non-square matrix file, for every verb that reads one
+        ["profile", "{WIDE}"],
+        ["root", "--p", "2", "{WIDE}"],
+        ["graph", "--p", "2", "--matrix", "{WIDE}"],
+        ["connect", "--p", "2", "--a", "{A}", "--x", "{WIDE}", "--y", "{Y}"],
     ],
 )
 def test_bad_arguments_exit_two_without_traceback(files, capsys, argv):
@@ -285,6 +290,9 @@ def test_bad_arguments_exit_two_without_traceback(files, capsys, argv):
         bad = files["dir"] / f"{name}.json"
         bad.write_text(json.dumps({"rows": 1, "cols": 1, "entries": [[entry]]}))
         names[name] = str(bad)
+    wide = files["dir"] / "WIDE.json"
+    wide.write_text(matrix_to_json(Matrix.zeros(2, 3)))
+    names["WIDE"] = str(wide)
     code = main([a.format(**names) if a.startswith("{") else a for a in argv])
     captured = capsys.readouterr()
     assert code == 2
@@ -374,6 +382,7 @@ SMALL_MATRICES = [
     jordan_cell(3),
     direct_sum([jordan_cell(2), jordan_cell(1)]),
     Matrix.identity(2),
+    Matrix.zeros(2, 3),
 ]
 MATRIX_OBJS = st.one_of(
     st.sampled_from([matrix_to_json_obj(m) for m in SMALL_MATRICES]),

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -9,11 +10,16 @@ from nilpath.matrix import (
     direct_sum,
     inverse,
     jordan_cell,
+    kernel_basis,
     matrix_mul,
     matrix_pow,
+    pivot_columns,
+    power_ranks,
     random_invertible,
+    rref,
 )
 from nilpath.profiles import Profile, profile_power
+from nilpath.scalar import Scalar
 
 
 def conjugate(m, p):
@@ -149,3 +155,52 @@ def test_non_nilpotent_inputs_still_rejected():
             nilpotent_profile(bad)
         with pytest.raises(NotNilpotentError):
             jordan_basis(bad)
+
+
+def _chain_loop_basis(m):
+    """jordan_basis as it was written before its chains ran on integer
+    rows: each chain vector is ``matrix_mul(m, previous)``."""
+    ranks = power_ranks(m)
+    s = len(ranks) - 1
+    n = m.rows
+    if n == 0:
+        return Matrix.identity(0), ()
+    rows = Matrix.identity(n)
+    kernels = [[]]
+    for _ in range(s):
+        red, pivots = rref(matrix_mul(rows, m))
+        rows = Matrix(len(pivots), n, red.data[: len(pivots)])
+        kernels.append([v.column_entries() for v in kernel_basis(rows)])
+    chains = []
+    for j in range(s, 0, -1):
+        carried = [chain[len(chain) - j].column_entries() for chain in chains if len(chain) > j]
+        skip = len(kernels[j - 1]) + len(carried)
+        for c in pivot_columns(n, kernels[j - 1] + carried + kernels[j]):
+            if c >= skip:
+                chain = [Matrix.column(kernels[j][c - skip])]
+                for _ in range(j - 1):
+                    chain.append(matrix_mul(m, chain[-1]))
+                chains.append(chain)
+    chains.sort(key=len, reverse=True)
+    columns = [v.column_entries() for chain in chains for v in reversed(chain)]
+    return Matrix(n, n, [list(row) for row in zip(*columns)]), tuple(len(c) for c in chains)
+
+
+def test_jordan_basis_matches_chain_loop():
+    rng = random.Random(97)
+    r_gaussian = Matrix.from_rows(
+        [[1, Scalar(1, 1), 0, 0], [0, 1, Scalar(0, -1), 0], [Scalar(Fraction(1, 2), 2), 0, 1, 0],
+         [0, 0, 0, 1]]
+    )
+    r_rational = Matrix.from_rows(
+        [[1, Fraction(1, 3), 0, 0], [0, 1, 0, Fraction(-2, 5)], [0, 0, 1, 0], [Fraction(1, 7), 0, 0, 1]]
+    )
+    inputs = [Matrix.zeros(0, 0), Matrix.zeros(1, 1), jordan_cell(4)]
+    models = (jordan_cell(4), direct_sum([jordan_cell(2)] * 2), direct_sum([jordan_cell(3), jordan_cell(1)]))
+    for model in models:
+        inputs += [conjugate(model, r_gaussian), conjugate(model, r_rational)]
+    inputs += [random_nilpotent(rng, n)[0] for n in (5, 7, 9)]
+    assert any(e.im for m in inputs for row in m.data for e in row)
+    for m in inputs:
+        d = jordan_basis(m)
+        assert (d.conjugator, d.cell_sizes) == _chain_loop_basis(m), m

@@ -7,6 +7,7 @@ import pytest
 from nilpath.errors import InputFormatError, SingularMatrixError
 from nilpath.matrix import (
     Matrix,
+    _GaussInt,
     _gauss_jordan,
     det,
     direct_sum,
@@ -530,3 +531,12 @@ def test_integer_kernels_match_rational_reference():
             assert inverse(m) == want_inv, m
             assert solve(m, rhs) == want_x, m
     assert swaps > 4
+
+
+def test_gaussian_integer_equality_and_hash():
+    a = _GaussInt(2, -3)
+    assert a == _GaussInt(2, -3)
+    assert a != _GaussInt(2, 3)
+    assert a != 0 and not (a == 2)
+    assert _GaussInt(0, 0) != 0  # only another Gaussian integer compares equal
+    assert len({a, _GaussInt(2, -3), _GaussInt(0, 0)}) == 2

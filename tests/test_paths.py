@@ -33,7 +33,7 @@ from nilpath.paths import (
     path_from_json_obj,
     verify,
 )
-from nilpath.polynomials import poly_interpolate_entries, poly_matrix_det, sturm_root_count
+from nilpath.polynomials import RatPoly, poly_interpolate_entries, poly_matrix_det, sturm_root_count
 from nilpath.profiles import AdjacencyMove, Profile, apply_move
 from nilpath.scalar import Scalar, format_rational
 
@@ -238,6 +238,52 @@ def test_centralizer_commutation_along_path():
         z = seg._omega(s)
         qz = seg._blend(z)
         assert matrix_mul(qz, a) == matrix_mul(a, qz)
+
+
+def test_centralizer_evaluate_matches_inverse_form():
+    # evaluate and end solve q^T Y^T = (q X)^T once instead of forming q^-1
+    x = jordan_cell(3)
+    e = matrix_pow(x, 2)
+    segments = [
+        centralizer_segment(e, 2, x, x.scale(Scalar(-1))),  # complex detour
+        centralizer_segment(e, 2, x, Matrix.from_rows([[0, 2, 0], [0, 0, Fraction(1, 2)], [0, 0, 0]])),
+    ]
+    for seg in segments:
+        assert seg.end == conjugate(seg.base_root, seg.conjugator)
+        for num in range(0, 7):
+            qz = seg._blend(seg._omega(Fraction(num, 6)))
+            assert seg.evaluate(Fraction(num, 6)) == conjugate(seg.base_root, qz)
+
+
+def _blend_determinant_by_poly_det(q):
+    """det((1-z)I + zQ) through poly_matrix_det, as it was computed before
+    the integer eliminations at z = 0, ..., n."""
+    n = q.rows
+    one, zero = Scalar(1), Scalar(0)
+    entries = [
+        [RatPoly((one if i == j else zero, q.data[i][j] - (one if i == j else zero))) for j in range(n)]
+        for i in range(n)
+    ]
+    return poly_matrix_det(entries, degree_bound=n)
+
+
+def test_blend_determinant_matches_poly_matrix_det():
+    half, i_unit = Fraction(1, 2), Scalar(0, 1)
+    unipotent = direct_sum([jordan_cell(2)] * 2) + Matrix.identity(4)
+    qs = [
+        Matrix.zeros(0, 0),
+        Matrix.from_rows([[3]]),
+        Matrix.from_rows([[i_unit]]),
+        Matrix.zeros(3, 3),  # singular at the node z = 1
+        Matrix.from_rows([[1, 0, 0], [0, -1, 0], [0, 0, 1]]),
+        Matrix.from_rows([[1, 2, 0], [0, 1, half], [Fraction(-1, 3), 0, 5]]),
+        Matrix.from_rows([[1, Scalar(half, 1), 0], [0, 1, i_unit], [Scalar(2, -3), 0, Fraction(2, 7)]]),
+        similarity_witness(jordan_cell(4), conjugate(jordan_cell(4), unipotent)),
+    ]
+    for q in qs:
+        got = paths_module._blend_determinant(q)
+        assert got == _blend_determinant_by_poly_det(q), q
+        assert got.degree() <= q.rows
 
 
 def test_centralizer_power_mismatch():

@@ -17,12 +17,14 @@ from nilpath.matrix import (
     rank,
     random_invertible,
     rref,
+    solve,
     unvec,
     vec,
 )
 from nilpath.paths import basic_family, lift_family
 from nilpath.scalar import Scalar
 from nilpath.sections import (
+    ConjugationSection,
     ad_operator,
     conjugation_section,
     section_eval,
@@ -263,3 +265,131 @@ def test_evaluate_returns_leading_block_determinant():
             assert g == cs.conjugator_at(b)
             nontrivial += block != Matrix.identity(cs.rank)
         assert nontrivial > 0 or cs.rank == 0, (k, l, p)
+
+
+def _elementwise_evaluate(cs, b):
+    """ConjugationSection.evaluate as it was written before it read [A | c]
+    off B in integers: the operator's images of the complement vectors and
+    of vec(I) as columns of Scalars, times codomain_inv_top."""
+    n = cs.base.rows
+    if cs.displacement_rank(b) != cs.rank:
+        raise OutsideNeighborhoodError("displacement rank differs from base point")
+    b_cols = b.transpose().data
+    images = []
+    for idx in cs.section.front:
+        i, j = idx % n, idx // n
+        out = [Scalar(0)] * (n * n)
+        out[j * n : (j + 1) * n] = b_cols[i]
+        for c, e in enumerate(cs.base.data[j]):
+            if not e.is_zero():
+                out[c * n + i] = out[c * n + i] - e
+        images.append(out)
+    images.append(vec(b - cs.base).column_entries())
+    rho = cs.rank
+    columns = Matrix(n * n, rho + 1, [list(r) for r in zip(*images)])
+    top = matrix_mul(cs.section.codomain_inv_top, columns)
+    block = Matrix(rho, rho, [row[:rho] for row in top.data])
+    block_det = det(block)
+    if block_det.is_zero():
+        raise OutsideNeighborhoodError("leading block singular at this operator")
+    correction = solve(block, Matrix(rho, 1, [row[rho:] for row in top.data]))
+    x = vec(Matrix.identity(n)).column_entries()
+    for i, e in zip(cs.section.front, correction.column_entries()):
+        x[i] = x[i] - e
+    g = unvec(Matrix.column(x), n)
+    if det(g).is_zero():
+        raise OutsideNeighborhoodError("section conjugator is singular")
+    assert matrix_mul(b, g) == matrix_mul(g, cs.base)
+    return block, block_det, g
+
+
+def _outcome_with_reason(fn, *args):
+    try:
+        return fn(*args)
+    except OutsideNeighborhoodError as exc:
+        return str(exc)
+
+
+def _conjugate(r, m):
+    return matrix_mul(r, matrix_mul(m, inverse(r)))
+
+
+def _corner(n, e):
+    # e at (n-1, 0): on the unscrambled 3x3 bases below, a B with the base's
+    # displacement rank whose leading block is singular
+    m = Matrix.zeros(n, n)
+    m.data[n - 1][0] = e
+    return m
+
+
+def test_structured_evaluate_matches_elementwise_and_operator_sections():
+    rng = random.Random(808)
+    half, i_unit = Scalar(Fraction(1, 2)), Scalar(0, 1)
+    r_complex = Matrix.from_rows(
+        [[1, Scalar(Fraction(1, 3), 1), 0], [0, 1, 0], [Scalar(0, -1), 0, 1]]
+    )
+    bases = {
+        "one": Matrix.zeros(1, 1),
+        "real": direct_sum([jordan_cell(2), jordan_cell(1)]),
+        "rational": Matrix.from_rows([[0, half, 0], [0, 0, 0], [0, 0, 0]]),
+        "gaussian": Matrix.from_rows([[0, i_unit, 0], [0, 0, 0], [0, 0, 0]]),
+        "scrambled rational": _conjugate(
+            Matrix.from_rows([[1, Fraction(2, 3), 0], [0, 1, 0], [Fraction(-1, 5), 0, 1]]),
+            direct_sum([jordan_cell(2), jordan_cell(1)]),
+        ),
+        "scrambled gaussian": _conjugate(r_complex, jordan_cell(3)),
+    }
+    reasons = set()
+    for name, a0 in bases.items():
+        n = a0.rows
+        cs = conjugation_section(a0)
+        probes = [a0, Matrix.identity(n), Matrix.zeros(n, n), _corner(n, Scalar(1)), _corner(n, i_unit)]
+        probes += [_conjugate(r, a0) for r in (random_invertible(n, rng, -1, 1), r_complex) if r.rows == n]
+        probes += [_conjugate(Matrix.identity(n) + _corner(n, e), a0) for e in (half, i_unit)]
+        for b in probes:
+            got = _outcome_with_reason(cs.evaluate, b)
+            assert got == _outcome_with_reason(_elementwise_evaluate, cs, b), (name, b)
+            reference = _outcome(_reference_conjugator, cs, b)
+            if isinstance(got, str):
+                reasons.add(got)
+                assert reference == "outside" or got == "leading block singular at this operator"
+            else:
+                assert got[2] == reference, (name, b)
+    assert reasons == {
+        "displacement rank differs from base point",
+        "leading block singular at this operator",
+        "section conjugator is singular",
+    }
+
+
+def test_empty_base_has_no_section():
+    # the anchor vec(I) of a 0x0 base is the empty, hence zero, vector
+    with pytest.raises(NotInKernelError):
+        conjugation_section(Matrix.zeros(0, 0))
+
+
+def test_conjugation_section_constructor_derives_its_terms():
+    """The public three-field constructor works, and the integer terms it
+    derives agree with conjugation_section's, real and complex."""
+    rng = random.Random(5)
+    i = Scalar(0, 1)
+    cases = (
+        (direct_sum([jordan_cell(2), jordan_cell(1)]), False),
+        (Matrix.from_rows([[0, i, 0], [0, 0, 1], [0, 0, 0]]), True),
+    )
+    for a0, gaussian in cases:
+        cs = conjugation_section(a0)
+        built = ConjugationSection(cs.base, cs.section, cs.base_ranks)
+        assert built == cs
+        assert built.gaussian == cs.gaussian == gaussian
+        for _ in range(4):
+            e = Matrix.from_rows(
+                [[Fraction(rng.randint(-1, 1), 9) for _ in range(3)] for _ in range(3)]
+            )
+            r = Matrix.identity(3) + e
+            if det(r).is_zero():
+                continue
+            b = matrix_mul(r, matrix_mul(a0, inverse(r)))
+            block, d, g = built.evaluate(b)
+            assert (block, d, g) == cs.evaluate(b)
+            assert matrix_mul(b, g) == matrix_mul(g, a0)
