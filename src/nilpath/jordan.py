@@ -76,11 +76,9 @@ def jordan_basis(m: Matrix) -> JordanDecomposition:
     and of the vectors carried down from longer chains.  Cells come out in
     decreasing size; ties keep seed creation order.
     """
-    ranks = _power_ranks(m)
-    s = len(ranks) - 1
+    if not m.is_square():
+        raise ValueError("Jordan basis of a non-square matrix")
     n = m.rows
-    if n == 0:
-        return JordanDecomposition(Matrix.identity(0), ())
 
     # M in integers over one denominator, as the kernels run on it.
     gaussian = _is_gaussian(m.data)
@@ -89,13 +87,18 @@ def jordan_basis(m: Matrix) -> JordanDecomposition:
 
     # ker(M^j) from an echelon basis of row(M^j) = row(M^(j-1)) M: the
     # reduced echelon kernel basis depends only on the row space, so the
-    # basis rows may carry any nonzero factor.
+    # basis rows may carry any nonzero factor.  M is nilpotent exactly when
+    # every push lowers the rank until the basis is empty, and the number
+    # of pushes s is its nilpotency index.
     rows, _ = _int_matrix(Matrix.identity(n).data, gaussian)
     kernels = [[]]
-    for _ in range(s):
+    while rows:
         red = _Reduction(_mul_rows(rows, m_int, n, zero), [1] * len(rows), n)
+        if len(red.pivots) == len(rows):
+            raise NotNilpotentError("matrix is not nilpotent")
         kernels.append(red.kernel(n))
         rows = [_primitive(row) for row in red.rows[: len(red.pivots)]]
+    s = len(kernels) - 1
 
     # A chain vector v is pushed through M as the integer row v^T M^T, over
     # its denominator times M's.

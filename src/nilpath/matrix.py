@@ -33,7 +33,7 @@ from operator import add, mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import InputFormatError, SingularMatrixError
-from .scalar import _ZERO_F, ONE, ZERO, Scalar, _mk, format_scalar, parse_scalar
+from .scalar import _ZERO_F, ONE, ZERO, Scalar, _mk, format_scalar, parse_int, parse_scalar
 
 
 class Matrix:
@@ -550,15 +550,7 @@ def kernel_basis(m: Matrix) -> list[Matrix]:
     Basis vectors are parametrized by free columns in ascending order, so
     the result is deterministic.
     """
-    return kernel_and_pivots(m)[0]
-
-
-def kernel_and_pivots(m: Matrix) -> tuple[list[Matrix], list[int]]:
-    """:func:`kernel_basis` and the pivot columns of rref(m), from one
-    elimination.  The kernel vector of a free column is nonzero only there
-    and on pivot columns to its left."""
-    red = _Reduction.of(m.data, m.cols)
-    return [Matrix.column(v) for v in red.kernel(m.cols)], red.pivots
+    return [Matrix.column(v) for v in _Reduction.of(m.data, m.cols).kernel(m.cols)]
 
 
 # -- matrix-space vectorization (column-major stacking) ---------------------
@@ -599,8 +591,8 @@ def matrix_from_json_obj(obj) -> Matrix:
     if not isinstance(obj, dict):
         raise InputFormatError("matrix JSON must be an object")
     try:
-        rows = int(obj["rows"])
-        cols = int(obj["cols"])
+        rows = parse_int(obj, "rows")
+        cols = parse_int(obj, "cols")
         entries = obj["entries"]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"bad matrix JSON: {exc}") from None

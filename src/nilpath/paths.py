@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 from .errors import (
@@ -73,7 +74,7 @@ from .profiles import (
     enumerate_preimages,
     profile_power,
 )
-from .scalar import ONE, ZERO, Scalar, format_rational, format_scalar, parse_scalar
+from .scalar import ONE, ZERO, Scalar, format_rational, format_scalar, parse_int, parse_scalar
 from .sections import ConjugationSection, conjugation_section
 
 LIFT_DEPTH_CAP = 32
@@ -540,11 +541,12 @@ class AdjacencySegment:
         inner = direct_sum([self.bystander, g])
         return matrix_mul(self.outer, matrix_mul(inner, self.outer_inv))
 
-    @property
+    # Each endpoint is a lift evaluation; the segment reads it once.
+    @cached_property
     def start(self) -> Matrix:
         return self.evaluate(Fraction(0))
 
-    @property
+    @cached_property
     def end(self) -> Matrix:
         return self.evaluate(Fraction(1))
 
@@ -883,7 +885,7 @@ def path_from_json_obj(obj) -> RootPath:
         obj = obj["path"]
     try:
         target = matrix_from_json_obj(obj["A"])
-        power = int(obj["p"])
+        power = parse_int(obj, "p")
         if power < 1:
             raise InputFormatError("path power p must be a positive integer")
         if not isinstance(obj["segments"], list):

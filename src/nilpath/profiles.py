@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Mapping, Optional
 
 from .errors import InputFormatError, InvalidMoveError, SizeCapExceededError
+from .scalar import parse_int
 
 DEFAULT_SIZE_CAP = 24
 _SIZE_CAP_ENV = "NILPATH_SIZE_CAP"
@@ -218,9 +219,8 @@ class AdjacencyMove:
     @staticmethod
     def from_json_obj(obj) -> "AdjacencyMove":
         try:
-            return AdjacencyMove(
-                int(obj["a"]), int(obj["k"]), int(obj["l"]), obj["direction"], int(obj["p"])
-            )
+            a, k, l, p = (parse_int(obj, key) for key in ("a", "k", "l", "p"))
+            return AdjacencyMove(a, k, l, obj["direction"], p)
         except (KeyError, TypeError, ValueError, InvalidMoveError) as exc:
             raise InputFormatError(f"bad move JSON: {exc}") from None
 

@@ -197,3 +197,12 @@ def parse_scalar(text: str) -> Scalar:
     except ZeroDivisionError:
         raise InputFormatError(f"zero denominator in scalar entry {text!r}") from None
     raise InputFormatError(f"bad scalar entry {text!r}")
+
+
+def parse_int(obj, key: str) -> int:
+    """``obj[key]``, which must be a JSON integer: a float, a boolean or a
+    string is refused rather than truncated."""
+    value = obj[key]
+    if type(value) is not int:
+        raise InputFormatError(f"{key} must be an integer, not {value!r}")
+    return value

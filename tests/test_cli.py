@@ -282,6 +282,8 @@ def test_complex_detour_eval_output_pinned(tmp_path, capsys):
         ["root", "--p", "2", "{WIDE}"],
         ["graph", "--p", "2", "--matrix", "{WIDE}"],
         ["connect", "--p", "2", "--a", "{A}", "--x", "{WIDE}", "--y", "{Y}"],
+        # a row count that int() would truncate to match the entries
+        ["profile", "{FRACTIONAL_ROWS}"],
     ],
 )
 def test_bad_arguments_exit_two_without_traceback(files, capsys, argv):
@@ -290,6 +292,9 @@ def test_bad_arguments_exit_two_without_traceback(files, capsys, argv):
         bad = files["dir"] / f"{name}.json"
         bad.write_text(json.dumps({"rows": 1, "cols": 1, "entries": [[entry]]}))
         names[name] = str(bad)
+    fractional = files["dir"] / "FRACTIONAL_ROWS.json"
+    fractional.write_text(json.dumps({"rows": 1.5, "cols": 1, "entries": [["0"]]}))
+    names["FRACTIONAL_ROWS"] = str(fractional)
     wide = files["dir"] / "WIDE.json"
     wide.write_text(matrix_to_json(Matrix.zeros(2, 3)))
     names["WIDE"] = str(wide)
@@ -318,6 +323,10 @@ MALFORMED_PATHS = {
     "outer_larger_than_lift": lambda obj: obj["segments"][0].update(
         outerConjugator=matrix_to_json_obj(Matrix.identity(3))
     ),
+    # integer fields that int() would truncate into valid values
+    "fractional_power": lambda obj: obj.update(p=2.9),
+    "float_move_field": lambda obj: obj["segments"][0]["move"].update(l=2.0),
+    "boolean_move_field": lambda obj: obj["segments"][0]["move"].update(a=False),
 }
 
 

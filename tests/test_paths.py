@@ -568,6 +568,25 @@ def roundtrip_paths():
     ]
 
 
+def test_connect_evaluates_each_adjacency_endpoint_once(monkeypatch):
+    calls = {}
+    evaluate = paths_module.AdjacencySegment.evaluate
+
+    def counted(seg, s):
+        key = (id(seg), Fraction(s))
+        calls[key] = calls.get(key, 0) + 1
+        return evaluate(seg, s)
+
+    monkeypatch.setattr(paths_module.AdjacencySegment, "evaluate", counted)
+    a, x, y = fixture_42_33()
+    for start, end, backward in ((x, y, False), (y, x, True)):
+        calls.clear()
+        path = connect_roots(a, 2, start, end)
+        (seg,) = [s for s in path.segments if s.kind == "adjacency"]
+        assert seg.reversed_time == backward
+        assert calls == {(id(seg), Fraction(0)): 1, (id(seg), Fraction(1)): 1}
+
+
 def test_path_json_roundtrip_rebuilds_lifts():
     directions = set()
     for path in roundtrip_paths():

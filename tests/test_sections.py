@@ -267,10 +267,42 @@ def test_evaluate_returns_leading_block_determinant():
         assert nontrivial > 0 or cs.rank == 0, (k, l, p)
 
 
-def _elementwise_evaluate(cs, b):
+def _codomain_inverse_top(sd):
+    """The first rank rows of the inverse of the codomain basis that
+    section_setup built before it chose ``rows``: the images of the
+    complement vectors, completed greedily by e_0, e_1, ..."""
+    u, rho, big = sd.operator, sd.rank, sd.dimension
+    images = [u.column_entries(k) for k in sd.front]
+    standard = Matrix.identity(big).data
+    chosen = pivot_columns(big, images + standard)
+    assert chosen[:rho] == list(range(rho))
+    basis = images + [standard[c - rho] for c in chosen[rho:]]
+    return Matrix(rho, big, inverse(Matrix(big, big, [list(r) for r in zip(*basis)])).data[:rho])
+
+
+def _reference_section_eval(sd, top, v):
+    """section_eval as it was written with the codomain inverse: the images
+    of the complement vectors and of x0, times its top rows."""
+    rho = sd.rank
+    images = [v.column_entries(k) for k in sd.front] + [matrix_mul(v, sd.anchor).column_entries()]
+    head = matrix_mul(top, Matrix(sd.dimension, rho + 1, [list(r) for r in zip(*images)]))
+    block = Matrix(rho, rho, [row[:rho] for row in head.data])
+    if det(block).is_zero():
+        raise OutsideNeighborhoodError("leading block singular at this operator")
+    correction = solve(block, Matrix(rho, 1, [row[rho:] for row in head.data]))
+    x = sd.anchor.column_entries()
+    for k, e in zip(sd.front, correction.column_entries()):
+        x[k] = x[k] - e
+    return Matrix.column(x)
+
+
+def _elementwise_evaluate(cs, b, top=None):
     """ConjugationSection.evaluate as it was written before it read [A | c]
     off B in integers: the operator's images of the complement vectors and
-    of vec(I) as columns of Scalars, times codomain_inv_top."""
+    of vec(I) as columns of Scalars, times the top rows of the codomain
+    inverse (``top``, computed when not given)."""
+    if top is None:
+        top = _codomain_inverse_top(cs.section)
     n = cs.base.rows
     if cs.displacement_rank(b) != cs.rank:
         raise OutsideNeighborhoodError("displacement rank differs from base point")
@@ -287,12 +319,12 @@ def _elementwise_evaluate(cs, b):
     images.append(vec(b - cs.base).column_entries())
     rho = cs.rank
     columns = Matrix(n * n, rho + 1, [list(r) for r in zip(*images)])
-    top = matrix_mul(cs.section.codomain_inv_top, columns)
-    block = Matrix(rho, rho, [row[:rho] for row in top.data])
+    head = matrix_mul(top, columns)
+    block = Matrix(rho, rho, [row[:rho] for row in head.data])
     block_det = det(block)
     if block_det.is_zero():
         raise OutsideNeighborhoodError("leading block singular at this operator")
-    correction = solve(block, Matrix(rho, 1, [row[rho:] for row in top.data]))
+    correction = solve(block, Matrix(rho, 1, [row[rho:] for row in head.data]))
     x = vec(Matrix.identity(n)).column_entries()
     for i, e in zip(cs.section.front, correction.column_entries()):
         x[i] = x[i] - e
@@ -322,33 +354,53 @@ def _corner(n, e):
     return m
 
 
-def test_structured_evaluate_matches_elementwise_and_operator_sections():
-    rng = random.Random(808)
-    half, i_unit = Scalar(Fraction(1, 2)), Scalar(0, 1)
-    r_complex = Matrix.from_rows(
-        [[1, Scalar(Fraction(1, 3), 1), 0], [0, 1, 0], [Scalar(0, -1), 0, 1]]
-    )
-    bases = {
+HALF, I_UNIT = Scalar(Fraction(1, 2)), Scalar(0, 1)
+R_COMPLEX = Matrix.from_rows([[1, Scalar(Fraction(1, 3), 1), 0], [0, 1, 0], [Scalar(0, -1), 0, 1]])
+
+
+def _structured_bases():
+    return {
         "one": Matrix.zeros(1, 1),
         "real": direct_sum([jordan_cell(2), jordan_cell(1)]),
-        "rational": Matrix.from_rows([[0, half, 0], [0, 0, 0], [0, 0, 0]]),
-        "gaussian": Matrix.from_rows([[0, i_unit, 0], [0, 0, 0], [0, 0, 0]]),
+        "rational": Matrix.from_rows([[0, HALF, 0], [0, 0, 0], [0, 0, 0]]),
+        "gaussian": Matrix.from_rows([[0, I_UNIT, 0], [0, 0, 0], [0, 0, 0]]),
         "scrambled rational": _conjugate(
             Matrix.from_rows([[1, Fraction(2, 3), 0], [0, 1, 0], [Fraction(-1, 5), 0, 1]]),
             direct_sum([jordan_cell(2), jordan_cell(1)]),
         ),
-        "scrambled gaussian": _conjugate(r_complex, jordan_cell(3)),
+        "scrambled gaussian": _conjugate(R_COMPLEX, jordan_cell(3)),
     }
+
+
+def _structured_probes(rng, a0):
+    n = a0.rows
+    probes = [a0, Matrix.identity(n), Matrix.zeros(n, n), _corner(n, Scalar(1)), _corner(n, I_UNIT)]
+    probes += [_conjugate(r, a0) for r in (random_invertible(n, rng, -1, 1), R_COMPLEX) if r.rows == n]
+    probes += [_conjugate(Matrix.identity(n) + _corner(n, e), a0) for e in (HALF, I_UNIT)]
+    return probes
+
+
+def _assert_matches_elementwise(cs, got, reference):
+    """The same reason or g(B); the block and its determinant scaled by the
+    operator's invertible block at ``rows``."""
+    if isinstance(got, str) or isinstance(reference, str):
+        assert got == reference
+        return
+    sd = cs.section
+    u_block = Matrix(sd.rank, sd.rank, [[sd.operator.data[r][k] for k in sd.front] for r in sd.rows])
+    assert got[0] == matrix_mul(u_block, reference[0])
+    assert got[1] == det(u_block) * reference[1] == det(got[0])
+    assert got[2] == reference[2]
+
+
+def test_structured_evaluate_matches_elementwise_and_operator_sections():
+    rng = random.Random(808)
     reasons = set()
-    for name, a0 in bases.items():
-        n = a0.rows
+    for name, a0 in _structured_bases().items():
         cs = conjugation_section(a0)
-        probes = [a0, Matrix.identity(n), Matrix.zeros(n, n), _corner(n, Scalar(1)), _corner(n, i_unit)]
-        probes += [_conjugate(r, a0) for r in (random_invertible(n, rng, -1, 1), r_complex) if r.rows == n]
-        probes += [_conjugate(Matrix.identity(n) + _corner(n, e), a0) for e in (half, i_unit)]
-        for b in probes:
+        for b in _structured_probes(rng, a0):
             got = _outcome_with_reason(cs.evaluate, b)
-            assert got == _outcome_with_reason(_elementwise_evaluate, cs, b), (name, b)
+            _assert_matches_elementwise(cs, got, _outcome_with_reason(_elementwise_evaluate, cs, b))
             reference = _outcome(_reference_conjugator, cs, b)
             if isinstance(got, str):
                 reasons.add(got)
@@ -362,6 +414,70 @@ def test_structured_evaluate_matches_elementwise_and_operator_sections():
     }
 
 
+def _support(top):
+    return tuple(c for c in range(top.cols) if any(not row[c].is_zero() for row in top.data))
+
+
+def _check_against_codomain_inverse(cs, probes):
+    """rows is the support of the old codomain inverse's top rows, and
+    evaluate, conjugator_at and section_eval agree with what it gave."""
+    sd = cs.section
+    top = _codomain_inverse_top(sd)
+    assert sd.rows == _support(top)
+    outcomes = set()
+    for b in probes:
+        got = _outcome_with_reason(cs.evaluate, b)
+        reference = _outcome_with_reason(_elementwise_evaluate, cs, b, top)
+        _assert_matches_elementwise(cs, got, reference)
+        expected_g = reference if isinstance(reference, str) else reference[2]
+        assert _outcome_with_reason(cs.conjugator_at, b) == expected_g
+        op = ad_operator(b, cs.base)
+        assert _outcome(section_eval, sd, op) == _outcome(_reference_section_eval, sd, top, op)
+        outcomes.add(isinstance(got, str))
+    return outcomes
+
+
+def test_rows_are_the_support_of_the_codomain_inverse():
+    rng = random.Random(2203)
+    outcomes = set()
+    for k, l, p in CATALOG_WINDOWS:
+        a0 = _window_base(k, l, p)
+        r = random_invertible(a0.rows, rng, -1, 1)
+        probes = [a0, Matrix.identity(a0.rows)]
+        for t in (Fraction(1, 8), Fraction(1, 2)):
+            u_p = matrix_pow(basic_family(k, l, t), p)
+            probes += [u_p, matrix_mul(inverse(r), matrix_mul(u_p, r))]
+        outcomes |= _check_against_codomain_inverse(conjugation_section(a0), probes)
+    for a0 in _structured_bases().values():
+        outcomes |= _check_against_codomain_inverse(conjugation_section(a0), _structured_probes(rng, a0))
+    assert outcomes == {True, False}
+
+    # random operators and rank-preserving perturbations, as in criterion 9
+    sections = accepted = 0
+    while sections < 40:
+        n = rng.randint(2, 6)
+        u = Matrix.from_rows([[Fraction(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)])
+        kernel = kernel_basis(u)
+        if not kernel:
+            continue
+        sections += 1
+        sd = section_setup(u, kernel[0])
+        top = _codomain_inverse_top(sd)
+        assert sd.rows == _support(top)
+        denom = rng.randint(50, 300)
+        pert_l, pert_r = (
+            Matrix.identity(n) + random_invertible(n, rng, -1, 1).scale(Scalar(Fraction(1, denom)))
+            for _ in range(2)
+        )
+        v = matrix_mul(pert_l, matrix_mul(u, pert_r))
+        assert section_eval(sd, u) == _reference_section_eval(sd, top, u) == sd.anchor
+        for w in (v, Matrix.identity(n)):
+            got = _outcome(section_eval, sd, w)
+            assert got == _outcome(_reference_section_eval, sd, top, w)
+        accepted += _outcome(section_eval, sd, v) != "outside"
+    assert accepted >= 30
+
+
 def test_empty_base_has_no_section():
     # the anchor vec(I) of a 0x0 base is the empty, hence zero, vector
     with pytest.raises(NotInKernelError):
@@ -369,8 +485,8 @@ def test_empty_base_has_no_section():
 
 
 def test_conjugation_section_constructor_derives_its_terms():
-    """The public three-field constructor works, and the integer terms it
-    derives agree with conjugation_section's, real and complex."""
+    """The public three-field constructor works and evaluates as
+    conjugation_section's, real and complex."""
     rng = random.Random(5)
     i = Scalar(0, 1)
     cases = (
@@ -378,10 +494,10 @@ def test_conjugation_section_constructor_derives_its_terms():
         (Matrix.from_rows([[0, i, 0], [0, 0, 1], [0, 0, 0]]), True),
     )
     for a0, gaussian in cases:
+        assert any(e.im for row in a0.data for e in row) == gaussian
         cs = conjugation_section(a0)
         built = ConjugationSection(cs.base, cs.section, cs.base_ranks)
         assert built == cs
-        assert built.gaussian == cs.gaussian == gaussian
         for _ in range(4):
             e = Matrix.from_rows(
                 [[Fraction(rng.randint(-1, 1), 9) for _ in range(3)] for _ in range(3)]
