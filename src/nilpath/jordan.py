@@ -9,23 +9,27 @@ reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 from .errors import NotNilpotentError, NotSimilarError
 from .matrix import (
     Matrix,
-    _int_matrix,
-    _int_rows,
-    _is_gaussian,
+    _canonical,
+    _independent,
+    _integer,
+    _ints,
+    _made,
     _mul_rows,
+    _over_one,
     _primitive,
     _Reduction,
-    _scalar,
+    _times,
+    _transposed,
     _zero,
     direct_sum,
     inverse,
     jordan_cell,
     matrix_mul,
-    pivot_columns,
     power_ranks,
 )
 from .profiles import Profile
@@ -81,19 +85,22 @@ def jordan_basis(m: Matrix) -> JordanDecomposition:
     n = m.rows
 
     # M in integers over one denominator, as the kernels run on it.
-    gaussian = _is_gaussian(m.data)
-    m_int, m_den = _int_matrix(m.data, gaussian)
+    form = _ints(m)
+    gaussian = form.gaussian
+    m_int, m_den = _over_one(form, gaussian)
     zero = _zero(gaussian)
 
     # ker(M^j) from an echelon basis of row(M^j) = row(M^(j-1)) M: the
     # reduced echelon kernel basis depends only on the row space, so the
     # basis rows may carry any nonzero factor.  M is nilpotent exactly when
     # every push lowers the rank until the basis is empty, and the number
-    # of pushes s is its nilpotency index.
-    rows, _ = _int_matrix(Matrix.identity(n).data, gaussian)
+    # of pushes s is its nilpotency index.  Kernel vectors are integer
+    # vectors over a denominator.
+    one = _integer(1, gaussian)
+    rows = [[one if i == j else zero for j in range(n)] for i in range(n)]
     kernels = [[]]
     while rows:
-        red = _Reduction(_mul_rows(rows, m_int, n, zero), [1] * len(rows), n)
+        red = _Reduction(_mul_rows(rows, m_int, n, zero), [1] * len(rows), gaussian, n)
         if len(red.pivots) == len(rows):
             raise NotNilpotentError("matrix is not nilpotent")
         kernels.append(red.kernel(n))
@@ -102,31 +109,33 @@ def jordan_basis(m: Matrix) -> JordanDecomposition:
 
     # A chain vector v is pushed through M as the integer row v^T M^T, over
     # its denominator times M's.
-    mt = [list(col) for col in zip(*m_int)]
-    chains: list[list[list]] = []  # chains[i][k] is M^k applied to seed i
+    mt = _transposed(m_int, n)
+    chains: list[list[tuple[list, int]]] = []  # chains[i][k] is M^k applied to seed i
     for j in range(s, 0, -1):
         # seeds: kernel vectors of M^j independent of ker(M^(j-1)) and of
         # the vectors M^(L-j) seed carried down from chains of length L > j
         carried = [chain[len(chain) - j] for chain in chains if len(chain) > j]
         skip = len(kernels[j - 1]) + len(carried)
-        for c in pivot_columns(n, kernels[j - 1] + carried + kernels[j]):
+        candidates = [_primitive(v) for v, _ in kernels[j - 1] + carried + kernels[j]]
+        for c in _independent(n, candidates, gaussian):
             if c >= skip:
-                seed = kernels[j][c - skip]
-                (v,), (den,) = _int_rows([seed], gaussian)
-                chain = [seed]
+                v, den = kernels[j][c - skip]
+                chain = [(v, den)]
                 for _ in range(j - 1):
                     (v,) = _mul_rows([v], mt, n, zero)
                     den *= m_den
-                    chain.append([_scalar(x, den) for x in v])
+                    chain.append((v, den))
                 chains.append(chain)
 
     chains.sort(key=len, reverse=True)  # list.sort is stable
-    columns: list[list] = []
+    columns: list[tuple[list, int]] = []
     sizes = []
     for chain in chains:
         sizes.append(len(chain))
         columns.extend(reversed(chain))  # cell columns: M^(j-1)v, ..., Mv, v
-    conj = Matrix(n, n, [list(row) for row in zip(*columns)])
+    den = lcm(*[d for _, d in columns])
+    scaled = [_times(v, den // d, gaussian) for v, d in columns]
+    conj = _made(n, n, _canonical(_transposed(scaled, n), [den] * n, gaussian))
     return JordanDecomposition(conj, tuple(sizes))
 
 

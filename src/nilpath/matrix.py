@@ -1,26 +1,38 @@
 """Dense exact matrices over the Gaussian rationals.
 
-Matrices are stored row-major as lists of :class:`~nilpath.scalar.Scalar`
-and treated as immutable after construction; all operations return new
-values, so concurrent readers are safe.
+A matrix holds its entries in one of two forms, or both.  Built from
+:class:`~nilpath.scalar.Scalar` entries, it holds them row-major as lists of
+Scalars.  Made by a kernel, it holds the kernel's integer form (``_Ints``):
+row i is an integer row over its own positive denominator, with Gaussian
+integers (``_GaussInt``) when an entry is not real.  Each row is divided by
+its gcd with its denominator, so the form is canonical: equal matrices have
+equal forms.  The Scalars of a kernel-made matrix are built the first time
+they are read.  The kernels read their operands through ``_ints``, which
+prefers the integer form, so a chain of kernel calls stays in integers.
+``Matrix.data`` hands out the Scalar lists for reading and editing.  The
+matrix then keeps a copy of the rows it handed out, and ``_ints`` uses the
+form only while the lists still equal that copy (one list comparison, by
+identity for entries that were not replaced); after an edit it converts the
+entries again.  Package code reads the Scalars through ``Matrix._entries``
+and never edits them, and builds each matrix's rows before the matrix
+exists; matrices are thus immutable after construction, and all operations
+return new values.
 
-The kernels run on integers.  Each operand is converted once to integer
-rows over a per-row common denominator (per column for the right factor of
-a product); entries that are the shared ZERO cost one identity test, so a
-conversion costs O(nonzero entries).  When an entry of the input is not
-real, the integers are Gaussian integers (``_GaussInt``) and the same loops
-run on them.  There is one product loop, which sums integer products, and
-one elimination loop, fraction-free Gauss-Jordan (Bareiss 1968): each row
-update is divided exactly by the pivot of the row's previous update.  Its
-pivot choice is that of rational Gauss-Jordan, so every result equals the
-rational one.  A pivot row divided by its pivot is a row of the rref, and
-the signed product of the rational pivots is ±(last pivot) over the
-product of the pivot rows' denominators.  rank counts the pivots, det is
-that product, inverse and solve read the reduced augmented block, and
-rref, kernel_basis and pivot_columns read the echelon form.  matrix_pow and
-power_ranks keep the integer form across their chained products.  Callers
-in the package that build their rows in integers hand them to the
-elimination as they are (``_Reduction``) and convert only what they return.
+The kernels run on integers.  A matrix built from Scalars is converted once
+to integer rows over per-row least common denominators; entries that are the
+shared ZERO cost one identity test, so a conversion costs O(nonzero
+entries).  There is one product loop, which sums integer products over one
+common denominator of the right factor, and one elimination loop,
+fraction-free Gauss-Jordan (Bareiss 1968): each row update is divided
+exactly by the pivot of the row's previous update.  Its pivot choice is that
+of rational Gauss-Jordan, so every result equals the rational one.  A pivot
+row divided by its pivot is a row of the rref, and the signed product of the
+rational pivots is ±(last pivot) over the product of the pivot rows'
+denominators.  rank counts the pivots, det is that product, inverse and
+solve read the reduced augmented block, and rref, kernel_basis and
+pivot_columns read the echelon form.  Callers in the package that build
+their rows in integers hand them to the elimination as they are
+(``_Reduction``).
 """
 
 from __future__ import annotations
@@ -30,14 +42,14 @@ from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm, prod
 from operator import add, mul
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import InputFormatError, SingularMatrixError
-from .scalar import _ZERO_F, ONE, ZERO, Scalar, _mk, format_scalar, parse_int, parse_scalar
+from .scalar import _ZERO_F, ZERO, Scalar, _mk, format_scalar, parse_int, parse_scalar
 
 
 class Matrix:
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "_data", "_form", "_lent")
 
     def __init__(self, rows: int, cols: int, data: Sequence[Sequence[Scalar]]):
         if rows < 0 or cols < 0:
@@ -47,7 +59,37 @@ class Matrix:
             raise ValueError("entry grid does not match declared dimensions")
         self.rows = rows
         self.cols = cols
-        self.data = data
+        self._data = data
+        self._form = None  # the integer form, once a kernel has converted the entries
+        self._lent = None  # once the entries are handed out: the rows the form agrees with
+
+    @property
+    def data(self) -> list[list[Scalar]]:
+        """The entries, row-major, as lists of Scalars that the caller may
+        edit in place; the kernels see the edits."""
+        data = self._entries()
+        if self._lent is None:
+            self._lent = [list(r) for r in data]
+        return data
+
+    @data.setter
+    def data(self, data: list[list[Scalar]]) -> None:
+        self._data = data
+        self._form = None
+        self._lent = [list(r) for r in data]
+
+    def __reduce__(self):
+        """Copies and pickles are rebuilt from the entries, so they share no row lists."""
+        return Matrix, (self.rows, self.cols, self._entries())
+
+    def _entries(self) -> list[list[Scalar]]:
+        """The entries as Scalars, built from the integer form on first
+        read.  The package reads them here and never edits them."""
+        data = self._data
+        if data is None:
+            rows, dens, _ = self._form
+            data = self._data = [[_scalar(x, d) for x in row] for row, d in zip(rows, dens)]
+        return data
 
     # -- constructors ------------------------------------------------
 
@@ -57,10 +99,7 @@ class Matrix:
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        m = Matrix.zeros(n, n)
-        for i in range(n):
-            m.data[i][i] = ONE
-        return m
+        return _made(n, n, _Ints([[int(i == j) for j in range(n)] for i in range(n)], [1] * n, False))
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence]) -> "Matrix":
@@ -75,7 +114,7 @@ class Matrix:
         return Matrix(len(entries), 1, [[e] for e in entries])
 
     def column_entries(self, j: int = 0) -> list[Scalar]:
-        return [self.data[i][j] for i in range(self.rows)]
+        return [row[j] for row in self._entries()]
 
     # -- basic queries -------------------------------------------------
 
@@ -83,19 +122,17 @@ class Matrix:
         return self.rows == self.cols
 
     def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.data for e in row)
+        return not any(map(any, _ints(self).rows))
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and all(a == b for ra, rb in zip(self.data, other.data) for a, b in zip(ra, rb))
-        )
+        if self.rows != other.rows or self.cols != other.cols:
+            return False
+        return _ints(self) == _ints(other)  # the forms are canonical
 
     def __repr__(self):
-        body = "; ".join(" ".join(format_scalar(e) for e in row) for row in self.data)
+        body = "; ".join(" ".join(format_scalar(e) for e in row) for row in self._entries())
         return f"Matrix({self.rows}x{self.cols}: [{body}])"
 
     # -- arithmetic ------------------------------------------------------
@@ -105,7 +142,7 @@ class Matrix:
         return Matrix(
             self.rows,
             self.cols,
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)],
+            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self._entries(), other._entries())],
         )
 
     def __sub__(self, other: "Matrix") -> "Matrix":
@@ -113,16 +150,16 @@ class Matrix:
         return Matrix(
             self.rows,
             self.cols,
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)],
+            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self._entries(), other._entries())],
         )
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.rows, self.cols, [[-a for a in r] for r in self.data])
+        return Matrix(self.rows, self.cols, [[-a for a in r] for r in self._entries()])
 
     def scale(self, c: Scalar) -> "Matrix":
         if not isinstance(c, Scalar):
             c = Scalar(c)
-        return Matrix(self.rows, self.cols, [[a * c for a in r] for r in self.data])
+        return Matrix(self.rows, self.cols, [[a * c for a in r] for r in self._entries()])
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
@@ -130,7 +167,11 @@ class Matrix:
         return NotImplemented
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows, [list(col) for col in zip(*self.data)] if self.rows and self.cols else [[] for _ in range(self.cols)])
+        """Over one denominator, the columns are the rows of the transpose."""
+        form = _ints(self)
+        rows, den = _over_one(form, form.gaussian)
+        columns = _transposed(rows, self.cols)
+        return _made(self.cols, self.rows, _canonical(columns, [den] * self.cols, form.gaussian))
 
 
 def _check_same_shape(a: Matrix, b: Matrix) -> None:
@@ -138,28 +179,40 @@ def _check_same_shape(a: Matrix, b: Matrix) -> None:
         raise ValueError(f"shape mismatch: {a.rows}x{a.cols} vs {b.rows}x{b.cols}")
 
 
+def _transposed(rows: Sequence[Sequence], cols: int) -> list[list]:
+    """The columns of a grid of ``cols`` columns, as lists."""
+    return [list(col) for col in zip(*rows)] if rows else [[] for _ in range(cols)]
+
+
 def jordan_cell(k: int) -> Matrix:
     """The size-k nilpotent cell with ones on the superdiagonal; k=0 is empty."""
     if k < 0:
         raise ValueError("cell size must be non-negative")
-    m = Matrix.zeros(k, k)
-    for i in range(k - 1):
-        m.data[i][i + 1] = ONE
-    return m
+    return _made(k, k, _Ints([[int(j == i + 1) for j in range(k)] for i in range(k)], [1] * k, False))
 
 
 def direct_sum(blocks: Iterable[Matrix]) -> Matrix:
+    """The block-diagonal matrix of ``blocks``, built from their integer forms."""
     blocks = list(blocks)
-    rows = sum(b.rows for b in blocks)
+    forms = [_ints(b) for b in blocks]
+    gaussian = any(f.gaussian for f in forms)
+    zero = _zero(gaussian)
     cols = sum(b.cols for b in blocks)
-    out = Matrix.zeros(rows, cols)
-    r = c = 0
-    for b in blocks:
-        for i in range(b.rows):
-            out.data[r + i][c : c + b.cols] = list(b.data[i])
-        r += b.rows
+    rows: list[list] = []
+    dens: list[int] = []
+    c = 0
+    for b, f in zip(blocks, forms):
+        left, right = [zero] * c, [zero] * (cols - c - b.cols)
+        rows.extend(left + row + right for row in _typed(f, gaussian))
+        dens.extend(f.dens)
         c += b.cols
-    return out
+    return _made(len(rows), cols, _Ints(rows, dens, gaussian))
+
+
+def _columns(m: Matrix, order: Sequence[int]) -> Matrix:
+    """The matrix whose j-th column is column ``order[j]`` of m."""
+    f = _ints(m)
+    return _made(m.rows, len(order), _Ints([[row[c] for c in order] for row in f.rows], f.dens, f.gaussian))
 
 
 # -- integer kernels ---------------------------------------------------------
@@ -212,6 +265,43 @@ _GAUSS_ZERO = _GaussInt(0, 0)
 _ZERO_RATIO = (0, 1)
 
 
+class _Ints(NamedTuple):
+    """A matrix as the kernels hold it: row i is ``rows[i] / dens[i]``, in
+    Gaussian integers when ``gaussian``.  Canonical: each row and its
+    positive denominator have no common factor, and ``gaussian`` holds
+    exactly when some entry is not real.  The row lists are shared between
+    forms and never edited."""
+
+    rows: list[list]
+    dens: list[int]
+    gaussian: bool
+
+
+def _made(rows: int, cols: int, form: _Ints) -> Matrix:
+    """A matrix that holds only its integer form."""
+    m = Matrix.__new__(Matrix)
+    m.rows, m.cols, m._data, m._form, m._lent = rows, cols, None, form, None
+    return m
+
+
+def _ints(m: Matrix) -> _Ints:
+    """The integer form of m: the one it holds while its entries have not
+    been edited since they were handed out, or else its entries converted
+    and kept."""
+    form, lent = m._form, m._lent
+    if form is None or (lent is not None and m._data != lent):
+        form = m._form = _ints_of(m._data)
+        if lent is not None:
+            m._lent = [list(r) for r in m._data]
+    return form
+
+
+def _ints_of(data: Sequence[Sequence[Scalar]]) -> _Ints:
+    """The integer form of a grid of Scalars."""
+    gaussian = _is_gaussian(data)
+    return _Ints(*_int_rows(data, gaussian), gaussian)
+
+
 def _integer(x: int, gaussian: bool):
     """The integer x as the kernels hold it: a Gaussian integer when ``gaussian``."""
     return _GaussInt(x, 0) if gaussian else x
@@ -228,6 +318,60 @@ def _scaled(rows: list[list], k: int, gaussian: bool) -> list[list]:
     return [[x * k for x in row] for row in rows]
 
 
+def _times(row: list, k: int, gaussian: bool) -> list:
+    """``row`` times the integer k: the row itself when k is 1."""
+    return row if k == 1 else _scaled([row], k, gaussian)[0]
+
+
+def _typed(form: _Ints, gaussian: bool) -> list[list]:
+    """The form's rows in Gaussian integers when ``gaussian``, else as they are."""
+    if gaussian and not form.gaussian:
+        return [[_GaussInt(x, 0) if x else _GAUSS_ZERO for x in row] for row in form.rows]
+    return form.rows
+
+
+def _over_one(form: _Ints, gaussian: bool) -> tuple[list[list], int]:
+    """The form's rows over one common denominator, and that denominator,
+    in Gaussian integers when ``gaussian``."""
+    den = lcm(*form.dens)
+    return [_times(row, den // d, gaussian) for row, d in zip(_typed(form, gaussian), form.dens)], den
+
+
+def _parts(row: list) -> list[int]:
+    """The integers a row is made of: its entries, or their real and
+    imaginary parts."""
+    if row and type(row[0]) is _GaussInt:
+        return [x.re for x in row] + [x.im for x in row]
+    return row
+
+
+def _divided(row: list, g: int) -> list:
+    """``row`` divided exactly by the integer g."""
+    if row and type(row[0]) is _GaussInt:
+        return [_GaussInt(x.re // g, x.im // g) for x in row]
+    return [x // g for x in row]
+
+
+def _canonical(rows: list[list], dens: list[int], gaussian: bool) -> _Ints:
+    """The integer form of the matrix with rows ``rows[i] / dens[i]`` (any
+    nonzero denominators): each row and its denominator divided by their
+    gcd, signed so the denominator is positive, and Gaussian rows with no
+    imaginary part as integer rows."""
+    if gaussian and not any(x.im for row in rows for x in row):
+        rows, gaussian = [[x.re for x in row] for row in rows], False
+    out_rows, out_dens = [], []
+    for row, d in zip(rows, dens):
+        if d != 1:
+            g = gcd(d, *_parts(row))
+            if d < 0:
+                g = -g
+            if g != 1:
+                row, d = _divided(row, g), d // g
+        out_rows.append(row)
+        out_dens.append(d)
+    return _Ints(out_rows, out_dens, gaussian)
+
+
 def _is_gaussian(data) -> bool:
     """Whether some entry has a nonzero imaginary part."""
     return any(e.im for row in data for e in row if e is not ZERO)
@@ -235,8 +379,9 @@ def _is_gaussian(data) -> bool:
 
 def _int_rows(data: Sequence[Sequence[Scalar]], gaussian: bool) -> tuple[list[list], list[int]]:
     """Each row as integers over its least common denominator: the integer
-    rows (Gaussian integers when ``gaussian``) and their denominators.
-    Entries that are the shared ZERO cost one identity test."""
+    rows (Gaussian integers when ``gaussian``) and their denominators, as
+    in the integer form.  Entries that are the shared ZERO cost one
+    identity test."""
     width = len(data[0]) if data else 0
     starts = range(0, len(data) * width, width) if width else [0] * len(data)
     re = [_ZERO_RATIO if e is ZERO else e.re.as_integer_ratio() for row in data for e in row]
@@ -260,18 +405,12 @@ def _int_rows(data: Sequence[Sequence[Scalar]], gaussian: bool) -> tuple[list[li
     return rows, dens
 
 
-def _int_matrix(data: Sequence[Sequence[Scalar]], gaussian: bool) -> tuple[list[list], int]:
-    """The rows of a square matrix as integers over one common denominator."""
-    (flat,), (d,) = _int_rows([[e for row in data for e in row]], gaussian)
-    return [flat[i : i + len(data)] for i in range(0, len(flat), len(data) or 1)], d
-
-
 def _scalar(x, den: int) -> Scalar:
     """``x / den`` for an integer or Gaussian integer x and an integer den."""
     if not x:
         return ZERO
     if type(x) is int:
-        return _mk(Fraction(x, den), _ZERO_F)
+        return _mk(Fraction(x) if den == 1 else Fraction(x, den), _ZERO_F)
     return _mk(Fraction(x.re, den), Fraction(x.im, den) if x.im else _ZERO_F)
 
 
@@ -288,38 +427,40 @@ def _mul_rows(arows: list[list], brows: list, width: int, zero) -> list[list]:
     return out
 
 
+def _product(a: _Ints, b: _Ints, width: int) -> _Ints:
+    """The integer form of the product: a's rows times b's rows over one
+    common denominator."""
+    gaussian = a.gaussian or b.gaussian
+    brows, bden = _over_one(b, gaussian)
+    prods = _mul_rows(_typed(a, gaussian), brows, width, _zero(gaussian))
+    return _canonical(prods, [d * bden for d in a.dens], gaussian)
+
+
 def matrix_mul(a: Matrix, b: Matrix) -> Matrix:
-    """The product, from integer rows of a (per-row denominators) and
-    integer columns of b (per-column denominators)."""
+    """The product, from the integer forms of a and b."""
     if a.cols != b.rows:
         raise ValueError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    gaussian = _is_gaussian(a.data) or _is_gaussian(b.data)
-    arows, adens = _int_rows(a.data, gaussian)
-    bcols, bdens = _int_rows(list(zip(*b.data)) if b.rows else [()] * b.cols, gaussian)
-    prods = _mul_rows(arows, list(zip(*bcols)), b.cols, _zero(gaussian))
-    return Matrix(
-        a.rows,
-        b.cols,
-        [[_scalar(x, da * db) for x, db in zip(row, bdens)] for row, da in zip(prods, adens)],
-    )
+    return _made(a.rows, b.cols, _product(_ints(a), _ints(b), b.cols))
 
 
 def matrix_pow(m: Matrix, e: int) -> Matrix:
-    """Power by repeated multiplication in integers over one common
-    denominator; the empty matrix stays empty."""
+    """Power by repeated squaring on the integer form, about 2 log2(e)
+    products; the empty matrix stays empty."""
     if not m.is_square():
         raise ValueError("power of a non-square matrix")
     if e < 0:
         raise ValueError("negative matrix power")
     if e == 0:
         return Matrix.identity(m.rows)
-    gaussian = _is_gaussian(m.data)
-    rows, d = _int_matrix(m.data, gaussian)
-    out = rows
-    for _ in range(e - 1):
-        out = _mul_rows(out, rows, m.cols, _zero(gaussian))
-    den = d**e
-    return Matrix(m.rows, m.cols, [[_scalar(x, den) for x in row] for row in out])
+    square = _ints(m)  # m^(2^k) for the bit k of e in turn
+    out = None
+    while True:
+        if e & 1:
+            out = square if out is None else _product(out, square, m.cols)
+        e >>= 1
+        if not e:
+            return _made(m.rows, m.cols, out)
+        square = _product(square, square, m.cols)
 
 
 # -- elimination -----------------------------------------------------------
@@ -338,7 +479,8 @@ def _eliminate(rows: list[list], dens: list[int], pivot_cols: int) -> tuple[list
     value only changes by the ratio of successive pivots, and a row is
     brought up to date when it becomes the pivot row.  At the end row i is
     ``scale_i`` times its row in the rational reduced form, times its
-    denominator unless the row holds a pivot.
+    denominator unless the row holds a pivot.  The loop replaces rows in
+    ``rows`` and never edits a row list.
 
     Returns the pivot columns, the row scales and the sign of the row
     permutation, 0 once a column fails to pivot.
@@ -386,23 +528,20 @@ def _eliminate(rows: list[list], dens: list[int], pivot_cols: int) -> tuple[list
 
 
 class _Reduction:
-    """Integer rows over their denominators, reduced in place by
-    :func:`_eliminate` over their first ``pivot_cols`` columns, with what
-    the loop returned."""
+    """Integer rows over their denominators (Gaussian integers when
+    ``gaussian``), reduced by :func:`_eliminate` over their first
+    ``pivot_cols`` columns, with what the loop returned.  The lists passed
+    in are left as they are."""
 
-    __slots__ = ("rows", "dens", "pivots", "scales", "sign")
+    __slots__ = ("rows", "dens", "gaussian", "pivots", "scales", "sign")
 
-    def __init__(self, rows: list[list], dens: list[int], pivot_cols: int):
-        self.rows, self.dens = rows, dens
-        self.pivots, self.scales, self.sign = _eliminate(rows, dens, pivot_cols)
+    def __init__(self, rows: list[list], dens: list[int], gaussian: bool, pivot_cols: int):
+        self.rows, self.dens, self.gaussian = list(rows), list(dens), gaussian
+        self.pivots, self.scales, self.sign = _eliminate(self.rows, self.dens, pivot_cols)
 
-    @staticmethod
-    def of(data: Sequence[Sequence[Scalar]], pivot_cols: int) -> "_Reduction":
-        """The reduction of a matrix of Scalars, converted to integer rows."""
-        return _Reduction(*_int_rows(data, _is_gaussian(data)), pivot_cols)
-
-    def row(self, i: int, columns: Optional[Iterable[int]] = None) -> list[Scalar]:
-        """Row i of the rational reduced form, at ``columns`` (all by default)."""
+    def row(self, i: int, columns: Optional[Iterable[int]] = None) -> tuple[list, int]:
+        """Row i of the rational reduced form, at ``columns`` (all by
+        default), as integers over a denominator of either sign."""
         s = self.scales[i]
         den = 1 if i < len(self.pivots) else self.dens[i]
         row = self.rows[i] if columns is None else [self.rows[i][c] for c in columns]
@@ -415,24 +554,35 @@ class _Reduction:
                 den *= s.re
         elif s is not None:
             den *= s
-        return [_scalar(x, den) for x in row]
+        return row, den
 
-    def kernel(self, cols: int) -> list[list[Scalar]]:
+    def form(self, rows: Iterable[int], columns: Iterable[int]) -> _Ints:
+        """The integer form of the rational reduced form at ``rows`` and ``columns``."""
+        out, dens = [], []
+        for i in rows:
+            row, den = self.row(i, columns)
+            out.append(row)
+            dens.append(den)
+        return _canonical(out, dens, self.gaussian)
+
+    def kernel(self, cols: int) -> list[tuple[list, int]]:
         """Echelon-ordered basis of the null space of the reduced ``cols``
-        columns, one vector per free column in ascending order: the vector
-        of free column f is e_f minus the rref's column f on the pivot
-        columns.  Only the rref's entries at free columns are converted."""
+        columns, one vector per free column in ascending order, each as
+        integers over a positive denominator: the vector of free column f
+        is e_f minus the rref's column f on the pivot columns."""
         pivot_set = set(self.pivots)
         free = [c for c in range(cols) if c not in pivot_set]
-        at_free = [self.row(r, free) for r in range(len(self.pivots))]
+        at_free = self.form(range(len(self.pivots)), free)
+        rows = _typed(at_free, self.gaussian)
         basis = []
         for f, fc in enumerate(free):
-            v = [ZERO] * cols
-            v[fc] = ONE
-            for row, pc in zip(at_free, self.pivots):
-                if row[f]:
-                    v[pc] = -row[f]
-            basis.append(v)
+            terms = [(pc, row[f], d) for row, d, pc in zip(rows, at_free.dens, self.pivots) if row[f]]
+            den = lcm(*[d for _, _, d in terms])
+            v = [_zero(self.gaussian)] * cols
+            v[fc] = _integer(den, self.gaussian)
+            for pc, x, d in terms:
+                v[pc] = x * _integer(-den // d, self.gaussian)
+            basis.append((v, den))
         return basis
 
     def det(self) -> Scalar:
@@ -454,8 +604,8 @@ def _gauss_jordan(data: list[list[Scalar]], pivot_cols: int) -> tuple[list[int],
     signed product of the pivots, negated on each row swap and ZERO once a
     column fails to pivot: for a square block, its determinant.
     """
-    red = _Reduction.of(data, pivot_cols)
-    data[:] = [red.row(i) for i in range(len(data))]
+    red = _Reduction(*_ints_of(data), pivot_cols)
+    data[:] = [[_scalar(x, den) for x in row] for row, den in map(red.row, range(len(data)))]
     return red.pivots, red.det()
 
 
@@ -463,28 +613,41 @@ def _solve_square(a: Matrix, b: Matrix) -> tuple[Matrix, Scalar]:
     """``(a^-1 b, det a)``, read off ``[a | b]`` row-reduced over the
     columns of a; raises SingularMatrixError unless they all pivot."""
     n = a.rows
-    red = _Reduction.of([ra + rb for ra, rb in zip(a.data, b.data)], n)
+    fa, fb = _ints(a), _ints(b)
+    gaussian = fa.gaussian or fb.gaussian
+    rows, dens = [], []
+    for ra, da, rb, db in zip(_typed(fa, gaussian), fa.dens, _typed(fb, gaussian), fb.dens):
+        d = lcm(da, db)
+        rows.append(_times(ra, d // da, gaussian) + _times(rb, d // db, gaussian))
+        dens.append(d)
+    red = _Reduction(rows, dens, gaussian, n)
     if len(red.pivots) < n:
         raise SingularMatrixError("matrix is singular")
-    return Matrix(n, b.cols, [red.row(i, range(n, n + b.cols)) for i in range(n)]), red.det()
+    return _made(n, b.cols, red.form(range(n), range(n, n + b.cols))), red.det()
 
 
 def rank(m: Matrix) -> int:
-    return len(_Reduction.of(m.data, m.cols).pivots)
+    return len(_Reduction(*_ints(m), m.cols).pivots)
 
 
 def det(m: Matrix) -> Scalar:
     if not m.is_square():
         raise ValueError("determinant of a non-square matrix")
-    return _Reduction.of(m.data, m.cols).det()
+    return _Reduction(*_ints(m), m.cols).det()
+
+
+def _independent(length: int, columns: Sequence[Sequence], gaussian: bool) -> list[int]:
+    """:func:`pivot_columns` of integer columns, in Gaussian integers when
+    ``gaussian``; each column may carry any nonzero factor."""
+    return _Reduction(_transposed(columns, length), [1] * length, gaussian, len(columns)).pivots
 
 
 def pivot_columns(rows: int, columns: Sequence[Sequence[Scalar]]) -> list[int]:
     """Indices of the greedy independent subset of ``columns`` (each of
     length ``rows``): a column is kept unless it lies in the span of those
     before it, which makes the kept ones the pivot columns of their rref."""
-    data = list(zip(*columns)) if columns else [()] * rows
-    return _Reduction.of(data, len(columns)).pivots
+    form = _ints_of(columns)
+    return _independent(rows, form.rows, form.gaussian)
 
 
 def inverse(m: Matrix) -> Matrix:
@@ -503,18 +666,15 @@ def solve(a: Matrix, b: Matrix) -> Matrix:
 
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and the list of pivot columns."""
-    data = [list(r) for r in m.data]
+    data = [list(r) for r in m._entries()]
     pivots, _ = _gauss_jordan(data, m.cols)
     return Matrix(m.rows, m.cols, data), pivots
 
 
 def _primitive(row: list) -> list:
     """``row`` divided by the gcd of its integer parts."""
-    if row and type(row[0]) is _GaussInt:
-        g = gcd(*[x.re for x in row], *[x.im for x in row])
-        return row if g < 2 else [_GaussInt(x.re // g, x.im // g) for x in row]
-    g = gcd(*row)
-    return row if g < 2 else [x // g for x in row]
+    g = gcd(*_parts(row))
+    return row if g < 2 else _divided(row, g)
 
 
 def power_ranks(m: Matrix) -> list[int]:
@@ -530,18 +690,19 @@ def power_ranks(m: Matrix) -> list[int]:
     if not m.is_square():
         raise ValueError("power ranks of a non-square matrix")
     n = m.rows
-    gaussian = _is_gaussian(m.data)
-    mt, _ = _int_matrix(m.transpose().data, gaussian)
+    form = _ints(m)
+    mt = _transposed(_over_one(form, form.gaussian)[0], n)
     ranks = [n]
-    images = list(mt)  # rows span im(M); _eliminate replaces rows, never edits them
+    images = mt  # rows span im(M)
     while True:
-        r = len(_eliminate(images, [1] * len(images), n)[0])
+        red = _Reduction(images, [1] * len(images), form.gaussian, n)
+        r = len(red.pivots)
         if r == ranks[-1]:
             return ranks
         ranks.append(r)
         if r == 0:
             return ranks
-        images = _mul_rows([_primitive(row) for row in images[:r]], mt, n, _zero(gaussian))
+        images = _mul_rows([_primitive(row) for row in red.rows[:r]], mt, n, _zero(form.gaussian))
 
 
 def kernel_basis(m: Matrix) -> list[Matrix]:
@@ -550,7 +711,11 @@ def kernel_basis(m: Matrix) -> list[Matrix]:
     Basis vectors are parametrized by free columns in ascending order, so
     the result is deterministic.
     """
-    return [Matrix.column(v) for v in _Reduction.of(m.data, m.cols).kernel(m.cols)]
+    red = _Reduction(*_ints(m), m.cols)
+    return [
+        _made(m.cols, 1, _canonical([[x] for x in v], [den] * m.cols, red.gaussian))
+        for v, den in red.kernel(m.cols)
+    ]
 
 
 # -- matrix-space vectorization (column-major stacking) ---------------------
@@ -558,22 +723,15 @@ def kernel_basis(m: Matrix) -> list[Matrix]:
 
 def vec(m: Matrix) -> Matrix:
     """Stack columns into a single column of length rows*cols."""
-    out = []
-    for j in range(m.cols):
-        for i in range(m.rows):
-            out.append(m.data[i][j])
-    return Matrix.column(out)
+    return Matrix.column([e for col in zip(*m._entries()) for e in col])
 
 
 def unvec(v: Matrix, n: int) -> Matrix:
     """Inverse of :func:`vec` for an n-by-n matrix."""
     if v.rows != n * n or v.cols != 1:
         raise ValueError("unvec shape mismatch")
-    out = Matrix.zeros(n, n)
-    for j in range(n):
-        for i in range(n):
-            out.data[i][j] = v.data[j * n + i][0]
-    return out
+    entries = v.column_entries()
+    return Matrix(n, n, [[entries[j * n + i] for j in range(n)] for i in range(n)])
 
 
 # -- JSON format -------------------------------------------------------------
@@ -583,7 +741,7 @@ def matrix_to_json_obj(m: Matrix) -> dict:
     return {
         "rows": m.rows,
         "cols": m.cols,
-        "entries": [[format_scalar(e) for e in row] for row in m.data],
+        "entries": [[format_scalar(e) for e in row] for row in m._entries()],
     }
 
 

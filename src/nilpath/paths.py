@@ -42,11 +42,16 @@ from .graph import profile_chain
 from .jordan import jordan_basis, nilpotent_profile, similarity_witness
 from .matrix import (
     Matrix,
-    _int_matrix,
+    _canonical,
+    _columns,
+    _int_rows,
     _integer,
-    _is_gaussian,
+    _ints,
+    _made,
+    _over_one,
     _Reduction,
     _scaled,
+    _typed,
     direct_sum,
     inverse,
     jordan_cell,
@@ -102,13 +107,16 @@ def basic_family(k: int, l: int, t: ParamLike) -> Matrix:
     if k < 0 or l < 1 or k >= l:
         raise ValueError("need 0 <= k < l")
     t = _as_fraction(t)
-    m = direct_sum([jordan_cell(k), jordan_cell(l)])
     n = k + l
+    # integer rows over their denominators: the superdiagonals of J_k and
+    # J_l, then row n-2 ends in 1 - t and row k-1 in t
+    rows = [[int(j == i + 1 and j != k) for j in range(n)] for i in range(n)]
+    dens = [1] * n
     if l >= 2:
-        m.data[n - 2][n - 1] = Scalar(1 - t)
+        rows[n - 2][n - 1], dens[n - 2] = t.denominator - t.numerator, t.denominator
     if k >= 1:
-        m.data[k - 1][n - 1] = Scalar(t)
-    return m
+        rows[k - 1][n - 1], dens[k - 1] = t.numerator, t.denominator
+    return _made(n, n, _canonical(rows, dens, False))
 
 
 def basic_family_similarity(k: int, l: int, t: ParamLike) -> Matrix:
@@ -417,12 +425,18 @@ class CentralizerSegment:
         return w0 + (w1 - w0) * r
 
     def _blend(self, z: Scalar) -> Matrix:
-        n = self.base_root.rows
-        out = self.conjugator.scale(z)
-        one_minus = ONE - z
-        for i in range(n):
-            out.data[i][i] = out.data[i][i] + one_minus
-        return out
+        """(1-z)I + zQ in integers: with z = w/e and row i of Q equal to
+        q_i/d_i, its row i is ``(w q_i + (e - w) d_i e_i) / (e d_i)``."""
+        form = _ints(self.conjugator)
+        gaussian = form.gaussian or not z.is_real()
+        ((w,),), (e,) = _int_rows([[z]], gaussian)
+        one_minus = _integer(e, gaussian) - w
+        rows = []
+        for i, (row, d) in enumerate(zip(_typed(form, gaussian), form.dens)):
+            out = [w * x for x in row]
+            out[i] = out[i] + one_minus * _integer(d, gaussian)
+            rows.append(out)
+        return _made(len(rows), len(rows), _canonical(rows, [e * d for d in form.dens], gaussian))
 
     def _conjugate(self, q: Matrix) -> Matrix:
         """``q X q^-1``, transposed from one solve: ``q^-T (q X)^T``."""
@@ -466,8 +480,9 @@ def _blend_determinant(q: Matrix) -> RatPoly:
     interpolation recovers it.
     """
     n = q.rows
-    gaussian = _is_gaussian(q.data)
-    q_int, d = _int_matrix(q.data, gaussian)
+    form = _ints(q)
+    gaussian = form.gaussian
+    q_int, d = _over_one(form, gaussian)
     nodes = range(n + 1)
     values = []
     for z in nodes:
@@ -475,7 +490,7 @@ def _blend_determinant(q: Matrix) -> RatPoly:
         rows = _scaled(q_int, z, gaussian)
         for i in range(n):
             rows[i][i] = rows[i][i] + diagonal
-        values.append(_Reduction(rows, [d] * n, n).det())
+        values.append(_Reduction(rows, [d] * n, gaussian, n).det())
     return _newton_poly([Scalar(z) for z in nodes], values)
 
 
@@ -616,17 +631,8 @@ def adjacency_segment(a: Matrix, p: int, n: Matrix, move: AdjacencyMove) -> Adja
     others, chosen = _reorder_cells_trailing(dec.cell_sizes, needed)
     order = others + chosen
     # regroup the conjugator's columns cell by cell in the new order
-    offsets = []
-    pos = 0
-    for s in dec.cell_sizes:
-        offsets.append((pos, s))
-        pos += s
-    cols: list[list[Scalar]] = []
-    for idx in order:
-        start, s = offsets[idx]
-        for c in range(start, start + s):
-            cols.append([dec.conjugator.data[r][c] for r in range(n.rows)])
-    p1 = Matrix(n.rows, n.rows, [list(row) for row in zip(*cols)]) if n.rows else Matrix.identity(0)
+    starts = [sum(dec.cell_sizes[:i]) for i in range(len(dec.cell_sizes))]
+    p1 = _columns(dec.conjugator, [c for i in order for c in range(starts[i], starts[i] + dec.cell_sizes[i])])
 
     bystander = direct_sum([jordan_cell(dec.cell_sizes[i]) for i in others])
     lift = lift_family(k, l, p)

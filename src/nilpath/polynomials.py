@@ -381,11 +381,12 @@ def poly_interpolate_entries(
         raise ValueError("sample matrices must share dimensions")
 
     t_scalars = [Scalar(t) for t in ts]
+    grids = [m._entries() for m in mats]
     out: list[list[RatPoly]] = []
     for i in range(rows):
         row = []
         for j in range(cols):
-            values = [m.data[i][j] for m in mats]
+            values = [grid[i][j] for grid in grids]
             row.append(_newton_poly(t_scalars, values))
         out.append(row)
     return out

@@ -26,6 +26,7 @@ block and yields its determinant, the value certification interpolates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 from .errors import (
     NotInKernelError,
@@ -35,21 +36,23 @@ from .errors import (
 )
 from .matrix import (
     Matrix,
-    _int_matrix,
-    _is_gaussian,
-    _Reduction,
-    _eliminate,
+    _canonical,
+    _independent,
+    _integer,
+    _ints,
+    _made,
     _mul_rows,
-    _scalar,
+    _over_one,
+    _Reduction,
     _scaled,
     _solve_square,
+    _typed,
     _zero,
     matrix_mul,
-    pivot_columns,
     power_ranks,
     vec,
 )
-from .scalar import ONE, Scalar
+from .scalar import ZERO, Scalar
 
 
 @dataclass(frozen=True)
@@ -86,9 +89,10 @@ def section_setup(u: Matrix, x0: Matrix) -> SectionData:
     if not matrix_mul(u, x0).is_zero():
         raise NotInKernelError("anchor vector is not in the kernel")
 
-    front = _Reduction.of(u.data, n).pivots
+    front = _Reduction(*_ints(u), n).pivots
     rho = len(front)
-    upward = pivot_columns(rho, [[u.data[s][k] for k in front] for s in reversed(range(n))])
+    form = _ints(u)
+    upward = _independent(rho, [[row[k] for k in front] for row in reversed(form.rows)], form.gaussian)
     rows = sorted(n - 1 - s for s in upward)
     if len(rows) != rho:
         raise AssertionError("images of complement vectors must be independent")
@@ -107,10 +111,11 @@ def section_eval(s: SectionData, v: Matrix) -> Matrix:
     if v.rows != n or v.cols != n:
         raise ValueError("operator dimension mismatch")
     rho = s.rank
-    image = matrix_mul(v, s.anchor).data
+    image = matrix_mul(v, s.anchor)._entries()
+    entries = v._entries()
     try:
         correction, _ = _solve_square(
-            Matrix(rho, rho, [[v.data[r][k] for k in s.front] for r in s.rows]),
+            Matrix(rho, rho, [[entries[r][k] for k in s.front] for r in s.rows]),
             Matrix(rho, 1, [image[r] for r in s.rows]),
         )
     except SingularMatrixError:
@@ -127,20 +132,21 @@ def ad_operator(b: Matrix, a0: Matrix) -> Matrix:
         raise ValueError("ad operator needs square matrices of equal size")
     n = b.rows
     big = n * n
-    out = Matrix.zeros(big, big)
+    b_data, a0_data = b._entries(), a0._entries()
+    rows = []
     for c1 in range(n):
         for r1 in range(n):
-            row = c1 * n + r1
-            row_data = out.data[row]
+            row = [ZERO] * big
             for r2 in range(n):
-                e = b.data[r1][r2]
+                e = b_data[r1][r2]
                 if not e.is_zero():
-                    row_data[c1 * n + r2] = row_data[c1 * n + r2] + e
+                    row[c1 * n + r2] = row[c1 * n + r2] + e
             for c2 in range(n):
-                e = a0.data[c2][c1]
+                e = a0_data[c2][c1]
                 if not e.is_zero():
-                    row_data[c2 * n + r1] = row_data[c2 * n + r1] - e
-    return out
+                    row[c2 * n + r1] = row[c2 * n + r1] - e
+            rows.append(row)
+    return Matrix(big, big, rows)
 
 
 @dataclass(frozen=True)
@@ -180,10 +186,11 @@ class ConjugationSection:
             raise ValueError("dimension mismatch")
         if self.displacement_rank(b) != rho:
             raise OutsideNeighborhoodError("displacement rank differs from base point")
-        gaussian = _is_gaussian(self.base.data) or _is_gaussian(b.data)
+        fb, fa = _ints(b), _ints(self.base)
+        gaussian = fb.gaussian or fa.gaussian
         zero = _zero(gaussian)
-        b_int, b_den = _int_matrix(b.data, gaussian)
-        a0_int, a0_den = _int_matrix(self.base.data, gaussian)
+        b_int, b_den = _over_one(fb, gaussian)
+        a0_int, a0_den = _over_one(fa, gaussian)
         # B and A0 over the one denominator b_den a0_den
         b_int, a0_int = _scaled(b_int, a0_den, gaussian), _scaled(a0_int, b_den, gaussian)
         by_col: list[list] = [[] for _ in range(n)]  # complement vectors E_ij by j
@@ -202,19 +209,22 @@ class ConjugationSection:
                 row[k] = row[k] - a0_int[j][c]
             rows.append(row)
         den = b_den * a0_den
-        red = _Reduction(list(rows), [den] * rho, rho)  # the loop replaces rows, never edits them
+        red = _Reduction(rows, [den] * rho, gaussian, rho)
         if len(red.pivots) < rho:
             raise OutsideNeighborhoodError("leading block singular at this operator")
-        g = Matrix.identity(n)
-        for k, idx in enumerate(self.section.front):
+        # g = I - sum_k y_k E_front[k] with y = A^-1 c, over one denominator
+        ys = red.form(range(rho), (rho,))
+        g_den = lcm(*ys.dens)
+        one = _integer(g_den, gaussian)
+        g_int = [[one if i == j else zero for j in range(n)] for i in range(n)]
+        for idx, (y,), d in zip(self.section.front, _typed(ys, gaussian), ys.dens):
             i, j = idx % n, idx // n
-            (e,) = red.row(k, (rho,))
-            g.data[i][j] = ONE - e if i == j else -e
-        g_int, _ = _int_matrix(g.data, gaussian)
-        if len(_eliminate(list(g_int), [1] * n, n)[0]) < n:
+            g_int[i][j] = g_int[i][j] - y * _integer(g_den // d, gaussian)
+        if len(_Reduction(g_int, [1] * n, gaussian, n).pivots) < n:
             raise OutsideNeighborhoodError("section conjugator is singular")
         if _mul_rows(b_int, g_int, n, zero) != _mul_rows(g_int, a0_int, n, zero):
             raise AssertionError("section identity failed despite rank match")
+        g = _made(n, n, _canonical(g_int, [g_den] * n, gaussian))
         return rows, den, red, g
 
     def evaluate(self, b: Matrix) -> tuple[Matrix, Scalar, Matrix]:
@@ -229,7 +239,7 @@ class ConjugationSection:
         """
         rows, den, red, g = self._solve(b)
         rho = self.rank
-        block = Matrix(rho, rho, [[_scalar(x, den) for x in row[:rho]] for row in rows])
+        block = _made(rho, rho, _canonical([row[:rho] for row in rows], [den] * rho, red.gaussian))
         return block, red.det(), g
 
     def conjugator_at(self, b: Matrix) -> Matrix:

@@ -1,3 +1,4 @@
+import copy
 import json
 import random
 from fractions import Fraction
@@ -9,6 +10,7 @@ from nilpath.matrix import (
     Matrix,
     _GaussInt,
     _gauss_jordan,
+    _ints,
     det,
     direct_sum,
     inverse,
@@ -539,3 +541,117 @@ def test_gaussian_integer_equality_and_hash():
     assert a != 0 and not (a == 2)
     assert _GaussInt(0, 0) != 0  # only another Gaussian integer compares equal
     assert len({a, _GaussInt(2, -3), _GaussInt(0, 0)}) == 2
+
+
+def test_matrix_pow_squares_to_the_repeated_product():
+    rng = random.Random(11)
+    integer = Matrix.from_rows([[rng.randint(-2, 2) for _ in range(3)] for _ in range(3)])
+    for m in (integer, _mixed_matrix(rng, 3, 3, False), _mixed_matrix(rng, 3, 3, True)):
+        power = Matrix.identity(3)
+        for e in range(10):
+            assert matrix_pow(m, e) == power and matrix_pow(m, e).data == power.data, (m, e)
+            power = _ref_matrix_mul(power, m)
+    assert matrix_pow(jordan_cell(3), 10**9).is_zero()
+    assert matrix_pow(Matrix.from_rows([[Fraction(1, 2)]]), 64) == Matrix.from_rows([[Fraction(1, 2**64)]])
+
+
+# -- kernel-made matrices keep their integer form ----------------------------
+
+
+def _rebuilt(m):
+    """m read back from its JSON: equal to m, but built from Scalars."""
+    return matrix_from_json(matrix_to_json(m))
+
+
+def _kernel_chain(s, t, r, step):
+    """What a chain of kernels gives on s (square, invertible), t (n x k) and
+    r (k x n); every matrix a kernel returns passes through ``step``
+    before the next kernel reads it."""
+    u = step(matrix_mul(s, t))
+    v = step(matrix_mul(u, r))
+    w = step(solve(s, u))
+    s_inv = step(inverse(s))
+    x = step(matrix_pow(v, 3))
+    y = step(matrix_mul(s_inv, step(matrix_mul(v, s))))
+    mats = (u, v, w, s_inv, x, y)
+    return (
+        [matrix_to_json(m) for m in mats],
+        [rank(m) for m in mats],
+        [det(m) for m in (v, s_inv, x, y)],
+        [power_ranks(m) for m in (v, x, y)],
+        [a == b for a in mats for b in mats],
+        [m.data for m in mats],
+    )
+
+
+def test_kernel_made_operands_match_scalar_built_copies():
+    rng = random.Random(99)
+    kinds = 0
+    for n, k in ((0, 0), (1, 3), (3, 1), (3, 2), (4, 4)):
+        for kind in ("integer", "rational", "gaussian"):
+            if kind == "integer":
+                def make(rows, cols):
+                    return Matrix.from_rows([[rng.randint(-2, 2) for _ in range(cols)] for _ in range(rows)])
+            else:
+                def make(rows, cols):
+                    return _mixed_matrix(rng, rows, cols, kind == "gaussian")
+            s = make(n, n)
+            while det(s).is_zero():
+                s = make(n, n)
+            t, r = make(n, k), make(k, n)
+            made = matrix_mul(s, t)
+            assert made == _rebuilt(made) and _rebuilt(made) == made
+            assert _kernel_chain(s, t, r, lambda m: m) == _kernel_chain(s, t, r, _rebuilt), (n, k, kind)
+            kinds += 1
+    assert kinds == 15
+
+
+def test_edits_through_data_reach_the_kernels():
+    for im in (0, 1):
+        m = matrix_mul(Matrix.identity(3), Matrix.from_rows([[1, 2, 0], [0, 1, Scalar(0, im)], [0, 0, 1]]))
+        before = _rebuilt(m)
+        assert rank(m) == 3 and det(m) == ONE
+        m_repr = repr(m)  # builds the Scalars next to the integer form
+        copies = [copy.copy(m), copy.deepcopy(m)]
+        rows = m.data
+        rows[2][2] = ZERO
+        rows[0][1] = Scalar(Fraction(1, 3))
+        edited = Matrix(3, 3, [list(row) for row in rows])
+        assert rank(m) == 2 and det(m) == ZERO
+        assert matrix_mul(m, m).data == _ref_matrix_mul(edited, edited).data
+        assert m == edited and edited == m
+        assert m != before and before != m
+        for c in copies:  # a copy shares no rows with m
+            assert c == before and repr(c) == m_repr and det(c) == ONE
+        # the kernels see edits made after a kernel has read the matrix, too
+        m.data[2][2] = ONE
+        assert rank(m) == 3 and det(m) == ONE and m != edited
+        m.data = [[ONE, ZERO, ZERO], [ZERO, ONE, ZERO], [ZERO, ZERO, ZERO]]
+        assert rank(m) == 2 and m == Matrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 0]])
+
+
+def test_gaussian_computation_with_real_result_is_real():
+    # gamma = q J q^-1 with q = I + i E_01 in the centralizer of A = J^2 but
+    # not of J: gamma is not real, and gamma^2 = q A q^-1 = A is.
+    cell = jordan_cell(3)
+    a = matrix_pow(cell, 2)
+    q = Matrix.from_rows([[1, Scalar(0, 1), 0], [0, 1, 0], [0, 0, 1]])
+    gamma = matrix_mul(q, matrix_mul(cell, inverse(q)))
+    power = matrix_pow(gamma, 2)
+    assert power == a and a == power
+    assert power == Matrix.from_rows([[0, 0, 1], [0, 0, 0], [0, 0, 0]])
+    assert not _ints(power).gaussian and _ints(power) == _ints(a)
+    assert all(e.is_real() for row in power.data for e in row)
+    assert any(not e.is_real() for row in gamma.data for e in row)
+
+
+def test_reading_data_keeps_the_integer_form_until_an_edit():
+    m = matrix_mul(jordan_cell(3), Matrix.from_rows([[1, 2, 0], [0, 1, 3], [4, 0, 1]]))
+    form = _ints(m)
+    assert m.data == Matrix.from_rows([[0, 1, 3], [4, 0, 1], [0, 0, 0]]).data
+    assert _ints(m) is form  # read but not edited: the kernels read the form they made
+    m.data[0][0] = Scalar(5)
+    assert m.data[0][0] == Scalar(5)  # a second read must not forget the edit
+    assert _ints(m) is not form
+    assert m == Matrix.from_rows([[5, 1, 3], [4, 0, 1], [0, 0, 0]]) and rank(m) == 2
+    assert not m.is_zero() and Matrix.zeros(2, 3).is_zero() and Matrix.zeros(0, 0).is_zero()
