@@ -4,7 +4,8 @@ Two segment kinds compose into a root-connecting path:
 
 * centralizer segments conjugate a root by ``(1-z)I + zQ`` along a complex
   detour on which the determinant is certified nonvanishing, keeping the
-  p-th power literally fixed;
+  p-th power literally fixed; that determinant has degree at most
+  r = rank(Q - I) and is taken from r x r determinants;
 * adjacency segments deform a trailing pair of Jordan cells (k, l) toward
   (k+1, l-1) through the one-parameter family ``U_t``, conjugating back by
   an exactly-lifted family q(t) so that ``gamma(t)^p`` is constant.
@@ -49,6 +50,7 @@ from .matrix import (
     _ints,
     _made,
     _over_one,
+    _product,
     _Reduction,
     _scaled,
     _typed,
@@ -472,25 +474,38 @@ def _detour_records(waypoints: tuple[Scalar, ...]) -> tuple[dict, ...]:
 
 
 def _blend_determinant(q: Matrix) -> RatPoly:
-    """det((1-z)I + zQ) as an exact polynomial in z.
+    """det((1-z)I + zQ) as an exact polynomial in z, of degree at most
+    r = rank(Q - I).
 
-    With Q = Q'/d over one common denominator, it is
-    ``det(d(1-z)I + zQ') / d^n``, of degree at most n: its values at
-    z = 0, ..., n come from integer eliminations, and one Newton
-    interpolation recovers it.
+    Q - I = CR, with R the nonzero rows of rref(Q - I) and C the pivot
+    columns of Q - I, so by Sylvester's identity
+    ``det(I_n + zCR) = det(I_r + zRC)``.  With RC = M/d over one common
+    denominator that is ``det(dI + zM) / d^r``: its values at z = 0, ..., r
+    come from integer eliminations of size r, and one Newton interpolation
+    recovers it.
     """
     n = q.rows
     form = _ints(q)
     gaussian = form.gaussian
-    q_int, d = _over_one(form, gaussian)
-    nodes = range(n + 1)
+    shifted = []  # the rows of Q - I over Q's row denominators
+    for i, (row, d) in enumerate(zip(form.rows, form.dens)):
+        row = list(row)
+        row[i] = row[i] - _integer(d, gaussian)
+        shifted.append(row)
+    red = _Reduction(shifted, form.dens, gaussian, n)
+    r = len(red.pivots)
+    pivot_cols = _canonical([[row[c] for c in red.pivots] for row in shifted], form.dens, gaussian)
+    rc = _product(red.form(range(r), range(n)), pivot_cols, r)
+    gaussian = rc.gaussian
+    m_int, d = _over_one(rc, gaussian)
+    diagonal = _integer(d, gaussian)
+    nodes = range(r + 1)
     values = []
     for z in nodes:
-        diagonal = _integer(d * (1 - z), gaussian)
-        rows = _scaled(q_int, z, gaussian)
-        for i in range(n):
+        rows = _scaled(m_int, z, gaussian)
+        for i in range(r):
             rows[i][i] = rows[i][i] + diagonal
-        values.append(_Reduction(rows, [d] * n, gaussian, n).det())
+        values.append(_Reduction(rows, [d] * r, gaussian, r).det())
     return _newton_poly([Scalar(z) for z in nodes], values)
 
 

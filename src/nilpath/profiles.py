@@ -255,22 +255,20 @@ def profile_power(m: Profile, p: int) -> Profile:
     """Image of the profile under the p-th power map.
 
     Entry a >= 1 of the image is ``sum_(|j| < p) (p - |j|) * m_(p*a + j)``,
-    the triangular-weighted window sum around p*a.
+    the triangular-weighted window sum around p*a.  It is summed over the
+    support, in O(#sizes) whatever p is, with the split of
+    ``cell_power_profile`` written inline: a Profile per cell made this
+    inner call of ``enumerate_preimages`` 3-4 times slower.
     """
     if p < 1:
         raise ValueError("power must be positive")
-    if m.is_empty():
-        return Profile()
-    top = m.max_index()
     counts = {}
-    for a in range(1, top // p + 2):
-        total = 0
-        for j in range(-p + 1, p):
-            idx = p * a + j
-            if idx >= 1:
-                total += (p - abs(j)) * m.get(idx)
-        if total:
-            counts[a] = total
+    for s, c in m.items():
+        a, r = divmod(s, p)
+        if a:
+            counts[a] = counts.get(a, 0) + (p - r) * c
+        if r:
+            counts[a + 1] = counts.get(a + 1, 0) + r * c
     return Profile(counts)
 
 

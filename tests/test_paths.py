@@ -20,6 +20,7 @@ from nilpath.matrix import (
     matrix_mul,
     matrix_pow,
     matrix_to_json_obj,
+    rank,
 )
 import nilpath.paths as paths_module
 from nilpath.paths import (
@@ -267,9 +268,22 @@ def _blend_determinant_by_poly_det(q):
     return poly_matrix_det(entries, degree_bound=n)
 
 
+def identity_plus_rank(n, r, rng, entries):
+    """I + UV with U of size n x r and V of size r x n drawn from ``entries``:
+    Q - I has rank at most r."""
+    u = Matrix.from_rows([[rng.choice(entries) for _ in range(r)] for _ in range(n)])
+    v = Matrix.from_rows([[rng.choice(entries) for _ in range(n)] for _ in range(r)])
+    return Matrix.identity(n) + matrix_mul(u, v) if r else Matrix.identity(n)
+
+
 def test_blend_determinant_matches_poly_matrix_det():
+    import random
+
     half, i_unit = Fraction(1, 2), Scalar(0, 1)
     unipotent = direct_sum([jordan_cell(2)] * 2) + Matrix.identity(4)
+    rng = random.Random(31)
+    rationals = [0, 0, 1, -2, half, Fraction(-1, 3), Fraction(5, 7)]
+    gaussians = [0, 1, i_unit, Scalar(half, -1), Scalar(Fraction(-2, 3), Fraction(1, 5))]
     qs = [
         Matrix.zeros(0, 0),
         Matrix.from_rows([[3]]),
@@ -279,11 +293,22 @@ def test_blend_determinant_matches_poly_matrix_det():
         Matrix.from_rows([[1, 2, 0], [0, 1, half], [Fraction(-1, 3), 0, 5]]),
         Matrix.from_rows([[1, Scalar(half, 1), 0], [0, 1, i_unit], [Scalar(2, -3), 0, Fraction(2, 7)]]),
         similarity_witness(jordan_cell(4), conjugate(jordan_cell(4), unipotent)),
+        Matrix.identity(5),  # Q - I = 0: rank 0
+        Matrix.from_rows([[Fraction(1, 2), 0, 0], [0, Fraction(2, 3), 0], [0, 0, Fraction(-5, 7)]]),  # rank n
+        # rows over different denominators
+        Matrix.from_rows([[Fraction(1, 2), Fraction(1, 3), 0], [0, 1, Fraction(1, 5)], [Fraction(1, 7), 0, 2]]),
     ]
+    qs += [identity_plus_rank(5, r, rng, rationals) for r in range(6)]
+    qs += [identity_plus_rank(4, r, rng, gaussians) for r in range(5)]
+    qs += [Matrix.from_rows([[rng.choice(gaussians) for _ in range(4)] for _ in range(4)])]
+    ranks = set()
     for q in qs:
         got = paths_module._blend_determinant(q)
         assert got == _blend_determinant_by_poly_det(q), q
-        assert got.degree() <= q.rows
+        r = rank(q - Matrix.identity(q.rows))
+        assert got.degree() <= r, q
+        ranks.add((q.rows, r))
+    assert {(5, r) for r in range(6)} <= ranks
 
 
 def test_centralizer_power_mismatch():

@@ -1,3 +1,6 @@
+import random
+import time
+
 import pytest
 
 from nilpath.errors import InputFormatError, InvalidMoveError, SizeCapExceededError
@@ -48,6 +51,32 @@ def test_profile_power_matches_cellwise_expansion():
                 for _ in range(c):
                     total = total + cell
             assert profile_power(m, p) == total
+
+
+def window_sum_power(m, p):
+    """profile_power by its defining window sum: entry a >= 1 is
+    sum_(|j| < p) (p - |j|) m_(p*a + j), one O(p) sum per entry."""
+    counts = {}
+    for a in range(1, m.max_index() // p + 2):
+        total = sum((p - abs(j)) * m.get(p * a + j) for j in range(-p + 1, p) if p * a + j >= 1)
+        if total:
+            counts[a] = total
+    return Profile(counts)
+
+
+def test_profile_power_matches_window_sum():
+    rng = random.Random(17)
+    for p in range(1, 8):
+        for _ in range(300):
+            m = Profile({rng.randint(1, 30): rng.randint(0, 4) for _ in range(rng.randint(0, 6))})
+            assert profile_power(m, p) == window_sum_power(m, p), (m, p)
+
+
+def test_profile_power_cost_does_not_grow_with_p():
+    start = time.perf_counter()
+    for m in profiles_of_size(3):
+        assert profile_power(m, 10**12) == Profile({1: 3})
+    assert time.perf_counter() - start < 1.0
 
 
 def test_power_map_is_additive_and_size_preserving():
