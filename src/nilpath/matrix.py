@@ -41,7 +41,7 @@ import json
 from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm, prod
-from operator import add, mul
+from operator import add, mul, sub
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import InputFormatError, SingularMatrixError
@@ -138,28 +138,23 @@ class Matrix:
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        _check_same_shape(self, other)
-        return Matrix(
-            self.rows,
-            self.cols,
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self._entries(), other._entries())],
-        )
+        return _combine(self, other, add)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        _check_same_shape(self, other)
-        return Matrix(
-            self.rows,
-            self.cols,
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self._entries(), other._entries())],
-        )
+        return _combine(self, other, sub)
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.rows, self.cols, [[-a for a in r] for r in self._entries()])
+        return self.scale(-1)
 
     def scale(self, c: Scalar) -> "Matrix":
+        """c times the matrix: with c = w/e, row i becomes ``w row_i / (e d_i)``."""
         if not isinstance(c, Scalar):
             c = Scalar(c)
-        return Matrix(self.rows, self.cols, [[a * c for a in r] for r in self._entries()])
+        f = _ints(self)
+        gaussian = f.gaussian or not c.is_real()
+        ((w,),), (e,) = _int_rows([[c]], gaussian)
+        rows = [[x * w for x in row] for row in _typed(f, gaussian)]
+        return _made(self.rows, self.cols, _canonical(rows, [d * e for d in f.dens], gaussian))
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
@@ -174,9 +169,19 @@ class Matrix:
         return _made(self.cols, self.rows, _canonical(columns, [den] * self.cols, form.gaussian))
 
 
-def _check_same_shape(a: Matrix, b: Matrix) -> None:
+def _combine(a: Matrix, b: Matrix, op) -> Matrix:
+    """``a op b`` entrywise for op = add or sub, row by row over the lcm of
+    the two rows' denominators."""
     if a.rows != b.rows or a.cols != b.cols:
         raise ValueError(f"shape mismatch: {a.rows}x{a.cols} vs {b.rows}x{b.cols}")
+    fa, fb = _ints(a), _ints(b)
+    gaussian = fa.gaussian or fb.gaussian
+    rows, dens = [], []
+    for ra, da, rb, db in zip(_typed(fa, gaussian), fa.dens, _typed(fb, gaussian), fb.dens):
+        d = lcm(da, db)
+        rows.append(list(map(op, _times(ra, d // da, gaussian), _times(rb, d // db, gaussian))))
+        dens.append(d)
+    return _made(a.rows, a.cols, _canonical(rows, dens, gaussian))
 
 
 def _transposed(rows: Sequence[Sequence], cols: int) -> list[list]:
@@ -585,14 +590,16 @@ class _Reduction:
             basis.append((v, den))
         return basis
 
-    def det(self) -> Scalar:
-        """The signed product of the rational pivots: ±(last pivot) over the
-        denominators of the pivot rows, ZERO once a column failed to pivot."""
-        if not self.sign:
-            return ZERO
+    def det_ints(self) -> tuple:
+        """The signed product of the rational pivots as an integer over a
+        denominator: ±(last pivot) over the denominators of the pivot rows,
+        0 once a column failed to pivot."""
         k = len(self.pivots)
-        d = _scalar(self.rows[k - 1][self.pivots[-1]] if k else 1, prod(self.dens[:k]))
-        return d if self.sign > 0 else -d
+        last = self.rows[k - 1][self.pivots[-1]] if k else _integer(1, self.gaussian)
+        return last * _integer(self.sign, self.gaussian), prod(self.dens[:k])
+
+    def det(self) -> Scalar:
+        return _scalar(*self.det_ints())
 
 
 def _gauss_jordan(data: list[list[Scalar]], pivot_cols: int) -> tuple[list[int], Scalar]:

@@ -380,9 +380,12 @@ def certify_lift_interval(
             "reason": "section invalid at a certification node",
         }
 
-    d1_samples = [(t, Matrix(1, 1, [[d_val]])) for t, (d_val, _) in zip(nodes, values)]
-    d1 = poly_interpolate_entries(d1_samples, node_count - 1)[0][0]
-    ghat = poly_interpolate_entries([(t, g) for t, (_, g) in zip(nodes, values)], node_count - 1)
+    # Interpolate in the node index s, with t = left + span * s / last: the
+    # change of variable is affine, so it keeps degrees and root counts.
+    last = node_count - 1
+    d1_samples = [(s, Matrix(1, 1, [[d_val]])) for s, (d_val, _) in enumerate(values)]
+    d1 = poly_interpolate_entries(d1_samples, last)[0][0]
+    ghat = poly_interpolate_entries([(s, g) for s, (_, g) in enumerate(values)], last)
     det_ghat = poly_matrix_det(ghat)
 
     record = {
@@ -390,14 +393,14 @@ def certify_lift_interval(
         "sectionDetDegree": d1.degree(),
         "conjugatorDetDegree": det_ghat.degree(),
     }
-    if d1.eval(Scalar(left)).is_zero() or d1.eval(Scalar(right)).is_zero():
+    if d1.eval(0).is_zero() or d1.eval(last).is_zero():
         record.update(ok=False, reason="leading-block determinant vanishes at an endpoint")
         return record
-    if det_ghat.eval(Scalar(left)).is_zero() or det_ghat.eval(Scalar(right)).is_zero():
+    if det_ghat.eval(0).is_zero() or det_ghat.eval(last).is_zero():
         record.update(ok=False, reason="conjugator determinant vanishes at an endpoint")
         return record
-    roots_d1 = sturm_root_count(d1, left, right)
-    roots_g = sturm_root_count(det_ghat, left, right)
+    roots_d1 = sturm_root_count(d1, 0, last)
+    roots_g = sturm_root_count(det_ghat, 0, last)
     record["sectionDetRoots"] = roots_d1
     record["conjugatorDetRoots"] = roots_g
     record["ok"] = roots_d1 == 0 and roots_g == 0
@@ -499,14 +502,13 @@ def _blend_determinant(q: Matrix) -> RatPoly:
     gaussian = rc.gaussian
     m_int, d = _over_one(rc, gaussian)
     diagonal = _integer(d, gaussian)
-    nodes = range(r + 1)
     values = []
-    for z in nodes:
+    for z in range(r + 1):
         rows = _scaled(m_int, z, gaussian)
         for i in range(r):
             rows[i][i] = rows[i][i] + diagonal
-        values.append(_Reduction(rows, [d] * r, gaussian, r).det())
-    return _newton_poly([Scalar(z) for z in nodes], values)
+        values.append(_Reduction(rows, [d] * r, gaussian, r).det_ints())
+    return _newton_poly(values)
 
 
 def centralizer_segment(

@@ -1,6 +1,16 @@
 """Exact univariate polynomials and nonvanishing certification.
 
-:class:`RatPoly` stores Gaussian-rational coefficients in ascending order.
+A :class:`RatPoly` is held as the matrix kernels hold a row: its ascending
+coefficients as integers (Gaussian integers, ``_GaussInt``, when one is not
+real) over one positive denominator, trailing zeros trimmed and divided by
+their gcd with the denominator, so that equal polynomials have equal forms.
+Arithmetic, evaluation and affine substitution run in integers.
+Interpolation is one Newton routine on integer divided differences:
+rational nodes are scaled to integers, and at the nodes 0, ..., N the
+differences are the forward differences over N!.  The certificates
+interpolate and take determinants at the nodes 0, ..., N, so their
+polynomial work needs no Fraction arithmetic.
+
 Real-root counting uses Sturm chains computed as primitive integer
 pseudo-remainder sequences (each element rescaled by a positive rational),
 which preserves the sign-variation property while keeping coefficients
@@ -12,139 +22,134 @@ their gcd.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from functools import reduce
+from itertools import zip_longest
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .errors import DuplicateSampleError, ZeroPolynomialError
-from .matrix import Matrix, det
-from .scalar import ONE, ZERO, Scalar
+from .matrix import (
+    Matrix,
+    _canonical,
+    _GaussInt,
+    _int_rows,
+    _integer,
+    _ints,
+    _is_gaussian,
+    _Reduction,
+    _scalar,
+    _typed,
+    _zero,
+)
+from .scalar import Scalar
 
 
 class RatPoly:
-    """Polynomial over the Gaussian rationals, trailing zeros trimmed."""
+    """Polynomial over the Gaussian rationals: coefficient i is
+    ``nums[i] / den``, in canonical form."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den", "gaussian")
 
     def __init__(self, coeffs: Sequence[Scalar] = ()):
         cs = [c if isinstance(c, Scalar) else Scalar(c) for c in coeffs]
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        self.coeffs = tuple(cs)
+        gaussian = _is_gaussian([cs])
+        (nums,), (den,) = _int_rows([cs], gaussian)
+        self._set(nums, den, gaussian)
 
-    @staticmethod
-    def zero() -> "RatPoly":
-        return RatPoly(())
+    def _set(self, nums: list, den: int, gaussian: bool) -> None:
+        while nums and not nums[-1]:
+            nums.pop()
+        form = _canonical([nums], [den], gaussian)
+        self.nums, self.den, self.gaussian = tuple(form.rows[0]), form.dens[0], form.gaussian
 
-    @staticmethod
-    def constant(c) -> "RatPoly":
-        return RatPoly((c,))
-
-    @staticmethod
-    def x() -> "RatPoly":
-        return RatPoly((ZERO, ONE))
+    @property
+    def coeffs(self) -> tuple[Scalar, ...]:
+        return tuple(_scalar(x, self.den) for x in self.nums)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def degree(self) -> int:
         """Degree, with the zero polynomial at -1."""
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     def __eq__(self, other):
         if not isinstance(other, RatPoly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.nums == other.nums and self.den == other.den
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.nums, self.den))
 
     def __repr__(self):
         return f"RatPoly({[str(c) for c in self.coeffs]})"
 
     def __add__(self, other: "RatPoly") -> "RatPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return RatPoly(out)
+        gaussian = self.gaussian or other.gaussian
+        den = lcm(self.den, other.den)
+        a, b = _terms(self, gaussian, den // self.den), _terms(other, gaussian, den // other.den)
+        return _poly([x + y for x, y in zip_longest(a, b, fillvalue=_zero(gaussian))], den, gaussian)
 
     def __sub__(self, other: "RatPoly") -> "RatPoly":
         return self + (-other)
 
     def __neg__(self) -> "RatPoly":
-        return RatPoly([-c for c in self.coeffs])
+        return _poly(_terms(self, self.gaussian, -1), self.den, self.gaussian)
 
-    def __mul__(self, other):
-        if isinstance(other, RatPoly):
-            if self.is_zero() or other.is_zero():
-                return RatPoly(())
-            out = [ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a.is_zero():
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    if not b.is_zero():
-                        out[i + j] = out[i + j] + a * b
-            return RatPoly(out)
-        if isinstance(other, (int, Fraction, Scalar)):
-            s = other if isinstance(other, Scalar) else Scalar(other)
-            return RatPoly([c * s for c in self.coeffs])
-        return NotImplemented
-
-    __rmul__ = __mul__
+    def __mul__(self, other: "RatPoly") -> "RatPoly":
+        if not isinstance(other, RatPoly):
+            return NotImplemented
+        gaussian = self.gaussian or other.gaussian
+        a, b = _terms(self, gaussian), _terms(other, gaussian)
+        out = [_zero(gaussian)] * (len(a) + len(b) - 1) if a and b else []
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] = out[i + j] + x * y
+        return _poly(out, self.den * other.den, gaussian)
 
     def eval(self, x) -> Scalar:
+        """f(x) by Horner's rule in integers: with x = w/e, d = deg f and f's
+        numerators c_i, ``e^d f(x)`` is the sum of ``c_i w^i e^(d - i)`` over
+        f's denominator."""
         if not isinstance(x, Scalar):
             x = Scalar(x)
-        acc = ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        gaussian = self.gaussian or not x.is_real()
+        ((w,),), (e,) = _int_rows([[x]], gaussian)
+        acc, power = _zero(gaussian), 1
+        for c in reversed(_terms(self, gaussian)):
+            acc = acc * w + c * _integer(power, gaussian)
+            power *= e
+        return _scalar(acc, self.den * e ** max(self.degree(), 0))
 
     def compose_affine(self, c0: Scalar, c1: Scalar) -> "RatPoly":
-        """The polynomial s -> f(c0 + c1*s)."""
-        acc = RatPoly(())
-        lin = RatPoly((c0, c1))
-        for c in reversed(self.coeffs):
-            acc = acc * lin + RatPoly((c,))
-        return acc
-
-    def divmod(self, other: "RatPoly") -> tuple["RatPoly", "RatPoly"]:
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return RatPoly(()), RatPoly(rem)
-        quo = [ZERO] * (dq + 1)
-        lead = other.coeffs[-1]
-        for i in range(dq, -1, -1):
-            top = rem[i + len(other.coeffs) - 1]
-            if top.is_zero():
-                continue
-            f = top / lead
-            quo[i] = f
-            for j, b in enumerate(other.coeffs):
-                rem[i + j] = rem[i + j] - f * b
-        return RatPoly(quo), RatPoly(rem)
-
-    def is_real(self) -> bool:
-        return all(c.is_real() for c in self.coeffs)
-
-    def real_imag(self) -> tuple[list[Fraction], list[Fraction]]:
-        """Coefficient lists of the real and imaginary part polynomials."""
-        re = [c.re for c in self.coeffs]
-        im = [c.im for c in self.coeffs]
-        return _trim_fracs(re), _trim_fracs(im)
+        """The polynomial s -> f(c0 + c1*s), by Horner's rule in integers:
+        with c0 = a0/e and c1 = a1/e over one positive e, and f's numerators
+        c_i, ``e^d f(c0 + c1 s)`` is the sum of ``c_i (a0 + a1 s)^i e^(d - i)``
+        over f's denominator."""
+        gaussian = self.gaussian or not (c0.is_real() and c1.is_real())
+        ((a0, a1),), (e,) = _int_rows([[c0, c1]], gaussian)
+        zero = _zero(gaussian)
+        acc, power = [], 1
+        for c in reversed(_terms(self, gaussian)):
+            acc = [x * a0 + y * a1 for x, y in zip(acc + [zero], [zero] + acc)]
+            acc[0] = acc[0] + c * _integer(power, gaussian)
+            power *= e
+        return _poly(acc, self.den * e ** max(self.degree(), 0), gaussian)
 
 
-def _trim_fracs(cs: list[Fraction]) -> list[Fraction]:
-    cs = list(cs)
-    while cs and not cs[-1]:
-        cs.pop()
-    return cs
+def _poly(nums: list, den: int, gaussian: bool) -> RatPoly:
+    """The polynomial with coefficients ``nums[i] / den`` (den nonzero)."""
+    p = RatPoly.__new__(RatPoly)
+    p._set(nums, den, gaussian)
+    return p
+
+
+def _terms(p: RatPoly, gaussian: bool, k: int = 1) -> list:
+    """The numerators of p times the integer k, as Gaussian integers when ``gaussian``."""
+    if gaussian and not p.gaussian:
+        return [_GaussInt(x * k, 0) for x in p.nums]
+    return list(p.nums) if k == 1 else [x * _integer(k, gaussian) for x in p.nums]
 
 
 # -- primitive integer polynomials -------------------------------------------
@@ -158,15 +163,6 @@ def _ip_trim(p: list[int]) -> list[int]:
     while p and p[-1] == 0:
         p.pop()
     return p
-
-
-def _ip_from_fracs(cs: Sequence[Fraction]) -> list[int]:
-    cs = [Fraction(c) for c in cs]
-    denom = 1
-    for c in cs:
-        denom = denom * c.denominator // gcd(denom, c.denominator)
-    out = [int(c * denom) for c in cs]
-    return _ip_trim(out)
 
 
 def _ip_primitive(p: list[int]) -> list[int]:
@@ -184,13 +180,6 @@ def _ip_derivative(p: list[int]) -> list[int]:
     return _ip_trim([i * c for i, c in enumerate(p) if i > 0])
 
 
-def _ip_eval_frac(p: list[int], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
 def _ip_sign_at(p: list[int], x: Fraction) -> int:
     """Sign of p(x) via the integer value sum c_i a^i b^(n-i) for x = a/b."""
     a, b = x.numerator, x.denominator
@@ -206,27 +195,32 @@ def _ip_sign_at(p: list[int], x: Fraction) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def _ip_prem_neg(f: list[int], g: list[int]) -> list[int]:
-    """Negated pseudo-remainder of f by g, scaled by a positive factor.
+def _ip_pseudo_divide(f: list[int], g: list[int]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of ``|lc(g)|^(deg f - deg g + 1) f`` by g.
 
-    Multiplying f by |lc(g)|^(deg f - deg g + 1) makes every elimination
-    step integral, and the positive multiplier keeps signs faithful to the
-    exact remainder sequence.
+    That multiplier makes every elimination step integral, and being
+    positive it keeps signs faithful to the exact remainder sequence.
     """
     df, dg = len(f) - 1, len(g) - 1
     lead = g[-1]
     mult = abs(lead) ** (df - dg + 1)
     rem = [c * mult for c in f]
+    quo = [0] * (df - dg + 1)
     for i in range(df - dg, -1, -1):
         top = rem[i + dg]
         if top == 0:
             continue
         q, r = divmod(top, lead)
         assert r == 0, "pseudo-remainder division must be exact"
+        quo[i] = q
         for j in range(dg + 1):
             rem[i + j] -= q * g[j]
-    rem = _ip_trim(rem[:dg] if dg > 0 else [])
-    return [-c for c in rem]
+    return quo, _ip_trim(rem[:dg] if dg > 0 else [])
+
+
+def _ip_prem_neg(f: list[int], g: list[int]) -> list[int]:
+    """Negated pseudo-remainder of f by g, scaled by a positive factor."""
+    return [-c for c in _ip_pseudo_divide(f, g)[1]]
 
 
 def _ip_gcd(f: list[int], g: list[int]) -> list[int]:
@@ -249,32 +243,24 @@ def _ip_gcd(f: list[int], g: list[int]) -> list[int]:
 
 def _ip_div_exact(f: list[int], g: list[int]) -> list[int]:
     """Quotient f/g when g divides f over the rationals; primitive output."""
-    fq = [Fraction(c) for c in f]
-    out: list[Fraction] = []
-    dg = len(g) - 1
-    lead = Fraction(g[-1])
-    work = list(fq)
-    for i in range(len(f) - len(g), -1, -1):
-        c = work[i + dg] / lead
-        out.append(c)
-        for j in range(dg + 1):
-            work[i + j] -= c * g[j]
-    out.reverse()
-    assert all(not c for c in _trim_fracs(work)), "inexact polynomial division"
-    return _ip_primitive(_ip_from_fracs(out))
+    quo, rem = _ip_pseudo_divide(f, g)
+    assert not rem, "inexact polynomial division"
+    return _ip_primitive(quo)
 
 
 def _ip_deflate_root(f: list[int], root: Fraction) -> list[int]:
-    """Divide out (x - root); assumes f(root) = 0."""
-    out: list[Fraction] = []
-    acc = Fraction(0)
-    for c in reversed(f):
-        acc = acc * root + c
+    """Divide out (b x - a) for root = a/b; assumes f(root) = 0.  The
+    quotient is integral (Gauss's lemma), and found by synthetic division
+    from the top: ``q_(k-1) = (f_k + a q_k) / b``."""
+    a, b = root.numerator, root.denominator
+    out, acc = [], 0
+    for c in reversed(f[1:]):
+        acc, r = divmod(c + a * acc, b)
+        assert r == 0, "deflation at a non-root"
         out.append(acc)
-    assert not out[-1], "deflation at a non-root"
-    out = out[:-1]
+    assert f[0] + a * acc == 0, "deflation at a non-root"
     out.reverse()
-    return _ip_primitive(_ip_from_fracs(out))
+    return _ip_primitive(out)
 
 
 def _sturm_chain(f: list[int]) -> list[list[int]]:
@@ -296,9 +282,9 @@ def _variations(chain: list[list[int]], x: Fraction) -> int:
 
 def _int_roots_in_open_interval(f: list[int], lo: Fraction, hi: Fraction) -> int:
     """Distinct real roots of the integer polynomial in (lo, hi)."""
-    while f and _ip_eval_frac(f, lo) == 0:
+    while f and _ip_sign_at(f, lo) == 0:
         f = _ip_deflate_root(f, lo)
-    while f and _ip_eval_frac(f, hi) == 0:
+    while f and _ip_sign_at(f, hi) == 0:
         f = _ip_deflate_root(f, hi)
     if not f:
         raise ZeroPolynomialError("polynomial vanished entirely under deflation")
@@ -321,41 +307,38 @@ def sturm_root_count(f: RatPoly, lo: Fraction, hi: Fraction) -> int:
     """
     if f.is_zero():
         raise ZeroPolynomialError("root counting on the zero polynomial")
-    if not f.is_real():
+    if f.gaussian:
         raise ValueError("sturm_root_count requires real coefficients")
     lo = Fraction(lo)
     hi = Fraction(hi)
     if not lo < hi:
         raise ValueError("need lo < hi")
-    ip = _ip_from_fracs([c.re for c in f.coeffs])
-    return _int_roots_in_open_interval(ip, lo, hi)
+    return _int_roots_in_open_interval(list(f.nums), lo, hi)
 
 
 def certify_nonvanishing_segment(f: RatPoly, z0: Scalar, z1: Scalar) -> bool:
     """True iff f(z0 + s*(z1 - z0)) != 0 for every s in [0, 1], decided exactly.
 
-    The restriction to the segment splits into real and imaginary real
-    polynomials in s; a common zero exists iff their gcd has a root there.
-    When one part vanishes identically the other is root-counted alone.
+    The restriction g(s) to the segment splits into real and imaginary
+    integer polynomials in s; a common zero exists iff their gcd has a root
+    there.  When one part vanishes identically the other is root-counted
+    alone.
     """
     if f.is_zero():
         raise ZeroPolynomialError("certification of the zero polynomial")
-    if f.eval(z0).is_zero() or f.eval(z1).is_zero():
-        return False
-    if z0 == z1:
-        return True
     g = f.compose_affine(z0, z1 - z0)
-    re, im = g.real_imag()
-    zero = Fraction(0)
-    one = Fraction(1)
+    re = _ip_trim([x.re for x in g.nums]) if g.gaussian else list(g.nums)
+    im = _ip_trim([x.im for x in g.nums]) if g.gaussian else []
+    if not any(re[:1] + im[:1]) or not (sum(re) or sum(im)):  # g(0) = 0 or g(1) = 0
+        return False
     if not im:
-        return _int_roots_in_open_interval(_ip_from_fracs(re), zero, one) == 0
+        return _int_roots_in_open_interval(re, 0, 1) == 0
     if not re:
-        return _int_roots_in_open_interval(_ip_from_fracs(im), zero, one) == 0
-    common = _ip_gcd(_ip_from_fracs(re), _ip_from_fracs(im))
+        return _int_roots_in_open_interval(im, 0, 1) == 0
+    common = _ip_gcd(re, im)
     if len(common) <= 1:
         return True
-    return _int_roots_in_open_interval(common, zero, one) == 0
+    return _int_roots_in_open_interval(common, 0, 1) == 0
 
 
 def poly_interpolate_entries(
@@ -365,6 +348,7 @@ def poly_interpolate_entries(
 
     Every matrix entry is fitted exactly by a polynomial of degree at most
     degree_bound; the sample count must match and parameters be distinct.
+    The values are read off the matrices' integer forms.
     """
     if degree_bound < 0:
         raise ValueError("degree bound must be non-negative")
@@ -380,54 +364,80 @@ def poly_interpolate_entries(
     if any(m.rows != rows or m.cols != cols for m in mats):
         raise ValueError("sample matrices must share dimensions")
 
-    t_scalars = [Scalar(t) for t in ts]
-    grids = [m._entries() for m in mats]
-    out: list[list[RatPoly]] = []
-    for i in range(rows):
-        row = []
-        for j in range(cols):
-            values = [grid[i][j] for grid in grids]
-            row.append(_newton_poly(t_scalars, values))
-        out.append(row)
-    return out
+    forms = [_ints(m) for m in mats]
+    gaussian = any(f.gaussian for f in forms)
+    grids = [_typed(f, gaussian) for f in forms]
+    return [
+        [_newton_poly([(grid[i][j], f.dens[i]) for grid, f in zip(grids, forms)], ts) for j in range(cols)]
+        for i in range(rows)
+    ]
 
 
-def _newton_poly(ts: list[Scalar], values: list[Scalar]) -> RatPoly:
-    n = len(ts)
-    table = list(values)
-    coeffs = [table[0]]
-    for level in range(1, n):
-        for i in range(n - level):
-            table[i] = (table[i + 1] - table[i]) / (ts[i + level] - ts[i])
-        coeffs.append(table[0])
-    poly = RatPoly((coeffs[-1],))
-    for level in range(n - 2, -1, -1):
-        poly = poly * RatPoly((-ts[level], ONE)) + RatPoly((coeffs[level],))
-    return poly
+def _newton_poly(values: Sequence[tuple], nodes: Optional[Sequence[Fraction]] = None) -> RatPoly:
+    """The polynomial through ``values[k]`` at ``nodes[k]`` (distinct; 0, 1,
+    ... by default), each value an integer numerator over a positive
+    denominator, the numerators all ints or all Gaussian integers.
 
-
-def poly_matrix_eval(polys: list[list[RatPoly]], t: Fraction) -> Matrix:
-    """Evaluate a matrix of polynomials at a rational parameter."""
-    x = Scalar(t)
-    return Matrix(
-        len(polys), len(polys[0]) if polys else 0,
-        [[p.eval(x) for p in row] for row in polys],
-    )
+    Everything runs in integers.  With B the common denominator of the
+    nodes, the polynomial is q(B t) for the q through the values at the
+    integer nodes c_k = B t_k.  Level k of q's divided-difference table is
+    kept over the common denominator D_k = D_(k-1) * m_k, with m_k the lcm
+    of the level's node gaps, so an entry is an integer difference times
+    ``m_k / gap``; at the nodes 0, ..., N every gap of level k is k and the
+    table holds the forward differences over k!.  The Newton form is then
+    expanded over D_N by Horner's rule.
+    """
+    gaussian = type(values[0][0]) is _GaussInt
+    den = lcm(*(d for _, d in values))
+    table = [v if d == den else v * _integer(den // d, gaussian) for v, d in values]
+    n = len(table)
+    if nodes is None:
+        scale, cs = 1, list(range(n))
+    else:
+        scale = lcm(*(t.denominator for t in nodes))
+        cs = [t.numerator * (scale // t.denominator) for t in nodes]
+    leading, dens = [table[0]], [1]
+    for k in range(1, n):
+        gaps = [cs[i + k] - cs[i] for i in range(n - k)]
+        m = lcm(*gaps)
+        table = [
+            y - x if gap == m else (y - x) * _integer(m // gap, gaussian)
+            for x, y, gap in zip(table, table[1:], gaps)
+        ]
+        leading.append(table[0])
+        dens.append(dens[-1] * m)
+    acc = [leading[-1]]
+    for k in range(n - 2, -1, -1):
+        b = leading[k] * _integer(dens[-1] // dens[k], gaussian)
+        c = _integer(cs[k], gaussian)
+        acc = [b - c * acc[0]] + [x - c * y for x, y in zip(acc, acc[1:])] + [acc[-1]]
+    if scale != 1:
+        acc = [x * _integer(scale**i, gaussian) for i, x in enumerate(acc)]
+    return _poly(acc, den * dens[-1], gaussian)
 
 
 def poly_matrix_det(polys: list[list[RatPoly]], degree_bound: Optional[int] = None) -> RatPoly:
     """Determinant of a square matrix of polynomials by value interpolation.
 
-    Evaluates at degree_bound + 1 integer-spaced rationals (bound defaults
-    to the sum of row-maximal entry degrees) and interpolates back.
+    Evaluates at the integer nodes 0, ..., degree_bound (the bound defaults
+    to the sum of row-maximal entry degrees) by Horner's rule on each row's
+    numerators over the row's common denominator, takes one integer
+    elimination per node and interpolates back.
     """
     n = len(polys)
     if n == 0:
-        return RatPoly((ONE,))
+        return RatPoly((1,))
     if degree_bound is None:
         degree_bound = sum(
             max((p.degree() for p in row if not p.is_zero()), default=0) for row in polys
         )
-    nodes = [Fraction(i, degree_bound + 1) for i in range(degree_bound + 1)]
-    values = [det(poly_matrix_eval(polys, t)) for t in nodes]
-    return _newton_poly([Scalar(t) for t in nodes], values)
+    gaussian = any(p.gaussian for row in polys for p in row)
+    dens = [lcm(*(p.den for p in row)) for row in polys]
+    terms = [[_terms(p, gaussian, d // p.den)[::-1] for p in row] for row, d in zip(polys, dens)]
+    zero = _zero(gaussian)
+    values = []
+    for z in range(degree_bound + 1):
+        z = _integer(z, gaussian)
+        rows = [[reduce(lambda acc, c: acc * z + c, cs, zero) for cs in row] for row in terms]
+        values.append(_Reduction(rows, dens, gaussian, n).det_ints())
+    return _newton_poly(values)

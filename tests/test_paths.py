@@ -772,7 +772,8 @@ def test_certify_lift_interval_matches_generic_degree_bound(monkeypatch):
         return interpolate(samples, degree_bound)
 
     monkeypatch.setattr(paths_module, "poly_interpolate_entries", counting)
-    for (k, l, p), nodes in (((2, 3, 2), 5), ((1, 3, 3), 2), ((2, 4, 2), 4)):
+    windows = (((2, 3, 2), 5), ((1, 3, 3), 2), ((2, 4, 2), 4), ((0, 2, 2), 2), ((0, 2, 3), 2), ((0, 3, 3), 2))
+    for (k, l, p), nodes in windows:
         lift = lift_family(k, l, p)
 
         def family_power(t):
