@@ -1,38 +1,30 @@
 """Dense exact matrices over the Gaussian rationals.
 
-A matrix holds its entries in one of two forms, or both.  Built from
-:class:`~nilpath.scalar.Scalar` entries, it holds them row-major as lists of
-Scalars.  Made by a kernel, it holds the kernel's integer form (``_Ints``):
-row i is an integer row over its own positive denominator, with Gaussian
-integers (``_GaussInt``) when an entry is not real.  Each row is divided by
-its gcd with its denominator, so the form is canonical: equal matrices have
-equal forms.  The Scalars of a kernel-made matrix are built the first time
-they are read.  The kernels read their operands through ``_ints``, which
-prefers the integer form, so a chain of kernel calls stays in integers.
-``Matrix.data`` hands out the Scalar lists for reading and editing.  The
-matrix then keeps a copy of the rows it handed out, and ``_ints`` uses the
-form only while the lists still equal that copy (one list comparison, by
-identity for entries that were not replaced); after an edit it converts the
-entries again.  Package code reads the Scalars through ``Matrix._entries``
-and never edits them, and builds each matrix's rows before the matrix
-exists; matrices are thus immutable after construction, and all operations
-return new values.
+A matrix stores one thing: its canonical integer form (``_Ints``).  Row i is
+an integer row over its own positive denominator, with Gaussian integers
+(``_GaussInt``) when an entry is not real.  Each row is divided by its gcd
+with its denominator, so equal matrices have equal forms.  A matrix built
+from :class:`~nilpath.scalar.Scalar` entries converts them once, at
+construction, and keeps them as the cache that ``Matrix.data`` reads; a
+matrix made by a kernel builds its Scalars the first time they are read.
+``Matrix.data`` is a tuple of tuples, so the entries are read-only and all
+operations return new values.
 
-The kernels run on integers.  A matrix built from Scalars is converted once
-to integer rows over per-row least common denominators; entries that are the
-shared ZERO cost one identity test, so a conversion costs O(nonzero
-entries).  There is one product loop, which sums integer products over one
-common denominator of the right factor, and one elimination loop,
-fraction-free Gauss-Jordan (Bareiss 1968): each row update is divided
-exactly by the pivot of the row's previous update.  Its pivot choice is that
-of rational Gauss-Jordan, so every result equals the rational one.  A pivot
-row divided by its pivot is a row of the rref, and the signed product of the
-rational pivots is ±(last pivot) over the product of the pivot rows'
-denominators.  rank counts the pivots, det is that product, inverse and
-solve read the reduced augmented block, and rref, kernel_basis and
-pivot_columns read the echelon form.  Callers in the package that build
-their rows in integers hand them to the elimination as they are
-(``_Reduction``).
+The kernels run on the integer form, so a chain of kernel calls stays in
+integers.  The conversion from Scalars works row by row over the least
+common denominator; entries that are the shared ZERO cost one identity
+test, so a conversion costs O(nonzero entries).  There is one product loop,
+which sums integer products over one common denominator of the right
+factor, and one elimination loop, fraction-free Gauss-Jordan (Bareiss
+1968): each row update is divided exactly by the pivot of the row's
+previous update.  Its pivot choice is that of rational Gauss-Jordan, so
+every result equals the rational one.  A pivot row divided by its pivot is
+a row of the rref, and the signed product of the rational pivots is
+±(last pivot) over the product of the pivot rows' denominators.  rank
+counts the pivots, det is that product, inverse and solve read the reduced
+augmented block, and rref, kernel_basis and pivot_columns read the echelon
+form.  Callers in the package that build their rows in integers hand them
+to the elimination as they are (``_Reduction``).
 """
 
 from __future__ import annotations
@@ -49,46 +41,27 @@ from .scalar import _ZERO_F, ZERO, Scalar, _mk, format_scalar, parse_int, parse_
 
 
 class Matrix:
-    __slots__ = ("rows", "cols", "_data", "_form", "_lent")
+    __slots__ = ("rows", "cols", "_data", "_form")
 
     def __init__(self, rows: int, cols: int, data: Sequence[Sequence[Scalar]]):
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be non-negative")
-        data = [list(r) for r in data]
+        data = tuple(map(tuple, data))
         if len(data) != rows or any(len(r) != cols for r in data):
             raise ValueError("entry grid does not match declared dimensions")
         self.rows = rows
         self.cols = cols
         self._data = data
-        self._form = None  # the integer form, once a kernel has converted the entries
-        self._lent = None  # once the entries are handed out: the rows the form agrees with
+        self._form = _ints_of(data)
 
     @property
-    def data(self) -> list[list[Scalar]]:
-        """The entries, row-major, as lists of Scalars that the caller may
-        edit in place; the kernels see the edits."""
-        data = self._entries()
-        if self._lent is None:
-            self._lent = [list(r) for r in data]
-        return data
-
-    @data.setter
-    def data(self, data: list[list[Scalar]]) -> None:
-        self._data = data
-        self._form = None
-        self._lent = [list(r) for r in data]
-
-    def __reduce__(self):
-        """Copies and pickles are rebuilt from the entries, so they share no row lists."""
-        return Matrix, (self.rows, self.cols, self._entries())
-
-    def _entries(self) -> list[list[Scalar]]:
-        """The entries as Scalars, built from the integer form on first
-        read.  The package reads them here and never edits them."""
+    def data(self) -> tuple[tuple[Scalar, ...], ...]:
+        """The entries, row-major, as Scalars; built from the integer form
+        on first read."""
         data = self._data
         if data is None:
             rows, dens, _ = self._form
-            data = self._data = [[_scalar(x, d) for x in row] for row, d in zip(rows, dens)]
+            data = self._data = tuple(tuple(_scalar(x, d) for x in row) for row, d in zip(rows, dens))
         return data
 
     # -- constructors ------------------------------------------------
@@ -114,7 +87,7 @@ class Matrix:
         return Matrix(len(entries), 1, [[e] for e in entries])
 
     def column_entries(self, j: int = 0) -> list[Scalar]:
-        return [row[j] for row in self._entries()]
+        return [row[j] for row in self.data]
 
     # -- basic queries -------------------------------------------------
 
@@ -132,7 +105,7 @@ class Matrix:
         return _ints(self) == _ints(other)  # the forms are canonical
 
     def __repr__(self):
-        body = "; ".join(" ".join(format_scalar(e) for e in row) for row in self._entries())
+        body = "; ".join(" ".join(format_scalar(e) for e in row) for row in self.data)
         return f"Matrix({self.rows}x{self.cols}: [{body}])"
 
     # -- arithmetic ------------------------------------------------------
@@ -285,20 +258,13 @@ class _Ints(NamedTuple):
 def _made(rows: int, cols: int, form: _Ints) -> Matrix:
     """A matrix that holds only its integer form."""
     m = Matrix.__new__(Matrix)
-    m.rows, m.cols, m._data, m._form, m._lent = rows, cols, None, form, None
+    m.rows, m.cols, m._data, m._form = rows, cols, None, form
     return m
 
 
 def _ints(m: Matrix) -> _Ints:
-    """The integer form of m: the one it holds while its entries have not
-    been edited since they were handed out, or else its entries converted
-    and kept."""
-    form, lent = m._form, m._lent
-    if form is None or (lent is not None and m._data != lent):
-        form = m._form = _ints_of(m._data)
-        if lent is not None:
-            m._lent = [list(r) for r in m._data]
-    return form
+    """The integer form of m."""
+    return m._form
 
 
 def _ints_of(data: Sequence[Sequence[Scalar]]) -> _Ints:
@@ -602,20 +568,6 @@ class _Reduction:
         return _scalar(*self.det_ints())
 
 
-def _gauss_jordan(data: list[list[Scalar]], pivot_cols: int) -> tuple[list[int], Scalar]:
-    """Reduce ``data`` in place to reduced row echelon form.
-
-    Pivots are sought in the first ``pivot_cols`` columns only; row
-    operations run across the full width, so columns past ``pivot_cols``
-    carry an augmented block along.  Returns the pivot columns and the
-    signed product of the pivots, negated on each row swap and ZERO once a
-    column fails to pivot: for a square block, its determinant.
-    """
-    red = _Reduction(*_ints_of(data), pivot_cols)
-    data[:] = [[_scalar(x, den) for x in row] for row, den in map(red.row, range(len(data)))]
-    return red.pivots, red.det()
-
-
 def _solve_square(a: Matrix, b: Matrix) -> tuple[Matrix, Scalar]:
     """``(a^-1 b, det a)``, read off ``[a | b]`` row-reduced over the
     columns of a; raises SingularMatrixError unless they all pivot."""
@@ -673,9 +625,8 @@ def solve(a: Matrix, b: Matrix) -> Matrix:
 
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and the list of pivot columns."""
-    data = [list(r) for r in m._entries()]
-    pivots, _ = _gauss_jordan(data, m.cols)
-    return Matrix(m.rows, m.cols, data), pivots
+    red = _Reduction(*_ints(m), m.cols)
+    return _made(m.rows, m.cols, red.form(range(m.rows), range(m.cols))), red.pivots
 
 
 def _primitive(row: list) -> list:
@@ -730,7 +681,7 @@ def kernel_basis(m: Matrix) -> list[Matrix]:
 
 def vec(m: Matrix) -> Matrix:
     """Stack columns into a single column of length rows*cols."""
-    return Matrix.column([e for col in zip(*m._entries()) for e in col])
+    return Matrix.column([e for col in zip(*m.data) for e in col])
 
 
 def unvec(v: Matrix, n: int) -> Matrix:
@@ -748,7 +699,7 @@ def matrix_to_json_obj(m: Matrix) -> dict:
     return {
         "rows": m.rows,
         "cols": m.cols,
-        "entries": [[format_scalar(e) for e in row] for row in m._entries()],
+        "entries": [[format_scalar(e) for e in row] for row in m.data],
     }
 
 

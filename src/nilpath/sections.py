@@ -111,8 +111,8 @@ def section_eval(s: SectionData, v: Matrix) -> Matrix:
     if v.rows != n or v.cols != n:
         raise ValueError("operator dimension mismatch")
     rho = s.rank
-    image = matrix_mul(v, s.anchor)._entries()
-    entries = v._entries()
+    image = matrix_mul(v, s.anchor).data
+    entries = v.data
     try:
         correction, _ = _solve_square(
             Matrix(rho, rho, [[entries[r][k] for k in s.front] for r in s.rows]),
@@ -132,7 +132,7 @@ def ad_operator(b: Matrix, a0: Matrix) -> Matrix:
         raise ValueError("ad operator needs square matrices of equal size")
     n = b.rows
     big = n * n
-    b_data, a0_data = b._entries(), a0._entries()
+    b_data, a0_data = b.data, a0.data
     rows = []
     for c1 in range(n):
         for r1 in range(n):

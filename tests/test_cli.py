@@ -370,6 +370,41 @@ def test_size_cap_env_guard(files, capsys, monkeypatch):
     monkeypatch.delenv("NILPATH_SIZE_CAP")
 
 
+def test_verify_ignores_the_size_cap(files, capsys, monkeypatch, tmp_path):
+    # the certificate of a size-6 path does not depend on NILPATH_SIZE_CAP
+    code, out = run(
+        capsys,
+        ["connect", "--p", "2", "--a", files["A"], "--x", files["X"], "--y", files["Y"], "--samples", "5"],
+    )
+    assert code == 0
+    path_file = tmp_path / "path.json"
+    path_file.write_text(out)
+    code, uncapped = run(capsys, ["verify", str(path_file), "--samples", "6"])
+    assert code == 0
+    monkeypatch.setenv("NILPATH_SIZE_CAP", "4")
+    code, capped = run(capsys, ["verify", str(path_file), "--samples", "6"])
+    assert code == 0
+    assert capped == uncapped
+
+
+def test_verify_non_nilpotent_path_is_a_well_formed_no(capsys, tmp_path):
+    # A = 0 and every sample is I: I^2 != A, and I has no nilpotent profile
+    ident = matrix_to_json_obj(Matrix.identity(4))
+    path_file = tmp_path / "not_a_root_path.json"
+    path_file.write_text(json.dumps({
+        "A": matrix_to_json_obj(Matrix.zeros(4, 4)),
+        "p": 2,
+        "endpoints": {"X": ident, "Y": ident},
+        "segments": [{"kind": "centralizer", "baseRoot": ident, "conjugator": ident, "waypoints": ["0", "1"]}],
+    }))
+    for mode in ("sampled", "certified"):
+        code, out = run(capsys, ["verify", str(path_file), "--samples", "4", "--mode", mode])
+        assert code == 1
+        cert = json.loads(out)
+        assert cert["ok"] is False
+        assert all(s["profile"] is None and s["residualZero"] is False for s in cert["samples"])
+
+
 # -- fuzzing: exit codes 0-3 and no traceback for any argv or small file -----
 
 LEAVES = st.one_of(

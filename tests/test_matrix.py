@@ -1,5 +1,6 @@
 import copy
 import json
+import pickle
 import random
 from fractions import Fraction
 
@@ -9,8 +10,8 @@ from nilpath.errors import InputFormatError, SingularMatrixError
 from nilpath.matrix import (
     Matrix,
     _GaussInt,
-    _gauss_jordan,
     _ints,
+    _Reduction,
     det,
     direct_sum,
     inverse,
@@ -246,23 +247,23 @@ def test_det_and_rank_match_cofactor_reference():
     cases = []
     for _ in range(40):
         n = rng.randint(1, 5)
-        m = _random_gaussian(rng, n, n)
+        rows = [list(row) for row in _random_gaussian(rng, n, n).data]
         kind = rng.randrange(4)
         if kind == 1:  # forced row swap: the first column's leading entries vanish
             for i in range(n - 1):
-                m.data[i][0] = ZERO
+                rows[i][0] = ZERO
         elif kind == 2:  # singular: one row a combination of the others
             i = rng.randrange(n)
             row = [ZERO] * n
             for r in range(n):
                 if r != i:
                     c = Scalar(Fraction(rng.randint(-2, 2)), rng.randint(-1, 1))
-                    row = [a + c * b for a, b in zip(row, m.data[r])]
-            m.data[i] = row
+                    row = [a + c * b for a, b in zip(row, rows[r])]
+            rows[i] = row
         elif kind == 3:  # singular: a zero column
-            for row in m.data:
+            for row in rows:
                 row[rng.randrange(n)] = ZERO
-        cases.append(m)
+        cases.append(Matrix(n, n, rows))
     for _ in range(15):
         cases.append(_random_gaussian(rng, rng.randint(1, 4), rng.randint(1, 5)))
     assert any(not _cofactor_det(m.data).is_zero() for m in cases if m.is_square())
@@ -441,20 +442,20 @@ def _mixed_entry(rng, gaussian):
 
 
 def _mixed_matrix(rng, rows, cols, gaussian):
-    m = Matrix(rows, cols, [[_mixed_entry(rng, gaussian) for _ in range(cols)] for _ in range(rows)])
+    data = [[_mixed_entry(rng, gaussian) for _ in range(cols)] for _ in range(rows)]
     kind = rng.randrange(5)
     if kind == 1 and rows > 1 and cols:  # forced row swaps: leading entries vanish
         for i in range(rows - 1):
-            m.data[i][0] = ZERO
-        m.data[rows - 1][0] = Scalar(Fraction(3, 2), 1 if gaussian else 0)
+            data[i][0] = ZERO
+        data[rows - 1][0] = Scalar(Fraction(3, 2), 1 if gaussian else 0)
     elif kind == 2 and rows > 1:  # singular: one row a combination of two others
         c = Scalar(Fraction(rng.randint(-3, 3), 2), rng.randint(-1, 1) if gaussian else 0)
-        m.data[0] = [x + c * y for x, y in zip(m.data[1], m.data[-1])]
+        data[0] = [x + c * y for x, y in zip(data[1], data[-1])]
     elif kind == 3 and cols:  # a zero column
         j = rng.randrange(cols)
-        for row in m.data:
+        for row in data:
             row[j] = ZERO
-    return m
+    return Matrix(rows, cols, data)
 
 
 def _nilpotent_conjugate(rng, n, gaussian):
@@ -481,22 +482,22 @@ def _reference_cases():
     return rng, cases
 
 
-def test_gauss_jordan_matches_rational_reference():
+def test_reduction_matches_rational_reference():
     rng, cases = _reference_cases()
     widths = set()
     for m in cases:
         # full width, a partial prefix, and an augmented block [m | b]
         b = _mixed_matrix(rng, m.rows, rng.randint(1, 3), rng.random() < 0.5)
-        for data, pivot_cols in (
-            (m.data, m.cols),
-            (m.data, m.cols // 2),
-            ([ra + rb for ra, rb in zip(m.data, b.data)], m.cols),
-        ):
-            got, want = [list(r) for r in data], [list(r) for r in data]
-            pivots, d = _gauss_jordan(got, pivot_cols)
-            assert (pivots, d) == _ref_gauss_jordan(want, pivot_cols), m
-            assert got == want, m
-            widths.add((len(pivots) < min(len(data), pivot_cols), len(data) != pivot_cols))
+        augmented = Matrix(m.rows, m.cols + b.cols, [ra + rb for ra, rb in zip(m.data, b.data)])
+        for a, pivot_cols in ((m, m.cols), (m, m.cols // 2), (augmented, m.cols)):
+            want = [list(r) for r in a.data]
+            pivots, d = _ref_gauss_jordan(want, pivot_cols)
+            red = _Reduction(*_ints(a), pivot_cols)
+            assert (red.pivots, red.det()) == (pivots, d), a
+            assert red.form(range(a.rows), range(a.cols)) == _ints(Matrix(a.rows, a.cols, want)), a
+            if a is m and pivot_cols == m.cols:
+                assert rref(m) == (Matrix(m.rows, m.cols, want), pivots), m
+            widths.add((len(pivots) < min(a.rows, pivot_cols), a.rows != pivot_cols))
     assert widths == {(False, False), (False, True), (True, False), (True, True)}
 
 
@@ -606,30 +607,6 @@ def test_kernel_made_operands_match_scalar_built_copies():
     assert kinds == 15
 
 
-def test_edits_through_data_reach_the_kernels():
-    for im in (0, 1):
-        m = matrix_mul(Matrix.identity(3), Matrix.from_rows([[1, 2, 0], [0, 1, Scalar(0, im)], [0, 0, 1]]))
-        before = _rebuilt(m)
-        assert rank(m) == 3 and det(m) == ONE
-        m_repr = repr(m)  # builds the Scalars next to the integer form
-        copies = [copy.copy(m), copy.deepcopy(m)]
-        rows = m.data
-        rows[2][2] = ZERO
-        rows[0][1] = Scalar(Fraction(1, 3))
-        edited = Matrix(3, 3, [list(row) for row in rows])
-        assert rank(m) == 2 and det(m) == ZERO
-        assert matrix_mul(m, m).data == _ref_matrix_mul(edited, edited).data
-        assert m == edited and edited == m
-        assert m != before and before != m
-        for c in copies:  # a copy shares no rows with m
-            assert c == before and repr(c) == m_repr and det(c) == ONE
-        # the kernels see edits made after a kernel has read the matrix, too
-        m.data[2][2] = ONE
-        assert rank(m) == 3 and det(m) == ONE and m != edited
-        m.data = [[ONE, ZERO, ZERO], [ZERO, ONE, ZERO], [ZERO, ZERO, ZERO]]
-        assert rank(m) == 2 and m == Matrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 0]])
-
-
 def test_gaussian_computation_with_real_result_is_real():
     # gamma = q J q^-1 with q = I + i E_01 in the centralizer of A = J^2 but
     # not of J: gamma is not real, and gamma^2 = q A q^-1 = A is.
@@ -645,13 +622,25 @@ def test_gaussian_computation_with_real_result_is_real():
     assert any(not e.is_real() for row in gamma.data for e in row)
 
 
-def test_reading_data_keeps_the_integer_form_until_an_edit():
-    m = matrix_mul(jordan_cell(3), Matrix.from_rows([[1, 2, 0], [0, 1, 3], [4, 0, 1]]))
-    form = _ints(m)
-    assert m.data == Matrix.from_rows([[0, 1, 3], [4, 0, 1], [0, 0, 0]]).data
-    assert _ints(m) is form  # read but not edited: the kernels read the form they made
-    m.data[0][0] = Scalar(5)
-    assert m.data[0][0] == Scalar(5)  # a second read must not forget the edit
-    assert _ints(m) is not form
-    assert m == Matrix.from_rows([[5, 1, 3], [4, 0, 1], [0, 0, 0]]) and rank(m) == 2
+def test_entries_are_read_only_and_copies_keep_the_form():
+    for im in (0, 1):
+        m = matrix_mul(jordan_cell(3), Matrix.from_rows([[1, 2, 0], [0, 1, Scalar(0, im)], [4, 0, 1]]))
+        unread = [copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))]
+        form = _ints(m)
+        assert m.data == Matrix.from_rows([[0, 1, Scalar(0, im)], [4, 0, 1], [0, 0, 0]]).data
+        assert _ints(m) is form  # reading the entries keeps the form the kernel made
+        with pytest.raises(TypeError):
+            m.data[0][0] = Scalar(5)
+        with pytest.raises(TypeError):
+            m.data[0] = (ONE, ONE, ONE)
+        with pytest.raises(AttributeError):
+            m.data = ((ONE, ZERO, ZERO), (ZERO, ONE, ZERO), (ZERO, ZERO, ONE))
+        assert _ints(m) is form and m.data[0][0] == ZERO and rank(m) == 2
+        built = Matrix(3, 3, m.data)
+        for x, copies in ((m, unread), (built, [copy.copy(built), copy.deepcopy(built)])):
+            copies.append(pickle.loads(pickle.dumps(x)))
+            for c in copies:
+                assert c == x and x == c, (im, c)
+                assert c.data == x.data and repr(c) == repr(x), (im, c)
+                assert rank(c) == 2 and det(c) == ZERO
     assert not m.is_zero() and Matrix.zeros(2, 3).is_zero() and Matrix.zeros(0, 0).is_zero()

@@ -529,6 +529,32 @@ def test_certificate_json_schema():
     assert set(pathobj["endpoints"]) == {"X", "Y"}
 
 
+def _constant_path_obj(a, x):
+    """A path JSON with target a and one centralizer segment that stays at x."""
+    ident = matrix_to_json_obj(Matrix.identity(x.rows))
+    return {
+        "A": matrix_to_json_obj(a),
+        "p": 2,
+        "endpoints": {"X": matrix_to_json_obj(x), "Y": matrix_to_json_obj(x)},
+        "segments": [
+            {"kind": "centralizer", "baseRoot": matrix_to_json_obj(x), "conjugator": ident, "waypoints": ["0", "1"]}
+        ],
+    }
+
+
+def test_verify_rejects_samples_that_are_not_roots():
+    # I is not nilpotent: its samples record no profile; J4 is nilpotent
+    # but J4^2 != 0: its samples record its profile
+    z = Matrix.zeros(4, 4)
+    for x, profile in ((Matrix.identity(4), None), (jordan_cell(4), "4:1")):
+        path = path_from_json_obj(_constant_path_obj(z, x))
+        for mode in ("sampled", "certified"):
+            cert = verify(path, 3, mode=mode)
+            assert not cert.ok
+            samples = cert.to_json_obj()["samples"]
+            assert [(s["residualZero"], s["profile"]) for s in samples] == [(False, profile)] * 4
+
+
 def test_verify_certified_mode():
     z = Matrix.zeros(2, 2)
     path = connect_roots(z, 2, z, jordan_cell(2), mode="certified")

@@ -22,7 +22,7 @@ from nilpath.matrix import (
     vec,
 )
 from nilpath.paths import basic_family, lift_family
-from nilpath.scalar import Scalar
+from nilpath.scalar import ZERO, Scalar
 from nilpath.sections import (
     ConjugationSection,
     ad_operator,
@@ -233,7 +233,7 @@ def test_front_is_rref_pivots_of_operator():
         assert list(front) == rref(u)[1], (k, l, p)
         kernel = [v.column_entries() for v in kernel_basis(u)]
         skip = 1 + len(kernel)
-        greedy = pivot_columns(u.rows, [x0.column_entries()] + kernel + Matrix.identity(u.rows).data)
+        greedy = pivot_columns(u.rows, [x0.column_entries()] + kernel + list(Matrix.identity(u.rows).data))
         assert list(front) == [c - skip for c in greedy if c >= skip], (k, l, p)
         assert conjugation_section(a0).section.front == front
 
@@ -249,8 +249,9 @@ def test_evaluate_returns_leading_block_determinant():
         a0 = _window_base(k, l, p)
         n = a0.rows
         cs = conjugation_section(a0)
-        r = Matrix.identity(n)
-        r.data[0][n - 1] = Scalar(Fraction(1, 3), 1)
+        rows = [list(row) for row in Matrix.identity(n).data]
+        rows[0][n - 1] = Scalar(Fraction(1, 3), 1)
+        r = Matrix(n, n, rows)
         probes = [a0]
         for t in (Fraction(1, 8), Fraction(1, 4)):
             u_p = matrix_pow(basic_family(k, l, t), p)
@@ -273,7 +274,7 @@ def _codomain_inverse_top(sd):
     complement vectors, completed greedily by e_0, e_1, ..."""
     u, rho, big = sd.operator, sd.rank, sd.dimension
     images = [u.column_entries(k) for k in sd.front]
-    standard = Matrix.identity(big).data
+    standard = list(Matrix.identity(big).data)
     chosen = pivot_columns(big, images + standard)
     assert chosen[:rho] == list(range(rho))
     basis = images + [standard[c - rho] for c in chosen[rho:]]
@@ -349,9 +350,9 @@ def _conjugate(r, m):
 def _corner(n, e):
     # e at (n-1, 0): on the unscrambled 3x3 bases below, a B with the base's
     # displacement rank whose leading block is singular
-    m = Matrix.zeros(n, n)
-    m.data[n - 1][0] = e
-    return m
+    rows = [[ZERO] * n for _ in range(n)]
+    rows[n - 1][0] = e
+    return Matrix(n, n, rows)
 
 
 HALF, I_UNIT = Scalar(Fraction(1, 2)), Scalar(0, 1)
