@@ -622,25 +622,50 @@ def test_gaussian_computation_with_real_result_is_real():
     assert any(not e.is_real() for row in gamma.data for e in row)
 
 
-def test_entries_are_read_only_and_copies_keep_the_form():
+def test_edits_through_data_reach_the_kernels():
+    # data is read-only: an edit is a new Matrix built from rows read off it,
+    # and the kernels see the edit there while the original and its copies keep theirs.
     for im in (0, 1):
-        m = matrix_mul(jordan_cell(3), Matrix.from_rows([[1, 2, 0], [0, 1, Scalar(0, im)], [4, 0, 1]]))
+        m = matrix_mul(Matrix.identity(3), Matrix.from_rows([[1, 2, 0], [0, 1, Scalar(0, im)], [0, 0, 1]]))
+        before = _rebuilt(m)
+        assert rank(m) == 3 and det(m) == ONE
         unread = [copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))]
-        form = _ints(m)
-        assert m.data == Matrix.from_rows([[0, 1, Scalar(0, im)], [4, 0, 1], [0, 0, 0]]).data
-        assert _ints(m) is form  # reading the entries keeps the form the kernel made
+        m_repr = repr(m)  # builds the Scalars next to the integer form
+        read = [copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))]
         with pytest.raises(TypeError):
-            m.data[0][0] = Scalar(5)
+            m.data[2][2] = ZERO
         with pytest.raises(TypeError):
-            m.data[0] = (ONE, ONE, ONE)
+            m.data[2] = (ZERO, ZERO, ZERO)
         with pytest.raises(AttributeError):
-            m.data = ((ONE, ZERO, ZERO), (ZERO, ONE, ZERO), (ZERO, ZERO, ONE))
-        assert _ints(m) is form and m.data[0][0] == ZERO and rank(m) == 2
-        built = Matrix(3, 3, m.data)
-        for x, copies in ((m, unread), (built, [copy.copy(built), copy.deepcopy(built)])):
-            copies.append(pickle.loads(pickle.dumps(x)))
-            for c in copies:
-                assert c == x and x == c, (im, c)
-                assert c.data == x.data and repr(c) == repr(x), (im, c)
-                assert rank(c) == 2 and det(c) == ZERO
+            m.data = ((ONE, ZERO, ZERO), (ZERO, ONE, ZERO), (ZERO, ZERO, ZERO))
+        rows = [list(row) for row in m.data]
+        rows[2][2] = ZERO
+        rows[0][1] = Scalar(Fraction(1, 3))
+        edited = Matrix(3, 3, rows)
+        assert rank(edited) == 2 and det(edited) == ZERO
+        assert matrix_mul(edited, edited).data == _ref_matrix_mul(edited, edited).data
+        assert edited != m and m != edited
+        assert m == before and rank(m) == 3 and det(m) == ONE and repr(m) == m_repr
+        for c in unread + read:  # a copy shares nothing with m and keeps its form
+            assert c == before and before == c, (im, c)
+            assert c.data == m.data and repr(c) == m_repr and det(c) == ONE, (im, c)
+        built = Matrix(3, 3, edited.data)
+        for c in (copy.copy(built), copy.deepcopy(built), pickle.loads(pickle.dumps(built))):
+            assert c == edited and edited == c and c.data == edited.data and repr(c) == repr(edited)
+            assert rank(c) == 2 and det(c) == ZERO
+
+
+def test_reading_data_keeps_the_integer_form_until_an_edit():
+    m = matrix_mul(jordan_cell(3), Matrix.from_rows([[1, 2, 0], [0, 1, 3], [4, 0, 1]]))
+    form = _ints(m)
+    assert m.data == Matrix.from_rows([[0, 1, 3], [4, 0, 1], [0, 0, 0]]).data
+    assert _ints(m) is form  # read but not edited: the kernels read the form they made
+    with pytest.raises(TypeError):
+        m.data[0][0] = Scalar(5)
+    assert m.data[0][0] == ZERO and _ints(m) is form  # a refused edit leaves entries and form
+    rows = [list(row) for row in m.data]
+    rows[0][0] = Scalar(5)
+    edited = Matrix(3, 3, rows)
+    assert _ints(edited) != form and _ints(m) is form
+    assert edited == Matrix.from_rows([[5, 1, 3], [4, 0, 1], [0, 0, 0]]) and rank(edited) == 2
     assert not m.is_zero() and Matrix.zeros(2, 3).is_zero() and Matrix.zeros(0, 0).is_zero()
