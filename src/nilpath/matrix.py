@@ -6,7 +6,8 @@ an integer row over its own positive denominator, with Gaussian integers
 with its denominator, so equal matrices have equal forms.  A matrix built
 from :class:`~nilpath.scalar.Scalar` entries converts them once, at
 construction, and keeps them as the cache that ``Matrix.data`` reads; a
-matrix made by a kernel builds its Scalars the first time they are read.
+matrix made by a kernel, or read from JSON text (parsed straight into
+integers), builds its Scalars the first time they are read.
 ``Matrix.data`` is a tuple of tuples, so the entries are read-only and all
 operations return new values.
 
@@ -37,7 +38,7 @@ from operator import add, mul, sub
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import InputFormatError, SingularMatrixError
-from .scalar import _ZERO_F, ZERO, Scalar, _mk, format_scalar, parse_int, parse_scalar
+from .scalar import _ZERO_F, ZERO, Scalar, _mk, _scalar_parts, format_scalar, parse_int
 
 
 class Matrix:
@@ -353,12 +354,18 @@ def _int_rows(data: Sequence[Sequence[Scalar]], gaussian: bool) -> tuple[list[li
     rows (Gaussian integers when ``gaussian``) and their denominators, as
     in the integer form.  Entries that are the shared ZERO cost one
     identity test."""
-    width = len(data[0]) if data else 0
-    starts = range(0, len(data) * width, width) if width else [0] * len(data)
     re = [_ZERO_RATIO if e is ZERO else e.re.as_integer_ratio() for row in data for e in row]
+    im = gaussian and [_ZERO_RATIO if e is ZERO else e.im.as_integer_ratio() for row in data for e in row]
+    return _ratio_rows(len(data), re, im or None)
+
+
+def _ratio_rows(count: int, re: list[tuple], im: Optional[list[tuple]]) -> tuple[list[list], list[int]]:
+    """``count`` rows over the lcm of their denominators, from row-major (numerator,
+    denominator) pairs of the entries' real and, unless ``im`` is None, imaginary parts."""
+    width = len(re) // count if count else 0
+    starts = range(0, count * width, width) if width else [0] * count
     qs = [q for _, q in re]
-    if gaussian:
-        im = [_ZERO_RATIO if e is ZERO else e.im.as_integer_ratio() for row in data for e in row]
+    if im is not None:
         dens = [lcm(*qs[i : i + width], *[q for _, q in im[i : i + width]]) for i in starts]
         rows = [
             [
@@ -369,7 +376,7 @@ def _int_rows(data: Sequence[Sequence[Scalar]], gaussian: bool) -> tuple[list[li
         ]
     elif max(qs, default=1) == 1:
         nums = [a for a, _ in re]
-        rows, dens = [nums[i : i + width] for i in starts], [1] * len(data)
+        rows, dens = [nums[i : i + width] for i in starts], [1] * count
     else:
         dens = [lcm(*qs[i : i + width]) for i in starts]
         rows = [[a * (d // q) for a, q in re[i : i + width]] for i, d in zip(starts, dens)]
@@ -714,12 +721,16 @@ def matrix_from_json_obj(obj) -> Matrix:
         raise InputFormatError(f"bad matrix JSON: {exc}") from None
     if not isinstance(entries, list) or len(entries) != rows:
         raise InputFormatError("matrix JSON: wrong number of rows")
-    data = []
+    parts = []  # (a, b, c, d) for each entry a/b + c/d i, row-major
     for row in entries:
         if not isinstance(row, list) or len(row) != cols:
             raise InputFormatError("matrix JSON: wrong row length")
-        data.append([parse_scalar(e) for e in row])
-    return Matrix(rows, cols, data)
+        parts.extend(_scalar_parts(e) for e in row)
+    if cols < 0:  # no row shows it when there are none
+        raise InputFormatError("matrix JSON: negative column count")
+    im = [(c, d) for _, _, c, d in parts] if any(c for _, _, c, _ in parts) else None
+    int_rows = _ratio_rows(rows, [(a, b) for a, b, _, _ in parts], im)
+    return _made(rows, cols, _canonical(*int_rows, im is not None))
 
 
 def matrix_to_json(m: Matrix) -> str:

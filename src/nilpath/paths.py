@@ -18,11 +18,13 @@ instead anchors at the deformation endpoint, where the left-anchored chart
 always degenerates, and glues on through an exact centralizer correction.
 A stored adjacency segment is therefore just its move, outer conjugator and
 bystander block; loading rebuilds the lift, and a certified ``verify``
-Sturm-certifies each of its intervals.
+Sturm-certifies each of its intervals.  ``verify`` reads each sample's
+Jordan profile off its segment's small model, not off the sample.
 """
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -443,6 +445,16 @@ class CentralizerSegment:
     def evaluate(self, s: ParamLike) -> Matrix:
         return self._conjugate(self._blend(self._omega(_as_fraction(s))))
 
+    _root_profile = cached_property(lambda self: nilpotent_profile(self.base_root))
+
+    def sample_profile(self, s: Fraction, gamma: Matrix) -> Optional[Profile]:
+        """X's profile, once ``gamma B == B X`` holds exactly for gamma = evaluate(s)
+        and the blend B at s (invertible, as evaluate solved with it); else None."""
+        b = self._blend(self._omega(s))
+        if matrix_mul(gamma, b) != matrix_mul(b, self.base_root):
+            return None
+        return self._root_profile
+
     @property
     def start(self) -> Matrix:
         return self.base_root
@@ -565,6 +577,14 @@ class AdjacencySegment:
         g = self.lift.gamma(t)
         inner = direct_sum([self.bystander, g])
         return matrix_mul(self.outer, matrix_mul(inner, self.outer_inv))
+
+    _bystander_profile = cached_property(lambda self: nilpotent_profile(self.bystander))
+
+    def sample_profile(self, s: Fraction, gamma: Matrix) -> Profile:
+        """The profile of ``gamma = evaluate(s)``, a conjugate of the
+        bystander plus q^-1 U_t q: the bystander's plus that of U_t."""
+        t = 1 - s if self.reversed_time else s
+        return self._bystander_profile + nilpotent_profile(self.lift.family_matrix(t))
 
     # Each endpoint is a lift evaluation; the segment reads it once.
     @cached_property
@@ -695,11 +715,15 @@ class RootPath:
         t = _as_fraction(t)
         if t < 0 or t > 1:
             raise ValueError("path parameter must lie in [0, 1]")
+        seg, local = self._locate(t)
+        return seg.evaluate(local)
+
+    def _locate(self, t: Fraction) -> tuple:
+        """The segment that covers t, and t in that segment's parameter."""
         count = len(self.segments)
         scaled = t * count
         idx = min(int(scaled), count - 1)
-        local = scaled - idx
-        return self.segments[idx].evaluate(local)
+        return self.segments[idx], scaled - idx
 
     def to_json_obj(self) -> dict:
         return {
@@ -816,11 +840,11 @@ def _certify_segment(seg, mode: str) -> dict:
 def verify(path: RootPath, sample_count: int, mode: str = "sampled") -> Certificate:
     """Exact residual checks on a uniform grid plus segment certifications.
 
-    Every sampled point must power exactly to the target; each sample
-    records its profile, or None when it is not nilpotent (then it is not a
-    root of the nilpotent target).  An exact power already puts the
-    profile in the preimage set of the target's.  Certified mode
-    additionally requires every segment certification to pass.
+    Every sample must power exactly to the target and have a profile, read
+    off its segment's model (None when it is not nilpotent or fails its
+    segment's conjugation check); where the path is undefined, a sample has
+    a nonzero residual and no profile.  Certified mode additionally
+    requires every segment certification to pass.
     """
     if sample_count < 1:
         raise ValueError("need at least one sample interval")
@@ -832,13 +856,14 @@ def verify(path: RootPath, sample_count: int, mode: str = "sampled") -> Certific
     all_ok = True
     for i in range(sample_count + 1):
         t = Fraction(i, sample_count)
-        m = path.evaluate(t)
-        residual_zero = matrix_pow(m, path.power) == path.target
-        try:
-            prof = nilpotent_profile(m)
-        except NotNilpotentError:
-            prof = None
-        all_ok = all_ok and residual_zero
+        residual_zero, prof = False, None
+        # where the path is undefined, or the model is not nilpotent, the sample fails
+        with suppress(SingularMatrixError, OutsideNeighborhoodError, NotNilpotentError):
+            m = path.evaluate(t)
+            residual_zero = matrix_pow(m, path.power) == path.target
+            seg, s = path._locate(t)
+            prof = seg.sample_profile(s, m)
+        all_ok = all_ok and residual_zero and prof is not None
         samples.append((t, residual_zero, prof))
 
     seg_certs = tuple(_certify_segment(seg, mode) for seg in path.segments)

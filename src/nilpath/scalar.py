@@ -152,12 +152,12 @@ def scalar(re=0, im=0) -> Scalar:
 # Entries are written "a/b" for reals and "a/b+c/d i" / "a/b-c/d i" with a
 # trailing " i" for the imaginary part.  Emission always includes the
 # denominator so output is canonical; parsing also accepts plain integers.
-
-_RAT = r"[+-]?\d+(?:/\d+)?"
+# A match's groups are the integer texts of the parts.
 _SCALAR_RE = _re.compile(
-    rf"^\s*(?P<re>{_RAT})\s*(?:(?P<sign>[+-])\s*(?P<im>\d+(?:/\d+)?)\s*i)?\s*$"
+    r"^\s*(?P<re_num>[+-]?\d+)(?:/(?P<re_den>\d+))?\s*"
+    r"(?:(?P<sign>[+-])\s*(?P<im_num>\d+)(?:/(?P<im_den>\d+))?\s*i)?\s*$"
 )
-_PURE_IM_RE = _re.compile(rf"^\s*(?P<im>{_RAT})\s*i\s*$")
+_PURE_IM_RE = _re.compile(r"^\s*(?P<im_num>[+-]?\d+)(?:/(?P<im_den>\d+))?\s*i\s*$")
 
 
 def format_rational(q: Fraction) -> str:
@@ -178,25 +178,27 @@ def parse_rational(text: str) -> Fraction:
         raise InputFormatError(f"bad rational {text!r}: {exc}") from None
 
 
-def parse_scalar(text: str) -> Scalar:
+def _scalar_parts(text: str) -> tuple[int, int, int, int]:
+    """The integers (a, b, c, d) of a scalar entry ``a/b + c/d i``, with
+    b, d > 0 and not reduced; raises InputFormatError on a bad entry."""
     if not isinstance(text, str):
         raise InputFormatError(f"scalar entry must be a string, not {text!r}")
-    try:
-        m = _SCALAR_RE.match(text)
-        if m:
-            re_part = Fraction(m.group("re"))
-            if m.group("im") is None:
-                return Scalar(re_part)
-            im_part = Fraction(m.group("im"))
-            if m.group("sign") == "-":
-                im_part = -im_part
-            return Scalar(re_part, im_part)
-        m = _PURE_IM_RE.match(text)
-        if m:
-            return Scalar(0, Fraction(m.group("im")))
-    except ZeroDivisionError:
-        raise InputFormatError(f"zero denominator in scalar entry {text!r}") from None
-    raise InputFormatError(f"bad scalar entry {text!r}")
+    m = _SCALAR_RE.match(text)
+    if m:
+        a, b, sign, c, d = m.groups()
+    elif m := _PURE_IM_RE.match(text):
+        a, b, sign, (c, d) = 0, None, None, m.groups()
+    else:
+        raise InputFormatError(f"bad scalar entry {text!r}")
+    b, d = int(b or 1), int(d or 1)
+    if not b or not d:
+        raise InputFormatError(f"zero denominator in scalar entry {text!r}")
+    return int(a), b, int((sign or "") + (c or "0")), d
+
+
+def parse_scalar(text: str) -> Scalar:
+    a, b, c, d = _scalar_parts(text)
+    return Scalar(Fraction(a, b), Fraction(c, d))
 
 
 def parse_int(obj, key: str) -> int:

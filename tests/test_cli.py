@@ -405,6 +405,31 @@ def test_verify_non_nilpotent_path_is_a_well_formed_no(capsys, tmp_path):
         assert all(s["profile"] is None and s["residualZero"] is False for s in cert["samples"])
 
 
+def test_verify_through_a_singular_blend_is_a_well_formed_no(capsys, tmp_path):
+    # X = Y = J2 and Q = -I: the blend (1 - 2z)I is singular at z = 1/2
+    j2 = matrix_to_json_obj(jordan_cell(2))
+    path_file = tmp_path / "singular_blend_path.json"
+    path_file.write_text(json.dumps({
+        "A": matrix_to_json_obj(Matrix.zeros(2, 2)),
+        "p": 2,
+        "endpoints": {"X": j2, "Y": j2},
+        "segments": [{
+            "kind": "centralizer",
+            "baseRoot": j2,
+            "conjugator": matrix_to_json_obj(-Matrix.identity(2)),
+            "waypoints": ["0", "1"],
+        }],
+    }))
+    for samples in ("2", "3", "4"):
+        code, out = run(capsys, ["verify", str(path_file), "--samples", samples])
+        assert code == 1
+        cert = json.loads(out)
+        assert cert["ok"] is False and cert["segmentCertifications"][0]["ok"] is False
+        for s in cert["samples"]:
+            undefined = s["t"] == "1/2"
+            assert (s["residualZero"], s["profile"]) == ((False, None) if undefined else (True, "2:1"))
+
+
 # -- fuzzing: exit codes 0-3 and no traceback for any argv or small file -----
 
 LEAVES = st.one_of(

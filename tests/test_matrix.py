@@ -30,7 +30,7 @@ from nilpath.matrix import (
     unvec,
     vec,
 )
-from nilpath.scalar import ONE, ZERO, Scalar
+from nilpath.scalar import ONE, ZERO, Scalar, format_scalar, parse_scalar
 
 
 def test_jordan_cell_shapes():
@@ -176,6 +176,61 @@ def test_json_rejects_malformed():
     ):
         with pytest.raises(InputFormatError):
             matrix_from_json(bad)
+
+
+def test_json_loader_matches_parse_scalar():
+    rng = random.Random(14)
+    grids = []  # expected Scalar entries and their texts
+    for gaussian in (False, True, True):
+        for rows, cols in ((0, 0), (2, 0), (1, 3), (4, 4), (3, 5)):
+            def entry():
+                re = Fraction(rng.randint(-9, 9), rng.randint(1, 6)) if rng.random() < 0.7 else 0
+                im = Fraction(rng.randint(-9, 9), rng.randint(1, 6)) if gaussian and rng.random() < 0.5 else 0
+                return Scalar(re, im)
+
+            grid = [[entry() for _ in range(cols)] for _ in range(rows)]
+            grids.append((rows, cols, grid, [[format_scalar(e) for e in row] for row in grid]))
+    odd = {
+        "2/4": Scalar(Fraction(1, 2)), "+3": Scalar(3), "-0": ZERO, "0/7": ZERO, "-4/8": Scalar(Fraction(-1, 2)),
+        " 1/2 - 3/4 i ": Scalar(Fraction(1, 2), Fraction(-3, 4)), "5 i": Scalar(0, 5),
+        "-5/3 i": Scalar(0, Fraction(-5, 3)), "3/6+0/5 i": Scalar(Fraction(1, 2)), "1/1-0 i": ONE,
+    }
+    for texts in (list(odd), [t for t in odd if odd[t].is_real()]):
+        n = len(texts)
+        rows = [texts[i:] + texts[:i] for i in range(n)]  # every text in every column
+        grids.append((n, n, [[odd[t] for t in row] for row in rows], rows))
+    for rows, cols, grid, texts in grids:
+        loaded = matrix_from_json(json.dumps({"rows": rows, "cols": cols, "entries": texts}))
+        for ref in (Matrix(rows, cols, grid), Matrix(rows, cols, [[parse_scalar(t) for t in row] for row in texts])):
+            assert loaded == ref
+            assert _ints(loaded) == _ints(ref)
+            assert loaded.data == ref.data
+            assert repr(loaded) == repr(ref)
+
+
+def test_json_loader_error_messages():
+    for entry, message in (
+        (3, "scalar entry must be a string, not 3"),
+        ("1/0", "zero denominator in scalar entry '1/0'"),
+        ("1/2+3/0 i", "zero denominator in scalar entry '1/2+3/0 i'"),
+        ("1.5", "bad scalar entry '1.5'"),
+        ("abc", "bad scalar entry 'abc'"),
+        ("", "bad scalar entry ''"),
+    ):
+        with pytest.raises(InputFormatError) as parsed:
+            parse_scalar(entry)
+        with pytest.raises(InputFormatError) as loaded:
+            matrix_from_json(json.dumps({"rows": 2, "cols": 2, "entries": [["1", "2"], ["3/4", entry]]}))
+        assert str(parsed.value) == str(loaded.value) == message
+    # the rows are read in order: a bad entry before a short row, and after it
+    for entries, message in (
+        ([["abc"], ["1", "2"]], "bad scalar entry 'abc'"),
+        ([["1", "2"], ["abc"]], "matrix JSON: wrong row length"),
+    ):
+        with pytest.raises(InputFormatError, match=message):
+            matrix_from_json(json.dumps({"rows": 2, "cols": 1, "entries": entries}))
+    with pytest.raises(InputFormatError, match="negative column count"):
+        matrix_from_json(json.dumps({"rows": 0, "cols": -1, "entries": []}))
 
 
 def test_empty_matrix_operations():

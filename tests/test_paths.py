@@ -32,6 +32,7 @@ from nilpath.paths import (
     connect_roots,
     lift_family,
     path_from_json_obj,
+    RootPath,
     verify,
 )
 from nilpath.polynomials import RatPoly, poly_interpolate_entries, poly_matrix_det, sturm_root_count
@@ -893,3 +894,160 @@ def test_randomized_end_to_end_battery():
         cert = verify(path, 12)
         assert cert.ok, (root_profile, y_profile, p)
         cases += 1
+
+
+# -- verify reads each sample's profile off its segment -----------------------
+
+# (p, root profile of X, root profile of Y): every entry of the benchmark's
+# connect, certified and verify catalogs.
+CATALOG_PAIRS = (
+    (2, (4, 2), (3, 3)),
+    (2, (6, 4), (5, 5)),
+    (2, (4, 4, 1, 1), (4, 3, 3)),
+    (2, (6, 3, 3), (5, 5, 1, 1)),
+    (2, (7, 5), (7, 5)),
+    (3, (6, 3), (5, 4)),
+    (3, (5, 2, 2), (4, 4, 1)),
+    (3, (6, 2, 2, 2), (4, 4, 4)),
+    (3, (8, 4), (8, 4)),
+    (2, (4, 1, 1), (3, 3)),
+    (3, (3, 3), (2, 2, 1, 1)),
+    (3, (3, 3, 2), (2, 2, 2, 2)),
+    (3, (5, 3, 3), (5, 2, 2, 2)),
+    (3, (6, 3, 1), (5, 4, 1)),
+    (2, (4, 4, 2, 1), (4, 3, 3, 1)),
+)
+
+
+def _model(parts):
+    return direct_sum([jordan_cell(k) for k in parts])
+
+
+def _catalog_path(p, mx, my, seed):
+    """connect_roots on the model pair of one catalog entry, conjugated by
+    a seeded unimodular L U with entries in {-1, 0, 1}."""
+    import random
+
+    rng = random.Random(f"{seed}/{p}/{mx}/{my}")
+    jx, jy = _model(mx), _model(my)
+    y0 = conjugate(jy, similarity_witness(matrix_pow(jy, p), matrix_pow(jx, p)))
+    n = jx.rows
+    lower, upper = (
+        Matrix.from_rows(
+            [[1 if i == j else rng.choice((-1, 0, 1)) if (i > j) == low else 0 for j in range(n)] for i in range(n)]
+        )
+        for low in (True, False)
+    )
+    s = matrix_mul(lower, upper)
+    x, y = conjugate(jx, s), conjugate(y0, s)
+    return connect_roots(matrix_pow(x, p), p, x, y)
+
+
+def _detour_path(p, parts):
+    """A single-segment path between two roots of profile ``parts`` whose
+    closing segment takes the complex detour: y = C x C^-1 for a seeded
+    {-1, 0, 1} combination C of the centralizer of A = x^p, with both roots
+    scrambled by a seeded random_invertible."""
+    import random
+
+    from nilpath.matrix import kernel_basis, random_invertible, unvec
+    from nilpath.sections import ad_operator
+
+    x = _model(parts)
+    n = x.rows
+    a = matrix_pow(x, p)
+    basis = [unvec(v, n) for v in kernel_basis(ad_operator(a, a))]
+    rng = random.Random(5)
+    while True:
+        c = Matrix.zeros(n, n)
+        for k in basis:
+            c = c + k.scale(rng.choice((-1, 0, 1)))
+        if not det(c).is_zero():
+            break
+    s = random_invertible(n, random.Random(5))
+    return connect_roots(conjugate(a, s), p, conjugate(x, s), conjugate(conjugate(x, c), s))
+
+
+DETOUR_CASES = ((2, (7, 5)), (3, (8, 4)))
+
+
+@pytest.fixture(scope="module")
+def detour_paths():
+    return [_detour_path(p, parts) for p, parts in DETOUR_CASES]
+
+
+def _profile_by_ranks(m):
+    """The Jordan profile of a nilpotent m from the ranks of its powers,
+    formed explicitly: an oracle independent of nilpotent_profile."""
+    ranks = [m.rows]
+    while ranks[-1]:
+        ranks.append(rank(matrix_pow(m, len(ranks))))
+    ranks += [0]
+    return Profile({k: ranks[k - 1] - 2 * ranks[k] + ranks[k + 1] for k in range(1, len(ranks) - 1)})
+
+
+def _record_samples(monkeypatch):
+    """A dict that maps each t to the sample RootPath.evaluate computes at t."""
+    samples = {}
+    evaluate = RootPath.evaluate
+    monkeypatch.setattr(RootPath, "evaluate", lambda path, t: samples.setdefault(t, evaluate(path, t)))
+    return samples
+
+
+def test_verify_profiles_match_the_samples(monkeypatch):
+    samples = _record_samples(monkeypatch)
+    directions = set()
+    for seed in (1, 2):
+        for p, mx, my in CATALOG_PAIRS:
+            path = _catalog_path(p, mx, my, seed)
+            directions |= {seg.move.direction for seg in path.segments if seg.kind == "adjacency"}
+            samples.clear()
+            cert = verify(path, 8)
+            assert cert.ok
+            for t, _, prof in cert.samples:
+                assert prof == nilpotent_profile(samples[t]), (seed, p, mx, my, t)
+    assert directions == {"forward", "backward"}
+
+
+def test_verify_complex_detours_stay_fast(monkeypatch, detour_paths):
+    import time
+
+    assert [len(path.segments[-1].waypoints) for path in detour_paths] == [4, 4]
+    samples = _record_samples(monkeypatch)
+    recorded = []
+    start = time.process_time()
+    for path in detour_paths:
+        samples.clear()
+        recorded.append((verify(path, 8), dict(samples)))
+    assert time.process_time() - start < 10
+    # nilpotent_profile takes seconds on these samples' Gaussian entries of
+    # hundreds of bits, so the interior samples go to the rank oracle
+    for (p, parts), (cert, samples) in zip(DETOUR_CASES, recorded):
+        assert cert.ok
+        for t, _, prof in cert.samples:
+            oracle = nilpotent_profile if t in (0, 1) else _profile_by_ranks
+            assert prof == oracle(samples[t]) == Profile.from_partition(parts), (p, t)
+
+
+def test_centralizer_sample_profile_checks_the_conjugation(monkeypatch, detour_paths):
+    s = Fraction(3, 8)
+    for path in (detour_paths[0], _catalog_path(2, (6, 4), (5, 5), 1)):
+        seg = path.segments[-1]
+        gamma = seg.evaluate(s)
+        assert seg.sample_profile(s, gamma) == nilpotent_profile(seg.base_root)
+        rows = [list(row) for row in gamma.data]
+        rows[1][2] = rows[1][2] + 1
+        changed = Matrix(gamma.rows, gamma.cols, rows)
+        assert seg.sample_profile(s, changed) is None
+
+    # through verify, on the catalog path: only the changed sample has no
+    # profile, and the certificate fails
+    count = len(path.segments)
+    at = (count - 1 + s) / count
+    evaluate = paths_module.CentralizerSegment.evaluate
+    monkeypatch.setattr(
+        paths_module.CentralizerSegment, "evaluate", lambda seg, u: changed if u == s else evaluate(seg, u)
+    )
+    cert = verify(path, 8 * count)
+    assert not cert.ok
+    assert [(t, prof is None) for t, _, prof in cert.samples] == [(t, t == at) for t, _, _ in cert.samples]
