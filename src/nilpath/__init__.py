@@ -14,7 +14,6 @@ from .errors import (
     GuardError,
     InputFormatError,
     InvalidMoveError,
-    LiftDepthExceededError,
     MissingCellsError,
     NilpathError,
     NotInKernelError,

@@ -1,7 +1,8 @@
 """Exception hierarchy for the nilpath library.
 
-Guard errors indicate a tripped internal safety limit (recursion depth,
-bisection depth, size caps) rather than a mathematically negative answer.
+Guard errors indicate a tripped internal safety limit (size caps, search
+and iteration budgets, a lift chart that fails) rather than a mathematically
+negative answer.
 """
 
 
@@ -14,7 +15,7 @@ class InputFormatError(NilpathError):
 
 
 class GuardError(NilpathError):
-    """An internal safety guard tripped (depth or size limit)."""
+    """An internal safety guard tripped (a size cap, a budget or a lift chart)."""
 
 
 class NotNilpotentError(NilpathError):
@@ -63,10 +64,6 @@ class OutsideNeighborhoodError(NilpathError):
 
 class WindowViolationError(NilpathError):
     """No admissible window index exists for the requested cell pair."""
-
-
-class LiftDepthExceededError(GuardError):
-    """Adaptive lift bisection exceeded the depth cap."""
 
 
 class MissingCellsError(NilpathError):

@@ -10,16 +10,15 @@ Two segment kinds compose into a root-connecting path:
   (k+1, l-1) through the one-parameter family ``U_t``, conjugating back by
   an exactly-lifted family q(t) so that ``gamma(t)^p`` is constant.
 
-The lift is a deterministic function of its window (k, l, p), realized
-piecewise: marching intervals compose the local cross-section around the
-power matrix with the accumulated conjugator and are bisected adaptively
-whenever the section leaves its validity neighborhood.  The final interval
-instead anchors at the deformation endpoint, where the left-anchored chart
-always degenerates, and glues on through an exact centralizer correction.
-A stored adjacency segment is therefore just its move, outer conjugator and
-bystander block; loading rebuilds the lift, and a certified ``verify``
-Sturm-certifies each of its intervals.  ``verify`` reads each sample's
-Jordan profile off its segment's small model, not off the sample.
+The lift is a deterministic function of its window (k, l, p), realized in
+two charts of the local cross-section around the power matrix: one anchored
+at t = 0 on [0, 1/2], and one anchored at the deformation endpoint, where
+the first always degenerates, on [1/2, 1].  An exact centralizer correction
+glues them at t = 1/2.  A stored adjacency segment is therefore just its
+move, outer conjugator and bystander block; loading rebuilds the lift, and
+a certified ``verify`` Sturm-certifies both of its charts.  ``verify``
+reads each sample's Jordan profile off its segment's small model, not off
+the sample.
 """
 
 from __future__ import annotations
@@ -33,8 +32,8 @@ from typing import Optional, Sequence, Union
 from .errors import (
     DegenerateParameterError,
     DetourSearchExhaustedError,
+    GuardError,
     InputFormatError,
-    LiftDepthExceededError,
     MissingCellsError,
     NotNilpotentError,
     OutsideNeighborhoodError,
@@ -79,8 +78,10 @@ from .profiles import AdjacencyMove, Profile, _window_a, apply_move
 from .scalar import ONE, ZERO, Scalar, format_rational, format_scalar, parse_int, parse_scalar
 from .sections import ConjugationSection, conjugation_section
 
-LIFT_DEPTH_CAP = 32
-INITIAL_LIFT_INTERVALS = 4
+# The number of lift intervals.  Only bench/tracing.py reads it: it counts
+# lift intervals beyond it as bisections, so paths.lift.bisections reads 0.
+INITIAL_LIFT_INTERVALS = 2
+_HALF = Fraction(1, 2)  # where the lift's two charts meet
 DETOUR_BUDGET = 32
 
 ParamLike = Union[Fraction, int]
@@ -155,11 +156,10 @@ class LiftInterval:
     """One lift interval with its anchoring rule.
 
     On [left, right] the lift is ``q(t) = anchor @ g(anchor^-1 U_t^p anchor)
-    @ correction``.  Marching intervals anchor at their left endpoint with
-    the identity correction; the final interval must anchor at t = 1 (the
-    left-anchored chart always degenerates exactly there), and its
-    correction is the centralizer element gluing it continuously onto the
-    previous interval.
+    @ correction``.  The left chart, on [0, 1/2], has the identity for both;
+    the right chart, on [1/2, 1], anchors at t = 1 (the left chart always
+    degenerates exactly there), and its correction is the centralizer
+    element gluing it continuously onto the left chart.
     """
 
     left: Fraction
@@ -171,7 +171,7 @@ class LiftInterval:
 
 @dataclass(frozen=True)
 class LiftCore:
-    """Partitioned lift data: q(t_i) conjugators locking U_t^p onto A0."""
+    """Two-chart lift data: q(t) at t = 0, 1/2, 1 locks U_t^p onto A0."""
 
     k: int
     l: int
@@ -185,34 +185,21 @@ class LiftCore:
     def family_matrix(self, t: ParamLike) -> Matrix:
         return basic_family(self.k, self.l, t)
 
-    def _interval_index(self, t: Fraction) -> int:
-        pts = self.partition
-        lo, hi = 0, len(pts) - 2
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if pts[mid] <= t:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo
+    def family_power(self, t: ParamLike) -> Matrix:
+        return matrix_pow(self.family_matrix(t), self.p)
 
     def q_at(self, t: ParamLike) -> Matrix:
-        """Lift conjugator q(t) by its interval's formula; exact at partition
+        """Lift conjugator q(t) by its chart's formula; exact at partition
         points by construction.  Raises OutsideNeighborhood where the
         formula is invalid, which a certified interval rules out."""
         t = _as_fraction(t)
         if t < 0 or t > 1:
             raise ValueError("lift parameter must lie in [0, 1]")
-        i = self._interval_index(t)
-        if t == self.partition[i]:
-            return self.conjugators[i]
-        if t == self.partition[i + 1]:
-            return self.conjugators[i + 1]
-        iv = self.intervals[i]
-        u_p = matrix_pow(self.family_matrix(t), self.p)
-        g = self.section.conjugator_at(
-            matrix_mul(iv.anchor_inv, matrix_mul(u_p, iv.anchor))
-        )
+        if t in self.partition:
+            return self.conjugators[self.partition.index(t)]
+        iv = self.intervals[t > _HALF]
+        u_p = self.family_power(t)
+        g = self.section.conjugator_at(matrix_mul(iv.anchor_inv, matrix_mul(u_p, iv.anchor)))
         return matrix_mul(matrix_mul(iv.anchor, g), iv.correction)
 
     def gamma(self, t: ParamLike) -> Matrix:
@@ -223,102 +210,42 @@ class LiftCore:
 
 
 def lift_family(k: int, l: int, p: int) -> LiftCore:
-    """Adaptive lift of the two-cell deformation with exact power lock.
+    """Two-chart lift of the two-cell deformation with exact power lock.
 
-    Marching from the left, each candidate interval anchors at its left
-    endpoint and is accepted once the cross-section around A0 evaluates at
-    its midpoint and right end (the left end pulls back to A0 exactly);
-    otherwise it is bisected.  The result depends on (k, l, p) alone, so a
-    stored path rebuilds it; ``certify_lift_interval`` proves the section
-    valid on a whole interval.
-
-    The left-anchored rule provably cannot close the deformation: pulling
-    the family back by the accumulated conjugator rescales it so that t = 1
-    always sits exactly on the section's singular locus.  The final
-    interval therefore anchors at t = 1 instead, through an exact
-    similarity of U_1^p onto A0, and is glued continuously onto the march
-    by a centralizer correction.
+    The left chart, on [0, 1/2], is ``q(t) = g(U_t^p)`` with g the
+    cross-section around A0 = U_0^p.  It degenerates at t = 1, so the right
+    chart, on [1/2, 1], anchors there through an exact similarity
+    ``U_1^p = Q1 A0 Q1^-1``: ``q(t) = Q1 g(Q1^-1 U_t^p Q1) S``, where the
+    centralizer element S glues the charts at t = 1/2.  The result depends
+    on (k, l, p) alone, so a stored path rebuilds it;
+    ``certify_lift_interval`` proves a chart valid on its whole interval.
+    Raises GuardError when either chart fails at the glue point.
     """
     if _window_a(k, l, p) is None:
         raise WindowViolationError(f"no window index a with {p}a <= {k} < {l} <= {p}(a+1)")
-    u0 = basic_family(k, l, 0)
-    a0 = matrix_pow(u0, p)
+    a0, power_half, power_end = (matrix_pow(basic_family(k, l, t), p) for t in (0, _HALF, 1))
     section = conjugation_section(a0)
-    n = k + l
-    end = Fraction(1)
+    identity = Matrix.identity(k + l)
+    q1 = similarity_witness(a0, power_end)
+    q1_inv = inverse(q1)
+    try:
+        q_half = section.conjugator_at(power_half)
+        g_right = section.conjugator_at(matrix_mul(q1_inv, matrix_mul(power_half, q1)))
+    except OutsideNeighborhoodError:
+        raise GuardError(f"lift chart of window ({k}, {l}, {p}) is invalid at t = 1/2") from None
+    # glue: Q1 g_right S = q_half, with S in the centralizer of A0
+    correction = solve(matrix_mul(q1, g_right), q_half)
+    if matrix_mul(correction, a0) != matrix_mul(a0, correction):
+        raise AssertionError("glue correction must centralize the base power")
 
-    def family_power(t: Fraction) -> Matrix:
-        return matrix_pow(basic_family(k, l, t), p)
-
-    right_anchor = None  # lazily built exact similarity U_1^p = Q1 A0 Q1^-1
-
-    def get_right_anchor() -> tuple[Matrix, Matrix]:
-        nonlocal right_anchor
-        if right_anchor is None:
-            q1 = similarity_witness(a0, family_power(end))
-            right_anchor = (q1, inverse(q1))
-        return right_anchor
-
-    identity = Matrix.identity(n)
-    points = [Fraction(0)]
-    qs = [identity]
-    q_left_inv = identity  # inverse of qs[-1] while the march anchors on the left
-    intervals: list[LiftInterval] = []
-    pending = [Fraction(i, INITIAL_LIFT_INTERVALS) for i in range(1, INITIAL_LIFT_INTERVALS + 1)]
-    min_len = Fraction(1, INITIAL_LIFT_INTERVALS) / (2**LIFT_DEPTH_CAP)
-
-    def accept(anchor: Matrix, anchor_inv: Matrix, ts: Sequence[Fraction]) -> Optional[Matrix]:
-        """Section conjugator at the last of ``ts`` if the anchored section
-        is valid at every parameter of ``ts``, else None."""
-        try:
-            for t in ts:
-                b = matrix_mul(anchor_inv, matrix_mul(family_power(t), anchor))
-                g = section.conjugator_at(b)
-        except OutsideNeighborhoodError:
-            return None
-        return g
-
-    while pending:
-        left = points[-1]
-        right = pending[0]
-        q_left = qs[-1]
-        mid = (left + right) / 2
-
-        g_right = accept(q_left, q_left_inv, (mid, right))
-        if g_right is not None:
-            pending.pop(0)
-            q_right = matrix_mul(q_left, g_right)
-            points.append(right)
-            qs.append(q_right)
-            intervals.append(LiftInterval(left, right, q_left, q_left_inv, identity))
-            q_left_inv = inverse(q_right)
-            continue
-
-        if right == end:
-            anchor, anchor_inv = get_right_anchor()
-            g_left = accept(anchor, anchor_inv, (mid, left))
-            if g_left is not None:
-                # glue: correction S with anchor g_left S = q_left, S in C(A0)
-                correction = matrix_mul(
-                    inverse(matrix_mul(anchor, g_left)), q_left
-                )
-                if matrix_mul(correction, a0) != matrix_mul(a0, correction):
-                    raise AssertionError("glue correction must centralize the base power")
-                q_end = matrix_mul(anchor, correction)
-                pending.pop(0)
-                points.append(end)
-                qs.append(q_end)
-                intervals.append(LiftInterval(left, end, anchor, anchor_inv, correction))
-                continue
-
-        if right - left < min_len:
-            raise LiftDepthExceededError("lift interval bisected below depth cap")
-        pending.insert(0, mid)
-
-    core = LiftCore(k, l, p, a0, section, tuple(points), tuple(qs), tuple(intervals))
+    left = LiftInterval(Fraction(0), _HALF, identity, identity, identity)
+    right = LiftInterval(_HALF, Fraction(1), q1, q1_inv, correction)
+    partition = (Fraction(0), _HALF, Fraction(1))
+    conjugators = (identity, q_half, matrix_mul(q1, correction))
+    core = LiftCore(k, l, p, a0, section, partition, conjugators, (left, right))
     # Exact invariant at every (invertible) partition conjugator: U_t^p q = q A0.
-    for t, q in zip(core.partition, core.conjugators):
-        if matrix_mul(family_power(t), q) != matrix_mul(q, a0):
+    for power, q in zip((a0, power_half, power_end), conjugators):
+        if matrix_mul(power, q) != matrix_mul(q, a0):
             raise AssertionError("lift invariant failed at a partition point")
     return core
 
@@ -820,13 +747,9 @@ def _certify_segment(seg, mode: str) -> dict:
             ],
             "ok": True,
         }
-
-    def fam_power(t: Fraction) -> Matrix:
-        return matrix_pow(lift.family_matrix(t), lift.p)
-
     intervals = [
         certify_lift_interval(
-            lift.section, fam_power, lift.p, iv.anchor, iv.anchor_inv, iv.left, iv.right
+            lift.section, lift.family_power, lift.p, iv.anchor, iv.anchor_inv, iv.left, iv.right
         )
         for iv in lift.intervals
     ]
@@ -929,6 +852,11 @@ def path_from_json_obj(obj) -> RootPath:
             raise InputFormatError("path segments must be a list")
         segments = tuple(_segment_from_json_obj(s, power) for s in obj["segments"])
         path = RootPath(target, power, segments)
+        n = path.start.rows
+        if (target.rows, target.cols) != (n, n):
+            raise InputFormatError(
+                f"path target A is {target.rows}x{target.cols}, but the path is {n}x{n}"
+            )
         endpoints = obj["endpoints"]
         if matrix_from_json_obj(endpoints["X"]) != path.start:
             raise InputFormatError("stored endpoint X is not the start of the path")

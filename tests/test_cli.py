@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilpath.cli import main
+from nilpath.errors import OutsideNeighborhoodError
 from nilpath.paths import connect_roots
 from nilpath.jordan import similarity_witness
 from nilpath.matrix import (
@@ -24,6 +25,7 @@ from nilpath.matrix import (
     matrix_to_json_obj,
 )
 from nilpath.scalar import Scalar
+from nilpath.sections import ConjugationSection
 
 
 def fixture_roots():
@@ -230,7 +232,7 @@ def test_connect_output_pinned(files, capsys):
     )
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "a6d6a66d88041ddef67f8a673a7540553f82b3c1426106513215906ba9520d75"
+        "985db0d0051760bab2831a6aee964ff57f1c18947c67dd773f31991202e9673c"
     )
 
 
@@ -244,7 +246,7 @@ def test_connect_certified_output_pinned(files, capsys):
     )
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "2092a9fb9d2640dfefe87fe2842ac54eb479ef9e260781778906123e03e2c019"
+        "fa73b66b8777ecd0050bc71c43c9700faf1f9c13a9a0eb39829e33fe1406b758"
     )
 
 
@@ -327,6 +329,9 @@ MALFORMED_PATHS = {
     "fractional_power": lambda obj: obj.update(p=2.9),
     "float_move_field": lambda obj: obj["segments"][0]["move"].update(l=2.0),
     "boolean_move_field": lambda obj: obj["segments"][0]["move"].update(a=False),
+    # a target A that cannot be the p-th power of the path's 2x2 roots
+    "non_square_target": lambda obj: obj.update(A=matrix_to_json_obj(Matrix.zeros(2, 3))),
+    "target_of_other_size": lambda obj: obj.update(A=matrix_to_json_obj(Matrix.zeros(3, 3))),
 }
 
 
@@ -368,6 +373,20 @@ def test_size_cap_env_guard(files, capsys, monkeypatch):
     code, _ = run(capsys, ["graph", "--p", "2", "--profile", "2:2,1:2"])
     assert code == 3
     monkeypatch.delenv("NILPATH_SIZE_CAP")
+
+
+def test_connect_exits_three_when_a_lift_chart_fails(files, capsys, monkeypatch):
+    # no section conjugator exists, so the (2,4,2) lift fails at its glue point
+    def outside(section, b):
+        raise OutsideNeighborhoodError("chart invalid")
+
+    monkeypatch.setattr(ConjugationSection, "conjugator_at", outside)
+    code = main(["connect", "--p", "2", "--a", files["A"], "--x", files["X"], "--y", files["Y"]])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "guard tripped" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_verify_ignores_the_size_cap(files, capsys, monkeypatch, tmp_path):

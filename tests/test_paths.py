@@ -5,8 +5,10 @@ import pytest
 
 from nilpath.errors import (
     DegenerateParameterError,
+    GuardError,
     InputFormatError,
     MissingCellsError,
+    OutsideNeighborhoodError,
     PowerMismatchError,
     WindowViolationError,
 )
@@ -36,8 +38,9 @@ from nilpath.paths import (
     verify,
 )
 from nilpath.polynomials import RatPoly, poly_interpolate_entries, poly_matrix_det, sturm_root_count
-from nilpath.profiles import AdjacencyMove, Profile, apply_move
+from nilpath.profiles import AdjacencyMove, Profile, _window_a, apply_move
 from nilpath.scalar import Scalar, format_rational
+from nilpath.sections import ConjugationSection
 
 
 def conjugate(m, p):
@@ -825,6 +828,44 @@ def test_certified_lift_on_large_windows():
         a0 = lift.base_power
         for t in (Fraction(1, 3), Fraction(7, 8), Fraction(1)):
             assert matrix_pow(lift.gamma(t), p) == a0, (k, l, p, t)
+
+
+def test_every_adjacency_window_lifts_on_two_certified_charts():
+    # every window of a nontrivial move, (k, l) -> (k+1, l-1) with l - k >= 2
+    windows = [
+        (k, l, p)
+        for p in range(2, 6)
+        for l in range(2, 13)
+        for k in range(0, l - 1)
+        if k + l <= 12 and _window_a(k, l, p) is not None
+    ]
+    assert len(windows) == 30
+    half = Fraction(1, 2)
+    for k, l, p in windows:
+        lift = lift_family(k, l, p)
+        assert [(iv.left, iv.right) for iv in lift.intervals] == [(0, half), (half, 1)], (k, l, p)
+        for record in certify_lift(lift):
+            assert record["ok"], (k, l, p, record)
+            assert record["sectionDetRoots"] == record["conjugatorDetRoots"] == 0, (k, l, p)
+
+
+@pytest.mark.parametrize("chart", ["left", "right"])
+def test_lift_chart_failing_at_the_glue_point_is_a_guard(monkeypatch, chart):
+    # lift_family evaluates the left chart at t = 1/2, then the right one
+    conjugator_at = ConjugationSection.conjugator_at
+    calls = []
+
+    def failing(section, b):
+        calls.append(b)
+        if len(calls) == ("left", "right").index(chart) + 1:
+            raise OutsideNeighborhoodError("chart invalid")
+        return conjugator_at(section, b)
+
+    monkeypatch.setattr(ConjugationSection, "conjugator_at", failing)
+    with pytest.raises(GuardError, match="t = 1/2"):
+        lift_family(2, 4, 2)
+    if chart == "left":
+        assert calls == [matrix_pow(basic_family(2, 4, Fraction(1, 2)), 2)]
 
 
 def test_certify_lift_interval_rejects_non_affine_family():
