@@ -21,7 +21,6 @@ from .matrix import (
     _made,
     _mul_rows,
     _over_one,
-    _primitive,
     _Reduction,
     _times,
     _transposed,
@@ -44,6 +43,10 @@ class JordanDecomposition:
 
     def jordan_form(self) -> Matrix:
         return direct_sum([jordan_cell(k) for k in self.cell_sizes])
+
+    @property
+    def profile(self) -> Profile:
+        return Profile.from_partition(self.cell_sizes)
 
 
 def _power_ranks(m: Matrix) -> list[int]:
@@ -79,6 +82,13 @@ def jordan_basis(m: Matrix) -> JordanDecomposition:
     new seed is any echelon kernel vector of M^j independent of ker(M^(j-1))
     and of the vectors carried down from longer chains.  Cells come out in
     decreasing size; ties keep seed creation order.
+
+    The seed test runs in the quotient by ker(M^(j-1)): each candidate v is
+    replaced by R v, with R the reduced echelon basis of row(M^(j-1)).  The
+    kernel of v -> R v is exactly ker(M^(j-1)), so v is independent of
+    ker(M^(j-1)) and the earlier candidates exactly when R v is independent
+    of their images, and the greedy choice picks the same seeds in
+    rank(M^(j-1)) coordinates instead of n.
     """
     if not m.is_square():
         raise ValueError("Jordan basis of a non-square matrix")
@@ -91,20 +101,24 @@ def jordan_basis(m: Matrix) -> JordanDecomposition:
     zero = _zero(gaussian)
 
     # ker(M^j) from an echelon basis of row(M^j) = row(M^(j-1)) M: the
-    # reduced echelon kernel basis depends only on the row space, so the
-    # basis rows may carry any nonzero factor.  M is nilpotent exactly when
-    # every push lowers the rank until the basis is empty, and the number
-    # of pushes s is its nilpotency index.  Kernel vectors are integer
-    # vectors over a denominator.
+    # reduced echelon kernel basis depends only on the row space.  The rows
+    # pushed are the unique reduced echelon basis over one denominator, so
+    # entries do not compound from push to push.  M is nilpotent exactly
+    # when every push lowers the rank until the basis is empty, and the
+    # number of pushes s is its nilpotency index.  Kernel vectors are
+    # integer vectors over a denominator.
     one = _integer(1, gaussian)
     rows = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    bases = []  # bases[j] spans row(M^j)
     kernels = [[]]
     while rows:
+        bases.append(rows)
         red = _Reduction(_mul_rows(rows, m_int, n, zero), [1] * len(rows), gaussian, n)
-        if len(red.pivots) == len(rows):
+        r = len(red.pivots)
+        if r == len(rows):
             raise NotNilpotentError("matrix is not nilpotent")
         kernels.append(red.kernel(n))
-        rows = [_primitive(row) for row in red.rows[: len(red.pivots)]]
+        rows = _over_one(red.form(range(r), range(n)), gaussian)[0]
     s = len(kernels) - 1
 
     # A chain vector v is pushed through M as the integer row v^T M^T, over
@@ -112,14 +126,14 @@ def jordan_basis(m: Matrix) -> JordanDecomposition:
     mt = _transposed(m_int, n)
     chains: list[list[tuple[list, int]]] = []  # chains[i][k] is M^k applied to seed i
     for j in range(s, 0, -1):
-        # seeds: kernel vectors of M^j independent of ker(M^(j-1)) and of
+        # seeds: kernel vectors of M^j independent, modulo ker(M^(j-1)), of
         # the vectors M^(L-j) seed carried down from chains of length L > j
-        carried = [chain[len(chain) - j] for chain in chains if len(chain) > j]
-        skip = len(kernels[j - 1]) + len(carried)
-        candidates = [_primitive(v) for v, _ in kernels[j - 1] + carried + kernels[j]]
-        for c in _independent(n, candidates, gaussian):
-            if c >= skip:
-                v, den = kernels[j][c - skip]
+        carried = [chain[len(chain) - j][0] for chain in chains if len(chain) > j]
+        basis = bases[j - 1]
+        images = _mul_rows(carried + [v for v, _ in kernels[j]], _transposed(basis, n), len(basis), zero)
+        for c in _independent(len(basis), images, gaussian):
+            if c >= len(carried):
+                v, den = kernels[j][c - len(carried)]
                 chain = [(v, den)]
                 for _ in range(j - 1):
                     (v,) = _mul_rows([v], mt, n, zero)
@@ -143,8 +157,11 @@ def similarity_witness(x: Matrix, y: Matrix) -> Matrix:
     """Invertible Q with ``y = Q x Q^-1``, for similar nilpotent inputs."""
     if x.rows != y.rows or x.cols != y.cols:
         raise NotSimilarError("dimension mismatch")
-    dx = jordan_basis(x)
-    dy = jordan_basis(y)
+    return _witness(jordan_basis(x), jordan_basis(y))
+
+
+def _witness(dx: JordanDecomposition, dy: JordanDecomposition) -> Matrix:
+    """Q with ``y = Q x Q^-1``, from Jordan bases dx of x and dy of y."""
     if dx.cell_sizes != dy.cell_sizes:
         raise NotSimilarError(
             f"profiles differ: {list(dx.cell_sizes)} vs {list(dy.cell_sizes)}"

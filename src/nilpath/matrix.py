@@ -636,12 +636,6 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     return _made(m.rows, m.cols, red.form(range(m.rows), range(m.cols))), red.pivots
 
 
-def _primitive(row: list) -> list:
-    """``row`` divided by the gcd of its integer parts."""
-    g = gcd(*_parts(row))
-    return row if g < 2 else _divided(row, g)
-
-
 def power_ranks(m: Matrix) -> list[int]:
     """Ranks of M^0, M^1, ..., M^s, where s is the first exponent with
     rank(M^s) = rank(M^(s+1)); the sequence is constant from there on.
@@ -649,8 +643,9 @@ def power_ranks(m: Matrix) -> list[int]:
     Since im(M^(k+1)) = M im(M^k), the rows of an echelon basis of im(M^k),
     pushed through M (times M^T on the right) and row-reduced again, give one
     of im(M^(k+1)).  No power of M is formed.  The loop stays in integers:
-    M^T over one common denominator, and the fraction-free pivot rows with
-    their common factor divided out, so entries do not grow with k.
+    M^T over one common denominator, and the rows of the reduced echelon
+    form over one denominator.  That form is unique, so its entries do not
+    compound from push to push as fraction-free pivot rows would.
     """
     if not m.is_square():
         raise ValueError("power ranks of a non-square matrix")
@@ -667,7 +662,8 @@ def power_ranks(m: Matrix) -> list[int]:
         ranks.append(r)
         if r == 0:
             return ranks
-        images = _mul_rows([_primitive(row) for row in red.rows[:r]], mt, n, _zero(form.gaussian))
+        basis = _over_one(red.form(range(r), range(n)), form.gaussian)[0]
+        images = _mul_rows(basis, mt, n, _zero(form.gaussian))
 
 
 def kernel_basis(m: Matrix) -> list[Matrix]:

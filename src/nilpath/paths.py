@@ -42,7 +42,7 @@ from .errors import (
     WindowViolationError,
 )
 from .graph import profile_chain
-from .jordan import jordan_basis, nilpotent_profile, similarity_witness
+from .jordan import JordanDecomposition, _witness, jordan_basis, nilpotent_profile, similarity_witness
 from .matrix import (
     Matrix,
     _canonical,
@@ -444,9 +444,20 @@ def _blend_determinant(q: Matrix) -> RatPoly:
 
 
 def centralizer_segment(
-    a: Matrix, p: int, x: Matrix, y: Matrix, detour_budget: int = DETOUR_BUDGET
+    a: Matrix,
+    p: int,
+    x: Matrix,
+    y: Matrix,
+    detour_budget: int = DETOUR_BUDGET,
+    *,
+    bases: Optional[tuple[JordanDecomposition, JordanDecomposition]] = None,
 ) -> CentralizerSegment:
     """Certified path from x to y through conjugates sharing the power a.
+
+    Q = Py Px^-1 comes from Jordan bases of x and y.  A caller that has
+    already checked ``x^p = y^p = a`` and holds ``jordan_basis`` of both,
+    as ``connect_roots`` does, passes them as ``bases``; otherwise both
+    checks run and both bases are computed here.
 
     The direct segment 0 -> 1 is tried first; if the blend determinant has
     a root on it, three-piece detours through i*eps and 1 + i*eps are
@@ -454,9 +465,11 @@ def centralizer_segment(
     the determinant has finitely many roots and is 1 at z = 0; running out
     of budget therefore signals a fault rather than a negative result.
     """
-    if matrix_pow(x, p) != a or matrix_pow(y, p) != a:
-        raise PowerMismatchError("segment endpoints must both power to the target")
-    q = similarity_witness(x, y)
+    if bases is None:
+        if matrix_pow(x, p) != a or matrix_pow(y, p) != a:
+            raise PowerMismatchError("segment endpoints must both power to the target")
+        bases = jordan_basis(x), jordan_basis(y)
+    q = _witness(*bases)
     if matrix_mul(q, a) != matrix_mul(a, q):
         raise AssertionError("similarity witness must commute with the power")
     d = _blend_determinant(q)
@@ -522,6 +535,10 @@ class AdjacencySegment:
     def end(self) -> Matrix:
         return self.evaluate(Fraction(1))
 
+    # The end's Jordan basis: the segment's own profile check reads it, and
+    # the next segment of a path starts from it.
+    end_basis = cached_property(lambda self: jordan_basis(self.end))
+
     def to_json_obj(self) -> dict:
         """The move and the conjugation into position; the lift is rebuilt
         from the move's window on load."""
@@ -558,19 +575,29 @@ def _reorder_cells_trailing(
     return others, chosen
 
 
-def adjacency_segment(a: Matrix, p: int, n: Matrix, move: AdjacencyMove) -> AdjacencySegment:
+def adjacency_segment(
+    a: Matrix, p: int, n: Matrix, move: AdjacencyMove, *, basis: Optional[JordanDecomposition] = None
+) -> AdjacencySegment:
     """Path from the root n across one adjacency move, power held at a.
 
     A Jordan decomposition of n is reordered so the move's cells sit last;
     the two-cell deformation runs forward for a forward move and in
     reversed time (aligned through an exact similarity of the deformed
     endpoint) for a backward one.
+
+    A caller that has already checked ``n^p = a`` and holds
+    ``jordan_basis(n)``, as ``connect_roots`` does for each segment's end,
+    passes it as ``basis``; otherwise the check runs and the basis is
+    computed here.  Either way the exact checks below cover both: the
+    assertion ``seg.start == n`` proves ``P J P^-1 = n``, and as the lift
+    keeps the power constant, ``seg.end^p = a`` then gives ``n^p = a``.
     """
-    if matrix_pow(n, p) != a:
+    if basis is None and matrix_pow(n, p) != a:
         raise PowerMismatchError("root does not power to the target")
     if move.p != p:
         raise ValueError("move was built for a different power")
-    prof = nilpotent_profile(n)
+    dec = jordan_basis(n) if basis is None else basis
+    prof = dec.profile
     k, l = move.k, move.l
     forward = move.direction == "forward"
     if forward:
@@ -584,7 +611,6 @@ def adjacency_segment(a: Matrix, p: int, n: Matrix, move: AdjacencyMove) -> Adja
         if prof.get(s) < c:
             raise MissingCellsError(f"profile {prof.to_text()!r} lacks {c} cell(s) of size {s}")
 
-    dec = jordan_basis(n)
     others, chosen = _reorder_cells_trailing(dec.cell_sizes, needed)
     order = others + chosen
     # regroup the conjugator's columns cell by cell in the new order
@@ -607,7 +633,7 @@ def adjacency_segment(a: Matrix, p: int, n: Matrix, move: AdjacencyMove) -> Adja
         raise AssertionError("adjacency segment must start exactly at the given root")
     if matrix_pow(seg.end, p) != a:
         raise AssertionError("adjacency segment endpoint lost the power identity")
-    if nilpotent_profile(seg.end) != apply_move(prof, move):
+    if seg.end_basis.profile != apply_move(prof, move):
         raise AssertionError("adjacency segment endpoint has the wrong profile")
     return seg
 
@@ -706,17 +732,17 @@ def connect_roots(a: Matrix, p: int, x: Matrix, y: Matrix, mode: str = "sampled"
         raise PowerMismatchError("y^p differs from the target")
     nilpotent_profile(a)  # raises NotNilpotentError otherwise
 
-    mx = nilpotent_profile(x)
-    my = nilpotent_profile(y)
-    chain = profile_chain(mx, my, p)
+    # One Jordan basis per root: each segment hands its end's basis on.
+    dx, dy = jordan_basis(x), jordan_basis(y)
+    chain = profile_chain(dx.profile, dy.profile, p)
 
     segments = []
-    current = x
+    current, basis = x, dx
     for mv in chain.moves:
-        seg = adjacency_segment(a, p, current, mv)
+        seg = adjacency_segment(a, p, current, mv, basis=basis)
         segments.append(seg)
-        current = seg.end
-    segments.append(centralizer_segment(a, p, current, y))
+        current, basis = seg.end, seg.end_basis
+    segments.append(centralizer_segment(a, p, current, y, bases=(basis, dy)))
     return RootPath(a, p, tuple(segments))
 
 

@@ -52,7 +52,7 @@ from .matrix import (
     power_ranks,
     vec,
 )
-from .scalar import ZERO, Scalar
+from .scalar import Scalar
 
 
 @dataclass(frozen=True)
@@ -126,27 +126,39 @@ def section_eval(s: SectionData, v: Matrix) -> Matrix:
     return Matrix.column(x)
 
 
+def _over_common(b: Matrix, a0: Matrix) -> tuple[list[list], list[list], int, bool]:
+    """B and A0 as integer rows over one denominator, b_den a0_den, that
+    denominator, and whether the rows are Gaussian."""
+    fb, fa = _ints(b), _ints(a0)
+    gaussian = fb.gaussian or fa.gaussian
+    b_int, b_den = _over_one(fb, gaussian)
+    a0_int, a0_den = _over_one(fa, gaussian)
+    return _scaled(b_int, a0_den, gaussian), _scaled(a0_int, b_den, gaussian), b_den * a0_den, gaussian
+
+
 def ad_operator(b: Matrix, a0: Matrix) -> Matrix:
-    """Matrix of ``M -> B@M - M@A0`` on column-stacked n*n matrix space."""
+    """Matrix of ``M -> B@M - M@A0`` on column-stacked n*n matrix space.
+
+    Row ``c*n + r`` is row r of B in the columns of block c, minus
+    ``A0[c2][c]`` in column ``c2*n + r`` for each c2, built as integer
+    rows over one denominator."""
     if not b.is_square() or not a0.is_square() or b.rows != a0.rows:
         raise ValueError("ad operator needs square matrices of equal size")
     n = b.rows
     big = n * n
-    b_data, a0_data = b.data, a0.data
+    b_int, a0_int, den, gaussian = _over_common(b, a0)
+    zero = _zero(gaussian)
     rows = []
     for c1 in range(n):
         for r1 in range(n):
-            row = [ZERO] * big
-            for r2 in range(n):
-                e = b_data[r1][r2]
-                if not e.is_zero():
-                    row[c1 * n + r2] = row[c1 * n + r2] + e
+            row = [zero] * big
+            row[c1 * n : (c1 + 1) * n] = b_int[r1]
             for c2 in range(n):
-                e = a0_data[c2][c1]
-                if not e.is_zero():
+                e = a0_int[c2][c1]
+                if e:
                     row[c2 * n + r1] = row[c2 * n + r1] - e
             rows.append(row)
-    return Matrix(big, big, rows)
+    return _made(big, big, _canonical(rows, [den] * big, gaussian))
 
 
 @dataclass(frozen=True)
@@ -186,13 +198,8 @@ class ConjugationSection:
             raise ValueError("dimension mismatch")
         if self.displacement_rank(b) != rho:
             raise OutsideNeighborhoodError("displacement rank differs from base point")
-        fb, fa = _ints(b), _ints(self.base)
-        gaussian = fb.gaussian or fa.gaussian
+        b_int, a0_int, den, gaussian = _over_common(b, self.base)
         zero = _zero(gaussian)
-        b_int, b_den = _over_one(fb, gaussian)
-        a0_int, a0_den = _over_one(fa, gaussian)
-        # B and A0 over the one denominator b_den a0_den
-        b_int, a0_int = _scaled(b_int, a0_den, gaussian), _scaled(a0_int, b_den, gaussian)
         by_col: list[list] = [[] for _ in range(n)]  # complement vectors E_ij by j
         by_row: list[list] = [[] for _ in range(n)]  # ... and by i
         for k, idx in enumerate(self.section.front):
@@ -208,7 +215,6 @@ class ConjugationSection:
             for k, j in by_row[a]:
                 row[k] = row[k] - a0_int[j][c]
             rows.append(row)
-        den = b_den * a0_den
         red = _Reduction(rows, [den] * rho, gaussian, rho)
         if len(red.pivots) < rho:
             raise OutsideNeighborhoodError("leading block singular at this operator")

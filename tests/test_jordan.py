@@ -200,6 +200,15 @@ def test_jordan_basis_matches_chain_loop():
     for model in models:
         inputs += [conjugate(model, r_gaussian), conjugate(model, r_rational)]
     inputs += [random_nilpotent(rng, n)[0] for n in (5, 7, 9)]
+    # many equal cells: seeds at a level are tested against carried vectors
+    for parts in ((3, 3, 3, 1, 1), (2, 2, 2, 2, 1)):
+        n = sum(parts)
+        lower = Matrix.from_rows(
+            [[1 if i == j else Scalar(rng.randint(-1, 1), rng.randint(-1, 1)) if i > j else 0 for j in range(n)]
+             for i in range(n)]
+        )
+        model = direct_sum([jordan_cell(k) for k in parts])
+        inputs.append(conjugate(model, matrix_mul(lower, random_invertible(n, rng))))
     assert any(e.im for m in inputs for row in m.data for e in row)
     for m in inputs:
         d = jordan_basis(m)

@@ -12,7 +12,7 @@ from nilpath.errors import (
     PowerMismatchError,
     WindowViolationError,
 )
-from nilpath.jordan import nilpotent_profile, similarity_witness
+from nilpath.jordan import jordan_basis, nilpotent_profile, similarity_witness
 from nilpath.matrix import (
     Matrix,
     det,
@@ -1061,8 +1061,8 @@ def test_verify_complex_detours_stay_fast(monkeypatch, detour_paths):
         samples.clear()
         recorded.append((verify(path, 8), dict(samples)))
     assert time.process_time() - start < 10
-    # nilpotent_profile takes seconds on these samples' Gaussian entries of
-    # hundreds of bits, so the interior samples go to the rank oracle
+    # the interior samples, with Gaussian entries of hundreds of bits, are
+    # checked against the rank oracle, which does not use nilpotent_profile
     for (p, parts), (cert, samples) in zip(DETOUR_CASES, recorded):
         assert cert.ok
         for t, _, prof in cert.samples:
@@ -1092,3 +1092,72 @@ def test_centralizer_sample_profile_checks_the_conjugation(monkeypatch, detour_p
     cert = verify(path, 8 * count)
     assert not cert.ok
     assert [(t, prof is None) for t, _, prof in cert.samples] == [(t, t == at) for t, _, _ in cert.samples]
+
+
+# -- one Jordan basis per root ---------------------------------------------------
+
+
+def _record_calls(monkeypatch, name):
+    """A list that collects the argument of every call to ``paths.<name>``."""
+    calls = []
+    original = getattr(paths_module, name)
+    monkeypatch.setattr(paths_module, name, lambda m: calls.append(m) or original(m))
+    return calls
+
+
+def test_connect_takes_one_jordan_basis_per_root(monkeypatch):
+    profiles = _record_calls(monkeypatch, "nilpotent_profile")
+    bases = _record_calls(monkeypatch, "jordan_basis")
+    for p, mx, my in ((2, (6, 3, 3), (5, 5, 1, 1)), (2, (7, 5), (7, 5))):
+        profiles.clear()
+        bases.clear()
+        path = _catalog_path(p, mx, my, 1)
+        moves = [seg.move for seg in path.segments if seg.kind == "adjacency"]
+        assert profiles == [path.target]
+        assert len(bases) == len(moves) + 2
+        if moves:
+            assert {mv.direction for mv in moves} == {"forward", "backward"}
+
+
+def test_large_entry_sample_profiles_stay_fast(detour_paths):
+    import time
+
+    path = detour_paths[DETOUR_CASES.index((3, (8, 4)))]
+    sample = path.evaluate(Fraction(3, 8))
+    oracle = _profile_by_ranks(sample)
+    assert oracle == Profile({8: 1, 4: 1})
+    start = time.process_time()
+    assert nilpotent_profile(sample) == oracle
+    assert time.process_time() - start < 5
+    start = time.process_time()
+    dec = jordan_basis(sample)
+    assert time.process_time() - start < 5
+    assert dec.profile == oracle
+    assert matrix_mul(sample, dec.conjugator) == matrix_mul(dec.conjugator, dec.jordan_form())
+
+
+def test_connect_between_large_entry_samples_stays_fast(detour_paths):
+    import time
+
+    path = detour_paths[DETOUR_CASES.index((3, (8, 4)))]
+    x, y = (path.evaluate(Fraction(k, 8)) for k in (3, 5))
+    start = time.process_time()
+    between = connect_roots(path.target, 3, x, y)
+    assert time.process_time() - start < 15
+    assert (between.start, between.end) == (x, y)
+
+
+def test_connect_on_empty_and_one_by_one_inputs(tmp_path, capsys):
+    from nilpath.cli import main
+
+    for n in (0, 1):
+        z = Matrix.zeros(n, n)
+        path = connect_roots(z, 2, z, z)
+        assert (path.start, path.end) == (z, z)
+        assert verify(path, 4).ok
+        f = tmp_path / f"z{n}.json"
+        f.write_text(json.dumps(matrix_to_json_obj(z)))
+        capsys.readouterr()
+        assert main(["connect", "--p", "2", "--a", str(f), "--x", str(f), "--y", str(f), "--samples", "4"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["certificate"]["ok"] is True

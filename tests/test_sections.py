@@ -115,6 +115,42 @@ def test_ad_operator_matches_definition():
         assert unvec(matrix_mul(op, vec(m)), n) == expected
 
 
+def _ad_operator_by_scalars(b, a0):
+    """ad_operator as a grid of Scalars, entry by entry: the oracle for
+    the integer construction."""
+    n = b.rows
+    big = n * n
+    rows = []
+    for c1 in range(n):
+        for r1 in range(n):
+            row = [ZERO] * big
+            for r2 in range(n):
+                row[c1 * n + r2] = row[c1 * n + r2] + b.data[r1][r2]
+            for c2 in range(n):
+                row[c2 * n + r1] = row[c2 * n + r1] - a0.data[c2][c1]
+            rows.append(row)
+    return Matrix(big, big, rows)
+
+
+def test_ad_operator_matches_scalar_grid():
+    rng = random.Random(41)
+
+    def entry(gaussian):
+        re = Fraction(rng.randint(-3, 3), rng.choice((1, 2, 5)))
+        return Scalar(re, Fraction(rng.randint(-2, 2), rng.choice((1, 3)))) if gaussian else Scalar(re)
+
+    seen_gaussian = False
+    for n in range(5):
+        for gaussian in (False, True):
+            b = Matrix(n, n, [[entry(gaussian) for _ in range(n)] for _ in range(n)])
+            a0 = Matrix(n, n, [[entry(gaussian) for _ in range(n)] for _ in range(n)])
+            assert b != a0 or n == 0
+            seen_gaussian |= any(e.im for row in b.data for e in row)
+            for left, right in ((b, a0), (a0, b), (b, b)):
+                assert ad_operator(left, right) == _ad_operator_by_scalars(left, right), (n, gaussian)
+    assert seen_gaussian
+
+
 def test_conjugation_section_base_point():
     for a0 in (jordan_cell(2), direct_sum([jordan_cell(2), jordan_cell(1)]), Matrix.zeros(2, 2)):
         cs = conjugation_section(a0)
