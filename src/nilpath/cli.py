@@ -14,21 +14,16 @@ import json
 import sys
 
 from .criteria import ZeroSpec, find_root_profile, is_f_solvable
-from .errors import (
-    GuardError,
-    InputFormatError,
-    NilpathError,
-    NotSimilarError,
-    PowerMismatchError,
-)
+from .errors import GuardError, InputFormatError, NilpathError, PowerMismatchError
 from .graph import build_graph, export_dot, profile_chain
 from .jordan import nilpotent_profile, profile_matrix, similarity_witness
 from .matrix import (
     Matrix,
+    inverse,
+    matrix_from_json_obj,
     matrix_mul,
     matrix_pow,
     matrix_to_json_obj,
-    inverse,
 )
 from .paths import connect_roots, path_from_json_obj, verify
 from .profiles import Profile, profile_power, size_cap
@@ -48,8 +43,6 @@ def _read_json_file(path: str):
 def _read_matrix(path: str) -> Matrix:
     """A square matrix from a JSON file; every command that reads one needs
     it square."""
-    from .matrix import matrix_from_json_obj
-
     m = matrix_from_json_obj(_read_json_file(path))
     if not m.is_square():
         raise InputFormatError(f"{path}: matrix must be square, got {m.rows}x{m.cols}")
@@ -78,7 +71,7 @@ def _cmd_root(args) -> int:
             return 1
         root_profile = requested
     else:
-        root_profile = find_root_profile(target, args.p, cap=size_cap())
+        root_profile = find_root_profile(target, args.p)
         if root_profile is None:
             _emit({"hasRoot": False})
             return 1
@@ -251,7 +244,7 @@ def main(argv=None) -> int:
     except GuardError as exc:
         print(f"guard tripped: {exc}", file=sys.stderr)
         return 3
-    except (NotSimilarError, PowerMismatchError, NilpathError) as exc:
+    except NilpathError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

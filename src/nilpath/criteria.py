@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import SizeCapExceededError
-from .profiles import Profile, enumerate_preimages, profile_power, size_cap
+from .profiles import Profile, cell_power_profile, profile_power, size_cap
 
 
 @dataclass(frozen=True)
@@ -47,12 +47,7 @@ class SemigroupWitness:
     def total_profile(self) -> Profile:
         total = Profile({1: self.e1_count} if self.e1_count else {})
         for p, a, r in self.generators:
-            counts = {}
-            if a and p - r:
-                counts[a] = p - r
-            if r:
-                counts[a + 1] = r
-            total = total + Profile(counts)
+            total = total + cell_power_profile(p * a + r, p)
         return total
 
 
@@ -71,20 +66,25 @@ def has_pth_root(m: Profile, p: int) -> bool:
     return True
 
 
-def find_root_profile(m: Profile, p: int, cap: Optional[int] = None) -> Optional[Profile]:
-    """Some profile whose p-th power image is m, or None.
+def find_root_profile(m: Profile, p: int) -> Optional[Profile]:
+    """Some profile whose p-th power image is m, or None when m has no p-th
+    root.
 
-    Greedy pass: repeatedly merge the largest remaining cells into one root
-    cell (p cells of equal size a+1 make a root cell of size p*(a+1);
-    otherwise r < p cells of size a+1 join p - r cells of size a into a
-    root cell of size p*a + r).  The result is verified; on any failure the
-    exhaustive preimage enumeration decides.
+    Greedy pass from the top size down: p cells of the largest remaining
+    size a+1 merge into one root cell of size p*(a+1); otherwise its c < p
+    cells join p - c cells of size a into a root cell of size p*a + c.
+
+    The pass never gets stuck when ``has_pth_root`` holds.  Removing p equal
+    cells leaves every tail sum unchanged mod p.  When c < p cells remain
+    at the top size, the tail sum above a is c mod p, so the remainder
+    criterion at a demands m_a >= p - c, exactly the cells the merge takes;
+    the merge removes p cells in all, so every tail sum below a is again
+    unchanged mod p and the criterion still holds for what remains.
     """
     if not has_pth_root(m, p):
         return None
     parts = []
     remaining = m
-    ok = True
     while not remaining.is_empty():
         a1 = remaining.max_index()
         c = remaining.get(a1)
@@ -92,23 +92,13 @@ def find_root_profile(m: Profile, p: int, cap: Optional[int] = None) -> Optional
             parts.append(p * a1)
             remaining = remaining.plus(a1, -p)
             continue
-        r = c
         a = a1 - 1
-        if a and remaining.get(a) < p - r:
-            ok = False
-            break
-        parts.append(p * a + r)
-        remaining = remaining.plus(a1, -r)
-        if a:
-            remaining = remaining.plus(a, -(p - r))
-    if ok:
-        candidate = Profile.from_partition(parts)
-        if profile_power(candidate, p) == m:
-            return candidate
-    pre = enumerate_preimages(m, p, cap=cap)
-    if not pre:
-        return None
-    return min(pre, key=lambda q: q.partition())
+        parts.append(p * a + c)
+        remaining = remaining.plus(a1, -c).plus(a, -(p - c))
+    root = Profile.from_partition(parts)
+    if profile_power(root, p) != m:
+        raise AssertionError("greedy root profile does not power to the target")
+    return root
 
 
 def _finite_generators(spec: ZeroSpec, m: Profile) -> list[tuple[tuple[int, int, int], Profile]]:
@@ -128,12 +118,7 @@ def _finite_generators(spec: ZeroSpec, m: Profile) -> list[tuple[tuple[int, int,
             for r in range(0, p + 1):
                 if a == 0 and r == 0:
                     continue  # the zero profile generates nothing
-                counts = {}
-                if a and p - r:
-                    counts[a] = p - r
-                if r:
-                    counts[a + 1] = r
-                g = Profile(counts)
+                g = cell_power_profile(p * a + r, p)
                 if g.is_empty() or g.size() > total:
                     continue
                 if any(c > m.get(k) for k, c in g.items()):

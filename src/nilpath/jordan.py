@@ -21,7 +21,7 @@ from .matrix import (
     _made,
     _mul_rows,
     _over_one,
-    _Reduction,
+    _row_pushes,
     _times,
     _transposed,
     _zero,
@@ -49,20 +49,14 @@ class JordanDecomposition:
         return Profile.from_partition(self.cell_sizes)
 
 
-def _power_ranks(m: Matrix) -> list[int]:
-    """Ranks of M^0, M^1, ... down to the first zero power.
+def nilpotent_profile(m: Matrix) -> Profile:
+    """Jordan profile from second differences of the power-rank sequence.
 
     Raises if M is not nilpotent (the ranks settle above zero).
     """
     ranks = power_ranks(m)
     if ranks[-1] > 0:
         raise NotNilpotentError("matrix is not nilpotent")
-    return ranks
-
-
-def nilpotent_profile(m: Matrix) -> Profile:
-    """Jordan profile from second differences of the power-rank sequence."""
-    ranks = _power_ranks(m)
     s = len(ranks) - 1  # nilpotency index
     counts = {}
     for k in range(1, s + 1):
@@ -100,25 +94,17 @@ def jordan_basis(m: Matrix) -> JordanDecomposition:
     m_int, m_den = _over_one(form, gaussian)
     zero = _zero(gaussian)
 
-    # ker(M^j) from an echelon basis of row(M^j) = row(M^(j-1)) M: the
-    # reduced echelon kernel basis depends only on the row space.  The rows
-    # pushed are the unique reduced echelon basis over one denominator, so
-    # entries do not compound from push to push.  M is nilpotent exactly
-    # when every push lowers the rank until the basis is empty, and the
-    # number of pushes s is its nilpotency index.  Kernel vectors are
-    # integer vectors over a denominator.
+    # bases[j] is the reduced echelon basis of row(M^j), and kernels[j] the
+    # echelon kernel basis of M^j, which depends only on that row space.  M
+    # is nilpotent exactly when the pushes end at rank 0, so that ker(M^s)
+    # is everything, and their number s is its nilpotency index.  Kernel
+    # vectors are integer vectors over a denominator.
+    pushes = list(_row_pushes(m_int, gaussian))
     one = _integer(1, gaussian)
-    rows = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    bases = []  # bases[j] spans row(M^j)
-    kernels = [[]]
-    while rows:
-        bases.append(rows)
-        red = _Reduction(_mul_rows(rows, m_int, n, zero), [1] * len(rows), gaussian, n)
-        r = len(red.pivots)
-        if r == len(rows):
-            raise NotNilpotentError("matrix is not nilpotent")
-        kernels.append(red.kernel(n))
-        rows = _over_one(red.form(range(r), range(n)), gaussian)[0]
+    bases = [[[one if i == j else zero for j in range(n)] for i in range(n)]] + [rows for _, rows in pushes]
+    kernels = [[]] + [red.kernel(n) for red, _ in pushes]
+    if len(kernels[-1]) != n:
+        raise NotNilpotentError("matrix is not nilpotent")
     s = len(kernels) - 1
 
     # A chain vector v is pushed through M as the integer row v^T M^T, over

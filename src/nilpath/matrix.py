@@ -636,34 +636,42 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     return _made(m.rows, m.cols, red.form(range(m.rows), range(m.cols))), red.pivots
 
 
+def _row_pushes(m_int: list[list], gaussian: bool):
+    """The push behind :func:`power_ranks` and ``jordan_basis``, for M as n
+    integer rows over one denominator (Gaussian integers when ``gaussian``).
+
+    Yields ``(red, rows)`` for j = 1, 2, ... while the rank falls: ``red``
+    reduces the rows of M, then the previous ``rows`` times M, so its pivot
+    rows span row(M^j) = row(M^(j-1)) M, and ``rows`` is the reduced echelon
+    basis of row(M^j) over one denominator.  That basis is unique, so its
+    entries do not compound from push to push as fraction-free pivot rows
+    would.  No power of M is formed.
+    """
+    n = len(m_int)
+    zero = _zero(gaussian)
+    images = m_int
+    while images:
+        red = _Reduction(images, [1] * len(images), gaussian, n)
+        r = len(red.pivots)
+        if r == len(images):
+            return
+        rows = _over_one(red.form(range(r), range(n)), gaussian)[0]
+        yield red, rows
+        images = _mul_rows(rows, m_int, n, zero)
+
+
 def power_ranks(m: Matrix) -> list[int]:
     """Ranks of M^0, M^1, ..., M^s, where s is the first exponent with
     rank(M^s) = rank(M^(s+1)); the sequence is constant from there on.
 
-    Since im(M^(k+1)) = M im(M^k), the rows of an echelon basis of im(M^k),
-    pushed through M (times M^T on the right) and row-reduced again, give one
-    of im(M^(k+1)).  No power of M is formed.  The loop stays in integers:
-    M^T over one common denominator, and the rows of the reduced echelon
-    form over one denominator.  That form is unique, so its entries do not
-    compound from push to push as fraction-free pivot rows would.
+    rank(M^k) is the dimension of row(M^k), which :func:`_row_pushes`
+    reaches from row(M^(k-1)) without forming M^k.
     """
     if not m.is_square():
         raise ValueError("power ranks of a non-square matrix")
-    n = m.rows
     form = _ints(m)
-    mt = _transposed(_over_one(form, form.gaussian)[0], n)
-    ranks = [n]
-    images = mt  # rows span im(M)
-    while True:
-        red = _Reduction(images, [1] * len(images), form.gaussian, n)
-        r = len(red.pivots)
-        if r == ranks[-1]:
-            return ranks
-        ranks.append(r)
-        if r == 0:
-            return ranks
-        basis = _over_one(red.form(range(r), range(n)), form.gaussian)[0]
-        images = _mul_rows(basis, mt, n, _zero(form.gaussian))
+    pushes = _row_pushes(_over_one(form, form.gaussian)[0], form.gaussian)
+    return [m.rows] + [len(red.pivots) for red, _ in pushes]
 
 
 def kernel_basis(m: Matrix) -> list[Matrix]:

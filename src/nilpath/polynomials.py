@@ -22,7 +22,6 @@ their gcd.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
 from itertools import zip_longest
 from math import gcd, lcm
 from typing import Optional, Sequence
@@ -421,8 +420,9 @@ def poly_matrix_det(polys: list[list[RatPoly]], degree_bound: Optional[int] = No
 
     Evaluates at the integer nodes 0, ..., degree_bound (the bound defaults
     to the sum of row-maximal entry degrees) by Horner's rule on each row's
-    numerators over the row's common denominator, takes one integer
-    elimination per node and interpolates back.
+    coefficient rows, the numerators of each degree over the row's common
+    denominator, takes one integer elimination per node and interpolates
+    back.
     """
     n = len(polys)
     if n == 0:
@@ -433,11 +433,20 @@ def poly_matrix_det(polys: list[list[RatPoly]], degree_bound: Optional[int] = No
         )
     gaussian = any(p.gaussian for row in polys for p in row)
     dens = [lcm(*(p.den for p in row)) for row in polys]
-    terms = [[_terms(p, gaussian, d // p.den)[::-1] for p in row] for row, d in zip(polys, dens)]
     zero = _zero(gaussian)
+    levels = []  # per row, its coefficient rows over the row's denominator, top degree first
+    for row, d in zip(polys, dens):
+        terms = [_terms(p, gaussian, d // p.den) for p in row]
+        top = max(1, *map(len, terms))
+        levels.append([[t[k] if k < len(t) else zero for t in terms] for k in reversed(range(top))])
     values = []
     for z in range(degree_bound + 1):
         z = _integer(z, gaussian)
-        rows = [[reduce(lambda acc, c: acc * z + c, cs, zero) for cs in row] for row in terms]
+        rows = []
+        for row in levels:
+            acc = row[0]
+            for level in row[1:]:
+                acc = [a * z + c for a, c in zip(acc, level)]
+            rows.append(acc)
         values.append(_Reduction(rows, dens, gaussian, n).det_ints())
     return _newton_poly(values)

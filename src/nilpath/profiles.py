@@ -140,7 +140,7 @@ class Profile:
     def __repr__(self):
         return f"Profile({self.to_text()!r})"
 
-    # -- text and JSON -----------------------------------------------------
+    # -- text -------------------------------------------------------------
 
     def to_text(self) -> str:
         """Canonical ``k:count`` pairs, descending; empty profile is ''."""
@@ -164,18 +164,6 @@ class Profile:
                 raise InputFormatError(f"duplicate size {k} in profile text")
             counts[k] = c
         return Profile(counts)
-
-    def to_json_obj(self) -> dict:
-        return {str(k): c for k, c in self.items()}
-
-    @staticmethod
-    def from_json_obj(obj) -> "Profile":
-        if not isinstance(obj, dict):
-            raise InputFormatError("profile JSON must be an object")
-        try:
-            return Profile({int(k): int(c) for k, c in obj.items()})
-        except (ValueError, TypeError) as exc:
-            raise InputFormatError(f"bad profile JSON: {exc}") from None
 
 
 @dataclass(frozen=True)

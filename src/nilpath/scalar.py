@@ -14,7 +14,6 @@ from fractions import Fraction
 from .errors import InputFormatError
 
 _ZERO_F = Fraction(0)
-_ONE_F = Fraction(1)
 
 
 def _mk(re: Fraction, im: Fraction) -> "Scalar":

@@ -315,6 +315,9 @@ MALFORMED_PATHS = {
     "zero_power": lambda obj: obj.update(p=0),
     "segments_not_a_list": lambda obj: obj.update(segments="abc"),
     "single_waypoint": lambda obj: obj["segments"][1].update(waypoints=["0/1"]),
+    # shapes that iterate to the waypoints 0, 1 but are not lists
+    "waypoints_string": lambda obj: obj["segments"][1].update(waypoints="01"),
+    "waypoints_object": lambda obj: obj["segments"][1].update(waypoints={"0": "0/1", "1": "1/1"}),
     "tampered_endpoint_y": lambda obj: obj["endpoints"].update(Y=ZERO_2X2),
     "tampered_endpoint_x": lambda obj: obj["endpoints"].update(X=obj["endpoints"]["Y"]),
     "move_for_other_power": lambda obj: obj["segments"][0]["move"].update(p=3),
@@ -404,6 +407,17 @@ def test_verify_ignores_the_size_cap(files, capsys, monkeypatch, tmp_path):
     code, capped = run(capsys, ["verify", str(path_file), "--samples", "6"])
     assert code == 0
     assert capped == uncapped
+
+
+def test_root_ignores_the_size_cap(files, capsys, monkeypatch):
+    # the greedy root profile of a size-6 target does not read NILPATH_SIZE_CAP
+    code, uncapped = run(capsys, ["root", "--p", "2", files["A"]])
+    assert code == 0
+    for value in ("4", "not-an-integer"):
+        monkeypatch.setenv("NILPATH_SIZE_CAP", value)
+        code, capped = run(capsys, ["root", "--p", "2", files["A"]])
+        assert code == 0
+        assert capped == uncapped
 
 
 def test_verify_non_nilpotent_path_is_a_well_formed_no(capsys, tmp_path):

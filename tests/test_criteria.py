@@ -45,6 +45,14 @@ def test_find_root_profile_is_verified():
                 assert profile_power(root, p) == m
 
 
+def test_greedy_root_profile_answers_every_rooted_profile():
+    # the greedy pass has no fallback: it must find a root whenever one exists
+    for m in all_profiles_up_to(20):
+        for p in range(2, 7):
+            if has_pth_root(m, p):
+                assert profile_power(find_root_profile(m, p), p) == m, (m, p)
+
+
 def test_solvable_witness_example():
     w = is_f_solvable(ZeroSpec((2, 3)), Profile({3: 1, 2: 1, 1: 1}))
     assert w is not None

@@ -189,8 +189,3 @@ def test_text_roundtrip():
         Profile.from_text("4:1,4:2")
     with pytest.raises(InputFormatError):
         Profile.from_text("0:1")
-
-
-def test_json_roundtrip():
-    for m in all_profiles_up_to(5):
-        assert Profile.from_json_obj(m.to_json_obj()) == m
