@@ -190,8 +190,8 @@ def direct_sum(blocks: Iterable[Matrix]) -> Matrix:
 
 def _columns(m: Matrix, order: Sequence[int]) -> Matrix:
     """The matrix whose j-th column is column ``order[j]`` of m."""
-    f = _ints(m)
-    return _made(m.rows, len(order), _Ints([[row[c] for c in order] for row in f.rows], f.dens, f.gaussian))
+    rows, dens, gaussian = _ints(m)
+    return _made(m.rows, len(order), _canonical([[row[c] for c in order] for row in rows], dens, gaussian))
 
 
 # -- integer kernels ---------------------------------------------------------

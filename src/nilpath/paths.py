@@ -4,8 +4,9 @@ Two segment kinds compose into a root-connecting path:
 
 * centralizer segments conjugate a root by ``(1-z)I + zQ`` along a complex
   detour on which the determinant is certified nonvanishing, keeping the
-  p-th power literally fixed; that determinant has degree at most
-  r = rank(Q - I) and is taken from r x r determinants;
+  p-th power literally fixed; through one factor of Q - I, of rank r, that
+  determinant is taken from r x r determinants, and a sample costs one
+  r x r solve, so a sample where the blend is singular raises;
 * adjacency segments deform a trailing pair of Jordan cells (k, l) toward
   (k+1, l-1) through the one-parameter family ``U_t``, conjugating back by
   an exactly-lifted family q(t) so that ``gamma(t)^p`` is constant.
@@ -24,9 +25,10 @@ the sample.
 from __future__ import annotations
 
 from contextlib import suppress
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from typing import Optional, Sequence, Union
 
 from .errors import (
@@ -47,13 +49,10 @@ from .matrix import (
     Matrix,
     _canonical,
     _columns,
-    _int_rows,
     _integer,
     _ints,
     _made,
-    _product,
     _Reduction,
-    _typed,
     direct_sum,
     inverse,
     jordan_cell,
@@ -66,7 +65,7 @@ from .matrix import (
 )
 from .polynomials import (
     RatPoly,
-    _poly,
+    _levels_det,
     certify_nonvanishing_segment,
     poly_interpolate_entries,
     poly_matrix_det,
@@ -330,53 +329,94 @@ def certify_lift_interval(
 # -- centralizer segments -----------------------------------------------------
 
 
+class BlendFactor:
+    """N = Q - I = CR for the blend B(z) = (1-z)I + zQ = I + zCR of a square
+    Q: C is the pivot columns of N and R the nonzero rows of rref(N), so
+    r = rank N.  With M(z) = I_r + zRC, ``det B(z) = det M(z)`` by
+    Sylvester's identity and ``B(z)^-1 = I - zC M(z)^-1 R`` by Woodbury's."""
+
+    def __init__(self, q: Matrix):
+        n = q.rows
+        shifted = q - Matrix.identity(n)
+        red = _Reduction(*_ints(shifted), n)
+        r = len(red.pivots)
+        self.c, self.r = _columns(shifted, red.pivots), _made(r, n, red.form(range(r), range(n)))
+        self.rc = matrix_mul(self.r, self.c)
+
+    @cached_property
+    def determinant(self) -> RatPoly:
+        """det M(z), of degree at most r: with row i of RC equal to x_i/d_i,
+        row i of d_i M(z) has the integer coefficient rows x_i and d_i e_i."""
+        rows, dens, gaussian = _ints(self.rc)
+        levels = [
+            [x, [_integer(d * (i == j), gaussian) for j in range(len(x))]]
+            for i, (x, d) in enumerate(zip(rows, dens))
+        ]
+        return _levels_det(levels, dens, gaussian, len(rows))
+
+
+def _blend_determinant(q: Matrix) -> RatPoly:
+    """det((1-z)I + zQ) as an exact polynomial in z, of degree at most rank(Q - I)."""
+    return BlendFactor(q).determinant
+
+
 @dataclass(frozen=True)
 class CentralizerSegment:
-    """Conjugation by (1-z)I + zQ along a determinant-certified detour."""
+    """Conjugation by B(z) = (1-z)I + zQ along a determinant-certified detour.
+
+    With Q - I = N = CR (``blend``), BX = X + zNX and B^-1 = I - zC M^-1 R,
+    ``gamma(z) = B X B^-1 = BX - z (XC + z NXC) M(z)^-1 R``: a sample is one
+    solve of the r x r matrix M(z) against R and n x r x n products, with
+    NX, XC and NXC formed on the first evaluation.  As det B = det M, the
+    solve succeeds exactly where B is invertible and raises
+    SingularMatrixError elsewhere.
+    """
 
     base_root: Matrix  # X
     conjugator: Matrix  # Q, commuting with the common power
     waypoints: tuple[Scalar, ...]  # complex detour from 0 to 1
     certifications: tuple[dict, ...]
+    blend: BlendFactor = field(compare=False, repr=False)  # Q - I = CR, derived from Q
 
     kind = "centralizer"
 
     def _omega(self, s: Fraction) -> Scalar:
         pieces = len(self.waypoints) - 1
-        v = s * pieces
-        j = min(int(v), pieces - 1)
-        r = Scalar(v - j)
+        j = min(int(s * pieces), pieces - 1)
         w0, w1 = self.waypoints[j], self.waypoints[j + 1]
-        return w0 + (w1 - w0) * r
+        return w0 + (w1 - w0) * Scalar(s * pieces - j)
 
-    def _blend(self, z: Scalar) -> Matrix:
-        """(1-z)I + zQ in integers: with z = w/e and row i of Q equal to
-        q_i/d_i, its row i is ``(w q_i + (e - w) d_i e_i) / (e d_i)``."""
-        form = _ints(self.conjugator)
-        gaussian = form.gaussian or not z.is_real()
-        ((w,),), (e,) = _int_rows([[z]], gaussian)
-        one_minus = _integer(e, gaussian) - w
-        rows = []
-        for i, (row, d) in enumerate(zip(_typed(form, gaussian), form.dens)):
-            out = [w * x for x in row]
-            out[i] = out[i] + one_minus * _integer(d, gaussian)
-            rows.append(out)
-        return _made(len(rows), len(rows), _canonical(rows, [e * d for d in form.dens], gaussian))
+    @cached_property
+    def _products(self) -> tuple[Matrix, Matrix, Matrix]:
+        """NX = C(RX), XC and NXC = C(RX C)."""
+        c, x = self.blend.c, self.base_root
+        rx = matrix_mul(self.blend.r, x)
+        return matrix_mul(c, rx), matrix_mul(x, c), matrix_mul(c, matrix_mul(rx, c))
 
-    def _conjugate(self, q: Matrix) -> Matrix:
-        """``q X q^-1``, transposed from one solve: ``q^-T (q X)^T``."""
-        return solve(q.transpose(), matrix_mul(q, self.base_root).transpose()).transpose()
+    def _bx_minus(self, s: Fraction, gamma: Optional[Matrix] = None) -> Matrix:
+        """``BX - z P R' = X + z (NX - P R')`` at z = omega(s), which is
+        gamma(z) for ``P R' = (XC + z NXC) M(z)^-1 R`` and, given gamma, what
+        ``gamma B == BX`` forces for ``P R' = (gamma C) R``; X when zN = 0."""
+        f, z = self.blend, self._omega(s)
+        if not f.r.rows or z.is_zero():
+            return self.base_root
+        nx, xc, nxc = self._products
+        if gamma is None:
+            p, rows = xc + nxc.scale(z), solve(Matrix.identity(f.r.rows) + f.rc.scale(z), f.r)
+        else:
+            p, rows = matrix_mul(gamma, f.c), f.r
+        return self.base_root + (nx - matrix_mul(p, rows)).scale(z)
 
     def evaluate(self, s: ParamLike) -> Matrix:
-        return self._conjugate(self._blend(self._omega(_as_fraction(s))))
+        return self._bx_minus(_as_fraction(s))
 
     _root_profile = cached_property(lambda self: nilpotent_profile(self.base_root))
 
     def sample_profile(self, s: Fraction, gamma: Matrix) -> Optional[Profile]:
-        """X's profile, once ``gamma B == B X`` holds exactly for gamma = evaluate(s)
-        and the blend B at s (invertible, as evaluate solved with it); else None."""
-        b = self._blend(self._omega(s))
-        if matrix_mul(gamma, b) != matrix_mul(b, self.base_root):
+        """X's profile, once ``gamma B == B X`` holds exactly for gamma =
+        evaluate(s) and the blend B at s (invertible, as evaluate solved
+        with M); else None."""
+        if gamma != self._bx_minus(s, gamma):
             return None
         return self._root_profile
 
@@ -386,7 +426,7 @@ class CentralizerSegment:
 
     @property
     def end(self) -> Matrix:
-        return self._conjugate(self.conjugator)
+        return self.evaluate(Fraction(1))
 
     def to_json_obj(self) -> dict:
         return {
@@ -398,41 +438,17 @@ class CentralizerSegment:
         }
 
 
-def _detour_records(waypoints: tuple[Scalar, ...]) -> tuple[dict, ...]:
-    """The certification record of each detour piece, as the path JSON holds it."""
+def _detour_records(waypoints: tuple[Scalar, ...], d: Optional[RatPoly] = None) -> tuple[dict, ...]:
+    """The record of each detour piece: as the path JSON holds it, or, given
+    the blend determinant d, certified nonvanishing on the piece."""
     return tuple(
-        {"from": format_scalar(w0), "to": format_scalar(w1), "ok": True}
+        {
+            "from": format_scalar(w0),
+            "to": format_scalar(w1),
+            "ok": d is None or certify_nonvanishing_segment(d, w0, w1),
+        }
         for w0, w1 in zip(waypoints, waypoints[1:])
     )
-
-
-def _blend_determinant(q: Matrix) -> RatPoly:
-    """det((1-z)I + zQ) as an exact polynomial in z, of degree at most
-    r = rank(Q - I).
-
-    Q - I = CR, with R the nonzero rows of rref(Q - I) and C the pivot
-    columns of Q - I, so by Sylvester's identity
-    ``det(I_n + zCR) = det(I_r + zRC)``: ``poly_matrix_det`` of that r x r
-    matrix of polynomials of degree at most 1.
-    """
-    n = q.rows
-    form = _ints(q)
-    gaussian = form.gaussian
-    shifted = []  # the rows of Q - I over Q's row denominators
-    for i, (row, d) in enumerate(zip(form.rows, form.dens)):
-        row = list(row)
-        row[i] = row[i] - _integer(d, gaussian)
-        shifted.append(row)
-    red = _Reduction(shifted, form.dens, gaussian, n)
-    r = len(red.pivots)
-    pivot_cols = _canonical([[row[c] for c in red.pivots] for row in shifted], form.dens, gaussian)
-    rc = _product(red.form(range(r), range(n)), pivot_cols, r)
-    gaussian = rc.gaussian
-    entries = [
-        [_poly([_integer(d if i == j else 0, gaussian), x], d, gaussian) for j, x in enumerate(row)]
-        for i, (row, d) in enumerate(zip(rc.rows, rc.dens))
-    ]
-    return poly_matrix_det(entries, r)
 
 
 def centralizer_segment(
@@ -464,22 +480,14 @@ def centralizer_segment(
     q = _witness(*bases)
     if matrix_mul(q, a) != matrix_mul(a, q):
         raise AssertionError("similarity witness must commute with the power")
-    d = _blend_determinant(q)
-
-    zero = Scalar(0)
-    one = Scalar(1)
-    if certify_nonvanishing_segment(d, zero, one):
-        waypoints = (zero, one)
-        return CentralizerSegment(x, q, waypoints, _detour_records(waypoints))
-
-    for denom in range(2, 2 + detour_budget):
-        eps = Fraction(1, denom)
-        corner0 = Scalar(0, eps)
-        corner1 = Scalar(1, eps)
-        pieces = [(zero, corner0), (corner0, corner1), (corner1, one)]
-        if all(certify_nonvanishing_segment(d, w0, w1) for w0, w1 in pieces):
-            waypoints = (zero, corner0, corner1, one)
-            return CentralizerSegment(x, q, waypoints, _detour_records(waypoints))
+    blend = BlendFactor(q)
+    detours = (
+        (ZERO, Scalar(0, Fraction(1, k)), Scalar(1, Fraction(1, k)), ONE) for k in range(2, 2 + detour_budget)
+    )
+    for waypoints in chain([(ZERO, ONE)], detours):
+        pieces = zip(waypoints, waypoints[1:])
+        if all(certify_nonvanishing_segment(blend.determinant, w0, w1) for w0, w1 in pieces):
+            return CentralizerSegment(x, q, waypoints, _detour_records(waypoints), blend)
     raise DetourSearchExhaustedError("no certified detour within the epsilon budget")
 
 
@@ -668,10 +676,7 @@ class RootPath:
         return {
             "A": matrix_to_json_obj(self.target),
             "p": self.power,
-            "endpoints": {
-                "X": matrix_to_json_obj(self.start),
-                "Y": matrix_to_json_obj(self.end),
-            },
+            "endpoints": {"X": matrix_to_json_obj(self.start), "Y": matrix_to_json_obj(self.end)},
             "segments": [seg.to_json_obj() for seg in self.segments],
         }
 
@@ -734,42 +739,22 @@ def connect_roots(a: Matrix, p: int, x: Matrix, y: Matrix, mode: str = "sampled"
 
 def _certify_segment(seg, mode: str) -> dict:
     if seg.kind == "centralizer":
-        d = _blend_determinant(seg.conjugator)
-        pieces = []
-        for w0, w1 in zip(seg.waypoints, seg.waypoints[1:]):
-            pieces.append(
-                {
-                    "from": format_scalar(w0),
-                    "to": format_scalar(w1),
-                    "ok": certify_nonvanishing_segment(d, w0, w1),
-                }
-            )
+        pieces = list(_detour_records(seg.waypoints, seg.blend.determinant))
         return {"kind": "centralizer", "pieces": pieces, "ok": all(p["ok"] for p in pieces)}
-    # adjacency
     lift = seg.lift
-    if mode != "certified":
-        return {
-            "kind": "adjacency",
-            "intervals": [
-                {
-                    "interval": [format_rational(t0), format_rational(t1)],
-                    "certified": False,
-                }
-                for t0, t1 in zip(lift.partition, lift.partition[1:])
-            ],
-            "ok": True,
-        }
-    intervals = [
-        certify_lift_interval(
-            lift.section, lift.family_power, lift.p, iv.anchor, iv.anchor_inv, iv.left, iv.right
-        )
-        for iv in lift.intervals
-    ]
-    return {
-        "kind": "adjacency",
-        "intervals": intervals,
-        "ok": all(rec["ok"] for rec in intervals),
-    }
+    if mode == "certified":
+        intervals = [
+            certify_lift_interval(
+                lift.section, lift.family_power, lift.p, iv.anchor, iv.anchor_inv, iv.left, iv.right
+            )
+            for iv in lift.intervals
+        ]
+    else:
+        intervals = [
+            {"interval": [format_rational(iv.left), format_rational(iv.right)], "certified": False}
+            for iv in lift.intervals
+        ]
+    return {"kind": "adjacency", "intervals": intervals, "ok": all(rec.get("ok", True) for rec in intervals)}
 
 
 def verify(path: RootPath, sample_count: int, mode: str = "sampled") -> Certificate:
@@ -830,12 +815,15 @@ def _segment_from_json_obj(obj, p: int) -> object:
         records = _detour_records(waypoints)
         if obj.get("certifications", list(records)) != list(records):
             raise InputFormatError("centralizer certifications do not match its waypoints")
-        return CentralizerSegment(
-            matrix_from_json_obj(obj["baseRoot"]),
-            matrix_from_json_obj(obj["conjugator"]),
-            waypoints,
-            records,
-        )
+        base = matrix_from_json_obj(obj["baseRoot"])
+        q = matrix_from_json_obj(obj["conjugator"])
+        if not base.is_square():
+            raise InputFormatError(f"centralizer base root is {base.rows}x{base.cols}, not square")
+        if (q.rows, q.cols) != (base.rows, base.rows):
+            raise InputFormatError(
+                f"centralizer conjugator is {q.rows}x{q.cols}, but its base root is {base.rows}x{base.rows}"
+            )
+        return CentralizerSegment(base, q, waypoints, records, BlendFactor(q))
     if kind == "adjacency":
         move = AdjacencyMove.from_json_obj(obj["move"])
         if move.p != p:

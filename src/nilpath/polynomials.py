@@ -419,10 +419,9 @@ def poly_matrix_det(polys: list[list[RatPoly]], degree_bound: Optional[int] = No
     """Determinant of a square matrix of polynomials by value interpolation.
 
     Evaluates at the integer nodes 0, ..., degree_bound (the bound defaults
-    to the sum of row-maximal entry degrees) by Horner's rule on each row's
-    coefficient rows, the numerators of each degree over the row's common
-    denominator, takes one integer elimination per node and interpolates
-    back.
+    to the sum of row-maximal entry degrees) through :func:`_levels_det`,
+    from each row's coefficient rows: the numerators of each degree over
+    the row's common denominator.
     """
     n = len(polys)
     if n == 0:
@@ -439,6 +438,16 @@ def poly_matrix_det(polys: list[list[RatPoly]], degree_bound: Optional[int] = No
         terms = [_terms(p, gaussian, d // p.den) for p in row]
         top = max(1, *map(len, terms))
         levels.append([[t[k] if k < len(t) else zero for t in terms] for k in reversed(range(top))])
+    return _levels_det(levels, dens, gaussian, degree_bound)
+
+
+def _levels_det(levels: list[list[list]], dens: list[int], gaussian: bool, degree_bound: int) -> RatPoly:
+    """The determinant of the polynomial matrix whose row i is
+    ``sum_k levels[i][k] z^(top - k) / dens[i]``: integer coefficient rows,
+    top degree first (Gaussian integers when ``gaussian``).  It runs
+    Horner's rule on each row at the integer nodes 0, ..., degree_bound,
+    takes one integer elimination per node and interpolates back.
+    """
     values = []
     for z in range(degree_bound + 1):
         z = _integer(z, gaussian)
@@ -448,5 +457,5 @@ def poly_matrix_det(polys: list[list[RatPoly]], degree_bound: Optional[int] = No
             for level in row[1:]:
                 acc = [a * z + c for a, c in zip(acc, level)]
             rows.append(acc)
-        values.append(_Reduction(rows, dens, gaussian, n).det_ints())
+        values.append(_Reduction(rows, dens, gaussian, len(rows)).det_ints())
     return _newton_poly(values)

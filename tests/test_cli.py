@@ -335,6 +335,18 @@ MALFORMED_PATHS = {
     # a target A that cannot be the p-th power of the path's 2x2 roots
     "non_square_target": lambda obj: obj.update(A=matrix_to_json_obj(Matrix.zeros(2, 3))),
     "target_of_other_size": lambda obj: obj.update(A=matrix_to_json_obj(Matrix.zeros(3, 3))),
+    # centralizer matrices that cannot blend: each is rejected before any evaluation
+    "base_root_not_square": lambda obj: obj["segments"][1].update(
+        baseRoot=matrix_to_json_obj(Matrix.zeros(2, 3))
+    ),
+    "conjugator_not_square": lambda obj: obj["segments"][1].update(
+        conjugator=matrix_to_json_obj(Matrix.zeros(2, 3))
+    ),
+    "conjugator_of_other_size": lambda obj: obj["segments"][1].update(
+        conjugator=matrix_to_json_obj(Matrix.identity(3))
+    ),
+    # the blend at z = 1 is Q itself, so the segment has no end
+    "singular_conjugator": lambda obj: obj["segments"][1].update(conjugator=ZERO_2X2),
 }
 
 

@@ -241,12 +241,17 @@ def test_centralizer_commutation_along_path():
     for num in range(0, 7):
         s = Fraction(num, 6)
         z = seg._omega(s)
-        qz = seg._blend(z)
+        qz = _blend(seg.conjugator, z)
         assert matrix_mul(qz, a) == matrix_mul(a, qz)
 
 
+def _blend(q, z):
+    """(1-z)I + zQ, formed entrywise."""
+    return Matrix.identity(q.rows).scale(Scalar(1) - z) + q.scale(z)
+
+
 def test_centralizer_evaluate_matches_inverse_form():
-    # evaluate and end solve q^T Y^T = (q X)^T once instead of forming q^-1
+    # evaluate and end go through the low-rank factor of Q - I, not through q^-1
     x = jordan_cell(3)
     e = matrix_pow(x, 2)
     segments = [
@@ -256,8 +261,97 @@ def test_centralizer_evaluate_matches_inverse_form():
     for seg in segments:
         assert seg.end == conjugate(seg.base_root, seg.conjugator)
         for num in range(0, 7):
-            qz = seg._blend(seg._omega(Fraction(num, 6)))
+            qz = _blend(seg.conjugator, seg._omega(Fraction(num, 6)))
             assert seg.evaluate(Fraction(num, 6)) == conjugate(seg.base_root, qz)
+
+
+def _centralizer(x, q, waypoints):
+    """A centralizer segment from x through the blends of q, uncertified."""
+    waypoints = tuple(Scalar(w) if not isinstance(w, Scalar) else w for w in waypoints)
+    return paths_module.CentralizerSegment(
+        x, q, waypoints, paths_module._detour_records(waypoints), paths_module.BlendFactor(q)
+    )
+
+
+def test_centralizer_low_rank_evaluation_matches_the_blend():
+    # gamma(z) = B X B^-1 and end = Q X Q^-1, with B formed in the test
+    import random
+
+    rng = random.Random(18)
+    half, i_unit = Fraction(1, 2), Scalar(0, 1)
+    x = direct_sum([jordan_cell(3), jordan_cell(2)])
+    straight = (0, 1)
+    detour = (0, Scalar(0, half), Scalar(1, half), 1)
+    diag = Matrix.from_rows([[(2, 3, half, 4, 5)[i] if i == j else 0 for j in range(5)] for i in range(5)])
+    gaussian_u = Matrix.from_rows([[i_unit], [1], [0], [Scalar(half, -1)], [2]])
+    gaussian_v = Matrix.from_rows([[0, 1, i_unit, 0, Fraction(-1, 3)]])
+    cases = [
+        (Matrix.identity(5), straight, 0),
+        (diag, straight, 5),  # no eigenvalue 1: r = n
+        (diag, detour, 5),
+        (identity_plus_rank(5, 2, rng, [0, 1, -1, half]), detour, 2),
+        (Matrix.identity(5) + matrix_mul(gaussian_u, gaussian_v), detour, 1),  # a Gaussian Q
+        (random_gaussian_invertible(5, rng), detour, None),
+    ]
+    complex_samples = 0
+    for q, waypoints, r in cases:
+        seg = _centralizer(x, q, waypoints)
+        assert seg.blend.c.cols == rank(q - Matrix.identity(5))
+        if r is not None:
+            assert seg.blend.c.cols == r
+        assert seg.end == conjugate(x, q)
+        for num in range(0, 7):
+            s = Fraction(num, 6)
+            z = seg._omega(s)
+            if det(_blend(q, z)).is_zero():
+                continue
+            gamma = seg.evaluate(s)
+            assert gamma == conjugate(x, _blend(q, z)), (q, s)
+            assert seg.sample_profile(s, gamma) == nilpotent_profile(x)
+            complex_samples += not z.is_real()
+    assert complex_samples >= 16
+
+
+def random_gaussian_invertible(n, rng):
+    """A random invertible matrix with Gaussian entries in {0, 1, -1, i, 1 - i}."""
+    entries = [0, 1, -1, Scalar(0, 1), Scalar(1, -1)]
+    while True:
+        m = Matrix.from_rows([[rng.choice(entries) for _ in range(n)] for _ in range(n)])
+        if not det(m).is_zero():
+            return m
+
+
+def test_centralizer_sample_on_a_singular_blend_raises():
+    # det B = 0 at the sample: z = 1/2 for Q = diag(-1, 1, 1) on the straight
+    # segment, z = i/2 for Q = diag(1 + 2i, 1, 1) on the detour's corner
+    from nilpath.errors import SingularMatrixError
+
+    x = jordan_cell(3)
+    half = Fraction(1, 2)
+    for q, waypoints, s in (
+        (Matrix.from_rows([[-1, 0, 0], [0, 1, 0], [0, 0, 1]]), (0, 1), half),
+        (-Matrix.identity(3), (0, 1), half),
+        (
+            Matrix.from_rows([[Scalar(1, 2), 0, 0], [0, 1, 0], [0, 0, 1]]),
+            (0, Scalar(0, half), Scalar(1, half), 1),
+            Fraction(1, 3),
+        ),
+    ):
+        seg = _centralizer(x, q, waypoints)
+        assert det(_blend(q, seg._omega(s))).is_zero()
+        with pytest.raises(SingularMatrixError):
+            seg.evaluate(s)
+
+
+def test_connect_and_certified_verify_factor_the_blend_once(monkeypatch):
+    calls = _record_calls(monkeypatch, "BlendFactor")
+    dets = []
+    determinant = paths_module._levels_det
+    monkeypatch.setattr(paths_module, "_levels_det", lambda *args: dets.append(args) or determinant(*args))
+    path = _catalog_path(2, (6, 4), (5, 5), 1)
+    assert verify(path, 4, mode="certified").ok
+    assert calls == [path.segments[-1].conjugator]
+    assert len(dets) == 1
 
 
 def _blend_determinant_by_poly_det(q):
