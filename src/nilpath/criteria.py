@@ -106,7 +106,8 @@ def _finite_generators(spec: ZeroSpec, m: Profile) -> list[tuple[tuple[int, int,
 
     Generators touching sizes above the support of m can never appear in a
     witness, which bounds a; for multiplicities above size(m) only the
-    a = 0 forms (pure e_1 bundles) survive.
+    a = 0 forms (pure e_1 bundles) survive.  A generator has size p*a + r,
+    so r stops at size(m) - p*a, and the loops never grow with p.
     """
     top = m.max_index()
     total = m.size()
@@ -115,7 +116,7 @@ def _finite_generators(spec: ZeroSpec, m: Profile) -> list[tuple[tuple[int, int,
     for p in spec.finite_multiplicities:
         max_a = top if p <= total else 0
         for a in range(0, max_a + 1):
-            for r in range(0, p + 1):
+            for r in range(0, min(p, total - p * a) + 1):
                 if a == 0 and r == 0:
                     continue  # the zero profile generates nothing
                 g = cell_power_profile(p * a + r, p)
@@ -138,34 +139,35 @@ def is_f_solvable(
     """Witness that m lies in the zero-multiplicity semigroup, or None.
 
     Dijkstra-style dynamic program over sub-profiles of m (count vectors on
-    the support), ordered by generator count with the lexicographically
-    smallest generator multiset breaking ties.  Witnesses are therefore
-    stable across runs.  Finite generators are keyed (0, p, a, r); the
-    infinite-multiplicity e_1 generator is keyed (1, 0, 0, 0).
+    the support, packed into one integer), ordered by generator count with
+    the lexicographically smallest generator multiset breaking ties.
+    Witnesses are therefore stable across runs.  Finite generators are
+    keyed (0, p, a, r); the infinite-multiplicity e_1 generator is keyed
+    (1, 0, 0, 0).
     """
     if cap is None:
         cap = size_cap()
     if m.size() > cap:
         raise SizeCapExceededError(f"size {m.size()} exceeds cap {cap}")
 
-    support = sorted(m.support())
-    index = {k: i for i, k in enumerate(support)}
-    limits = tuple(m.get(k) for k in support)
-    target = limits
+    # A state packs one count field per support size k, started at
+    # top - 1 - m_k so that its top bit is set exactly when the count
+    # passes m_k; fields are wide enough that no addition carries across.
+    width = m.total_cells().bit_length() + 1
+    shift = {k: width * i for i, k in enumerate(sorted(m.support()))}
+    top = 1 << (width - 1)
+    overflow = sum(top << s for s in shift.values())
+    target = sum((top - 1) << s for s in shift.values())
+    start = target - sum(c << shift[k] for k, c in m.items())
 
-    gens: list[tuple[tuple[int, int, int, int], tuple[int, ...]]] = []
-    for (p, a, r), g in _finite_generators(spec, m):
-        vec = [0] * len(support)
-        for k, c in g.items():
-            vec[index[k]] = c
-        gens.append(((0, p, a, r), tuple(vec)))
-    if spec.has_infinite_zero and 1 in index:
-        vec = [0] * len(support)
-        vec[index[1]] = 1
-        gens.append(((1, 0, 0, 0), tuple(vec)))
+    gens = [
+        ((0, p, a, r), sum(c << shift[k] for k, c in g.items()))
+        for (p, a, r), g in _finite_generators(spec, m)
+    ]
+    if spec.has_infinite_zero and 1 in shift:
+        gens.append(((1, 0, 0, 0), 1 << shift[1]))
 
-    start = tuple([0] * len(support))
-    best: dict[tuple[int, ...], tuple] = {start: ()}
+    best: dict[int, tuple] = {start: ()}
     heap: list[tuple] = [(0, (), start)]
     while heap:
         count, witness, state = heapq.heappop(heap)
@@ -174,8 +176,8 @@ def is_f_solvable(
         if state == target:
             break
         for key, vec in gens:
-            nxt = tuple(s + v for s, v in zip(state, vec))
-            if any(a > b for a, b in zip(nxt, limits)):
+            nxt = state + vec
+            if nxt & overflow:
                 continue
             cand = tuple(sorted(witness + (key,)))
             known = best.get(nxt)

@@ -9,7 +9,7 @@ inside its window until the supports meet.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from .errors import ChainGuardError, PowerMismatchError
 from .profiles import (
@@ -64,15 +64,32 @@ def _sort_key(profile: Profile):
     return profile.partition()
 
 
+def _forward_moves(u: Profile, p: int) -> Iterator[Profile]:
+    """Every profile that one forward window move makes of u: cells
+    k < l - 1 in the window of l become k + 1 and l - 1 (k = 0: no cell)."""
+    sizes = u.support()
+    for l in sizes:
+        for k in sizes + [0]:
+            if p * ((l - 1) // p) <= k <= l - 2:
+                yield u.shifted(((k, -1), (l, -1), (k + 1, 1), (l - 1, 1)))
+
+
 def build_graph(target: Profile, p: int, cap: Optional[int] = None) -> ProfileGraph:
-    """Graph on all preimage profiles with every adjacent pair as an edge."""
+    """Graph on all preimage profiles with every adjacent pair as an edge.
+
+    Vertices are in descending partition order.  A forward move replaces a
+    part l by smaller ones, so it leads to a later vertex, and a backward
+    move to an earlier one.  Each vertex u is therefore joined to the
+    profiles its forward moves make, looked up in an index of the vertices,
+    in vertex order and each with the move ``is_p_adjacent(u, v, p)``: the
+    edges of a scan over all pairs, in its order, at the cost of u's moves.
+    """
     vertices = sorted(enumerate_preimages(target, p, cap=cap), key=_sort_key, reverse=True)
+    index = {v: j for j, v in enumerate(vertices)}
     edges = []
-    for i, u in enumerate(vertices):
-        for v in vertices[i + 1 :]:
-            move = is_p_adjacent(u, v, p)
-            if move is not None:
-                edges.append((u, v, move))
+    for u in vertices:
+        for j in sorted(index[v] for v in _forward_moves(u, p)):
+            edges.append((u, vertices[j], is_p_adjacent(u, vertices[j], p)))
     return ProfileGraph(p, target, tuple(vertices), tuple(edges))
 
 
@@ -96,61 +113,55 @@ def is_connected(g: ProfileGraph) -> bool:
 
 
 def _chain(m: Profile, m2: Profile, p: int) -> tuple[list[Profile], list[AdjacencyMove]]:
-    if m == m2:
-        return [m], []
+    """Steps and moves from m to m2, grown from both ends until they meet.
 
-    common = [k for k in m.support() if m2.get(k) > 0]
-    if common:
-        k = max(common)
-        sub_steps, sub_moves = _chain(m.plus(k, -1), m2.plus(k, -1), p)
-        return [s.plus(k, 1) for s in sub_steps], sub_moves
-
-    # Disjoint supports: raise the top of the side missing the overall
-    # largest cell size q, one window step at a time, until q is reached.
-    q = max(m.max_index(), m2.max_index())
-    swapped = m2.get(q) == 0
-    if swapped:
-        m, m2 = m2, m
-    a = -(-q // p) - 1  # least a with q in [p*a, p*(a+1)]; then q > p*a
-
-    steps = [m]
-    moves: list[AdjacencyMove] = []
-    cur = m
-    guard = m.size() + m.max_index() + q + 8
-    while cur.get(q) == 0:
-        window = [i for i in range(p * a + 1, p * (a + 1) + 1) if cur.get(i) > 0]
-        if not window:
-            raise ChainGuardError("no cell available inside the window")
-        k = max(window)
-        if cur.get(k) > 1:
-            move = AdjacencyMove(a, k - 1, k + 1, "backward", p)
-        else:
-            lower = [i for i in range(p * a + 1, k) if cur.get(i) > 0]
-            if not lower:
+    Common cells (the least count at each shared size) are set aside and
+    added back to every later step.  With disjoint supports, the side
+    missing the overall largest cell size q raises its top, one window step
+    at a time, until q is reached; the far end's steps are reversed in last.
+    """
+    ends = (([m], []), ([m2], []))  # steps and moves from each end
+    cur = [m, m2]
+    shared = Profile()
+    while cur[0] != cur[1]:
+        common = [(k, -c) for k in cur[1].support() if (c := min(cur[0].get(k), cur[1].get(k)))]
+        if common:
+            cur = [side.shifted(common) for side in cur]
+            shared = shared.shifted((k, -c) for k, c in common)
+            continue
+        q = max(cur[0].max_index(), cur[1].max_index())
+        side = 0 if cur[0].get(q) == 0 else 1
+        steps, moves = ends[side]
+        walker = cur[side]
+        a = -(-q // p) - 1  # least a with q in [p*a, p*(a+1)]; then q > p*a
+        guard = walker.size() + walker.max_index() + q + 8
+        while walker.get(q) == 0:
+            window = [i for i in walker.support() if p * a < i <= p * (a + 1)]
+            if not window:
+                raise ChainGuardError("no cell available inside the window")
+            k = window[0]
+            if walker.get(k) > 1:
+                move = AdjacencyMove(a, k - 1, k + 1, "backward", p)
+            elif len(window) > 1:
+                move = AdjacencyMove(a, window[1] - 1, k + 1, "backward", p)
+            else:
                 raise ChainGuardError("no partner cell below the window top")
-            l = max(lower)
-            move = AdjacencyMove(a, l - 1, k + 1, "backward", p)
-        cur = apply_move(cur, move)
-        steps.append(cur)
-        moves.append(move)
-        guard -= 1
-        if guard < 0:
-            raise ChainGuardError("window walk failed to terminate")
-
-    rest_steps, rest_moves = _chain(cur, m2, p)
-    steps = steps[:-1] + rest_steps
-    moves = moves + rest_moves
-    if swapped:
-        steps.reverse()
-        moves = [mv.flipped() for mv in reversed(moves)]
-    return steps, moves
+            walker = apply_move(walker, move)
+            steps.append(walker + shared)
+            moves.append(move)
+            guard -= 1
+            if guard < 0:
+                raise ChainGuardError("window walk failed to terminate")
+        cur[side] = walker
+    (steps, moves), (back_steps, back_moves) = ends
+    return steps + back_steps[-2::-1], moves + [mv.flipped() for mv in reversed(back_moves)]
 
 
 def profile_chain(m: Profile, m2: Profile, p: int) -> ProfileChain:
     """Chain of pairwise-adjacent profiles from m to m2.
 
-    Requires equal p-th power images; the construction recurses on common
-    support and otherwise walks the largest cell upward, so chain length is
+    Requires equal p-th power images; the construction sets common cells
+    aside and otherwise walks the largest cell upward, so chain length is
     bounded by the profile size.
     """
     if profile_power(m, p) != profile_power(m2, p):

@@ -34,12 +34,17 @@ def size_cap() -> int:
 
 
 class Profile:
-    """Immutable finite-support multiplicity sequence, canonically stored."""
+    """Immutable finite-support multiplicity sequence, canonically stored.
+
+    Built from a mapping or from (size, count) pairs, whose counts add up.
+    A plain ``dict`` skips the ``Mapping`` ABC check, and the hash is taken
+    on first use: most profiles are never hashed.
+    """
 
     __slots__ = ("_counts", "_hash")
 
     def __init__(self, counts: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
-        items = counts.items() if isinstance(counts, Mapping) else counts
+        items = counts.items() if isinstance(counts, (dict, Mapping)) else counts
         store = {}
         for k, c in items:
             if k < 1:
@@ -49,7 +54,7 @@ class Profile:
             if c:
                 store[int(k)] = store.get(int(k), 0) + int(c)
         self._counts = store
-        self._hash = hash(frozenset(store.items()))
+        self._hash = None
 
     @staticmethod
     def single(k: int) -> "Profile":
@@ -96,25 +101,38 @@ class Profile:
 
     # -- arithmetic -------------------------------------------------------
 
+    @staticmethod
+    def _of(store: dict[int, int]) -> "Profile":
+        """Profile that takes over a dict of positive counts, unchecked."""
+        out = object.__new__(Profile)
+        out._counts, out._hash = store, None
+        return out
+
     def plus(self, k: int, c: int = 1) -> "Profile":
         """Profile with the count at size k shifted by c (k = 0 is a no-op)."""
-        if k == 0 or c == 0:
-            return self
-        new = self.get(k) + c
-        if new < 0:
-            raise InvalidMoveError(f"count at size {k} would become negative")
+        return self.shifted(((k, c),))
+
+    def shifted(self, changes: Iterable[tuple[int, int]]) -> "Profile":
+        """Profile with the count at each size k shifted by c, one (k, c) at a
+        time; size 0 is skipped, and a count going negative is InvalidMove."""
         counts = dict(self._counts)
-        if new:
-            counts[k] = new
-        else:
-            counts.pop(k, None)
-        return Profile(counts)
+        for k, c in changes:
+            if not k:
+                continue
+            new = counts.get(k, 0) + c
+            if new < 0:
+                raise InvalidMoveError(f"count at size {k} would become negative")
+            if new:
+                counts[k] = new
+            else:
+                counts.pop(k, None)
+        return Profile._of(counts)
 
     def __add__(self, other: "Profile") -> "Profile":
         counts = dict(self._counts)
         for k, c in other._counts.items():
             counts[k] = counts.get(k, 0) + c
-        return Profile(counts)
+        return Profile._of(counts)
 
     def delta(self, other: "Profile") -> ProfileDelta:
         """Signed difference self - other as a plain dict."""
@@ -135,6 +153,8 @@ class Profile:
         return self._counts == other._counts
 
     def __hash__(self):
+        if self._hash is None:
+            self._hash = hash(frozenset(self._counts.items()))
         return self._hash
 
     def __repr__(self):
@@ -236,7 +256,7 @@ def cell_power_profile(k: int, p: int) -> Profile:
         counts[a + 1] = r
     if a and p - r:
         counts[a] = p - r
-    return Profile(counts)
+    return Profile._of(counts)
 
 
 def profile_power(m: Profile, p: int) -> Profile:
@@ -257,7 +277,7 @@ def profile_power(m: Profile, p: int) -> Profile:
             counts[a] = counts.get(a, 0) + (p - r) * c
         if r:
             counts[a + 1] = counts.get(a + 1, 0) + r * c
-    return Profile(counts)
+    return Profile._of(counts)
 
 
 def _move_delta(k: int, l: int) -> ProfileDelta:
@@ -319,8 +339,8 @@ def apply_move(m: Profile, move: AdjacencyMove) -> Profile:
     """Apply an adjacency move; InvalidMove if a count would go negative."""
     k, l = move.k, move.l
     if move.direction == "forward":
-        return m.plus(k, -1).plus(l, -1).plus(k + 1, 1).plus(l - 1, 1)
-    return m.plus(k + 1, -1).plus(l - 1, -1).plus(k, 1).plus(l, 1)
+        return m.shifted(((k, -1), (l, -1), (k + 1, 1), (l - 1, 1)))
+    return m.shifted(((k + 1, -1), (l - 1, -1), (k, 1), (l, 1)))
 
 
 def partitions(n: int, max_part: Optional[int] = None) -> Iterator[tuple[int, ...]]:

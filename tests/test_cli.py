@@ -111,6 +111,21 @@ def test_chain_power_mismatch_is_negative(files, capsys):
     assert json.loads(out)["chain"] is None
 
 
+def test_chain_with_many_common_cells(files, capsys):
+    code, out = run(capsys, ["chain", "--p", "2", "--from", "2:1,1:2000", "--to", "1:2002"])
+    assert code == 0
+    assert json.loads(out)["steps"] == ["2:1,1:2000", "1:2002"]
+
+
+def test_profile_queries_at_huge_p(files, capsys):
+    code, out = run(capsys, ["chain", "--p", "1000000000", "--from", "3:1", "--to", "2:1,1:1"])
+    assert code == 0
+    assert json.loads(out)["steps"] == ["3:1", "2:1,1:1"]
+    code, out = run(capsys, ["solvable", "--zeros", "1000000000", "--profile", "3:1"])
+    assert code == 1
+    assert json.loads(out) == {"solvable": False}
+
+
 def test_solvable_examples(files, capsys):
     code, out = run(capsys, ["solvable", "--zeros", "2,3", "--profile", "2:1"])
     assert code == 1

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from nilpath.criteria import (
@@ -119,6 +121,14 @@ def test_large_multiplicity_zero_reaches_ones():
     assert w is not None
     assert w.total_profile() == Profile({1: 5})
     assert is_f_solvable(ZeroSpec((100,)), Profile({2: 1})) is None
+
+
+def test_solvable_cost_does_not_grow_with_the_multiplicity():
+    start = time.perf_counter()
+    assert is_f_solvable(ZeroSpec((10**9,)), Profile({3: 1})) is None
+    w = is_f_solvable(ZeroSpec((10**9,)), Profile({1: 3}))
+    assert w == SemigroupWitness(((10**9, 0, 3),), 0)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_size_cap_guard():

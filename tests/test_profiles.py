@@ -1,5 +1,7 @@
 import random
 import time
+from collections import Counter
+from types import MappingProxyType
 
 import pytest
 
@@ -166,6 +168,35 @@ def test_enumerate_preimages_is_exhaustive():
                 m for m in profiles_of_size(size(target)) if profile_power(m, p) == target
             }
             assert got == brute, (target, p)
+
+
+def test_enumerate_preimages_cost_does_not_grow_with_p():
+    start = time.perf_counter()
+    got = enumerate_preimages(Profile({1: 3}), 10**9)
+    assert got == {Profile({3: 1}), Profile({2: 1, 1: 1}), Profile({1: 3})}
+    assert time.perf_counter() - start < 1.0
+
+
+def test_equal_profiles_are_equal_however_built():
+    built = [
+        Profile({3: 1, 1: 2}),
+        Profile({1: 2, 3: 1, 2: 0}),
+        Profile([(1, 1), (3, 1), (1, 1)]),
+        Profile(Counter({3: 1, 1: 2})),
+        Profile(MappingProxyType({3: 1, 1: 2})),
+        Profile.from_partition((1, 3, 1)),
+        Profile.from_text("3:1,1:2"),
+        Profile({3: 1}).plus(1, 2),
+        Profile({3: 1, 1: 3, 2: 1}).plus(2, -1).plus(1, -1),
+        Profile({3: 1}) + Profile({1: 2}),
+        Profile() + Profile({1: 2}) + Profile.single(3),
+    ]
+    for m in built:
+        assert m == built[0] and hash(m) == hash(built[0]), m
+        assert m.items() == [(3, 1), (1, 2)]
+    assert len(set(built)) == 1
+    assert {built[0]: "x"}[built[-1]] == "x"
+    assert built[0] not in {Profile({3: 1, 1: 1}), Profile({2: 1, 1: 3})}
 
 
 def test_size_cap():
