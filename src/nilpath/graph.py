@@ -17,7 +17,6 @@ from .profiles import (
     Profile,
     apply_move,
     enumerate_preimages,
-    is_p_adjacent,
     profile_power,
 )
 
@@ -64,14 +63,16 @@ def _sort_key(profile: Profile):
     return profile.partition()
 
 
-def _forward_moves(u: Profile, p: int) -> Iterator[Profile]:
-    """Every profile that one forward window move makes of u: cells
-    k < l - 1 in the window of l become k + 1 and l - 1 (k = 0: no cell)."""
+def _forward_moves(u: Profile, p: int) -> Iterator[tuple[Profile, AdjacencyMove]]:
+    """Every profile that one forward window move makes of u, with that
+    move: cells k < l - 1 in the window a = (l - 1) // p of l become k + 1
+    and l - 1 (k = 0: no cell)."""
     sizes = u.support()
     for l in sizes:
+        a = (l - 1) // p
         for k in sizes + [0]:
-            if p * ((l - 1) // p) <= k <= l - 2:
-                yield u.shifted(((k, -1), (l, -1), (k + 1, 1), (l - 1, 1)))
+            if p * a <= k <= l - 2:
+                yield u.shifted(((k, -1), (l, -1), (k + 1, 1), (l - 1, 1))), AdjacencyMove(a, k, l, "forward", p)
 
 
 def build_graph(target: Profile, p: int, cap: Optional[int] = None) -> ProfileGraph:
@@ -81,15 +82,15 @@ def build_graph(target: Profile, p: int, cap: Optional[int] = None) -> ProfileGr
     part l by smaller ones, so it leads to a later vertex, and a backward
     move to an earlier one.  Each vertex u is therefore joined to the
     profiles its forward moves make, looked up in an index of the vertices,
-    in vertex order and each with the move ``is_p_adjacent(u, v, p)``: the
-    edges of a scan over all pairs, in its order, at the cost of u's moves.
+    in vertex order and each with its move: the edges of a scan over all
+    pairs with ``is_p_adjacent``, in its order, at the cost of u's moves.
     """
     vertices = sorted(enumerate_preimages(target, p, cap=cap), key=_sort_key, reverse=True)
     index = {v: j for j, v in enumerate(vertices)}
     edges = []
     for u in vertices:
-        for j in sorted(index[v] for v in _forward_moves(u, p)):
-            edges.append((u, vertices[j], is_p_adjacent(u, vertices[j], p)))
+        for j, move in sorted((index[v], move) for v, move in _forward_moves(u, p)):
+            edges.append((u, vertices[j], move))
     return ProfileGraph(p, target, tuple(vertices), tuple(edges))
 
 

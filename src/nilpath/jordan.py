@@ -16,7 +16,6 @@ from .matrix import (
     Matrix,
     _canonical,
     _independent,
-    _integer,
     _ints,
     _made,
     _mul_rows,
@@ -24,7 +23,6 @@ from .matrix import (
     _row_pushes,
     _times,
     _transposed,
-    _zero,
     direct_sum,
     inverse,
     jordan_cell,
@@ -89,19 +87,15 @@ def jordan_basis(m: Matrix) -> JordanDecomposition:
     n = m.rows
 
     # M in integers over one denominator, as the kernels run on it.
-    form = _ints(m)
-    gaussian = form.gaussian
-    m_int, m_den = _over_one(form, gaussian)
-    zero = _zero(gaussian)
+    m_int, m_den = _over_one(_ints(m))
 
     # bases[j] is the reduced echelon basis of row(M^j), and kernels[j] the
     # echelon kernel basis of M^j, which depends only on that row space.  M
     # is nilpotent exactly when the pushes end at rank 0, so that ker(M^s)
     # is everything, and their number s is its nilpotency index.  Kernel
     # vectors are integer vectors over a denominator.
-    pushes = list(_row_pushes(m_int, gaussian))
-    one = _integer(1, gaussian)
-    bases = [[[one if i == j else zero for j in range(n)] for i in range(n)]] + [rows for _, rows in pushes]
+    pushes = list(_row_pushes(m_int))
+    bases = [[[int(i == j) for j in range(n)] for i in range(n)]] + [rows for _, rows in pushes]
     kernels = [[]] + [red.kernel(n) for red, _ in pushes]
     if len(kernels[-1]) != n:
         raise NotNilpotentError("matrix is not nilpotent")
@@ -116,13 +110,13 @@ def jordan_basis(m: Matrix) -> JordanDecomposition:
         # the vectors M^(L-j) seed carried down from chains of length L > j
         carried = [chain[len(chain) - j][0] for chain in chains if len(chain) > j]
         basis = bases[j - 1]
-        images = _mul_rows(carried + [v for v, _ in kernels[j]], _transposed(basis, n), len(basis), zero)
-        for c in _independent(len(basis), images, gaussian):
+        images = _mul_rows(carried + [v for v, _ in kernels[j]], _transposed(basis, n), len(basis))
+        for c in _independent(len(basis), images):
             if c >= len(carried):
                 v, den = kernels[j][c - len(carried)]
                 chain = [(v, den)]
                 for _ in range(j - 1):
-                    (v,) = _mul_rows([v], mt, n, zero)
+                    (v,) = _mul_rows([v], mt, n)
                     den *= m_den
                     chain.append((v, den))
                 chains.append(chain)
@@ -134,8 +128,8 @@ def jordan_basis(m: Matrix) -> JordanDecomposition:
         sizes.append(len(chain))
         columns.extend(reversed(chain))  # cell columns: M^(j-1)v, ..., Mv, v
     den = lcm(*[d for _, d in columns])
-    scaled = [_times(v, den // d, gaussian) for v, d in columns]
-    conj = _made(n, n, _canonical(_transposed(scaled, n), [den] * n, gaussian))
+    scaled = [_times(v, den // d) for v, d in columns]
+    conj = _made(n, n, _canonical(_transposed(scaled, n), [den] * n))
     return JordanDecomposition(conj, tuple(sizes))
 
 

@@ -1,10 +1,12 @@
 """Dense exact matrices over the Gaussian rationals.
 
 A matrix stores one thing: its canonical integer form (``_Ints``).  Row i is
-an integer row over its own positive denominator, with Gaussian integers
-(``_GaussInt``) when an entry is not real.  Each row is divided by its gcd
-with its denominator, so equal matrices have equal forms.  A matrix built
-from :class:`~nilpath.scalar.Scalar` entries converts them once, at
+an integer row over its own positive denominator.  Each entry carries its
+own type: an ``int`` when it is real and a Gaussian integer (``_GaussInt``)
+only when its imaginary part is not 0, and the two mix in every operation,
+so no kernel asks which kind of matrix it holds.  Each row is divided by its
+gcd with its denominator, so equal matrices have equal forms.  A matrix
+built from :class:`~nilpath.scalar.Scalar` entries converts them once, at
 construction, and keeps them as the cache that ``Matrix.data`` reads; a
 matrix made by a kernel, or read from JSON text (parsed straight into
 integers), builds its Scalars the first time they are read.
@@ -61,7 +63,7 @@ class Matrix:
         on first read."""
         data = self._data
         if data is None:
-            rows, dens, _ = self._form
+            rows, dens = self._form
             data = self._data = tuple(tuple(_scalar(x, d) for x in row) for row, d in zip(rows, dens))
         return data
 
@@ -73,7 +75,7 @@ class Matrix:
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return _made(n, n, _Ints([[int(i == j) for j in range(n)] for i in range(n)], [1] * n, False))
+        return _made(n, n, _Ints([[int(i == j) for j in range(n)] for i in range(n)], [1] * n))
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence]) -> "Matrix":
@@ -125,10 +127,9 @@ class Matrix:
         if not isinstance(c, Scalar):
             c = Scalar(c)
         f = _ints(self)
-        gaussian = f.gaussian or not c.is_real()
-        ((w,),), (e,) = _int_rows([[c]], gaussian)
-        rows = [[x * w for x in row] for row in _typed(f, gaussian)]
-        return _made(self.rows, self.cols, _canonical(rows, [d * e for d in f.dens], gaussian))
+        ((w,),), (e,) = _int_rows([[c]])
+        rows = [[x * w for x in row] for row in f.rows]
+        return _made(self.rows, self.cols, _canonical(rows, [d * e for d in f.dens]))
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
@@ -137,10 +138,9 @@ class Matrix:
 
     def transpose(self) -> "Matrix":
         """Over one denominator, the columns are the rows of the transpose."""
-        form = _ints(self)
-        rows, den = _over_one(form, form.gaussian)
+        rows, den = _over_one(_ints(self))
         columns = _transposed(rows, self.cols)
-        return _made(self.cols, self.rows, _canonical(columns, [den] * self.cols, form.gaussian))
+        return _made(self.cols, self.rows, _canonical(columns, [den] * self.cols))
 
 
 def _combine(a: Matrix, b: Matrix, op) -> Matrix:
@@ -149,13 +149,12 @@ def _combine(a: Matrix, b: Matrix, op) -> Matrix:
     if a.rows != b.rows or a.cols != b.cols:
         raise ValueError(f"shape mismatch: {a.rows}x{a.cols} vs {b.rows}x{b.cols}")
     fa, fb = _ints(a), _ints(b)
-    gaussian = fa.gaussian or fb.gaussian
     rows, dens = [], []
-    for ra, da, rb, db in zip(_typed(fa, gaussian), fa.dens, _typed(fb, gaussian), fb.dens):
+    for ra, da, rb, db in zip(fa.rows, fa.dens, fb.rows, fb.dens):
         d = lcm(da, db)
-        rows.append(list(map(op, _times(ra, d // da, gaussian), _times(rb, d // db, gaussian))))
+        rows.append(list(map(op, _times(ra, d // da), _times(rb, d // db))))
         dens.append(d)
-    return _made(a.rows, a.cols, _canonical(rows, dens, gaussian))
+    return _made(a.rows, a.cols, _canonical(rows, dens))
 
 
 def _transposed(rows: Sequence[Sequence], cols: int) -> list[list]:
@@ -167,93 +166,109 @@ def jordan_cell(k: int) -> Matrix:
     """The size-k nilpotent cell with ones on the superdiagonal; k=0 is empty."""
     if k < 0:
         raise ValueError("cell size must be non-negative")
-    return _made(k, k, _Ints([[int(j == i + 1) for j in range(k)] for i in range(k)], [1] * k, False))
+    return _made(k, k, _Ints([[int(j == i + 1) for j in range(k)] for i in range(k)], [1] * k))
 
 
 def direct_sum(blocks: Iterable[Matrix]) -> Matrix:
     """The block-diagonal matrix of ``blocks``, built from their integer forms."""
     blocks = list(blocks)
-    forms = [_ints(b) for b in blocks]
-    gaussian = any(f.gaussian for f in forms)
-    zero = _zero(gaussian)
     cols = sum(b.cols for b in blocks)
     rows: list[list] = []
     dens: list[int] = []
     c = 0
-    for b, f in zip(blocks, forms):
-        left, right = [zero] * c, [zero] * (cols - c - b.cols)
-        rows.extend(left + row + right for row in _typed(f, gaussian))
+    for b in blocks:
+        f = _ints(b)
+        left, right = [0] * c, [0] * (cols - c - b.cols)
+        rows.extend(left + row + right for row in f.rows)
         dens.extend(f.dens)
         c += b.cols
-    return _made(len(rows), cols, _Ints(rows, dens, gaussian))
+    return _made(len(rows), cols, _Ints(rows, dens))
 
 
 def _columns(m: Matrix, order: Sequence[int]) -> Matrix:
     """The matrix whose j-th column is column ``order[j]`` of m."""
-    rows, dens, gaussian = _ints(m)
-    return _made(m.rows, len(order), _canonical([[row[c] for c in order] for row in rows], dens, gaussian))
+    rows, dens = _ints(m)
+    return _made(m.rows, len(order), _canonical([[row[c] for c in order] for row in rows], dens))
 
 
 # -- integer kernels ---------------------------------------------------------
 
 
+def _gauss(real: int, imag: int):
+    """The Gaussian integer ``real + imag*i`` as an entry: an int when imag is 0."""
+    return _GaussInt(real, imag) if imag else real
+
+
 class _GaussInt:
-    """A Gaussian integer ``re + im*i``: the kernels' element type when an
-    entry of their input is not real.  It has what the loops use: ``+``,
-    ``-``, ``*``, exact ``//`` and ``bool``, and ``==`` for exact checks."""
+    """A Gaussian integer ``real + imag*i`` with ``imag != 0``: the entry
+    type where an entry is not real, next to ``int`` where it is.  Its
+    fields are named as int's are, so code reads the parts of either the
+    same way.  It has what the loops use, with an int on either side:
+    ``+``, ``-``, ``*`` and exact ``//``, each returning through
+    :func:`_gauss`, and ``==`` for exact checks.  As it is never 0, it is
+    true, like any object, in the loops' ``if a:`` zero tests, and equal
+    entries have equal types."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("real", "imag")
 
-    def __init__(self, re: int, im: int):
-        self.re = re
-        self.im = im
+    def __init__(self, real: int, imag: int):
+        self.real = real
+        self.imag = imag
 
-    def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+    def __add__(self, other):
+        return _gauss(self.real + other.real, self.imag + other.imag)
 
-    def __add__(self, other: "_GaussInt") -> "_GaussInt":
-        return _GaussInt(self.re + other.re, self.im + other.im)
+    __radd__ = __add__
 
-    def __sub__(self, other: "_GaussInt") -> "_GaussInt":
-        return _GaussInt(self.re - other.re, self.im - other.im)
+    def __sub__(self, other):
+        return _gauss(self.real - other.real, self.imag - other.imag)
 
-    def __mul__(self, other: "_GaussInt") -> "_GaussInt":
-        a, b, c, d = self.re, self.im, other.re, other.im
-        if not b:
-            return _GaussInt(a * c, a * d)
-        return _GaussInt(a * c - b * d, a * d + b * c)
+    def __rsub__(self, other: int):
+        return _gauss(other - self.real, -self.imag)
 
-    def __floordiv__(self, other: "_GaussInt") -> "_GaussInt":
-        """The exact quotient: ``other`` must divide ``self``."""
-        a, b, c, d = self.re, self.im, other.re, other.im
+    def __mul__(self, other):
+        a, b, c, d = self.real, self.imag, other.real, other.imag
         if not d:
-            return _GaussInt(a // c, b // c)
+            return _gauss(a * c, b * c)
+        return _gauss(a * c - b * d, a * d + b * c)
+
+    __rmul__ = __mul__
+
+    def __floordiv__(self, other):
+        """The exact quotient: ``other`` must divide ``self``."""
+        a, b, c, d = self.real, self.imag, other.real, other.imag
+        if not d:
+            return _gauss(a // c, b // c)
         n = c * c + d * d
-        return _GaussInt((a * c + b * d) // n, (b * c - a * d) // n)
+        return _gauss((a * c + b * d) // n, (b * c - a * d) // n)
+
+    def __rfloordiv__(self, other: int):
+        """The exact quotient of the int ``other`` by ``self``."""
+        c, d = self.real, self.imag
+        n = c * c + d * d
+        return _gauss(other * c // n, -other * d // n)
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not _GaussInt:
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return self.real == other.real and self.imag == other.imag
 
     def __hash__(self) -> int:
-        return hash((self.re, self.im))
+        return hash((self.real, self.imag))
 
 
-_GAUSS_ZERO = _GaussInt(0, 0)
 _ZERO_RATIO = (0, 1)
 
 
 class _Ints(NamedTuple):
-    """A matrix as the kernels hold it: row i is ``rows[i] / dens[i]``, in
-    Gaussian integers when ``gaussian``.  Canonical: each row and its
-    positive denominator have no common factor, and ``gaussian`` holds
-    exactly when some entry is not real.  The row lists are shared between
-    forms and never edited."""
+    """A matrix as the kernels hold it: row i is ``rows[i] / dens[i]``, each
+    entry an int, or a ``_GaussInt`` when it is not real.  Canonical: each
+    row and its positive denominator have no common factor, so equal
+    matrices have equal forms.  The row lists are shared between forms and
+    never edited."""
 
     rows: list[list]
     dens: list[int]
-    gaussian: bool
 
 
 def _made(rows: int, cols: int, form: _Ints) -> Matrix:
@@ -270,93 +285,50 @@ def _ints(m: Matrix) -> _Ints:
 
 def _ints_of(data: Sequence[Sequence[Scalar]]) -> _Ints:
     """The integer form of a grid of Scalars."""
-    gaussian = _is_gaussian(data)
-    return _Ints(*_int_rows(data, gaussian), gaussian)
+    return _Ints(*_int_rows(data))
 
 
-def _integer(x: int, gaussian: bool):
-    """The integer x as the kernels hold it: a Gaussian integer when ``gaussian``."""
-    return _GaussInt(x, 0) if gaussian else x
-
-
-def _zero(gaussian: bool):
-    """The kernels' zero: the Gaussian one when ``gaussian``."""
-    return _GAUSS_ZERO if gaussian else 0
-
-
-def _scaled(rows: list[list], k: int, gaussian: bool) -> list[list]:
-    """New integer rows: ``rows`` times the integer k."""
-    k = _integer(k, gaussian)
-    return [[x * k for x in row] for row in rows]
-
-
-def _times(row: list, k: int, gaussian: bool) -> list:
+def _times(row: list, k: int) -> list:
     """``row`` times the integer k: the row itself when k is 1."""
-    return row if k == 1 else _scaled([row], k, gaussian)[0]
+    return row if k == 1 else [x * k for x in row]
 
 
-def _typed(form: _Ints, gaussian: bool) -> list[list]:
-    """The form's rows in Gaussian integers when ``gaussian``, else as they are."""
-    if gaussian and not form.gaussian:
-        return [[_GaussInt(x, 0) if x else _GAUSS_ZERO for x in row] for row in form.rows]
-    return form.rows
-
-
-def _over_one(form: _Ints, gaussian: bool) -> tuple[list[list], int]:
-    """The form's rows over one common denominator, and that denominator,
-    in Gaussian integers when ``gaussian``."""
+def _over_one(form: _Ints) -> tuple[list[list], int]:
+    """The form's rows over one common denominator, and that denominator."""
     den = lcm(*form.dens)
-    return [_times(row, den // d, gaussian) for row, d in zip(_typed(form, gaussian), form.dens)], den
+    return [_times(row, den // d) for row, d in zip(form.rows, form.dens)], den
 
 
-def _parts(row: list) -> list[int]:
-    """The integers a row is made of: its entries, or their real and
-    imaginary parts."""
-    if row and type(row[0]) is _GaussInt:
-        return [x.re for x in row] + [x.im for x in row]
-    return row
-
-
-def _divided(row: list, g: int) -> list:
-    """``row`` divided exactly by the integer g."""
-    if row and type(row[0]) is _GaussInt:
-        return [_GaussInt(x.re // g, x.im // g) for x in row]
-    return [x // g for x in row]
-
-
-def _canonical(rows: list[list], dens: list[int], gaussian: bool) -> _Ints:
+def _canonical(rows: list[list], dens: list[int]) -> _Ints:
     """The integer form of the matrix with rows ``rows[i] / dens[i]`` (any
     nonzero denominators): each row and its denominator divided by their
-    gcd, signed so the denominator is positive, and Gaussian rows with no
-    imaginary part as integer rows."""
-    if gaussian and not any(x.im for row in rows for x in row):
-        rows, gaussian = [[x.re for x in row] for row in rows], False
+    gcd, signed so the denominator is positive."""
     out_rows, out_dens = [], []
     for row, d in zip(rows, dens):
         if d != 1:
-            g = gcd(d, *_parts(row))
+            try:
+                g = gcd(d, *row)
+            except TypeError:  # a Gaussian entry: the gcd of the parts
+                g = gcd(d, *[x.real for x in row], *[x.imag for x in row])
             if d < 0:
                 g = -g
             if g != 1:
-                row, d = _divided(row, g), d // g
+                row, d = [x // g for x in row], d // g
         out_rows.append(row)
         out_dens.append(d)
-    return _Ints(out_rows, out_dens, gaussian)
+    return _Ints(out_rows, out_dens)
 
 
-def _is_gaussian(data) -> bool:
-    """Whether some entry has a nonzero imaginary part."""
-    return any(e.im for row in data for e in row if e is not ZERO)
-
-
-def _int_rows(data: Sequence[Sequence[Scalar]], gaussian: bool) -> tuple[list[list], list[int]]:
+def _int_rows(data: Sequence[Sequence[Scalar]]) -> tuple[list[list], list[int]]:
     """Each row as integers over its least common denominator: the integer
-    rows (Gaussian integers when ``gaussian``) and their denominators, as
-    in the integer form.  Entries that are the shared ZERO cost one
-    identity test."""
+    rows and their denominators, as in the integer form.  Entries that are
+    the shared ZERO cost one identity test, and the imaginary parts are
+    read only when one is not 0."""
     re = [_ZERO_RATIO if e is ZERO else e.re.as_integer_ratio() for row in data for e in row]
-    im = gaussian and [_ZERO_RATIO if e is ZERO else e.im.as_integer_ratio() for row in data for e in row]
-    return _ratio_rows(len(data), re, im or None)
+    im = None
+    if any(e.im for row in data for e in row if e is not ZERO):
+        im = [_ZERO_RATIO if e is ZERO else e.im.as_integer_ratio() for row in data for e in row]
+    return _ratio_rows(len(data), re, im)
 
 
 def _ratio_rows(count: int, re: list[tuple], im: Optional[list[tuple]]) -> tuple[list[list], list[int]]:
@@ -368,10 +340,7 @@ def _ratio_rows(count: int, re: list[tuple], im: Optional[list[tuple]]) -> tuple
     if im is not None:
         dens = [lcm(*qs[i : i + width], *[q for _, q in im[i : i + width]]) for i in starts]
         rows = [
-            [
-                _GaussInt(a * (d // q), b * (d // s)) if a or b else _GAUSS_ZERO
-                for (a, q), (b, s) in zip(re[i : i + width], im[i : i + width])
-            ]
+            [_gauss(a * (d // q), b * (d // s)) for (a, q), (b, s) in zip(re[i : i + width], im[i : i + width])]
             for i, d in zip(starts, dens)
         ]
     elif max(qs, default=1) == 1:
@@ -389,15 +358,15 @@ def _scalar(x, den: int) -> Scalar:
         return ZERO
     if type(x) is int:
         return _mk(Fraction(x) if den == 1 else Fraction(x, den), _ZERO_F)
-    return _mk(Fraction(x.re, den), Fraction(x.im, den) if x.im else _ZERO_F)
+    return _mk(Fraction(x.real, den), Fraction(x.imag, den))
 
 
-def _mul_rows(arows: list[list], brows: list, width: int, zero) -> list[list]:
+def _mul_rows(arows: list[list], brows: list, width: int) -> list[list]:
     """The product loop: row i is the sum of ``a_ik * brows[k]`` over the
     nonzero entries a_ik of ``arows[i]``, summed in integers."""
     out = []
     for arow in arows:
-        acc = [zero] * width
+        acc = [0] * width
         for a, brow in zip(arow, brows):
             if a:
                 acc = list(map(add, acc, map(mul, repeat(a), brow)))
@@ -408,10 +377,8 @@ def _mul_rows(arows: list[list], brows: list, width: int, zero) -> list[list]:
 def _product(a: _Ints, b: _Ints, width: int) -> _Ints:
     """The integer form of the product: a's rows times b's rows over one
     common denominator."""
-    gaussian = a.gaussian or b.gaussian
-    brows, bden = _over_one(b, gaussian)
-    prods = _mul_rows(_typed(a, gaussian), brows, width, _zero(gaussian))
-    return _canonical(prods, [d * bden for d in a.dens], gaussian)
+    brows, bden = _over_one(b)
+    return _canonical(_mul_rows(a.rows, brows, width), [d * bden for d in a.dens])
 
 
 def matrix_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -506,15 +473,14 @@ def _eliminate(rows: list[list], dens: list[int], pivot_cols: int) -> tuple[list
 
 
 class _Reduction:
-    """Integer rows over their denominators (Gaussian integers when
-    ``gaussian``), reduced by :func:`_eliminate` over their first
-    ``pivot_cols`` columns, with what the loop returned.  The lists passed
-    in are left as they are."""
+    """Integer rows over their denominators, reduced by :func:`_eliminate`
+    over their first ``pivot_cols`` columns, with what the loop returned.
+    The lists passed in are left as they are."""
 
-    __slots__ = ("rows", "dens", "gaussian", "pivots", "scales", "sign")
+    __slots__ = ("rows", "dens", "pivots", "scales", "sign")
 
-    def __init__(self, rows: list[list], dens: list[int], gaussian: bool, pivot_cols: int):
-        self.rows, self.dens, self.gaussian = list(rows), list(dens), gaussian
+    def __init__(self, rows: list[list], dens: list[int], pivot_cols: int):
+        self.rows, self.dens = list(rows), list(dens)
         self.pivots, self.scales, self.sign = _eliminate(self.rows, self.dens, pivot_cols)
 
     def row(self, i: int, columns: Optional[Iterable[int]] = None) -> tuple[list, int]:
@@ -523,13 +489,10 @@ class _Reduction:
         s = self.scales[i]
         den = 1 if i < len(self.pivots) else self.dens[i]
         row = self.rows[i] if columns is None else [self.rows[i][c] for c in columns]
-        if type(s) is _GaussInt:
-            if s.im:  # divide by s as conj(s) / |s|^2
-                conj = _GaussInt(s.re, -s.im)
-                row = [x * conj for x in row]
-                den *= s.re * s.re + s.im * s.im
-            else:
-                den *= s.re
+        if type(s) is _GaussInt:  # divide by s as conj(s) / |s|^2
+            conj = _GaussInt(s.real, -s.imag)
+            row = [x * conj for x in row]
+            den *= s.real * s.real + s.imag * s.imag
         elif s is not None:
             den *= s
         return row, den
@@ -541,7 +504,7 @@ class _Reduction:
             row, den = self.row(i, columns)
             out.append(row)
             dens.append(den)
-        return _canonical(out, dens, self.gaussian)
+        return _canonical(out, dens)
 
     def kernel(self, cols: int) -> list[tuple[list, int]]:
         """Echelon-ordered basis of the null space of the reduced ``cols``
@@ -551,15 +514,14 @@ class _Reduction:
         pivot_set = set(self.pivots)
         free = [c for c in range(cols) if c not in pivot_set]
         at_free = self.form(range(len(self.pivots)), free)
-        rows = _typed(at_free, self.gaussian)
         basis = []
         for f, fc in enumerate(free):
-            terms = [(pc, row[f], d) for row, d, pc in zip(rows, at_free.dens, self.pivots) if row[f]]
+            terms = [(pc, row[f], d) for row, d, pc in zip(at_free.rows, at_free.dens, self.pivots) if row[f]]
             den = lcm(*[d for _, _, d in terms])
-            v = [_zero(self.gaussian)] * cols
-            v[fc] = _integer(den, self.gaussian)
+            v = [0] * cols
+            v[fc] = den
             for pc, x, d in terms:
-                v[pc] = x * _integer(-den // d, self.gaussian)
+                v[pc] = x * (-den // d)
             basis.append((v, den))
         return basis
 
@@ -568,8 +530,8 @@ class _Reduction:
         denominator: ±(last pivot) over the denominators of the pivot rows,
         0 once a column failed to pivot."""
         k = len(self.pivots)
-        last = self.rows[k - 1][self.pivots[-1]] if k else _integer(1, self.gaussian)
-        return last * _integer(self.sign, self.gaussian), prod(self.dens[:k])
+        last = self.rows[k - 1][self.pivots[-1]] if k else 1
+        return last * self.sign, prod(self.dens[:k])
 
     def det(self) -> Scalar:
         return _scalar(*self.det_ints())
@@ -580,13 +542,12 @@ def _solve_square(a: Matrix, b: Matrix) -> tuple[Matrix, Scalar]:
     columns of a; raises SingularMatrixError unless they all pivot."""
     n = a.rows
     fa, fb = _ints(a), _ints(b)
-    gaussian = fa.gaussian or fb.gaussian
     rows, dens = [], []
-    for ra, da, rb, db in zip(_typed(fa, gaussian), fa.dens, _typed(fb, gaussian), fb.dens):
+    for ra, da, rb, db in zip(fa.rows, fa.dens, fb.rows, fb.dens):
         d = lcm(da, db)
-        rows.append(_times(ra, d // da, gaussian) + _times(rb, d // db, gaussian))
+        rows.append(_times(ra, d // da) + _times(rb, d // db))
         dens.append(d)
-    red = _Reduction(rows, dens, gaussian, n)
+    red = _Reduction(rows, dens, n)
     if len(red.pivots) < n:
         raise SingularMatrixError("matrix is singular")
     return _made(n, b.cols, red.form(range(n), range(n, n + b.cols))), red.det()
@@ -602,18 +563,17 @@ def det(m: Matrix) -> Scalar:
     return _Reduction(*_ints(m), m.cols).det()
 
 
-def _independent(length: int, columns: Sequence[Sequence], gaussian: bool) -> list[int]:
-    """:func:`pivot_columns` of integer columns, in Gaussian integers when
-    ``gaussian``; each column may carry any nonzero factor."""
-    return _Reduction(_transposed(columns, length), [1] * length, gaussian, len(columns)).pivots
+def _independent(length: int, columns: Sequence[Sequence]) -> list[int]:
+    """:func:`pivot_columns` of integer columns; each column may carry any
+    nonzero factor."""
+    return _Reduction(_transposed(columns, length), [1] * length, len(columns)).pivots
 
 
 def pivot_columns(rows: int, columns: Sequence[Sequence[Scalar]]) -> list[int]:
     """Indices of the greedy independent subset of ``columns`` (each of
     length ``rows``): a column is kept unless it lies in the span of those
     before it, which makes the kept ones the pivot columns of their rref."""
-    form = _ints_of(columns)
-    return _independent(rows, form.rows, form.gaussian)
+    return _independent(rows, _ints_of(columns).rows)
 
 
 def inverse(m: Matrix) -> Matrix:
@@ -636,9 +596,9 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     return _made(m.rows, m.cols, red.form(range(m.rows), range(m.cols))), red.pivots
 
 
-def _row_pushes(m_int: list[list], gaussian: bool):
+def _row_pushes(m_int: list[list]):
     """The push behind :func:`power_ranks` and ``jordan_basis``, for M as n
-    integer rows over one denominator (Gaussian integers when ``gaussian``).
+    integer rows over one denominator.
 
     Yields ``(red, rows)`` for j = 1, 2, ... while the rank falls: ``red``
     reduces the rows of M, then the previous ``rows`` times M, so its pivot
@@ -648,16 +608,15 @@ def _row_pushes(m_int: list[list], gaussian: bool):
     would.  No power of M is formed.
     """
     n = len(m_int)
-    zero = _zero(gaussian)
     images = m_int
     while images:
-        red = _Reduction(images, [1] * len(images), gaussian, n)
+        red = _Reduction(images, [1] * len(images), n)
         r = len(red.pivots)
         if r == len(images):
             return
-        rows = _over_one(red.form(range(r), range(n)), gaussian)[0]
+        rows = _over_one(red.form(range(r), range(n)))[0]
         yield red, rows
-        images = _mul_rows(rows, m_int, n, zero)
+        images = _mul_rows(rows, m_int, n)
 
 
 def power_ranks(m: Matrix) -> list[int]:
@@ -669,8 +628,7 @@ def power_ranks(m: Matrix) -> list[int]:
     """
     if not m.is_square():
         raise ValueError("power ranks of a non-square matrix")
-    form = _ints(m)
-    pushes = _row_pushes(_over_one(form, form.gaussian)[0], form.gaussian)
+    pushes = _row_pushes(_over_one(_ints(m))[0])
     return [m.rows] + [len(red.pivots) for red, _ in pushes]
 
 
@@ -682,7 +640,7 @@ def kernel_basis(m: Matrix) -> list[Matrix]:
     """
     red = _Reduction(*_ints(m), m.cols)
     return [
-        _made(m.cols, 1, _canonical([[x] for x in v], [den] * m.cols, red.gaussian))
+        _made(m.cols, 1, _canonical([[x] for x in v], [den] * m.cols))
         for v, den in red.kernel(m.cols)
     ]
 
@@ -734,7 +692,7 @@ def matrix_from_json_obj(obj) -> Matrix:
         raise InputFormatError("matrix JSON: negative column count")
     im = [(c, d) for _, _, c, d in parts] if any(c for _, _, c, _ in parts) else None
     int_rows = _ratio_rows(rows, [(a, b) for a, b, _, _ in parts], im)
-    return _made(rows, cols, _canonical(*int_rows, im is not None))
+    return _made(rows, cols, _canonical(*int_rows))
 
 
 def matrix_to_json(m: Matrix) -> str:

@@ -49,7 +49,6 @@ from .matrix import (
     Matrix,
     _canonical,
     _columns,
-    _integer,
     _ints,
     _made,
     _Reduction,
@@ -111,7 +110,7 @@ def basic_family(k: int, l: int, t: ParamLike) -> Matrix:
         rows[n - 2][n - 1], dens[n - 2] = t.denominator - t.numerator, t.denominator
     if k >= 1:
         rows[k - 1][n - 1], dens[k - 1] = t.numerator, t.denominator
-    return _made(n, n, _canonical(rows, dens, False))
+    return _made(n, n, _canonical(rows, dens))
 
 
 def basic_family_similarity(k: int, l: int, t: ParamLike) -> Matrix:
@@ -347,17 +346,9 @@ class BlendFactor:
     def determinant(self) -> RatPoly:
         """det M(z), of degree at most r: with row i of RC equal to x_i/d_i,
         row i of d_i M(z) has the integer coefficient rows x_i and d_i e_i."""
-        rows, dens, gaussian = _ints(self.rc)
-        levels = [
-            [x, [_integer(d * (i == j), gaussian) for j in range(len(x))]]
-            for i, (x, d) in enumerate(zip(rows, dens))
-        ]
-        return _levels_det(levels, dens, gaussian, len(rows))
-
-
-def _blend_determinant(q: Matrix) -> RatPoly:
-    """det((1-z)I + zQ) as an exact polynomial in z, of degree at most rank(Q - I)."""
-    return BlendFactor(q).determinant
+        rows, dens = _ints(self.rc)
+        levels = [[x, [d * (i == j) for j in range(len(x))]] for i, (x, d) in enumerate(zip(rows, dens))]
+        return _levels_det(levels, dens, len(rows))
 
 
 @dataclass(frozen=True)
@@ -375,7 +366,6 @@ class CentralizerSegment:
     base_root: Matrix  # X
     conjugator: Matrix  # Q, commuting with the common power
     waypoints: tuple[Scalar, ...]  # complex detour from 0 to 1
-    certifications: tuple[dict, ...]
     blend: BlendFactor = field(compare=False, repr=False)  # Q - I = CR, derived from Q
 
     kind = "centralizer"
@@ -409,6 +399,11 @@ class CentralizerSegment:
 
     def evaluate(self, s: ParamLike) -> Matrix:
         return self._bx_minus(_as_fraction(s))
+
+    @property
+    def certifications(self) -> tuple[dict, ...]:
+        """The record of each detour piece, as the path JSON holds it."""
+        return _detour_records(self.waypoints)
 
     _root_profile = cached_property(lambda self: nilpotent_profile(self.base_root))
 
@@ -487,7 +482,7 @@ def centralizer_segment(
     for waypoints in chain([(ZERO, ONE)], detours):
         pieces = zip(waypoints, waypoints[1:])
         if all(certify_nonvanishing_segment(blend.determinant, w0, w1) for w0, w1 in pieces):
-            return CentralizerSegment(x, q, waypoints, _detour_records(waypoints), blend)
+            return CentralizerSegment(x, q, waypoints, blend)
     raise DetourSearchExhaustedError("no certified detour within the epsilon budget")
 
 
@@ -812,8 +807,8 @@ def _segment_from_json_obj(obj, p: int) -> object:
         waypoints = tuple(parse_scalar(w) for w in obj["waypoints"])
         if len(waypoints) < 2 or waypoints[0] != ZERO or waypoints[-1] != ONE:
             raise InputFormatError("centralizer waypoints must run from 0 to 1")
-        records = _detour_records(waypoints)
-        if obj.get("certifications", list(records)) != list(records):
+        records = list(_detour_records(waypoints))
+        if obj.get("certifications", records) != records:
             raise InputFormatError("centralizer certifications do not match its waypoints")
         base = matrix_from_json_obj(obj["baseRoot"])
         q = matrix_from_json_obj(obj["conjugator"])
@@ -823,7 +818,7 @@ def _segment_from_json_obj(obj, p: int) -> object:
             raise InputFormatError(
                 f"centralizer conjugator is {q.rows}x{q.cols}, but its base root is {base.rows}x{base.rows}"
             )
-        return CentralizerSegment(base, q, waypoints, records, BlendFactor(q))
+        return CentralizerSegment(base, q, waypoints, BlendFactor(q))
     if kind == "adjacency":
         move = AdjacencyMove.from_json_obj(obj["move"])
         if move.p != p:

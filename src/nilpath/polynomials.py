@@ -1,10 +1,11 @@
 """Exact univariate polynomials and nonvanishing certification.
 
 A :class:`RatPoly` is held as the matrix kernels hold a row: its ascending
-coefficients as integers (Gaussian integers, ``_GaussInt``, when one is not
-real) over one positive denominator, trailing zeros trimmed and divided by
-their gcd with the denominator, so that equal polynomials have equal forms.
-Arithmetic, evaluation and affine substitution run in integers.
+coefficients as integers over one positive denominator, each an ``int``, or
+a Gaussian integer (``_GaussInt``) when it is not real, trailing zeros
+trimmed and divided by their gcd with the denominator, so that equal
+polynomials have equal forms.  Arithmetic, evaluation and affine
+substitution run in integers.
 Interpolation is one Newton routine on integer divided differences:
 rational nodes are scaled to integers, and at the nodes 0, ..., N the
 differences are the forward differences over N!.  The certificates
@@ -27,19 +28,7 @@ from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .errors import DuplicateSampleError, ZeroPolynomialError
-from .matrix import (
-    Matrix,
-    _canonical,
-    _GaussInt,
-    _int_rows,
-    _integer,
-    _ints,
-    _is_gaussian,
-    _Reduction,
-    _scalar,
-    _typed,
-    _zero,
-)
+from .matrix import Matrix, _canonical, _int_rows, _ints, _Reduction, _scalar, _times
 from .scalar import Scalar
 
 
@@ -47,19 +36,23 @@ class RatPoly:
     """Polynomial over the Gaussian rationals: coefficient i is
     ``nums[i] / den``, in canonical form."""
 
-    __slots__ = ("nums", "den", "gaussian")
+    __slots__ = ("nums", "den")
 
     def __init__(self, coeffs: Sequence[Scalar] = ()):
         cs = [c if isinstance(c, Scalar) else Scalar(c) for c in coeffs]
-        gaussian = _is_gaussian([cs])
-        (nums,), (den,) = _int_rows([cs], gaussian)
-        self._set(nums, den, gaussian)
+        (nums,), (den,) = _int_rows([cs])
+        self._set(nums, den)
 
-    def _set(self, nums: list, den: int, gaussian: bool) -> None:
+    def _set(self, nums: list, den: int) -> None:
         while nums and not nums[-1]:
             nums.pop()
-        form = _canonical([nums], [den], gaussian)
-        self.nums, self.den, self.gaussian = tuple(form.rows[0]), form.dens[0], form.gaussian
+        form = _canonical([nums], [den])
+        self.nums, self.den = tuple(form.rows[0]), form.dens[0]
+
+    @property
+    def gaussian(self) -> bool:
+        """Whether some coefficient is not real."""
+        return any(x.imag for x in self.nums)
 
     @property
     def coeffs(self) -> tuple[Scalar, ...]:
@@ -84,28 +77,26 @@ class RatPoly:
         return f"RatPoly({[str(c) for c in self.coeffs]})"
 
     def __add__(self, other: "RatPoly") -> "RatPoly":
-        gaussian = self.gaussian or other.gaussian
         den = lcm(self.den, other.den)
-        a, b = _terms(self, gaussian, den // self.den), _terms(other, gaussian, den // other.den)
-        return _poly([x + y for x, y in zip_longest(a, b, fillvalue=_zero(gaussian))], den, gaussian)
+        a, b = _times(self.nums, den // self.den), _times(other.nums, den // other.den)
+        return _poly([x + y for x, y in zip_longest(a, b, fillvalue=0)], den)
 
     def __sub__(self, other: "RatPoly") -> "RatPoly":
         return self + (-other)
 
     def __neg__(self) -> "RatPoly":
-        return _poly(_terms(self, self.gaussian, -1), self.den, self.gaussian)
+        return _poly(_times(self.nums, -1), self.den)
 
     def __mul__(self, other: "RatPoly") -> "RatPoly":
         if not isinstance(other, RatPoly):
             return NotImplemented
-        gaussian = self.gaussian or other.gaussian
-        a, b = _terms(self, gaussian), _terms(other, gaussian)
-        out = [_zero(gaussian)] * (len(a) + len(b) - 1) if a and b else []
+        a, b = self.nums, other.nums
+        out = [0] * (len(a) + len(b) - 1) if a and b else []
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b):
                     out[i + j] = out[i + j] + x * y
-        return _poly(out, self.den * other.den, gaussian)
+        return _poly(out, self.den * other.den)
 
     def eval(self, x) -> Scalar:
         """f(x) by Horner's rule in integers: with x = w/e, d = deg f and f's
@@ -113,11 +104,10 @@ class RatPoly:
         f's denominator."""
         if not isinstance(x, Scalar):
             x = Scalar(x)
-        gaussian = self.gaussian or not x.is_real()
-        ((w,),), (e,) = _int_rows([[x]], gaussian)
-        acc, power = _zero(gaussian), 1
-        for c in reversed(_terms(self, gaussian)):
-            acc = acc * w + c * _integer(power, gaussian)
+        ((w,),), (e,) = _int_rows([[x]])
+        acc, power = 0, 1
+        for c in reversed(self.nums):
+            acc = acc * w + c * power
             power *= e
         return _scalar(acc, self.den * e ** max(self.degree(), 0))
 
@@ -126,29 +116,20 @@ class RatPoly:
         with c0 = a0/e and c1 = a1/e over one positive e, and f's numerators
         c_i, ``e^d f(c0 + c1 s)`` is the sum of ``c_i (a0 + a1 s)^i e^(d - i)``
         over f's denominator."""
-        gaussian = self.gaussian or not (c0.is_real() and c1.is_real())
-        ((a0, a1),), (e,) = _int_rows([[c0, c1]], gaussian)
-        zero = _zero(gaussian)
+        ((a0, a1),), (e,) = _int_rows([[c0, c1]])
         acc, power = [], 1
-        for c in reversed(_terms(self, gaussian)):
-            acc = [x * a0 + y * a1 for x, y in zip(acc + [zero], [zero] + acc)]
-            acc[0] = acc[0] + c * _integer(power, gaussian)
+        for c in reversed(self.nums):
+            acc = [x * a0 + y * a1 for x, y in zip(acc + [0], [0] + acc)]
+            acc[0] = acc[0] + c * power
             power *= e
-        return _poly(acc, self.den * e ** max(self.degree(), 0), gaussian)
+        return _poly(acc, self.den * e ** max(self.degree(), 0))
 
 
-def _poly(nums: list, den: int, gaussian: bool) -> RatPoly:
+def _poly(nums: list, den: int) -> RatPoly:
     """The polynomial with coefficients ``nums[i] / den`` (den nonzero)."""
     p = RatPoly.__new__(RatPoly)
-    p._set(nums, den, gaussian)
+    p._set(nums, den)
     return p
-
-
-def _terms(p: RatPoly, gaussian: bool, k: int = 1) -> list:
-    """The numerators of p times the integer k, as Gaussian integers when ``gaussian``."""
-    if gaussian and not p.gaussian:
-        return [_GaussInt(x * k, 0) for x in p.nums]
-    return list(p.nums) if k == 1 else [x * _integer(k, gaussian) for x in p.nums]
 
 
 # -- primitive integer polynomials -------------------------------------------
@@ -326,8 +307,8 @@ def certify_nonvanishing_segment(f: RatPoly, z0: Scalar, z1: Scalar) -> bool:
     if f.is_zero():
         raise ZeroPolynomialError("certification of the zero polynomial")
     g = f.compose_affine(z0, z1 - z0)
-    re = _ip_trim([x.re for x in g.nums]) if g.gaussian else list(g.nums)
-    im = _ip_trim([x.im for x in g.nums]) if g.gaussian else []
+    re = _ip_trim([x.real for x in g.nums])
+    im = _ip_trim([x.imag for x in g.nums])
     if not any(re[:1] + im[:1]) or not (sum(re) or sum(im)):  # g(0) = 0 or g(1) = 0
         return False
     if not im:
@@ -364,10 +345,8 @@ def poly_interpolate_entries(
         raise ValueError("sample matrices must share dimensions")
 
     forms = [_ints(m) for m in mats]
-    gaussian = any(f.gaussian for f in forms)
-    grids = [_typed(f, gaussian) for f in forms]
     return [
-        [_newton_poly([(grid[i][j], f.dens[i]) for grid, f in zip(grids, forms)], ts) for j in range(cols)]
+        [_newton_poly([(f.rows[i][j], f.dens[i]) for f in forms], ts) for j in range(cols)]
         for i in range(rows)
     ]
 
@@ -375,7 +354,7 @@ def poly_interpolate_entries(
 def _newton_poly(values: Sequence[tuple], nodes: Optional[Sequence[Fraction]] = None) -> RatPoly:
     """The polynomial through ``values[k]`` at ``nodes[k]`` (distinct; 0, 1,
     ... by default), each value an integer numerator over a positive
-    denominator, the numerators all ints or all Gaussian integers.
+    denominator.
 
     Everything runs in integers.  With B the common denominator of the
     nodes, the polynomial is q(B t) for the q through the values at the
@@ -386,9 +365,8 @@ def _newton_poly(values: Sequence[tuple], nodes: Optional[Sequence[Fraction]] = 
     table holds the forward differences over k!.  The Newton form is then
     expanded over D_N by Horner's rule.
     """
-    gaussian = type(values[0][0]) is _GaussInt
     den = lcm(*(d for _, d in values))
-    table = [v if d == den else v * _integer(den // d, gaussian) for v, d in values]
+    table = [v if d == den else v * (den // d) for v, d in values]
     n = len(table)
     if nodes is None:
         scale, cs = 1, list(range(n))
@@ -400,19 +378,19 @@ def _newton_poly(values: Sequence[tuple], nodes: Optional[Sequence[Fraction]] = 
         gaps = [cs[i + k] - cs[i] for i in range(n - k)]
         m = lcm(*gaps)
         table = [
-            y - x if gap == m else (y - x) * _integer(m // gap, gaussian)
+            y - x if gap == m else (y - x) * (m // gap)
             for x, y, gap in zip(table, table[1:], gaps)
         ]
         leading.append(table[0])
         dens.append(dens[-1] * m)
     acc = [leading[-1]]
     for k in range(n - 2, -1, -1):
-        b = leading[k] * _integer(dens[-1] // dens[k], gaussian)
-        c = _integer(cs[k], gaussian)
+        b = leading[k] * (dens[-1] // dens[k])
+        c = cs[k]
         acc = [b - c * acc[0]] + [x - c * y for x, y in zip(acc, acc[1:])] + [acc[-1]]
     if scale != 1:
-        acc = [x * _integer(scale**i, gaussian) for i, x in enumerate(acc)]
-    return _poly(acc, den * dens[-1], gaussian)
+        acc = [x * scale**i for i, x in enumerate(acc)]
+    return _poly(acc, den * dens[-1])
 
 
 def poly_matrix_det(polys: list[list[RatPoly]], degree_bound: Optional[int] = None) -> RatPoly:
@@ -430,32 +408,29 @@ def poly_matrix_det(polys: list[list[RatPoly]], degree_bound: Optional[int] = No
         degree_bound = sum(
             max((p.degree() for p in row if not p.is_zero()), default=0) for row in polys
         )
-    gaussian = any(p.gaussian for row in polys for p in row)
     dens = [lcm(*(p.den for p in row)) for row in polys]
-    zero = _zero(gaussian)
     levels = []  # per row, its coefficient rows over the row's denominator, top degree first
     for row, d in zip(polys, dens):
-        terms = [_terms(p, gaussian, d // p.den) for p in row]
+        terms = [_times(p.nums, d // p.den) for p in row]
         top = max(1, *map(len, terms))
-        levels.append([[t[k] if k < len(t) else zero for t in terms] for k in reversed(range(top))])
-    return _levels_det(levels, dens, gaussian, degree_bound)
+        levels.append([[t[k] if k < len(t) else 0 for t in terms] for k in reversed(range(top))])
+    return _levels_det(levels, dens, degree_bound)
 
 
-def _levels_det(levels: list[list[list]], dens: list[int], gaussian: bool, degree_bound: int) -> RatPoly:
+def _levels_det(levels: list[list[list]], dens: list[int], degree_bound: int) -> RatPoly:
     """The determinant of the polynomial matrix whose row i is
     ``sum_k levels[i][k] z^(top - k) / dens[i]``: integer coefficient rows,
-    top degree first (Gaussian integers when ``gaussian``).  It runs
+    top degree first.  It runs
     Horner's rule on each row at the integer nodes 0, ..., degree_bound,
     takes one integer elimination per node and interpolates back.
     """
     values = []
     for z in range(degree_bound + 1):
-        z = _integer(z, gaussian)
         rows = []
         for row in levels:
             acc = row[0]
             for level in row[1:]:
                 acc = [a * z + c for a, c in zip(acc, level)]
             rows.append(acc)
-        values.append(_Reduction(rows, dens, gaussian, len(rows)).det_ints())
+        values.append(_Reduction(rows, dens, len(rows)).det_ints())
     return _newton_poly(values)

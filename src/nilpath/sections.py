@@ -38,16 +38,13 @@ from .matrix import (
     Matrix,
     _canonical,
     _independent,
-    _integer,
     _ints,
     _made,
     _mul_rows,
     _over_one,
     _Reduction,
-    _scaled,
     _solve_square,
-    _typed,
-    _zero,
+    _times,
     matrix_mul,
     power_ranks,
     vec,
@@ -91,8 +88,7 @@ def section_setup(u: Matrix, x0: Matrix) -> SectionData:
 
     front = _Reduction(*_ints(u), n).pivots
     rho = len(front)
-    form = _ints(u)
-    upward = _independent(rho, [[row[k] for k in front] for row in reversed(form.rows)], form.gaussian)
+    upward = _independent(rho, [[row[k] for k in front] for row in reversed(_ints(u).rows)])
     rows = sorted(n - 1 - s for s in upward)
     if len(rows) != rho:
         raise AssertionError("images of complement vectors must be independent")
@@ -126,14 +122,12 @@ def section_eval(s: SectionData, v: Matrix) -> Matrix:
     return Matrix.column(x)
 
 
-def _over_common(b: Matrix, a0: Matrix) -> tuple[list[list], list[list], int, bool]:
-    """B and A0 as integer rows over one denominator, b_den a0_den, that
-    denominator, and whether the rows are Gaussian."""
-    fb, fa = _ints(b), _ints(a0)
-    gaussian = fb.gaussian or fa.gaussian
-    b_int, b_den = _over_one(fb, gaussian)
-    a0_int, a0_den = _over_one(fa, gaussian)
-    return _scaled(b_int, a0_den, gaussian), _scaled(a0_int, b_den, gaussian), b_den * a0_den, gaussian
+def _over_common(b: Matrix, a0: Matrix) -> tuple[list[list], list[list], int]:
+    """B and A0 as integer rows over one denominator, b_den a0_den, and that
+    denominator."""
+    b_int, b_den = _over_one(_ints(b))
+    a0_int, a0_den = _over_one(_ints(a0))
+    return [_times(row, a0_den) for row in b_int], [_times(row, b_den) for row in a0_int], b_den * a0_den
 
 
 def ad_operator(b: Matrix, a0: Matrix) -> Matrix:
@@ -146,19 +140,18 @@ def ad_operator(b: Matrix, a0: Matrix) -> Matrix:
         raise ValueError("ad operator needs square matrices of equal size")
     n = b.rows
     big = n * n
-    b_int, a0_int, den, gaussian = _over_common(b, a0)
-    zero = _zero(gaussian)
+    b_int, a0_int, den = _over_common(b, a0)
     rows = []
     for c1 in range(n):
         for r1 in range(n):
-            row = [zero] * big
+            row = [0] * big
             row[c1 * n : (c1 + 1) * n] = b_int[r1]
             for c2 in range(n):
                 e = a0_int[c2][c1]
                 if e:
                     row[c2 * n + r1] = row[c2 * n + r1] - e
             rows.append(row)
-    return _made(big, big, _canonical(rows, [den] * big, gaussian))
+    return _made(big, big, _canonical(rows, [den] * big))
 
 
 @dataclass(frozen=True)
@@ -198,8 +191,7 @@ class ConjugationSection:
             raise ValueError("dimension mismatch")
         if self.displacement_rank(b) != rho:
             raise OutsideNeighborhoodError("displacement rank differs from base point")
-        b_int, a0_int, den, gaussian = _over_common(b, self.base)
-        zero = _zero(gaussian)
+        b_int, a0_int, den = _over_common(b, self.base)
         by_col: list[list] = [[] for _ in range(n)]  # complement vectors E_ij by j
         by_row: list[list] = [[] for _ in range(n)]  # ... and by i
         for k, idx in enumerate(self.section.front):
@@ -209,28 +201,27 @@ class ConjugationSection:
         rows = []
         for r in self.section.rows:
             a, c = r % n, r // n
-            row = [zero] * rho + [b_int[a][c] - a0_int[a][c]]
+            row = [0] * rho + [b_int[a][c] - a0_int[a][c]]
             for k, i in by_col[c]:
                 row[k] = b_int[a][i]
             for k, j in by_row[a]:
                 row[k] = row[k] - a0_int[j][c]
             rows.append(row)
-        red = _Reduction(rows, [den] * rho, gaussian, rho)
+        red = _Reduction(rows, [den] * rho, rho)
         if len(red.pivots) < rho:
             raise OutsideNeighborhoodError("leading block singular at this operator")
         # g = I - sum_k y_k E_front[k] with y = A^-1 c, over one denominator
         ys = red.form(range(rho), (rho,))
         g_den = lcm(*ys.dens)
-        one = _integer(g_den, gaussian)
-        g_int = [[one if i == j else zero for j in range(n)] for i in range(n)]
-        for idx, (y,), d in zip(self.section.front, _typed(ys, gaussian), ys.dens):
+        g_int = [[g_den if i == j else 0 for j in range(n)] for i in range(n)]
+        for idx, (y,), d in zip(self.section.front, ys.rows, ys.dens):
             i, j = idx % n, idx // n
-            g_int[i][j] = g_int[i][j] - y * _integer(g_den // d, gaussian)
-        if len(_Reduction(g_int, [1] * n, gaussian, n).pivots) < n:
+            g_int[i][j] = g_int[i][j] - y * (g_den // d)
+        if len(_Reduction(g_int, [1] * n, n).pivots) < n:
             raise OutsideNeighborhoodError("section conjugator is singular")
-        if _mul_rows(b_int, g_int, n, zero) != _mul_rows(g_int, a0_int, n, zero):
+        if _mul_rows(b_int, g_int, n) != _mul_rows(g_int, a0_int, n):
             raise AssertionError("section identity failed despite rank match")
-        g = _made(n, n, _canonical(g_int, [g_den] * n, gaussian))
+        g = _made(n, n, _canonical(g_int, [g_den] * n))
         return rows, den, red, g
 
     def evaluate(self, b: Matrix) -> tuple[Matrix, Scalar, Matrix]:
@@ -245,7 +236,7 @@ class ConjugationSection:
         """
         rows, den, red, g = self._solve(b)
         rho = self.rank
-        block = _made(rho, rho, _canonical([row[:rho] for row in rows], [den] * rho, red.gaussian))
+        block = _made(rho, rho, _canonical([row[:rho] for row in rows], [den] * rho))
         return block, red.det(), g
 
     def conjugator_at(self, b: Matrix) -> Matrix:

@@ -1,5 +1,6 @@
 import copy
 import json
+import operator
 import pickle
 import random
 from fractions import Fraction
@@ -599,6 +600,53 @@ def test_gaussian_integer_equality_and_hash():
     assert len({a, _GaussInt(2, -3), _GaussInt(0, 0)}) == 2
 
 
+def _as_scalar(x):
+    """An int or a Gaussian integer as a Scalar."""
+    return Scalar(x.real, x.imag)
+
+
+def test_gaussian_integer_mixes_with_int():
+    rng = random.Random(20)
+    ops = (operator.add, operator.sub, operator.mul)
+    real_results = 0
+    for _ in range(300):
+        g = _GaussInt(rng.randint(-6, 6), rng.choice((-1, 1)) * rng.randint(1, 6))
+        conj, k = _GaussInt(g.real, -g.imag), rng.randint(-6, 6)
+        norm = g.real * g.real + g.imag * g.imag
+        cases = [(op(x, y), op(_as_scalar(x), _as_scalar(y))) for x, y in ((g, k), (k, g), (g, conj)) for op in ops]
+        # exact quotients, each numerator a multiple of its divisor
+        divisions = [(g * k, g), (k * norm, g), (norm, conj)] + [(g * k, k)] * bool(k)
+        cases += [(x // y, _as_scalar(x) / _as_scalar(y)) for x, y in divisions]
+        for got, want in cases:
+            assert _as_scalar(got) == want, (g, k, got, want)
+            assert type(got) is (_GaussInt if want.im else int), (g, k, got)
+            real_results += not want.im
+    assert real_results > 600
+
+
+def _holds_real_entries_as_int(m):
+    """Every entry of m's integer form is an int, or a _GaussInt that is not real."""
+    return all(type(x) is int or (type(x) is _GaussInt and x.imag) for row in _ints(m).rows for x in row)
+
+
+def test_kernel_results_hold_real_entries_as_int():
+    rng = random.Random(37)
+    results = []
+    for n in (1, 2, 3, 4, 5):
+        for _ in range(4):
+            a, b = _mixed_matrix(rng, n, n, True), _mixed_matrix(rng, n, 2, True)
+            results += [matrix_mul(a, b), matrix_pow(a, 3), a.transpose(), rref(a)[0], *kernel_basis(a)]
+            results += [a.scale(Scalar(Fraction(1, 2), 1)), b.scale(Scalar(0, 2)), a.scale(3)]
+            results.append(matrix_from_json(matrix_to_json(a)))
+            if not det(a).is_zero():
+                results += [inverse(a), solve(a, b), matrix_mul(a, inverse(a))]
+    results.append(matrix_from_json('{"rows": 1, "cols": 3, "entries": [["1+0 i", "2/3-3 i", "0 i"]]}'))
+    assert all(map(_holds_real_entries_as_int, results))
+    forms = [_ints(m) for m in results]
+    mixed = [f for f in forms if {type(x) for row in f.rows for x in row} == {int, _GaussInt}]
+    assert len(mixed) > len(forms) // 4
+
+
 def test_matrix_pow_squares_to_the_repeated_product():
     rng = random.Random(11)
     integer = Matrix.from_rows([[rng.randint(-2, 2) for _ in range(3)] for _ in range(3)])
@@ -672,7 +720,7 @@ def test_gaussian_computation_with_real_result_is_real():
     power = matrix_pow(gamma, 2)
     assert power == a and a == power
     assert power == Matrix.from_rows([[0, 0, 1], [0, 0, 0], [0, 0, 0]])
-    assert not _ints(power).gaussian and _ints(power) == _ints(a)
+    assert all(type(x) is int for row in _ints(power).rows for x in row) and _ints(power) == _ints(a)
     assert all(e.is_real() for row in power.data for e in row)
     assert any(not e.is_real() for row in gamma.data for e in row)
 

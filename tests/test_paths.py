@@ -268,9 +268,7 @@ def test_centralizer_evaluate_matches_inverse_form():
 def _centralizer(x, q, waypoints):
     """A centralizer segment from x through the blends of q, uncertified."""
     waypoints = tuple(Scalar(w) if not isinstance(w, Scalar) else w for w in waypoints)
-    return paths_module.CentralizerSegment(
-        x, q, waypoints, paths_module._detour_records(waypoints), paths_module.BlendFactor(q)
-    )
+    return paths_module.CentralizerSegment(x, q, waypoints, paths_module.BlendFactor(q))
 
 
 def test_centralizer_low_rank_evaluation_matches_the_blend():
@@ -401,7 +399,7 @@ def test_blend_determinant_matches_poly_matrix_det():
     qs += [Matrix.from_rows([[rng.choice(gaussians) for _ in range(4)] for _ in range(4)])]
     ranks = set()
     for q in qs:
-        got = paths_module._blend_determinant(q)
+        got = paths_module.BlendFactor(q).determinant
         assert got == _blend_determinant_by_poly_det(q), q
         r = rank(q - Matrix.identity(q.rows))
         assert got.degree() <= r, q

@@ -5,7 +5,7 @@ import pytest
 
 from nilpath.errors import DuplicateSampleError, ZeroPolynomialError
 from nilpath.matrix import Matrix, _ints, det, matrix_mul
-from nilpath.paths import _blend_determinant
+from nilpath.paths import BlendFactor
 from nilpath.polynomials import (
     RatPoly,
     _newton_poly,
@@ -409,7 +409,7 @@ def test_blend_determinant_segments_match_scalar_oracle():
     zero, one = Scalar(0), Scalar(1)
     failed = 0
     for q in qs:
-        d, want = _blend_determinant(q), scalar_blend_determinant(q)
+        d, want = BlendFactor(q).determinant, scalar_blend_determinant(q)
         assert agrees(d, want), q
         if d.is_zero():
             continue
