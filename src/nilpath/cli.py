@@ -117,7 +117,7 @@ def _cmd_connect(args) -> int:
     a = _read_matrix(args.a)
     x = _read_matrix(args.x)
     y = _read_matrix(args.y)
-    path = connect_roots(a, args.p, x, y, mode=args.mode)
+    path = connect_roots(a, args.p, x, y)
     cert = verify(path, args.samples, mode=args.mode)
     _emit({"path": path.to_json_obj(), "certificate": cert.to_json_obj()})
     return 0 if cert.ok else 1

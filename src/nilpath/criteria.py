@@ -102,7 +102,8 @@ def find_root_profile(m: Profile, p: int) -> Optional[Profile]:
 
 
 def _finite_generators(spec: ZeroSpec, m: Profile) -> list[tuple[tuple[int, int, int], Profile]]:
-    """All usable finite generators (p, a, r), smallest keys first.
+    """All usable finite generators (p, a, r), smallest keys first, each
+    once although a spec may repeat a multiplicity.
 
     Generators touching sizes above the support of m can never appear in a
     witness, which bounds a; for multiplicities above size(m) only the
@@ -112,24 +113,13 @@ def _finite_generators(spec: ZeroSpec, m: Profile) -> list[tuple[tuple[int, int,
     top = m.max_index()
     total = m.size()
     gens = []
-    seen = set()
-    for p in spec.finite_multiplicities:
+    for p in sorted(set(spec.finite_multiplicities)):
         max_a = top if p <= total else 0
         for a in range(0, max_a + 1):
-            for r in range(0, min(p, total - p * a) + 1):
-                if a == 0 and r == 0:
-                    continue  # the zero profile generates nothing
+            for r in range(1 if a == 0 else 0, min(p, total - p * a) + 1):
                 g = cell_power_profile(p * a + r, p)
-                if g.is_empty() or g.size() > total:
-                    continue
-                if any(c > m.get(k) for k, c in g.items()):
-                    continue
-                key = (p, a, r)
-                if key in seen:
-                    continue
-                seen.add(key)
-                gens.append((key, g))
-    gens.sort(key=lambda item: item[0])
+                if all(c <= m.get(k) for k, c in g.items()):
+                    gens.append(((p, a, r), g))
     return gens
 
 

@@ -202,7 +202,7 @@ class LiftCore:
         """The deformed root: q(t)^-1 U_t q(t), with gamma(t)^p = A0."""
         t = _as_fraction(t)
         q = self.q_at(t)
-        return matrix_mul(inverse(q), matrix_mul(self.family_matrix(t), q))
+        return solve(q, matrix_mul(self.family_matrix(t), q))
 
 
 def lift_family(k: int, l: int, p: int) -> LiftCore:
@@ -238,23 +238,14 @@ def lift_family(k: int, l: int, p: int) -> LiftCore:
     right = LiftInterval(_HALF, Fraction(1), q1, q1_inv, correction)
     partition = (Fraction(0), _HALF, Fraction(1))
     conjugators = (identity, q_half, matrix_mul(q1, correction))
-    core = LiftCore(k, l, p, a0, section, partition, conjugators, (left, right))
-    # Exact invariant at every (invertible) partition conjugator: U_t^p q = q A0.
-    for power, q in zip((a0, power_half, power_end), conjugators):
-        if matrix_mul(power, q) != matrix_mul(q, a0):
-            raise AssertionError("lift invariant failed at a partition point")
-    return core
+    # The invariant U_t^p q = q A0 holds at t = 0 (q = I) and at t = 1/2
+    # (the section asserted it); at t = 1 it is the only check of Q1.
+    if matrix_mul(power_end, conjugators[2]) != matrix_mul(conjugators[2], a0):
+        raise AssertionError("lift invariant failed at t = 1")
+    return LiftCore(k, l, p, a0, section, partition, conjugators, (left, right))
 
 
-def certify_lift_interval(
-    section: ConjugationSection,
-    family_power,
-    p: int,
-    anchor: Matrix,
-    anchor_inv: Matrix,
-    left: Fraction,
-    right: Fraction,
-) -> dict:
+def certify_lift_interval(lift: LiftCore, interval: LiftInterval) -> dict:
     """Sturm-certify section validity across one whole lift interval.
 
     The section's leading-block determinant d1(t) and the cleared-denominator
@@ -264,21 +255,26 @@ def certify_lift_interval(
     the interval's lift formula valid everywhere on it.
 
     Their degrees are bounded from the two endpoint evaluations.  U_t^p is
-    affine in t (checked here: it has degree at most p and matches its chord
-    at p + 1 parameters), so B(t), the leading block A(t) and the block's
-    last column c(t) are affine too.  As ``det(M0 + t M1)`` has degree at
-    most rank(M1), d1 has degree at most r = rank(A(right) - A(left)), and
-    by Cramer's rule ``adj(A) c``, hence ghat, has degree at most r + 1.
-    So r + 2 equally spaced nodes suffice (never more than the rank*p + 1
-    of the generic bound), and the interpolants are the unique ones.
+    affine in t, and this is checked first: ``basic_family`` sets only
+    entries above the diagonal, so U_t^(k+l) = 0 and U_t^p has degree at
+    most min(p, k + l); matching its chord at min(p, k + l) + 1 parameters
+    proves it affine, and the interior nodes' powers are then read off that
+    chord.  So B(t), the leading block A(t) and the block's last column c(t)
+    are affine too.  As ``det(M0 + t M1)`` has degree at most rank(M1), d1
+    has degree at most r = rank(A(right) - A(left)), and by Cramer's rule
+    ``adj(A) c``, hence ghat, has degree at most r + 1.  So r + 2 equally
+    spaced nodes suffice, and the interpolants are the unique ones.
     """
+    section, anchor, anchor_inv = lift.section, interval.anchor, interval.anchor_inv
+    left, right = interval.left, interval.right
     span = right - left
-    power_left = family_power(left)
-    power_right = family_power(right)
-    for i in range(1, p):
-        s = Fraction(i, p)
-        chord = power_left + (power_right - power_left).scale(Scalar(s))
-        if family_power(left + span * s) != chord:
+    power_left = lift.family_power(left)
+    power_right = lift.family_power(right)
+    slope = power_right - power_left
+    degree = min(lift.p, lift.k + lift.l)
+    for i in range(1, degree):
+        s = Fraction(i, degree)
+        if lift.family_power(left + span * s) != power_left + slope.scale(Scalar(s)):
             raise AssertionError("family power must be affine in the lift parameter")
 
     def node(power: Matrix) -> tuple[Matrix, Scalar, Matrix]:
@@ -288,9 +284,9 @@ def certify_lift_interval(
     try:
         block_left, *at_left = node(power_left)
         block_right, *at_right = node(power_right)
-        node_count = min(max(section.rank, 1) * p + 1, rank(block_right - block_left) + 2)
-        nodes = [left + span * Fraction(i, node_count - 1) for i in range(node_count)]
-        values = [at_left] + [node(family_power(t))[1:] for t in nodes[1:-1]] + [at_right]
+        last = rank(block_right - block_left) + 1
+        chord = (power_left + slope.scale(Scalar(Fraction(i, last))) for i in range(1, last))
+        values = [at_left] + [node(power)[1:] for power in chord] + [at_right]
     except OutsideNeighborhoodError:
         return {
             "interval": [format_rational(left), format_rational(right)],
@@ -300,7 +296,6 @@ def certify_lift_interval(
 
     # Interpolate in the node index s, with t = left + span * s / last: the
     # change of variable is affine, so it keeps degrees and root counts.
-    last = node_count - 1
     d1_samples = [(s, Matrix(1, 1, [[d_val]])) for s, (d_val, _) in enumerate(values)]
     d1 = poly_interpolate_entries(d1_samples, last)[0][0]
     ghat = poly_interpolate_entries([(s, g) for s, (_, g) in enumerate(values)], last)
@@ -451,7 +446,6 @@ def centralizer_segment(
     p: int,
     x: Matrix,
     y: Matrix,
-    detour_budget: int = DETOUR_BUDGET,
     *,
     bases: Optional[tuple[JordanDecomposition, JordanDecomposition]] = None,
 ) -> CentralizerSegment:
@@ -477,7 +471,7 @@ def centralizer_segment(
         raise AssertionError("similarity witness must commute with the power")
     blend = BlendFactor(q)
     detours = (
-        (ZERO, Scalar(0, Fraction(1, k)), Scalar(1, Fraction(1, k)), ONE) for k in range(2, 2 + detour_budget)
+        (ZERO, Scalar(0, Fraction(1, k)), Scalar(1, Fraction(1, k)), ONE) for k in range(2, 2 + DETOUR_BUDGET)
     )
     for waypoints in chain([(ZERO, ONE)], detours):
         pieces = zip(waypoints, waypoints[1:])
@@ -716,9 +710,10 @@ def connect_roots(a: Matrix, p: int, x: Matrix, y: Matrix, mode: str = "sampled"
         raise PowerMismatchError("x^p differs from the target")
     if matrix_pow(y, p) != a:
         raise PowerMismatchError("y^p differs from the target")
-    nilpotent_profile(a)  # raises NotNilpotentError otherwise
 
-    # One Jordan basis per root: each segment hands its end's basis on.
+    # One Jordan basis per root, each segment handing its end's basis on;
+    # jordan_basis(x) raises NotNilpotentError exactly when a = x^p is not
+    # nilpotent.
     dx, dy = jordan_basis(x), jordan_basis(y)
     chain = profile_chain(dx.profile, dy.profile, p)
 
@@ -738,12 +733,7 @@ def _certify_segment(seg, mode: str) -> dict:
         return {"kind": "centralizer", "pieces": pieces, "ok": all(p["ok"] for p in pieces)}
     lift = seg.lift
     if mode == "certified":
-        intervals = [
-            certify_lift_interval(
-                lift.section, lift.family_power, lift.p, iv.anchor, iv.anchor_inv, iv.left, iv.right
-            )
-            for iv in lift.intervals
-        ]
+        intervals = [certify_lift_interval(lift, iv) for iv in lift.intervals]
     else:
         intervals = [
             {"interval": [format_rational(iv.left), format_rational(iv.right)], "certified": False}

@@ -15,7 +15,9 @@ polynomial work needs no Fraction arithmetic.
 Real-root counting uses Sturm chains computed as primitive integer
 pseudo-remainder sequences (each element rescaled by a positive rational),
 which preserves the sign-variation property while keeping coefficients
-small.  A polynomial over the complex rationals is certified nonvanishing
+small.  The chain is built on the polynomial itself, with no square-free
+pass: a chain that ends in gcd(f, f') counts the distinct roots all the
+same.  A polynomial over the complex rationals is certified nonvanishing
 on a segment by splitting into real and imaginary parts and root-counting
 their gcd.
 """
@@ -175,8 +177,8 @@ def _ip_sign_at(p: list[int], x: Fraction) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def _ip_pseudo_divide(f: list[int], g: list[int]) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of ``|lc(g)|^(deg f - deg g + 1) f`` by g.
+def _ip_prem_neg(f: list[int], g: list[int]) -> list[int]:
+    """Negated remainder of ``|lc(g)|^(deg f - deg g + 1) f`` by g.
 
     That multiplier makes every elimination step integral, and being
     positive it keeps signs faithful to the exact remainder sequence.
@@ -185,22 +187,15 @@ def _ip_pseudo_divide(f: list[int], g: list[int]) -> tuple[list[int], list[int]]
     lead = g[-1]
     mult = abs(lead) ** (df - dg + 1)
     rem = [c * mult for c in f]
-    quo = [0] * (df - dg + 1)
     for i in range(df - dg, -1, -1):
         top = rem[i + dg]
         if top == 0:
             continue
         q, r = divmod(top, lead)
         assert r == 0, "pseudo-remainder division must be exact"
-        quo[i] = q
         for j in range(dg + 1):
             rem[i + j] -= q * g[j]
-    return quo, _ip_trim(rem[:dg] if dg > 0 else [])
-
-
-def _ip_prem_neg(f: list[int], g: list[int]) -> list[int]:
-    """Negated pseudo-remainder of f by g, scaled by a positive factor."""
-    return [-c for c in _ip_pseudo_divide(f, g)[1]]
+    return _ip_trim([-c for c in rem[:dg]])
 
 
 def _ip_gcd(f: list[int], g: list[int]) -> list[int]:
@@ -221,13 +216,6 @@ def _ip_gcd(f: list[int], g: list[int]) -> list[int]:
     return a
 
 
-def _ip_div_exact(f: list[int], g: list[int]) -> list[int]:
-    """Quotient f/g when g divides f over the rationals; primitive output."""
-    quo, rem = _ip_pseudo_divide(f, g)
-    assert not rem, "inexact polynomial division"
-    return _ip_primitive(quo)
-
-
 def _ip_deflate_root(f: list[int], root: Fraction) -> list[int]:
     """Divide out (b x - a) for root = a/b; assumes f(root) = 0.  The
     quotient is integral (Gauss's lemma), and found by synthetic division
@@ -243,25 +231,19 @@ def _ip_deflate_root(f: list[int], root: Fraction) -> list[int]:
     return _ip_primitive(out)
 
 
-def _sturm_chain(f: list[int]) -> list[list[int]]:
-    chain = [list(f), _ip_derivative(f)]
-    if not chain[1]:
-        return chain[:1]
-    while True:
-        nxt = _ip_primitive(_ip_prem_neg(chain[-2], chain[-1]))
-        if not nxt:
-            break
-        chain.append(nxt)
-    return chain
-
-
 def _variations(chain: list[list[int]], x: Fraction) -> int:
     signs = [s for s in (_ip_sign_at(p, x) for p in chain) if s != 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
 
 
 def _int_roots_in_open_interval(f: list[int], lo: Fraction, hi: Fraction) -> int:
-    """Distinct real roots of the integer polynomial in (lo, hi)."""
+    """Distinct real roots of the integer polynomial in (lo, hi).
+
+    Roots at the ends are deflated away first.  Sturm's theorem then holds
+    for f itself, square-free or not: its chain f, f', ... ends in
+    gcd(f, f'), and dividing the whole chain by that gcd, which is nonzero
+    wherever f is, changes no sign variation at lo or hi.
+    """
     while f and _ip_sign_at(f, lo) == 0:
         f = _ip_deflate_root(f, lo)
     while f and _ip_sign_at(f, hi) == 0:
@@ -270,12 +252,9 @@ def _int_roots_in_open_interval(f: list[int], lo: Fraction, hi: Fraction) -> int
         raise ZeroPolynomialError("polynomial vanished entirely under deflation")
     if len(f) == 1:
         return 0
-    g = _ip_gcd(f, _ip_derivative(f))
-    if len(g) > 1:
-        f = _ip_div_exact(f, g)  # square-free part
-    if len(f) == 1:
-        return 0
-    chain = _sturm_chain(f)
+    chain = [f, _ip_derivative(f)]
+    while nxt := _ip_primitive(_ip_prem_neg(chain[-2], chain[-1])):
+        chain.append(nxt)
     return _variations(chain, lo) - _variations(chain, hi)
 
 

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -124,6 +125,22 @@ def test_profile_queries_at_huge_p(files, capsys):
     code, out = run(capsys, ["solvable", "--zeros", "1000000000", "--profile", "3:1"])
     assert code == 1
     assert json.loads(out) == {"solvable": False}
+
+
+def test_certified_connect_at_huge_p(files, capsys, tmp_path):
+    # U_t is strictly upper triangular, so the certified lift checks U_t^p
+    # against its chord at min(p, k + l) + 1 parameters, not at p + 1
+    z = tmp_path / "z.json"
+    z.write_text(matrix_to_json(Matrix.zeros(2, 2)))
+    roots = ["--a", str(z), "--x", str(z), "--y", files["J2"]]
+    start = time.process_time()
+    code, out = run(capsys, ["connect", "--p", "1000000000", *roots, "--samples", "2", "--mode", "certified"])
+    assert code == 0
+    stored = tmp_path / "path.json"
+    stored.write_text(out)
+    code, out = run(capsys, ["verify", "--mode", "certified", str(stored)])
+    assert code == 0 and json.loads(out)["ok"]
+    assert time.process_time() - start < 5
 
 
 def test_solvable_examples(files, capsys):

@@ -5,6 +5,7 @@ import pytest
 from nilpath.criteria import (
     SemigroupWitness,
     ZeroSpec,
+    _finite_generators,
     find_root_profile,
     has_pth_root,
     is_f_solvable,
@@ -88,6 +89,14 @@ def test_witness_soundness():
             w = is_f_solvable(ZeroSpec(mults), m)
             if w is not None:
                 assert w.total_profile() == m
+
+
+def test_repeated_multiplicity_changes_nothing():
+    # a spec may repeat a multiplicity; each generator is still listed once
+    for m in all_profiles_up_to(10):
+        assert is_f_solvable(ZeroSpec((2, 2, 3)), m) == is_f_solvable(ZeroSpec((2, 3)), m), m
+        keys = [key for key, _ in _finite_generators(ZeroSpec((3, 2, 2, 5)), m)]
+        assert all(a < b for a, b in zip(keys, keys[1:])), (m, keys)
 
 
 def test_witness_determinism():

@@ -1,5 +1,7 @@
+import importlib.util
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +35,7 @@ from nilpath.paths import (
     certify_lift_interval,
     connect_roots,
     lift_family,
+    LiftCore,
     path_from_json_obj,
     RootPath,
     verify,
@@ -839,16 +842,7 @@ def test_path_json_checks_moves_before_lifting(monkeypatch):
 
 def certify_lift(lift):
     """certify_lift_interval's record for every interval of the lift."""
-
-    def family_power(t):
-        return matrix_pow(basic_family(lift.k, lift.l, t), lift.p)
-
-    return [
-        certify_lift_interval(
-            lift.section, family_power, lift.p, iv.anchor, iv.anchor_inv, iv.left, iv.right
-        )
-        for iv in lift.intervals
-    ]
+    return [certify_lift_interval(lift, iv) for iv in lift.intervals]
 
 
 def test_certified_mode_on_nontrivial_lift():
@@ -904,7 +898,7 @@ def test_certify_lift_interval_matches_generic_degree_bound(monkeypatch):
         for iv in lift.intervals:
             args = (lift.section, family_power, p, iv.anchor, iv.anchor_inv, iv.left, iv.right)
             node_counts.clear()
-            record = certify_lift_interval(*args)
+            record = certify_lift_interval(lift, iv)
             assert record == reference_certify_lift_interval(*args), (k, l, p, iv.left)
             assert record["ok"]
             # d1 and ghat are each interpolated through rank(dA) + 2 nodes
@@ -960,18 +954,15 @@ def test_lift_chart_failing_at_the_glue_point_is_a_guard(monkeypatch, chart):
         assert calls == [matrix_pow(basic_family(2, 4, Fraction(1, 2)), 2)]
 
 
-def test_certify_lift_interval_rejects_non_affine_family():
+def test_certify_lift_interval_rejects_non_affine_family(monkeypatch):
+    def bent_power(lift, t):
+        return matrix_pow(basic_family(lift.k, lift.l, t * t), lift.p)
+
+    monkeypatch.setattr(LiftCore, "family_power", bent_power)
     for k, l, p in ((2, 3, 2), (2, 4, 2)):
         lift = lift_family(k, l, p)
-        iv = lift.intervals[0]
-
-        def bent_power(t):
-            return matrix_pow(basic_family(k, l, t * t), p)
-
         with pytest.raises(AssertionError):
-            certify_lift_interval(
-                lift.section, bent_power, p, iv.anchor, iv.anchor_inv, iv.left, iv.right
-            )
+            certify_lift_interval(lift, lift.intervals[0])
 
 
 def test_evaluate_rejects_out_of_range():
@@ -1205,10 +1196,29 @@ def test_connect_takes_one_jordan_basis_per_root(monkeypatch):
         bases.clear()
         path = _catalog_path(p, mx, my, 1)
         moves = [seg.move for seg in path.segments if seg.kind == "adjacency"]
-        assert profiles == [path.target]
+        assert profiles == []
         assert len(bases) == len(moves) + 2
         if moves:
             assert {mv.direction for mv in moves} == {"forward", "backward"}
+
+
+def test_benchmark_names_resolve():
+    # bench/tracing.py wraps these names, and bench/workloads.py passes mode=
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracing", Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    )
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for _, module_name, attr, _ in tracing.TARGETS:
+        owner = importlib.import_module(module_name)
+        if "." in attr:
+            cls_name, meth = attr.split(".")
+            assert meth in vars(getattr(owner, cls_name)), (module_name, attr)
+        else:
+            assert callable(getattr(owner, attr, None)), (module_name, attr)
+    z = Matrix.zeros(2, 2)
+    path = connect_roots(z, 2, z, jordan_cell(2), mode="certified")
+    assert verify(path, 2, mode="certified").ok
 
 
 def test_large_entry_sample_profiles_stay_fast(detour_paths):

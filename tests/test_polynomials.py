@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import isqrt, lcm
 
 import pytest
 
@@ -8,6 +9,12 @@ from nilpath.matrix import Matrix, _ints, det, matrix_mul
 from nilpath.paths import BlendFactor
 from nilpath.polynomials import (
     RatPoly,
+    _ip_deflate_root,
+    _ip_derivative,
+    _ip_gcd,
+    _ip_prem_neg,
+    _ip_primitive,
+    _ip_sign_at,
     _newton_poly,
     certify_nonvanishing_segment,
     poly_interpolate_entries,
@@ -72,6 +79,59 @@ def test_sturm_with_high_multiplicities():
             hi += 1
         expected = len({r for r in base if lo < r < hi})
         assert sturm_root_count(f, lo, hi) == expected, (roots, lo, hi)
+
+
+def squarefree_sturm_count(f, lo, hi):
+    """Distinct roots of f in (lo, hi), counted on the square-free part:
+    deflate the endpoint roots, divide by gcd(f, f') and build the Sturm
+    chain of the quotient."""
+    f = list(f.nums)
+    while _ip_sign_at(f, lo) == 0:
+        f = _ip_deflate_root(f, lo)
+    while _ip_sign_at(f, hi) == 0:
+        f = _ip_deflate_root(f, hi)
+    g = _ip_gcd(f, _ip_derivative(f))
+    rem, quo = [Fraction(c) for c in f], [Fraction(0)] * (len(f) - len(g) + 1)
+    for i in reversed(range(len(quo))):  # f / g by long division
+        quo[i] = rem[i + len(g) - 1] / g[-1]
+        for j, c in enumerate(g):
+            rem[i + j] -= quo[i] * c
+    assert not any(rem)
+    scale = lcm(*(q.denominator for q in quo))
+    f = [int(q * scale) for q in quo]
+    if len(f) == 1:
+        return 0
+    chain = [f, _ip_derivative(f)]
+    while nxt := _ip_primitive(_ip_prem_neg(chain[-2], chain[-1])):
+        chain.append(nxt)
+
+    def variations(x):
+        signs = [s for s in (_ip_sign_at(p, x) for p in chain) if s]
+        return sum(a * b < 0 for a, b in zip(signs, signs[1:]))
+
+    return variations(lo) - variations(hi)
+
+
+def test_sturm_matches_squarefree_oracle():
+    rng = random.Random(2024)
+    for _ in range(60):
+        lo = Fraction(rng.randint(-6, 2), rng.randint(1, 3))
+        hi = lo + Fraction(rng.randint(1, 8), rng.randint(1, 3))
+        f = rp(rng.randint(1, 3))
+        for _ in range(rng.randint(1, 4)):
+            if rng.random() < 0.6:  # a linear factor, its root inside, outside or at an end
+                inside = lo + (hi - lo) * Fraction(rng.randint(1, 5), 6)
+                outside = rng.choice([lo, hi]) + rng.choice([-1, 1]) * Fraction(rng.randint(1, 9), 4)
+                root = rng.choice([lo, hi, inside, outside])
+                factor = RatPoly([Scalar(-root), ONE])
+            else:  # an irreducible quadratic x^2 + bx + c
+                b, c = rng.randint(-4, 4), rng.randint(-6, 6)
+                while (d := b * b - 4 * c) >= 0 and isqrt(d) ** 2 == d:
+                    c += 1
+                factor = rp(c, b, 1)
+            for _ in range(rng.randint(1, 4)):
+                f = f * factor
+        assert sturm_root_count(f, lo, hi) == squarefree_sturm_count(f, lo, hi), (f, lo, hi)
 
 
 def test_sturm_rejects_zero_poly_and_bad_interval():
