@@ -31,12 +31,15 @@ from .scalar import parse_rational
 
 
 def _read_json_file(path: str):
+    """The JSON value in a file.  Text that is not UTF-8, nests too deep to
+    parse or holds an integer past Python's digit limit is bad input, as
+    invalid JSON is: each is a ValueError or a RecursionError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise InputFormatError(f"invalid JSON in {path}: {exc}") from None
 
 

@@ -3,15 +3,13 @@
 A matrix stores one thing: its canonical integer form (``_Ints``).  Row i is
 an integer row over its own positive denominator.  Each entry carries its
 own type: an ``int`` when it is real and a Gaussian integer (``_GaussInt``)
-only when its imaginary part is not 0, and the two mix in every operation,
-so no kernel asks which kind of matrix it holds.  Each row is divided by its
-gcd with its denominator, so equal matrices have equal forms.  A matrix
-built from :class:`~nilpath.scalar.Scalar` entries converts them once, at
-construction, and keeps them as the cache that ``Matrix.data`` reads; a
-matrix made by a kernel, or read from JSON text (parsed straight into
-integers), builds its Scalars the first time they are read.
-``Matrix.data`` is a tuple of tuples, so the entries are read-only and all
-operations return new values.
+only when its imaginary part is not 0.  Each row is divided by its gcd with
+its denominator, so equal matrices have equal forms.  A matrix built from
+:class:`~nilpath.scalar.Scalar` entries converts them once, at construction,
+and keeps them as the cache that ``Matrix.data`` reads; a matrix made by a
+kernel, or read from JSON text (parsed straight into integers), builds its
+Scalars the first time they are read.  ``Matrix.data`` is a tuple of
+tuples, so the entries are read-only and all operations return new values.
 
 The kernels run on the integer form, so a chain of kernel calls stays in
 integers.  The conversion from Scalars works row by row over the least
@@ -28,6 +26,19 @@ counts the pivots, det is that product, inverse and solve read the reduced
 augmented block, and rref, kernel_basis and pivot_columns read the echelon
 form.  Callers in the package that build their rows in integers hand them
 to the elimination as they are (``_Reduction``).
+
+Both loops run on the entries of a real matrix.  When a loop reads a
+Gaussian entry as a factor (a nonzero a_ik of the product, the pivot or
+the eliminated entry f of a row update), it splits the rows into their
+real and imaginary ``int`` rows and does the rest of its work on those
+parts: a product in Gauss's three real multiplications, a row update
+``(piv*x - f*y) // s`` on the parts, with a Gaussian s divided out as a
+product by conj(s) and ``//`` by |s|^2.  A Gaussian entry that the loop
+reads only as the other operand takes the entry's own arithmetic, so no
+loop scans a matrix for its types.  The parts go back into entries once
+per output entry, in :func:`_canonical` after the row is reduced by its
+gcd.  :func:`_plus_scaled`, ``a + c*b`` in one pass, works on the parts
+too when c is Gaussian.
 """
 
 from __future__ import annotations
@@ -36,11 +47,11 @@ import json
 from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm, prod
-from operator import add, mul, sub
+from operator import add, attrgetter, mul
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import InputFormatError, SingularMatrixError
-from .scalar import _ZERO_F, ZERO, Scalar, _mk, _scalar_parts, format_scalar, parse_int
+from .scalar import _ZERO_F, ONE, ZERO, Scalar, _mk, _scalar_parts, format_scalar, parse_int
 
 
 class Matrix:
@@ -114,10 +125,10 @@ class Matrix:
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        return _combine(self, other, add)
+        return _plus_scaled(self, ONE, other)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return _combine(self, other, sub)
+        return _plus_scaled(self, -ONE, other)
 
     def __neg__(self) -> "Matrix":
         return self.scale(-1)
@@ -143,16 +154,22 @@ class Matrix:
         return _made(self.cols, self.rows, _canonical(columns, [den] * self.cols))
 
 
-def _combine(a: Matrix, b: Matrix, op) -> Matrix:
-    """``a op b`` entrywise for op = add or sub, row by row over the lcm of
-    the two rows' denominators."""
+def _plus_scaled(a: Matrix, c: Scalar, b: Matrix) -> Matrix:
+    """``a + c*b`` in one pass, row by row over the lcm of the two rows'
+    denominators.  With c = w/e for a Gaussian w, each row is taken as its
+    real and imaginary int rows (:func:`_combined`)."""
     if a.rows != b.rows or a.cols != b.cols:
         raise ValueError(f"shape mismatch: {a.rows}x{a.cols} vs {b.rows}x{b.cols}")
     fa, fb = _ints(a), _ints(b)
+    ((w,),), (e,) = _int_rows([[c]])
     rows, dens = [], []
     for ra, da, rb, db in zip(fa.rows, fa.dens, fb.rows, fb.dens):
-        d = lcm(da, db)
-        rows.append(list(map(op, _times(ra, d // da), _times(rb, d // db))))
+        d = lcm(da, db * e)
+        ka, kb = d // da, w * (d // (db * e))
+        if type(w) is int:
+            rows.append(list(map(add, _times(ra, ka), _times(rb, kb))))
+        else:
+            rows.append(_combined(_split(rb), kb, _split(ra), -ka))
         dens.append(d)
     return _made(a.rows, a.cols, _canonical(rows, dens))
 
@@ -203,9 +220,11 @@ class _GaussInt:
     """A Gaussian integer ``real + imag*i`` with ``imag != 0``: the entry
     type where an entry is not real, next to ``int`` where it is.  Its
     fields are named as int's are, so code reads the parts of either the
-    same way.  It has what the loops use, with an int on either side:
-    ``+``, ``-``, ``*`` and exact ``//``, each returning through
-    :func:`_gauss`, and ``==`` for exact checks.  As it is never 0, it is
+    same way.  It has what entry arithmetic uses: ``+``, ``-`` and ``*``
+    with an int on either side and an exact ``//`` by an int, each
+    returning through :func:`_gauss`, and ``==`` for exact checks.  The
+    loops do their Gaussian work on split parts instead (see the module
+    docstring).  As it is never 0, it is
     true, like any object, in the loops' ``if a:`` zero tests, and equal
     entries have equal types."""
 
@@ -234,19 +253,9 @@ class _GaussInt:
 
     __rmul__ = __mul__
 
-    def __floordiv__(self, other):
-        """The exact quotient: ``other`` must divide ``self``."""
-        a, b, c, d = self.real, self.imag, other.real, other.imag
-        if not d:
-            return _gauss(a // c, b // c)
-        n = c * c + d * d
-        return _gauss((a * c + b * d) // n, (b * c - a * d) // n)
-
-    def __rfloordiv__(self, other: int):
-        """The exact quotient of the int ``other`` by ``self``."""
-        c, d = self.real, self.imag
-        n = c * c + d * d
-        return _gauss(other * c // n, -other * d // n)
+    def __floordiv__(self, other: int):
+        """The exact quotient by the int ``other``, which must divide both parts."""
+        return _gauss(self.real // other, self.imag // other)
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not _GaussInt:
@@ -258,6 +267,7 @@ class _GaussInt:
 
 
 _ZERO_RATIO = (0, 1)
+_REAL, _IMAG = attrgetter("real"), attrgetter("imag")
 
 
 class _Ints(NamedTuple):
@@ -302,21 +312,39 @@ def _over_one(form: _Ints) -> tuple[list[list], int]:
 def _canonical(rows: list[list], dens: list[int]) -> _Ints:
     """The integer form of the matrix with rows ``rows[i] / dens[i]`` (any
     nonzero denominators): each row and its denominator divided by their
-    gcd, signed so the denominator is positive."""
+    gcd, signed so the denominator is positive.  A row may come as the pair
+    of its real and imaginary ``int`` rows, as the kernels make it; it is
+    reduced on its parts and joined into entries once."""
     out_rows, out_dens = [], []
     for row, d in zip(rows, dens):
-        if d != 1:
+        if type(row) is tuple:
+            row, d = _joined(*row, d)
+        elif d != 1:
             try:
                 g = gcd(d, *row)
-            except TypeError:  # a Gaussian entry: the gcd of the parts
-                g = gcd(d, *[x.real for x in row], *[x.imag for x in row])
-            if d < 0:
-                g = -g
-            if g != 1:
-                row, d = [x // g for x in row], d // g
+            except TypeError:  # a Gaussian entry: reduce the parts
+                row, d = _joined(list(map(_REAL, row)), list(map(_IMAG, row)), d)
+            else:
+                if d < 0:
+                    g = -g
+                if g != 1:
+                    row, d = [x // g for x in row], d // g
         out_rows.append(row)
         out_dens.append(d)
     return _Ints(out_rows, out_dens)
+
+
+def _joined(re: list[int], im: list[int], d: int = 1) -> tuple[list, int]:
+    """The row ``(re + im*i) / d`` as entries over a positive denominator,
+    both divided by the gcd of the parts and d first: an entry is an int
+    where its imaginary part is 0."""
+    if d != 1:
+        g = gcd(d, *re, *im)
+        if d < 0:
+            g = -g
+        if g != 1:
+            re, im, d = [x // g for x in re], [x // g for x in im], d // g
+    return [_GaussInt(a, b) if b else a for a, b in zip(re, im)], d
 
 
 def _int_rows(data: Sequence[Sequence[Scalar]]) -> tuple[list[list], list[int]]:
@@ -363,14 +391,68 @@ def _scalar(x, den: int) -> Scalar:
 
 def _mul_rows(arows: list[list], brows: list, width: int) -> list[list]:
     """The product loop: row i is the sum of ``a_ik * brows[k]`` over the
-    nonzero entries a_ik of ``arows[i]``, summed in integers."""
+    nonzero entries a_ik of ``arows[i]``, summed in integers, as entries.
+    A row :func:`_mul_parts` made on its real and imaginary parts is joined
+    here."""
+    return [row if type(row) is list else _joined(*row)[0] for row in _mul_parts(arows, brows, width)]
+
+
+def _mul_parts(arows: list[list], brows: list, width: int) -> list:
+    """The rows of :func:`_mul_rows`, a row that meets a Gaussian a_ik
+    given as its real and imaginary ``int`` rows.  The loop runs on the
+    entries until the first Gaussian a_ik; from that row on
+    :func:`_mul_split` takes over.  A Gaussian entry of ``brows`` times an
+    int a_ik is one entry product."""
     out = []
     for arow in arows:
-        acc = [0] * width
+        acc = None
         for a, brow in zip(arow, brows):
             if a:
-                acc = list(map(add, acc, map(mul, repeat(a), brow)))
-        out.append(acc)
+                if type(a) is not int:
+                    return out + _mul_split(arows[len(out) :], brows, width)
+                terms = map(mul, repeat(a), brow)
+                acc = list(terms) if acc is None else list(map(add, acc, terms))
+        out.append([0] * width if acc is None else acc)
+    return out
+
+
+def _mul_split(arows: list[list], brows: list, width: int) -> list:
+    """The product on real and imaginary ``int`` rows, by Gauss's
+    three-multiplication product.  Each row of ``brows`` is split once into
+    c + d*i, with c + d kept when d is not 0.  Per output row, real terms
+    a*c go to ``re``; other terms go to ``x = Σ a_r c``, ``y = Σ a_i d``
+    and ``z = Σ (a_r + a_i)(c + d)``, so a Gaussian × Gaussian term costs
+    three real products and a Gaussian × real one two (y takes nothing when
+    a_i or d is 0).  The row is then ``(re + x - y) + (z - x - y) i``: a
+    list when no term was Gaussian, else the pair of its parts."""
+    parts = []
+    for brow in brows:
+        d = list(map(_IMAG, brow))
+        if any(d):
+            c = list(map(_REAL, brow))
+            parts.append((c, d, list(map(add, c, d))))
+        else:
+            parts.append((brow, None, brow))
+    zero = [0] * width
+    out = []
+    for arow in arows:
+        re = x = y = z = zero
+        for a, (c, d, cd) in zip(arow, parts):
+            if not a:
+                continue
+            ar, ai = a.real, a.imag
+            if ai or d is not None:
+                k = ar + ai
+                x = [u + ar * v for u, v in zip(x, c)]
+                z = [u + k * v for u, v in zip(z, cd)]
+                if ai and d is not None:
+                    y = [u + ai * v for u, v in zip(y, d)]
+            else:
+                re = [u + a * v for u, v in zip(re, c)]
+        if x is zero:
+            out.append(re)
+        else:
+            out.append(([u + v - w for u, v, w in zip(re, x, y)], [u - v - w for u, v, w in zip(z, x, y)]))
     return out
 
 
@@ -378,7 +460,7 @@ def _product(a: _Ints, b: _Ints, width: int) -> _Ints:
     """The integer form of the product: a's rows times b's rows over one
     common denominator."""
     brows, bden = _over_one(b)
-    return _canonical(_mul_rows(a.rows, brows, width), [d * bden for d in a.dens])
+    return _canonical(_mul_parts(a.rows, brows, width), [d * bden for d in a.dens])
 
 
 def matrix_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -427,6 +509,12 @@ def _eliminate(rows: list[list], dens: list[int], pivot_cols: int) -> tuple[list
     denominator unless the row holds a pivot.  The loop replaces rows in
     ``rows`` and never edits a row list.
 
+    The loop runs on the entries while every ``piv`` and ``f`` it reads is
+    an int, so every scale is one too; a Gaussian entry elsewhere in a row
+    takes the entry operations.  At the first Gaussian ``piv`` or ``f``,
+    :func:`_eliminate_split` takes over at that column, and the rows it
+    returns are pairs of real and imaginary ``int`` rows.
+
     Returns the pivot columns, the row scales and the sign of the row
     permutation, 0 once a column fails to pivot.
     """
@@ -456,26 +544,99 @@ def _eliminate(rows: list[list], dens: list[int], pivot_cols: int) -> tuple[list
             prow = [x * prev for x in prow] if s is None else [x * prev // s for x in prow]
             rows[r] = prow
         piv = prow[c]
-        for i, row in enumerate(rows):
-            f = row[c]
-            if not f or i == r:
-                continue
-            s = scales[i]
-            if s is None:
-                rows[i] = [piv * x - f * y for x, y in zip(row, prow)]
+        if type(piv) is int:
+            for i, row in enumerate(rows):
+                f = row[c]
+                if not f or i == r:
+                    continue
+                if type(f) is not int:
+                    break
+                s = scales[i]
+                if s is None:
+                    rows[i] = [piv * x - f * y for x, y in zip(row, prow)]
+                else:
+                    rows[i] = [(piv * x - f * y) // s for x, y in zip(row, prow)]
+                scales[i] = piv
             else:
-                rows[i] = [(piv * x - f * y) // s for x, y in zip(row, prow)]
-            scales[i] = piv
+                scales[r] = prev = piv
+                pivots.append(c)
+                r += 1
+                continue
+        scales[r] = prev  # row r is brought up to date
+        return _eliminate_split(rows, dens, scales, pivots, sign, prev, range(c, pivot_cols))
+    return pivots, scales, sign
+
+
+def _eliminate_split(
+    rows: list[list], dens: list[int], scales: list, pivots: list[int], sign: int, prev, columns: range
+) -> tuple[list[int], list, int]:
+    """:func:`_eliminate` over ``columns``, from the state it reached, with
+    each row split once into its real and imaginary ``int`` rows, which it
+    leaves as the pairs.  Every update is :func:`_combined` on the parts.
+    The first column may be one the entry loop left half done: its pivot
+    row is up to date (scale ``prev``) and the rows it updated hold 0 in
+    that column, so running the column again finishes it."""
+    n = len(rows)
+    rows[:] = map(_split, rows)
+    r = len(pivots)
+    for c in columns:
+        if r >= n:
+            break
+        p = r
+        while p < n and not (rows[p][0][c] or rows[p][1][c]):
+            p += 1
+        if p == n:
+            sign = 0
+            continue
+        if p != r:
+            rows[p], rows[r] = rows[r], rows[p]
+            dens[p], dens[r] = dens[r], dens[p]
+            scales[p], scales[r] = scales[r], scales[p]
+            sign = -sign
+        s = scales[r]
+        if s is not prev:
+            rows[r] = _combined(rows[r], prev, s=s)
+        prow = rows[r]
+        piv = _gauss(prow[0][c], prow[1][c])
+        for i, (re, im) in enumerate(rows):
+            if i != r and (re[c] or im[c]):
+                rows[i] = _combined(rows[i], piv, prow, _gauss(re[c], im[c]), scales[i])
+                scales[i] = piv
         scales[r] = prev = piv
         pivots.append(c)
         r += 1
     return pivots, scales, sign
 
 
+def _split(row: list) -> tuple[list[int], list[int]]:
+    """A row of entries as its real and imaginary ``int`` rows."""
+    im = list(map(_IMAG, row))
+    return (list(map(_REAL, row)) if any(im) else row), im
+
+
+def _combined(x: tuple, a, y: Optional[tuple] = None, b=0, s=None) -> tuple[list[int], list[int]]:
+    """``(a*x - b*y) // s`` on rows split by :func:`_split`, an exact
+    division; s = None stands for 1 and y for x.  A Gaussian s is divided
+    out as a product by conj(s) folded into a and b, then ``//`` by |s|^2
+    on each part."""
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    n = 1 if s is None else s
+    if type(s) is _GaussInt:
+        sr, si = s.real, -s.imag
+        ar, ai, br, bi = ar * sr - ai * si, ar * si + ai * sr, br * sr - bi * si, br * si + bi * sr
+        n = sr * sr + si * si
+    (xr, xi), (yr, yi) = x, y or x
+    return (
+        [(ar * u - ai * v - br * p + bi * q) // n for u, v, p, q in zip(xr, xi, yr, yi)],
+        [(ar * v + ai * u - br * q - bi * p) // n for u, v, p, q in zip(xr, xi, yr, yi)],
+    )
+
+
 class _Reduction:
     """Integer rows over their denominators, reduced by :func:`_eliminate`
     over their first ``pivot_cols`` columns, with what the loop returned.
-    The lists passed in are left as they are."""
+    A row the loop left split is the pair of its real and imaginary int
+    rows.  The lists passed in are left as they are."""
 
     __slots__ = ("rows", "dens", "pivots", "scales", "sign")
 
@@ -483,15 +644,21 @@ class _Reduction:
         self.rows, self.dens = list(rows), list(dens)
         self.pivots, self.scales, self.sign = _eliminate(self.rows, self.dens, pivot_cols)
 
-    def row(self, i: int, columns: Optional[Iterable[int]] = None) -> tuple[list, int]:
+    def row(self, i: int, columns: Optional[Iterable[int]] = None) -> tuple:
         """Row i of the rational reduced form, at ``columns`` (all by
-        default), as integers over a denominator of either sign."""
+        default), as integers over a denominator of either sign: a list of
+        entries, or the pair of its real and imaginary int rows when the
+        loop left it split or its scale s is Gaussian.  A Gaussian s
+        divides out as a product by conj(s) on the parts over |s|^2."""
         s = self.scales[i]
         den = 1 if i < len(self.pivots) else self.dens[i]
-        row = self.rows[i] if columns is None else [self.rows[i][c] for c in columns]
-        if type(s) is _GaussInt:  # divide by s as conj(s) / |s|^2
-            conj = _GaussInt(s.real, -s.imag)
-            row = [x * conj for x in row]
+        row = self.rows[i]
+        if type(s) is _GaussInt and type(row) is list:
+            row = _split(row)
+        if columns is not None:
+            row = [row[c] for c in columns] if type(row) is list else tuple([x[c] for c in columns] for x in row)
+        if type(s) is _GaussInt:
+            row = _combined(row, _GaussInt(s.real, -s.imag))
             den *= s.real * s.real + s.imag * s.imag
         elif s is not None:
             den *= s
@@ -530,7 +697,10 @@ class _Reduction:
         denominator: ±(last pivot) over the denominators of the pivot rows,
         0 once a column failed to pivot."""
         k = len(self.pivots)
-        last = self.rows[k - 1][self.pivots[-1]] if k else 1
+        if not k:
+            return self.sign, 1
+        row, c = self.rows[k - 1], self.pivots[-1]
+        last = row[c] if type(row) is list else _gauss(row[0][c], row[1][c])
         return last * self.sign, prod(self.dens[:k])
 
     def det(self) -> Scalar:
@@ -702,7 +872,7 @@ def matrix_to_json(m: Matrix) -> str:
 def matrix_from_json(text: str) -> Matrix:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # as in the CLI's file reader
         raise InputFormatError(f"invalid JSON: {exc}") from None
     return matrix_from_json_obj(obj)
 

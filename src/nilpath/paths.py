@@ -51,6 +51,7 @@ from .matrix import (
     _columns,
     _ints,
     _made,
+    _plus_scaled,
     _Reduction,
     direct_sum,
     inverse,
@@ -387,10 +388,10 @@ class CentralizerSegment:
             return self.base_root
         nx, xc, nxc = self._products
         if gamma is None:
-            p, rows = xc + nxc.scale(z), solve(Matrix.identity(f.r.rows) + f.rc.scale(z), f.r)
+            p, rows = _plus_scaled(xc, z, nxc), solve(_plus_scaled(Matrix.identity(f.r.rows), z, f.rc), f.r)
         else:
             p, rows = matrix_mul(gamma, f.c), f.r
-        return self.base_root + (nx - matrix_mul(p, rows)).scale(z)
+        return _plus_scaled(_plus_scaled(self.base_root, z, nx), -z, matrix_mul(p, rows))
 
     def evaluate(self, s: ParamLike) -> Matrix:
         return self._bx_minus(_as_fraction(s))

@@ -189,10 +189,13 @@ def _scalar_parts(text: str) -> tuple[int, int, int, int]:
         a, b, sign, (c, d) = 0, None, None, m.groups()
     else:
         raise InputFormatError(f"bad scalar entry {text!r}")
-    b, d = int(b or 1), int(d or 1)
+    try:
+        a, b, c, d = int(a), int(b or 1), int((sign or "") + (c or "0")), int(d or 1)
+    except ValueError as exc:  # a part past Python's digit limit
+        raise InputFormatError(f"bad scalar entry of {len(text)} characters: {exc}") from None
     if not b or not d:
         raise InputFormatError(f"zero denominator in scalar entry {text!r}")
-    return int(a), b, int((sign or "") + (c or "0")), d
+    return a, b, c, d
 
 
 def parse_scalar(text: str) -> Scalar:

@@ -415,6 +415,31 @@ def test_input_error_exit_code(files, capsys, tmp_path):
     assert code == 2
 
 
+def _bad_input_exits_two(capsys, tmp_path, content: bytes):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    code = main(["profile", str(bad)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("input error: ") and "Traceback" not in captured.err
+
+
+def test_non_utf8_file_exits_two(capsys, tmp_path):
+    _bad_input_exits_two(capsys, tmp_path, b'{"rows": 1, "cols": 1, "entries": [["\xff"]]}')
+
+
+def test_deeply_nested_json_exits_two(capsys, tmp_path):
+    _bad_input_exits_two(capsys, tmp_path, b"[" * 100_000 + b"]" * 100_000)
+
+
+def test_entry_past_the_int_digit_limit_exits_two(capsys, tmp_path):
+    entry = json.dumps({"rows": 1, "cols": 1, "entries": [["1" * 5000]]})
+    _bad_input_exits_two(capsys, tmp_path, entry.encode())
+    # a JSON integer that long fails in the parser itself
+    _bad_input_exits_two(capsys, tmp_path, b'{"rows": 1, "cols": 1, "entries": [["0"]], "x": ' + b"1" * 5000 + b"}")
+
+
 def test_size_cap_env_guard(files, capsys, monkeypatch):
     monkeypatch.setenv("NILPATH_SIZE_CAP", "4")
     code, _ = run(capsys, ["graph", "--p", "2", "--profile", "2:2,1:2"])

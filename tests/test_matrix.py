@@ -12,6 +12,8 @@ from nilpath.matrix import (
     Matrix,
     _GaussInt,
     _ints,
+    _mul_rows,
+    _plus_scaled,
     _Reduction,
     det,
     direct_sum,
@@ -614,8 +616,8 @@ def test_gaussian_integer_mixes_with_int():
         conj, k = _GaussInt(g.real, -g.imag), rng.randint(-6, 6)
         norm = g.real * g.real + g.imag * g.imag
         cases = [(op(x, y), op(_as_scalar(x), _as_scalar(y))) for x, y in ((g, k), (k, g), (g, conj)) for op in ops]
-        # exact quotients, each numerator a multiple of its divisor
-        divisions = [(g * k, g), (k * norm, g), (norm, conj)] + [(g * k, k)] * bool(k)
+        # exact quotients by an int, each numerator a multiple of its divisor
+        divisions = [(g * k, k), (g * norm, norm)] if k else [(g * norm, norm)]
         cases += [(x // y, _as_scalar(x) / _as_scalar(y)) for x, y in divisions]
         for got, want in cases:
             assert _as_scalar(got) == want, (g, k, got, want)
@@ -723,6 +725,119 @@ def test_gaussian_computation_with_real_result_is_real():
     assert all(type(x) is int for row in _ints(power).rows for x in row) and _ints(power) == _ints(a)
     assert all(e.is_real() for row in power.data for e in row)
     assert any(not e.is_real() for row in gamma.data for e in row)
+
+
+# -- the kernels on real and imaginary int rows ------------------------------
+
+
+def _is_canonical(m):
+    """m's integer form is the one built from its Scalars: each row over a
+    positive denominator with no common factor, real entries as int and
+    the others as a _GaussInt that is not real."""
+    return _holds_real_entries_as_int(m) and _ints(m) == _ints(_rebuilt(m))
+
+
+def _g(re, im=0):
+    return Scalar(re, im)
+
+
+# Gaussian matrices that reach each branch of the split kernels; comments
+# name the branch of _eliminate (or _mul_parts, read as the left factor).
+_SPLIT_CASES = [
+    Matrix(0, 0, []),
+    Matrix(0, 3, []),
+    Matrix(3, 0, [[], [], []]),
+    Matrix.from_rows([[_g(0, 3)]]),  # 1x1, purely imaginary
+    Matrix.from_rows([[_g(Fraction(2, 3), -5)]]),
+    # a purely imaginary first pivot, then Gaussian pivots: Gaussian scales
+    Matrix.from_rows([[_g(0, 3), 1, _g(2, 1)], [1, _g(1, 1), 0], [_g(0, -2), 4, _g(1, -3)]]),
+    # real pivot, a real f, then a Gaussian f: the hand-over mid-column
+    Matrix.from_rows([[2, 1, 0], [4, 3, _g(0, 1)], [_g(1, 2), 0, 5]]),
+    # a real first column, then a Gaussian pivot: the hand-over at a pivot
+    Matrix.from_rows([[1, _g(0, 2), 3], [2, _g(1, 4), 1], [0, 1, 1]]),
+    # the same in a pivot row that the first pivot (2) left alone: the hand-over after a catch-up
+    Matrix.from_rows([[2, 1, 0], [0, _g(1, 1), 3], [1, 0, 1]]),
+    # real pivots and f, Gaussian entries only in the last column: the entry path
+    Matrix.from_rows([[1, 2, _g(1, 1)], [3, 4, _g(0, -2)], [5, 6, 7]]),
+    # a zero row and a zero column, rational entries over mixed denominators
+    Matrix.from_rows([[0, 0, 0], [_g(Fraction(1, 2), 1), 0, 2], [3, 0, _g(0, Fraction(1, 3))]]),
+    # rows that start real and turn Gaussian: the product loop hands over mid-row
+    Matrix.from_rows([[1, 0, 2], [3, _g(0, 1), _g(1, 1)], [0, 0, 0], [_g(2, -1), 1, 0]]),
+    # rank 2: the third row is (1 + i) times the first plus the second
+    Matrix.from_rows([[1, _g(0, 1), 2], [0, 3, _g(1, -1)], [_g(1, 1), _g(2, 4), _g(2, 1)]]),
+]
+
+
+def test_split_kernels_match_rational_reference():
+    rng = random.Random(41)
+    cases = _SPLIT_CASES + [_mixed_matrix(rng, n, n, True) for n in (2, 4, 6) for _ in range(3)]
+    for m in cases:
+        partners = [_mixed_matrix(rng, m.cols, k, gaussian) for k in (0, 1, 3) for gaussian in (False, True)]
+        real = Matrix.from_rows([[rng.randint(-3, 3) for _ in range(m.rows)] for _ in range(2)]) if m.rows else None
+        for a, b in [(m, x) for x in partners] + [(real, m)] * (real is not None):
+            got = matrix_mul(a, b)
+            assert got == _ref_matrix_mul(a, b) and _is_canonical(got), (a, b)
+        for c in (_g(0, 2), _g(Fraction(-1, 2), 3), _g(Fraction(5, 4)), ONE, -ONE):
+            other = _mixed_matrix(rng, m.rows, m.cols, True)
+            want = Matrix(m.rows, m.cols, [[x + c * y for x, y in zip(p, q)] for p, q in zip(m.data, other.data)])
+            got = _plus_scaled(m, c, other)
+            assert got == want and _is_canonical(got)
+            assert m.scale(c) == _ref_matrix_mul(Matrix.identity(m.rows).scale(c), m)
+        want_rref = _ref_rref(m)
+        assert rank(m) == len(want_rref[1]) and rref(m) == want_rref and _is_canonical(rref(m)[0]), m
+        assert (kernel_basis(m), want_rref[1]) == _ref_kernel_and_pivots(m), m
+        assert all(map(_is_canonical, kernel_basis(m))), m
+        if not m.is_square():
+            continue
+        assert det(m) == _ref_gauss_jordan([list(r) for r in m.data], m.cols)[1], m
+        assert power_ranks(m) == _ref_power_ranks(m), m
+        assert matrix_pow(m, 3) == _ref_matrix_mul(m, _ref_matrix_mul(m, m)) and _is_canonical(matrix_pow(m, 3))
+        want_inv = _ref_solve(m, Matrix.identity(m.rows))
+        if want_inv is None:
+            with pytest.raises(SingularMatrixError):
+                inverse(m)
+        else:
+            assert inverse(m) == want_inv and _is_canonical(inverse(m)), m
+
+
+def test_product_rows_match_the_entry_product():
+    # _mul_rows joins the rows it made on their parts, for callers that read entries
+    rng = random.Random(43)
+    for m in _SPLIT_CASES[3:]:
+        a = [[_g(x.real, x.imag) for x in row] for row in _ints(m).rows]  # integer rows, denominators dropped
+        ints = Matrix.from_rows(a)
+        for gaussian in (False, True):
+            entries = [[_g(rng.randint(-4, 4), rng.randint(-4, 4) * gaussian) for _ in range(3)] for _ in range(m.cols)]
+            b = Matrix.from_rows(entries)
+            assert _ints(ints).dens == [1] * m.rows and _ints(b).dens == [1] * m.cols
+            rows = _mul_rows(_ints(ints).rows, _ints(b).rows, 3)
+            assert rows == _ints(_ref_matrix_mul(ints, b)).rows
+
+
+def test_split_kernels_give_int_entries_where_imaginary_parts_cancel():
+    rng = random.Random(47)
+    for n in (1, 2, 3, 4):
+        r = random_invertible(n, rng)
+        i_r = r.scale(_g(0, 1))  # every nonzero entry purely imaginary
+        q = Matrix.from_rows([[_g(int(i == j), rng.randint(-2, 2) * (i < j)) for j in range(n)] for i in range(n)])
+        q_bar = Matrix.from_rows([[_g(x.re, -x.im) for x in row] for row in q.data])
+        b = Matrix.from_rows([[rng.randint(-3, 3) for _ in range(2)] for _ in range(n)])
+        results = [
+            matrix_mul(q, inverse(q)),  # Gaussian x Gaussian, the identity
+            matrix_mul(i_r, r.scale(_g(0, -1))),  # i R times -i R = R^2
+            matrix_pow(i_r, 2),  # -R^2
+            solve(i_r, b.scale(_g(0, 1))),  # R^-1 B
+            rref(i_r)[0],  # the identity, through purely imaginary pivots
+            _plus_scaled(q, -ONE, q_bar).scale(_g(0, Fraction(1, 2))),  # -(the imaginary part)
+        ]
+        results += kernel_basis(Matrix(n, n + 1, [list(row) + [x] for row, x in zip(i_r.data, i_r.column_entries(0))]))
+        for m in results:
+            assert all(type(x) is int for row in _ints(m).rows for x in row), m
+            assert _is_canonical(m), m
+        assert results[0] == Matrix.identity(n) and results[4] == Matrix.identity(n)
+        assert results[1] == matrix_mul(r, r) and results[2] == -matrix_mul(r, r)
+        assert results[3] == solve(r, b)
+        assert type(_Reduction(*_ints(i_r), n).det_ints()[0]) is (int if n % 2 == 0 else _GaussInt)
 
 
 def test_edits_through_data_reach_the_kernels():
