@@ -26,7 +26,7 @@ from .errors import (
     WindowViolationError,
     ZeroPolynomialError,
 )
-from .scalar import Scalar, format_scalar, parse_scalar, scalar
+from .scalar import Scalar, format_scalar, parse_scalar
 from .matrix import (
     Matrix,
     det,

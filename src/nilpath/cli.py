@@ -26,7 +26,7 @@ from .matrix import (
     matrix_to_json_obj,
 )
 from .paths import connect_roots, path_from_json_obj, verify
-from .profiles import Profile, profile_power, size_cap
+from .profiles import Profile, profile_power
 from .scalar import parse_rational
 
 
@@ -94,7 +94,7 @@ def _cmd_graph(args) -> int:
         target = nilpotent_profile(_read_matrix(args.matrix))
     else:
         target = Profile.from_text(args.profile)
-    g = build_graph(target, args.p, cap=size_cap())
+    g = build_graph(target, args.p)
     if args.dot:
         sys.stdout.write(export_dot(g))
     else:
@@ -153,7 +153,7 @@ def _cmd_solvable(args) -> int:
         raise InputFormatError("need at least one zero: --zeros and/or --inf")
     spec = ZeroSpec(mults, args.inf)
     profile = Profile.from_text(args.profile)
-    witness = is_f_solvable(spec, profile, cap=size_cap())
+    witness = is_f_solvable(spec, profile)
     if witness is None:
         _emit({"solvable": False})
         return 1
@@ -230,10 +230,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = None  # built on the first call to main, then reused
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:  # argparse: 2 after a usage error, 0 after --help
         return exc.code
     try:

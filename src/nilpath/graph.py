@@ -59,10 +59,6 @@ class ProfileChain:
         }
 
 
-def _sort_key(profile: Profile):
-    return profile.partition()
-
-
 def _forward_moves(u: Profile, p: int) -> Iterator[tuple[Profile, AdjacencyMove]]:
     """Every profile that one forward window move makes of u, with that
     move: cells k < l - 1 in the window a = (l - 1) // p of l become k + 1
@@ -85,7 +81,7 @@ def build_graph(target: Profile, p: int, cap: Optional[int] = None) -> ProfileGr
     in vertex order and each with its move: the edges of a scan over all
     pairs with ``is_p_adjacent``, in its order, at the cost of u's moves.
     """
-    vertices = sorted(enumerate_preimages(target, p, cap=cap), key=_sort_key, reverse=True)
+    vertices = sorted(enumerate_preimages(target, p, cap=cap), key=Profile.partition, reverse=True)
     index = {v: j for j, v in enumerate(vertices)}
     edges = []
     for u in vertices:

@@ -513,7 +513,9 @@ def _eliminate(rows: list[list], dens: list[int], pivot_cols: int) -> tuple[list
     an int, so every scale is one too; a Gaussian entry elsewhere in a row
     takes the entry operations.  At the first Gaussian ``piv`` or ``f``,
     :func:`_eliminate_split` takes over at that column, and the rows it
-    returns are pairs of real and imaginary ``int`` rows.
+    returns are pairs of real and imaginary ``int`` rows.  So a row left as
+    a list has an int scale or None, and only a split row has a Gaussian
+    scale.
 
     Returns the pivot columns, the row scales and the sign of the row
     permutation, 0 once a column fails to pivot.
@@ -648,13 +650,12 @@ class _Reduction:
         """Row i of the rational reduced form, at ``columns`` (all by
         default), as integers over a denominator of either sign: a list of
         entries, or the pair of its real and imaginary int rows when the
-        loop left it split or its scale s is Gaussian.  A Gaussian s
-        divides out as a product by conj(s) on the parts over |s|^2."""
+        loop left it split, as it leaves every row with a Gaussian scale s.
+        A Gaussian s divides out as a product by conj(s) on the parts over
+        |s|^2."""
         s = self.scales[i]
         den = 1 if i < len(self.pivots) else self.dens[i]
         row = self.rows[i]
-        if type(s) is _GaussInt and type(row) is list:
-            row = _split(row)
         if columns is not None:
             row = [row[c] for c in columns] if type(row) is list else tuple([x[c] for c in columns] for x in row)
         if type(s) is _GaussInt:
@@ -707,9 +708,9 @@ class _Reduction:
         return _scalar(*self.det_ints())
 
 
-def _solve_square(a: Matrix, b: Matrix) -> tuple[Matrix, Scalar]:
-    """``(a^-1 b, det a)``, read off ``[a | b]`` row-reduced over the
-    columns of a; raises SingularMatrixError unless they all pivot."""
+def _solve_square(a: Matrix, b: Matrix) -> Matrix:
+    """``a^-1 b``, read off ``[a | b]`` row-reduced over the columns of a;
+    raises SingularMatrixError unless they all pivot."""
     n = a.rows
     fa, fb = _ints(a), _ints(b)
     rows, dens = [], []
@@ -720,7 +721,7 @@ def _solve_square(a: Matrix, b: Matrix) -> tuple[Matrix, Scalar]:
     red = _Reduction(rows, dens, n)
     if len(red.pivots) < n:
         raise SingularMatrixError("matrix is singular")
-    return _made(n, b.cols, red.form(range(n), range(n, n + b.cols))), red.det()
+    return _made(n, b.cols, red.form(range(n), range(n, n + b.cols)))
 
 
 def rank(m: Matrix) -> int:
@@ -750,14 +751,14 @@ def inverse(m: Matrix) -> Matrix:
     """Exact inverse by Gauss-Jordan elimination; raises if singular."""
     if not m.is_square():
         raise ValueError("inverse of a non-square matrix")
-    return _solve_square(m, Matrix.identity(m.rows))[0]
+    return _solve_square(m, Matrix.identity(m.rows))
 
 
 def solve(a: Matrix, b: Matrix) -> Matrix:
     """Solve ``a @ x = b`` for square invertible ``a``; raises if singular."""
     if not a.is_square() or a.rows != b.rows:
         raise ValueError("solve shape mismatch")
-    return _solve_square(a, b)[0]
+    return _solve_square(a, b)
 
 
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:

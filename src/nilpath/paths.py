@@ -18,8 +18,8 @@ the first always degenerates, on [1/2, 1].  An exact centralizer correction
 glues them at t = 1/2.  A stored adjacency segment is therefore just its
 move, outer conjugator and bystander block; loading rebuilds the lift, and
 a certified ``verify`` Sturm-certifies both of its charts.  ``verify``
-reads each sample's Jordan profile off its segment's small model, not off
-the sample.
+gets each sample, and its Jordan profile read off its segment's small
+model, not off the sample, from one call to that segment.
 """
 
 from __future__ import annotations
@@ -60,6 +60,7 @@ from .matrix import (
     matrix_mul,
     matrix_pow,
     matrix_to_json_obj,
+    power_ranks,
     rank,
     solve,
 )
@@ -86,6 +87,26 @@ ParamLike = Union[Fraction, int]
 
 def _as_fraction(t: ParamLike) -> Fraction:
     return t if isinstance(t, Fraction) else Fraction(t)
+
+
+def _is_root(x: Matrix, p: int, a: Matrix) -> bool:
+    """Whether x^p = a, for a square x of size n.  For p < n, x^p is
+    formed.  For p >= n it is not: x^p is nilpotent exactly when x is, and
+    then x^p = x^n x^(p-n) = 0, so x^p = a holds exactly when a = 0 and
+    x^n = 0.  Where x is not nilpotent, x^p can equal a only if a is not
+    nilpotent either; that case raises NotNilpotentError, as the root's
+    Jordan basis would."""
+    n = x.rows
+    if p < n:
+        return matrix_pow(x, p) == a
+    nilpotent = matrix_pow(x, n).is_zero()
+    if (a.rows, a.cols) != (n, n):
+        return False
+    if nilpotent:
+        return a.is_zero()
+    if power_ranks(a)[-1]:
+        raise NotNilpotentError("the target is not nilpotent")
+    return False
 
 
 # -- the basic two-cell deformation family ----------------------------------
@@ -173,8 +194,7 @@ class LiftCore:
     k: int
     l: int
     p: int
-    base_power: Matrix  # A0 = U_0^p
-    section: ConjugationSection
+    section: ConjugationSection  # around A0 = U_0^p
     partition: tuple[Fraction, ...]
     conjugators: tuple[Matrix, ...]
     intervals: tuple[LiftInterval, ...]
@@ -243,7 +263,7 @@ def lift_family(k: int, l: int, p: int) -> LiftCore:
     # (the section asserted it); at t = 1 it is the only check of Q1.
     if matrix_mul(power_end, conjugators[2]) != matrix_mul(conjugators[2], a0):
         raise AssertionError("lift invariant failed at t = 1")
-    return LiftCore(k, l, p, a0, section, partition, conjugators, (left, right))
+    return LiftCore(k, l, p, section, partition, conjugators, (left, right))
 
 
 def certify_lift_interval(lift: LiftCore, interval: LiftInterval) -> dict:
@@ -379,22 +399,31 @@ class CentralizerSegment:
         rx = matrix_mul(self.blend.r, x)
         return matrix_mul(c, rx), matrix_mul(x, c), matrix_mul(c, matrix_mul(rx, c))
 
-    def _bx_minus(self, s: Fraction, gamma: Optional[Matrix] = None) -> Matrix:
-        """``BX - z P R' = X + z (NX - P R')`` at z = omega(s), which is
-        gamma(z) for ``P R' = (XC + z NXC) M(z)^-1 R`` and, given gamma, what
-        ``gamma B == BX`` forces for ``P R' = (gamma C) R``; X when zN = 0."""
-        f, z = self.blend, self._omega(s)
+    def _bx_minus(self, z: Scalar) -> tuple[Matrix, Optional[Matrix]]:
+        """``(gamma(z), BX)`` with ``gamma(z) = BX - z (XC + z NXC) M(z)^-1 R``
+        and BX = X + zNX; (X, None) when zN = 0, where B = I."""
+        f = self.blend
         if not f.r.rows or z.is_zero():
-            return self.base_root
+            return self.base_root, None
         nx, xc, nxc = self._products
-        if gamma is None:
-            p, rows = _plus_scaled(xc, z, nxc), solve(_plus_scaled(Matrix.identity(f.r.rows), z, f.rc), f.r)
-        else:
-            p, rows = matrix_mul(gamma, f.c), f.r
-        return _plus_scaled(_plus_scaled(self.base_root, z, nx), -z, matrix_mul(p, rows))
+        bx = _plus_scaled(self.base_root, z, nx)
+        rows = solve(_plus_scaled(Matrix.identity(f.r.rows), z, f.rc), f.r)
+        return _plus_scaled(bx, -z, matrix_mul(_plus_scaled(xc, z, nxc), rows)), bx
 
     def evaluate(self, s: ParamLike) -> Matrix:
-        return self._bx_minus(_as_fraction(s))
+        return self._bx_minus(self._omega(_as_fraction(s)))[0]
+
+    def sample(self, s: Fraction) -> tuple[Matrix, Optional[Profile]]:
+        """``evaluate(s)`` and X's profile, once ``gamma B == BX``, that is
+        ``gamma + z (gamma C) R == BX``, holds exactly for the BX that built
+        gamma (B is invertible there, as the solve with M succeeded); else
+        None for the profile."""
+        z = self._omega(s)
+        gamma, bx = self._bx_minus(z)
+        f = self.blend
+        if bx is not None and _plus_scaled(gamma, z, matrix_mul(matrix_mul(gamma, f.c), f.r)) != bx:
+            return gamma, None
+        return gamma, self._root_profile
 
     @property
     def certifications(self) -> tuple[dict, ...]:
@@ -402,14 +431,6 @@ class CentralizerSegment:
         return _detour_records(self.waypoints)
 
     _root_profile = cached_property(lambda self: nilpotent_profile(self.base_root))
-
-    def sample_profile(self, s: Fraction, gamma: Matrix) -> Optional[Profile]:
-        """X's profile, once ``gamma B == B X`` holds exactly for gamma =
-        evaluate(s) and the blend B at s (invertible, as evaluate solved
-        with M); else None."""
-        if gamma != self._bx_minus(s, gamma):
-            return None
-        return self._root_profile
 
     @property
     def start(self) -> Matrix:
@@ -464,7 +485,7 @@ def centralizer_segment(
     of budget therefore signals a fault rather than a negative result.
     """
     if bases is None:
-        if matrix_pow(x, p) != a or matrix_pow(y, p) != a:
+        if not (_is_root(x, p, a) and _is_root(y, p, a)):
             raise PowerMismatchError("segment endpoints must both power to the target")
         bases = jordan_basis(x), jordan_basis(y)
     q = _witness(*bases)
@@ -510,11 +531,11 @@ class AdjacencySegment:
 
     _bystander_profile = cached_property(lambda self: nilpotent_profile(self.bystander))
 
-    def sample_profile(self, s: Fraction, gamma: Matrix) -> Profile:
-        """The profile of ``gamma = evaluate(s)``, a conjugate of the
-        bystander plus q^-1 U_t q: the bystander's plus that of U_t."""
+    def sample(self, s: Fraction) -> tuple[Matrix, Profile]:
+        """``evaluate(s)``, a conjugate of the bystander plus q^-1 U_t q, and
+        its profile: the bystander's plus that of U_t."""
         t = 1 - s if self.reversed_time else s
-        return self._bystander_profile + nilpotent_profile(self.lift.family_matrix(t))
+        return self.evaluate(s), self._bystander_profile + nilpotent_profile(self.lift.family_matrix(t))
 
     # Each endpoint is a lift evaluation; the segment reads it once.
     @cached_property
@@ -582,7 +603,7 @@ def adjacency_segment(
     assertion ``seg.start == n`` proves ``P J P^-1 = n``, and as the lift
     keeps the power constant, ``seg.end^p = a`` then gives ``n^p = a``.
     """
-    if basis is None and matrix_pow(n, p) != a:
+    if basis is None and not _is_root(n, p, a):
         raise PowerMismatchError("root does not power to the target")
     if move.p != p:
         raise ValueError("move was built for a different power")
@@ -655,6 +676,12 @@ class RootPath:
         seg, local = self._locate(t)
         return seg.evaluate(local)
 
+    def sample(self, t: Fraction) -> tuple[Matrix, Optional[Profile]]:
+        """The point at t in [0, 1] and its profile, both from one call to
+        the segment that covers t (see ``verify``)."""
+        seg, local = self._locate(t)
+        return seg.sample(local)
+
     def _locate(self, t: Fraction) -> tuple:
         """The segment that covers t, and t in that segment's parameter."""
         count = len(self.segments)
@@ -707,9 +734,9 @@ def connect_roots(a: Matrix, p: int, x: Matrix, y: Matrix, mode: str = "sampled"
     """
     if mode not in ("sampled", "certified"):
         raise ValueError("mode must be 'sampled' or 'certified'")
-    if matrix_pow(x, p) != a:
+    if not _is_root(x, p, a):
         raise PowerMismatchError("x^p differs from the target")
-    if matrix_pow(y, p) != a:
+    if not _is_root(y, p, a):
         raise PowerMismatchError("y^p differs from the target")
 
     # One Jordan basis per root, each segment handing its end's basis on;
@@ -765,10 +792,8 @@ def verify(path: RootPath, sample_count: int, mode: str = "sampled") -> Certific
         residual_zero, prof = False, None
         # where the path is undefined, or the model is not nilpotent, the sample fails
         with suppress(SingularMatrixError, OutsideNeighborhoodError, NotNilpotentError):
-            m = path.evaluate(t)
-            residual_zero = matrix_pow(m, path.power) == path.target
-            seg, s = path._locate(t)
-            prof = seg.sample_profile(s, m)
+            m, prof = path.sample(t)
+            residual_zero = _is_root(m, path.power, path.target)
         all_ok = all_ok and residual_zero and prof is not None
         samples.append((t, residual_zero, prof))
 

@@ -137,15 +137,6 @@ ONE = Scalar(1)
 I = Scalar(0, 1)
 
 
-def scalar(re=0, im=0) -> Scalar:
-    """Convenience constructor accepting ints, Fractions or strings."""
-    if isinstance(re, str):
-        re = Fraction(re)
-    if isinstance(im, str):
-        im = Fraction(im)
-    return Scalar(re, im)
-
-
 # -- text format ---------------------------------------------------------
 #
 # Entries are written "a/b" for reals and "a/b+c/d i" / "a/b-c/d i" with a

@@ -110,7 +110,7 @@ def section_eval(s: SectionData, v: Matrix) -> Matrix:
     image = matrix_mul(v, s.anchor).data
     entries = v.data
     try:
-        correction, _ = _solve_square(
+        correction = _solve_square(
             Matrix(rho, rho, [[entries[r][k] for k in s.front] for r in s.rows]),
             Matrix(rho, 1, [image[r] for r in s.rows]),
         )

@@ -532,6 +532,56 @@ def test_verify_through_a_singular_blend_is_a_well_formed_no(capsys, tmp_path):
             assert (s["residualZero"], s["profile"]) == ((False, None) if undefined else (True, "2:1"))
 
 
+def _non_nilpotent_path_file(tmp_path, p):
+    """A 1x1 path with A = 0 and every sample X = [[2]], at power p."""
+    two = matrix_to_json_obj(Matrix.from_rows([[2]]))
+    path_file = tmp_path / "two_path.json"
+    path_file.write_text(json.dumps({
+        "A": matrix_to_json_obj(Matrix.zeros(1, 1)),
+        "p": p,
+        "endpoints": {"X": two, "Y": two},
+        "segments": [{
+            "kind": "centralizer",
+            "baseRoot": two,
+            "conjugator": matrix_to_json_obj(Matrix.identity(1)),
+            "waypoints": ["0", "1"],
+        }],
+    }))
+    return path_file
+
+
+def test_huge_p_on_a_non_nilpotent_root_is_decided_without_the_power(capsys, tmp_path):
+    # x^p = A for p >= n is decided from x^n, so 2^p is never formed
+    huge = 10**18
+    path_file = _non_nilpotent_path_file(tmp_path, huge)
+    z, two = tmp_path / "z.json", tmp_path / "two.json"
+    z.write_text(matrix_to_json(Matrix.zeros(1, 1)))
+    two.write_text(matrix_to_json(Matrix.from_rows([[2]])))
+    start = time.process_time()
+    code, out = run(capsys, ["verify", str(path_file), "--samples", "4"])
+    assert code == 1
+    cert = json.loads(out)
+    assert cert["ok"] is False
+    assert all(s["residualZero"] is False and s["profile"] is None for s in cert["samples"])
+    assert main(["connect", "--p", str(huge), "--a", str(z), "--x", str(two), "--y", str(z)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "x^p differs from the target" in err
+    assert time.process_time() - start < 1
+
+
+def test_main_twice_in_one_process(files, capsys, tmp_path):
+    # the parser is built once and reused: the same stdout, and --help and
+    # usage errors keep their exit codes after a successful call
+    path_file = _non_nilpotent_path_file(tmp_path, 2)
+    outs = [run(capsys, ["verify", str(path_file), "--samples", "3"]) for _ in range(2)]
+    assert outs[0] == outs[1] and outs[0][0] == 1
+    code, out = run(capsys, ["--help"])
+    assert code == 0 and out.startswith("usage: nilpath")
+    assert main(["verify"]) == 2
+    assert "the following arguments are required: path" in capsys.readouterr().err
+    assert run(capsys, ["profile", files["A"]]) == run(capsys, ["profile", files["A"]])
+
+
 # -- fuzzing: exit codes 0-3 and no traceback for any argv or small file -----
 
 LEAVES = st.one_of(

@@ -800,6 +800,22 @@ def test_split_kernels_match_rational_reference():
             assert inverse(m) == want_inv and _is_canonical(inverse(m)), m
 
 
+def test_only_split_rows_carry_gaussian_scales():
+    # _eliminate leaves a row as a list only with an int scale or none;
+    # a Gaussian scale comes with a row split into its real and imaginary parts
+    rng = random.Random(43)
+    cases = _SPLIT_CASES + [_mixed_matrix(rng, n, n + 1, gaussian) for n in (2, 4, 6) for gaussian in (False, True)]
+    split = 0
+    for m in cases:
+        red = _Reduction(*_ints(m), m.cols)
+        for row, s in zip(red.rows, red.scales):
+            if type(row) is list:
+                assert s is None or type(s) is int, m
+            else:
+                split += 1
+    assert split
+
+
 def test_product_rows_match_the_entry_product():
     # _mul_rows joins the rows it made on their parts, for callers that read entries
     rng = random.Random(43)

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -122,7 +123,7 @@ def test_lift_endpoints():
 
 def test_lift_constant_power():
     lift = lift_family(2, 4, 2)
-    a0 = lift.base_power
+    a0 = lift.section.base
     for num in range(0, 9):
         t = Fraction(num, 8)
         assert matrix_pow(lift.gamma(t), 2) == a0
@@ -153,7 +154,7 @@ def test_lift_interval_formula_continuous_at_seams():
 
 def test_lift_degenerate_base():
     lift = lift_family(0, 2, 2)  # base power is the zero matrix
-    assert lift.base_power.is_zero()
+    assert lift.section.base.is_zero()
     for num in range(0, 5):
         t = Fraction(num, 4)
         assert matrix_pow(lift.gamma(t), 2).is_zero()
@@ -162,7 +163,7 @@ def test_lift_degenerate_base():
 
 def test_lift_higher_power():
     lift = lift_family(3, 4, 3)  # window a = 1: 3 <= 3 < 4 <= 6
-    a0 = lift.base_power
+    a0 = lift.section.base
     for num in range(0, 7):
         t = Fraction(num, 6)
         assert matrix_pow(lift.gamma(t), 3) == a0
@@ -181,7 +182,7 @@ def test_lift_battery_all_small_windows():
     assert len(windows) >= 15
     for k, l, p in sorted(windows):
         lift = lift_family(k, l, p)
-        a0 = lift.base_power
+        a0 = lift.section.base
         for num in range(0, 7):
             t = Fraction(num, 6)
             assert matrix_pow(lift.gamma(t), p) == a0, (k, l, p, t)
@@ -306,9 +307,9 @@ def test_centralizer_low_rank_evaluation_matches_the_blend():
             z = seg._omega(s)
             if det(_blend(q, z)).is_zero():
                 continue
-            gamma = seg.evaluate(s)
+            gamma, prof = seg.sample(s)
             assert gamma == conjugate(x, _blend(q, z)), (q, s)
-            assert seg.sample_profile(s, gamma) == nilpotent_profile(x)
+            assert prof == nilpotent_profile(x)
             complex_samples += not z.is_real()
     assert complex_samples >= 16
 
@@ -849,7 +850,7 @@ def test_certified_mode_on_nontrivial_lift():
     lift = lift_family(2, 3, 2)
     certifications = certify_lift(lift)
     assert all(c["ok"] for c in certifications)
-    a0 = lift.base_power
+    a0 = lift.section.base
     for num in range(0, 7):
         assert matrix_pow(lift.gamma(Fraction(num, 6)), 2) == a0
 
@@ -911,7 +912,7 @@ def test_certified_lift_on_large_windows():
         certifications = certify_lift(lift)
         assert len(certifications) == len(lift.intervals)
         assert all(c["ok"] for c in certifications)
-        a0 = lift.base_power
+        a0 = lift.section.base
         for t in (Fraction(1, 3), Fraction(7, 8), Fraction(1)):
             assert matrix_pow(lift.gamma(t), p) == a0, (k, l, p, t)
 
@@ -1111,10 +1112,16 @@ def _profile_by_ranks(m):
 
 
 def _record_samples(monkeypatch):
-    """A dict that maps each t to the sample RootPath.evaluate computes at t."""
+    """A dict that maps each t to the sample RootPath.sample computes at t."""
     samples = {}
-    evaluate = RootPath.evaluate
-    monkeypatch.setattr(RootPath, "evaluate", lambda path, t: samples.setdefault(t, evaluate(path, t)))
+    sample = RootPath.sample
+
+    def recorded(path, t):
+        out = sample(path, t)
+        samples.setdefault(t, out[0])
+        return out
+
+    monkeypatch.setattr(RootPath, "sample", recorded)
     return samples
 
 
@@ -1155,22 +1162,26 @@ def test_verify_complex_detours_stay_fast(monkeypatch, detour_paths):
 
 def test_centralizer_sample_profile_checks_the_conjugation(monkeypatch, detour_paths):
     s = Fraction(3, 8)
+    bx_minus = paths_module.CentralizerSegment._bx_minus
     for path in (detour_paths[0], _catalog_path(2, (6, 4), (5, 5), 1)):
         seg = path.segments[-1]
         gamma = seg.evaluate(s)
-        assert seg.sample_profile(s, gamma) == nilpotent_profile(seg.base_root)
+        assert seg.sample(s) == (gamma, nilpotent_profile(seg.base_root))
         rows = [list(row) for row in gamma.data]
         rows[1][2] = rows[1][2] + 1
         changed = Matrix(gamma.rows, gamma.cols, rows)
-        assert seg.sample_profile(s, changed) is None
+        with monkeypatch.context() as patch:
+            patch.setattr(paths_module.CentralizerSegment, "_bx_minus", lambda seg, z: (changed, bx_minus(seg, z)[1]))
+            assert seg.sample(s) == (changed, None)
 
     # through verify, on the catalog path: only the changed sample has no
     # profile, and the certificate fails
     count = len(path.segments)
     at = (count - 1 + s) / count
-    evaluate = paths_module.CentralizerSegment.evaluate
     monkeypatch.setattr(
-        paths_module.CentralizerSegment, "evaluate", lambda seg, u: changed if u == s else evaluate(seg, u)
+        paths_module.CentralizerSegment,
+        "_bx_minus",
+        lambda seg, z: (changed, bx_minus(seg, z)[1]) if z == seg._omega(s) else bx_minus(seg, z),
     )
     cert = verify(path, 8 * count)
     assert not cert.ok
@@ -1263,3 +1274,24 @@ def test_connect_on_empty_and_one_by_one_inputs(tmp_path, capsys):
         assert main(["connect", "--p", "2", "--a", str(f), "--x", str(f), "--y", str(f), "--samples", "4"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["certificate"]["ok"] is True
+
+
+def test_is_root_decides_large_powers_from_x_to_the_n():
+    # for p >= n, x^p = a is read off x^n; the one answer that differs from
+    # forming x^p: x and a both not nilpotent raises NotNilpotentError
+    from nilpath.errors import NotNilpotentError
+    from nilpath.matrix import random_invertible
+
+    rng = random.Random(23)
+    cells = [jordan_cell(3), direct_sum([jordan_cell(2), jordan_cell(1)]), Matrix.zeros(3, 3)]
+    others = [Matrix.identity(3), Matrix.from_rows([[0, 1, 0], [0, 0, 0], [0, 0, 2]])]
+    for _ in range(4):
+        r = random_invertible(3, rng)
+        for x in [matrix_mul(r, matrix_mul(m, inverse(r))) for m in cells + others]:
+            for p in (3, 4, 7):
+                for a in [matrix_pow(x, p), Matrix.zeros(3, 3), jordan_cell(3), *others, Matrix.zeros(2, 2)]:
+                    if a.rows == 3 and not (matrix_pow(x, 3).is_zero() or matrix_pow(a, 3).is_zero()):
+                        with pytest.raises(NotNilpotentError):
+                            paths_module._is_root(x, p, a)
+                    else:
+                        assert paths_module._is_root(x, p, a) == (matrix_pow(x, p) == a), (x, p, a)

@@ -75,3 +75,10 @@ def test_parse_rejects_garbage():
 def test_hash_consistency():
     assert hash(Scalar(Fraction(2, 4))) == hash(Scalar(Fraction(1, 2)))
     assert len({Scalar(1), Scalar(1, 0), ONE}) == 1
+
+
+def test_scalar_module_is_reachable_through_the_package():
+    import nilpath
+    import nilpath.scalar as m
+
+    assert m.Scalar is nilpath.Scalar
