@@ -17,7 +17,11 @@ at t = 0 on [0, 1/2], and one anchored at the deformation endpoint, where
 the first always degenerates, on [1/2, 1].  An exact centralizer correction
 glues them at t = 1/2.  A stored adjacency segment is therefore just its
 move, outer conjugator and bystander block; loading rebuilds the lift, and
-a certified ``verify`` Sturm-certifies both of its charts.  ``verify``
+a certified ``verify`` Sturm-certifies both of its charts.  U_t^p is affine
+in t, which each lift proves once, so a chart's two certificate polynomials
+come in closed form from one elimination of the section block at the
+chart's left end (Sylvester's and Woodbury's identities), with no
+interpolation nodes.  ``verify``
 gets each sample, and its Jordan profile read off its segment's small
 model, not off the sample, from one call to that segment.
 """
@@ -29,6 +33,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
+from math import lcm
 from typing import Optional, Sequence, Union
 
 from .errors import (
@@ -50,9 +55,11 @@ from .matrix import (
     _canonical,
     _columns,
     _ints,
+    _Ints,
     _made,
     _plus_scaled,
     _Reduction,
+    _times,
     direct_sum,
     inverse,
     jordan_cell,
@@ -61,14 +68,13 @@ from .matrix import (
     matrix_pow,
     matrix_to_json_obj,
     power_ranks,
-    rank,
     solve,
 )
 from .polynomials import (
     RatPoly,
     _levels_det,
+    _poly,
     certify_nonvanishing_segment,
-    poly_interpolate_entries,
     poly_matrix_det,
     sturm_root_count,
 )
@@ -205,6 +211,23 @@ class LiftCore:
     def family_power(self, t: ParamLike) -> Matrix:
         return matrix_pow(self.family_matrix(t), self.p)
 
+    @cached_property
+    def power_curve(self) -> tuple[Matrix, Matrix]:
+        """(A0, dU) with ``U_t^p = A0 + t dU`` for every t, proven once per
+        lift.  ``basic_family`` sets only entries above the diagonal, so
+        U_t^(k+l) = 0 and U_t^p has degree at most m = min(p, k + l) in t;
+        matching its chord at the m + 1 parameters i/m proves it affine.
+        A0 = U_0^p is the section's base; the other m powers go through
+        ``family_power``, as ``q_at`` takes them."""
+        m = min(self.p, self.k + self.l)
+        base = self.section.base
+        slope = self.family_power(1) - base
+        for i in range(1, m):
+            s = Fraction(i, m)
+            if self.family_power(s) != _plus_scaled(base, Scalar(s), slope):
+                raise AssertionError("family power must be affine in the lift parameter")
+        return base, slope
+
     def q_at(self, t: ParamLike) -> Matrix:
         """Lift conjugator q(t) by its chart's formula; exact at partition
         points by construction.  Raises OutsideNeighborhood where the
@@ -269,76 +292,105 @@ def lift_family(k: int, l: int, p: int) -> LiftCore:
 def certify_lift_interval(lift: LiftCore, interval: LiftInterval) -> dict:
     """Sturm-certify section validity across one whole lift interval.
 
-    The section's leading-block determinant d1(t) and the cleared-denominator
-    conjugator ``ghat(t) = d1(t) g(B(t))`` along the anchored power curve
-    ``B(t) = anchor^-1 U_t^p anchor`` are polynomials, recovered exactly by
-    interpolation; nonvanishing of d1 and det(ghat) on [left, right] makes
-    the interval's lift formula valid everywhere on it.
-
-    Their degrees are bounded from the two endpoint evaluations.  U_t^p is
-    affine in t, and this is checked first: ``basic_family`` sets only
-    entries above the diagonal, so U_t^(k+l) = 0 and U_t^p has degree at
-    most min(p, k + l); matching its chord at min(p, k + l) + 1 parameters
-    proves it affine, and the interior nodes' powers are then read off that
-    chord.  So B(t), the leading block A(t) and the block's last column c(t)
-    are affine too.  As ``det(M0 + t M1)`` has degree at most rank(M1), d1
-    has degree at most r = rank(A(right) - A(left)), and by Cramer's rule
-    ``adj(A) c``, hence ghat, has degree at most r + 1.  So r + 2 equally
-    spaced nodes suffice, and the interpolants are the unique ones.
+    The section's leading-block determinant d1 and the cleared-denominator
+    conjugator ``ghat = d1 g(B)`` along the anchored power curve ``B(t) =
+    anchor^-1 U_t^p anchor`` are polynomials, formed in closed form by
+    :func:`_chart_polynomials` in sigma, with t = left + (right - left)
+    sigma; the change of variable is affine, so it keeps degrees and root
+    counts.  Nonvanishing of d1 and det(ghat) on [0, 1] makes the
+    interval's lift formula valid everywhere on it.  A chart whose section
+    fails at an end, by its displacement rank or, at the left end, by a
+    singular block, is recorded as invalid at a certification node.
     """
-    section, anchor, anchor_inv = lift.section, interval.anchor, interval.anchor_inv
-    left, right = interval.left, interval.right
-    span = right - left
-    power_left = lift.family_power(left)
-    power_right = lift.family_power(right)
-    slope = power_right - power_left
-    degree = min(lift.p, lift.k + lift.l)
-    for i in range(1, degree):
-        s = Fraction(i, degree)
-        if lift.family_power(left + span * s) != power_left + slope.scale(Scalar(s)):
-            raise AssertionError("family power must be affine in the lift parameter")
-
-    def node(power: Matrix) -> tuple[Matrix, Scalar, Matrix]:
-        block, d_val, g = section.evaluate(matrix_mul(anchor_inv, matrix_mul(power, anchor)))
-        return block, d_val, g.scale(d_val)
-
+    record = {"interval": [format_rational(interval.left), format_rational(interval.right)]}
     try:
-        block_left, *at_left = node(power_left)
-        block_right, *at_right = node(power_right)
-        last = rank(block_right - block_left) + 1
-        chord = (power_left + slope.scale(Scalar(Fraction(i, last))) for i in range(1, last))
-        values = [at_left] + [node(power)[1:] for power in chord] + [at_right]
+        d1, det_ghat = _chart_polynomials(lift, interval)
     except OutsideNeighborhoodError:
-        return {
-            "interval": [format_rational(left), format_rational(right)],
-            "ok": False,
-            "reason": "section invalid at a certification node",
-        }
-
-    # Interpolate in the node index s, with t = left + span * s / last: the
-    # change of variable is affine, so it keeps degrees and root counts.
-    d1_samples = [(s, Matrix(1, 1, [[d_val]])) for s, (d_val, _) in enumerate(values)]
-    d1 = poly_interpolate_entries(d1_samples, last)[0][0]
-    ghat = poly_interpolate_entries([(s, g) for s, (_, g) in enumerate(values)], last)
-    det_ghat = poly_matrix_det(ghat)
-
-    record = {
-        "interval": [format_rational(left), format_rational(right)],
-        "sectionDetDegree": d1.degree(),
-        "conjugatorDetDegree": det_ghat.degree(),
-    }
-    if d1.eval(0).is_zero() or d1.eval(last).is_zero():
+        record.update(ok=False, reason="section invalid at a certification node")
+        return record
+    record.update(sectionDetDegree=d1.degree(), conjugatorDetDegree=det_ghat.degree())
+    if d1.eval(0).is_zero() or d1.eval(1).is_zero():
         record.update(ok=False, reason="leading-block determinant vanishes at an endpoint")
         return record
-    if det_ghat.eval(0).is_zero() or det_ghat.eval(last).is_zero():
+    if det_ghat.eval(0).is_zero() or det_ghat.eval(1).is_zero():
         record.update(ok=False, reason="conjugator determinant vanishes at an endpoint")
         return record
-    roots_d1 = sturm_root_count(d1, 0, last)
-    roots_g = sturm_root_count(det_ghat, 0, last)
+    roots_d1 = sturm_root_count(d1, 0, 1)
+    roots_g = sturm_root_count(det_ghat, 0, 1)
     record["sectionDetRoots"] = roots_d1
     record["conjugatorDetRoots"] = roots_g
     record["ok"] = roots_d1 == 0 and roots_g == 0
     return record
+
+
+def _chart_polynomials(lift: LiftCore, interval: LiftInterval) -> tuple[RatPoly, RatPoly]:
+    """d1 and det ghat on one chart, in sigma with t = left + (right - left)
+    sigma, from one elimination.
+
+    B is affine on the proven power curve, so the block ``[A | c]`` is too:
+    it is read off B at the two ends, and its slope ``[dA | dc]`` is their
+    difference.  With dA = CR (C the pivot columns of dA, R the nonzero
+    rows of its rref, r = rank dA), ``A_left`` is reduced once against
+    ``[C | c_left | dc]``, giving det A_left, X = A_left^-1 C, y_left and
+    A_left^-1 dc.  With ``M(sigma) = I_r + sigma RX`` and ``u(sigma) =
+    R (y_left + sigma A_left^-1 dc)``, Sylvester's identity gives ``d1 =
+    det A_left det M`` and Woodbury's ``d1 y = det A_left (det M (y_left +
+    sigma A_left^-1 dc) - sigma X adj(M) u)``, with adj(M) u as r Cramer
+    determinants of size r.  Then ``ghat = d1 I - sum_k (d1 y)_k
+    E_front[k]``.  At rank 0 the block is 0 x 0: d1 = 1 and ghat = I,
+    valid exactly where B = 0, that is where U_t^p = 0, which the curve's
+    two ends show.
+
+    Raises OutsideNeighborhoodError where the displacement rank differs from
+    the base point's at an end, or A_left is singular.
+    """
+    section, rho = lift.section, lift.section.rank
+    base, slope = lift.power_curve
+    powers = [_plus_scaled(base, Scalar(t), slope) for t in (interval.left, interval.right)]
+    if not rho:  # B = 0 exactly where U_t^p = 0
+        if not all(u.is_zero() for u in powers):
+            raise OutsideNeighborhoodError("displacement rank differs from base point")
+        one = RatPoly((1,))
+        return one, one
+    ends = [matrix_mul(interval.anchor_inv, matrix_mul(u, interval.anchor)) for u in powers]
+    if any(section.displacement_rank(b) != rho for b in ends):
+        raise OutsideNeighborhoodError("displacement rank differs from base point")
+    (left, left_den), (right, right_den) = map(section.block_rows, ends)
+    den = lcm(left_den, right_den)
+    left = [_times(row, den // left_den) for row in left]
+    step = [[y - x for x, y in zip(row, _times(other, den // right_den))] for row, other in zip(left, right)]
+    factor = _Reduction(step, [den] * rho, rho)
+    pivots, r = factor.pivots, len(factor.pivots)
+    joined = [row[:rho] + [d[c] for c in pivots] + [row[rho], d[rho]] for row, d in zip(left, step)]
+    red = _Reduction(joined, [den] * rho, rho)
+    if len(red.pivots) < rho:
+        raise OutsideNeighborhoodError("leading block singular at this operator")
+    solved = red.form(range(rho), range(rho, rho + r + 2))  # [X | y_left | A_left^-1 dc]
+    det_num, det_den = red.det_ints()
+    # R [X | y_left | A_left^-1 dc] = [RX | u(0) | u(1) - u(0)]
+    ru = _ints(matrix_mul(_made(r, rho, factor.form(range(r), range(rho))), _made(rho, r + 2, solved)))
+    m, cramer = _identity_plus_det(ru, r), [_identity_plus_det(ru, r, i) for i in range(r)]
+    # ghat / det A_left is det M I minus (d1 y)_k / det A_left at each
+    # front[k] = (i, j); a column j that no front[k] reaches holds det M
+    # alone, so the determinant is det M^(n - |S|) times that of the block
+    # on the columns S that they reach, and the same rows
+    n = base.rows
+    cols = sorted({idx // n for idx in section.section.front})
+    at = {j: a for a, j in enumerate(cols)}
+    zero = RatPoly()
+    block = [[m if a == b else zero for b in range(len(cols))] for a in range(len(cols))]
+    for idx, x, e in zip(section.section.front, *solved):
+        i, j = idx % n, idx // n
+        if i in at:
+            entry = m * _poly(x[r : r + 2], e)
+            for xi, w in zip(x, cramer):
+                if xi:
+                    entry = entry - w * _poly([0, xi], e)
+            block[at[i]][at[j]] = block[at[i]][at[j]] - entry
+    det_ghat = _poly([det_num**n], det_den**n) * poly_matrix_det(block)
+    for _ in range(n - len(cols)):
+        det_ghat = det_ghat * m
+    return _poly([det_num], det_den) * m, det_ghat
 
 
 # -- centralizer segments -----------------------------------------------------
@@ -360,11 +412,23 @@ class BlendFactor:
 
     @cached_property
     def determinant(self) -> RatPoly:
-        """det M(z), of degree at most r: with row i of RC equal to x_i/d_i,
-        row i of d_i M(z) has the integer coefficient rows x_i and d_i e_i."""
-        rows, dens = _ints(self.rc)
-        levels = [[x, [d * (i == j) for j in range(len(x))]] for i, (x, d) in enumerate(zip(rows, dens))]
-        return _levels_det(levels, dens, len(rows))
+        """det M(z), of degree at most r."""
+        return _identity_plus_det(_ints(self.rc), self.rc.rows)
+
+
+def _identity_plus_det(form: _Ints, r: int, column: Optional[int] = None) -> RatPoly:
+    """det(I_r + z X), of degree at most r, for X the first r columns of the
+    integer form ``form``; with ``column``, Cramer's numerator for u(z) =
+    u0 + z u1, the form's next two columns: that column of I_r + z X
+    replaced by u(z).  With row i of the form x_i / d_i, row i of d_i (I_r +
+    z X) has the integer coefficient rows x_i[:r] and d_i e_i."""
+    levels = []
+    for i, (x, d) in enumerate(zip(*form)):
+        top, low = x[:r], [d * (i == j) for j in range(r)]
+        if column is not None:
+            top[column], low[column] = x[r + 1], x[r]
+        levels.append([top, low])
+    return _levels_det(levels, form.dens, r)
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,9 @@ polynomials have equal forms.  Arithmetic, evaluation and affine
 substitution run in integers.
 Interpolation is one Newton routine on integer divided differences:
 rational nodes are scaled to integers, and at the nodes 0, ..., N the
-differences are the forward differences over N!.  The certificates
-interpolate and take determinants at the nodes 0, ..., N, so their
-polynomial work needs no Fraction arithmetic.
+differences are the forward differences over N!.  Polynomial determinants
+are taken at the nodes 0, ..., N by integer eliminations and interpolated
+back, so the certificates' polynomial work needs no Fraction arithmetic.
 
 Real-root counting uses Sturm chains computed as primitive integer
 pseudo-remainder sequences (each element rescaled by a positive rational),

@@ -20,7 +20,9 @@ complement vector k = vec(E_ij), the block entry is
 ``A[r][k] = B[a][i] [j = c] - [a = i] A0[j][c]`` and the right-hand side is
 ``c_r = (B - A0)[a][c]``.  Both are built as integer rows over one
 denominator and go straight into the elimination loop, which solves the
-block and yields its determinant, the value certification interpolates.
+block.  The block is affine in B, so along an affine curve of operators,
+as a lift chart has, certification reads it at the two ends
+(:meth:`ConjugationSection.block_rows`) and solves it once.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ from .matrix import (
     power_ranks,
     vec,
 )
-from .scalar import Scalar
 
 
 @dataclass(frozen=True)
@@ -182,16 +183,19 @@ class ConjugationSection:
         kernel = sum((rb[k - 1] - rb[k]) * (ra[k - 1] - ra[k]) for k in range(1, len(ra)))
         return n * n - kernel
 
-    def _solve(self, b: Matrix) -> tuple[list[list], int, _Reduction, Matrix]:
-        """``[A | c]`` at B as integer rows over one denominator, that
-        denominator, their reduction and g(B), after every check that
-        :meth:`evaluate` names."""
-        n, rho = self.base.rows, self.rank
-        if b.rows != n or b.cols != n:
+    def block_rows(self, b: Matrix) -> tuple[list[list], int]:
+        """``[A | c]`` at B, as integer rows over one denominator, and that
+        denominator: the block of the section's solve, affine in B."""
+        if b.rows != self.base.rows or b.cols != self.base.rows:
             raise ValueError("dimension mismatch")
-        if self.displacement_rank(b) != rho:
-            raise OutsideNeighborhoodError("displacement rank differs from base point")
         b_int, a0_int, den = _over_common(b, self.base)
+        return self._block(b_int, a0_int), den
+
+    def _block(self, b_int: list[list], a0_int: list[list]) -> list[list]:
+        """``[A | c]`` from B and A0 as integer rows over one denominator:
+        ``A[r][k] = B[a][i] [j = c] - [a = i] A0[j][c]`` and ``c_r = (B -
+        A0)[a][c]`` at row r = vec(E_ac) and complement vector k = vec(E_ij)."""
+        n, rho = self.base.rows, self.rank
         by_col: list[list] = [[] for _ in range(n)]  # complement vectors E_ij by j
         by_row: list[list] = [[] for _ in range(n)]  # ... and by i
         for k, idx in enumerate(self.section.front):
@@ -207,7 +211,25 @@ class ConjugationSection:
             for k, j in by_row[a]:
                 row[k] = row[k] - a0_int[j][c]
             rows.append(row)
-        red = _Reduction(rows, [den] * rho, rho)
+        return rows
+
+    def conjugator_at(self, b: Matrix) -> Matrix:
+        """g(B), invertible with ``B @ g(B) = g(B) @ A0``, and g(A0) = I.
+
+        ``[A | c]`` is read off B in integers (:meth:`block_rows`) and
+        row-reduced once; g(B) is unvec(vec(I) minus ``A^-1 c`` spread over
+        the complement vectors).  Validity is checked exactly: the
+        displacement rank must match the base point's, the leading block
+        must be invertible, and g(B) itself must be invertible; otherwise
+        OutsideNeighborhood is raised.  ``B g = g A0`` is asserted.
+        """
+        n, rho = self.base.rows, self.rank
+        if b.rows != n or b.cols != n:
+            raise ValueError("dimension mismatch")
+        if self.displacement_rank(b) != rho:
+            raise OutsideNeighborhoodError("displacement rank differs from base point")
+        b_int, a0_int, den = _over_common(b, self.base)
+        red = _Reduction(self._block(b_int, a0_int), [den] * rho, rho)
         if len(red.pivots) < rho:
             raise OutsideNeighborhoodError("leading block singular at this operator")
         # g = I - sum_k y_k E_front[k] with y = A^-1 c, over one denominator
@@ -221,27 +243,7 @@ class ConjugationSection:
             raise OutsideNeighborhoodError("section conjugator is singular")
         if _mul_rows(b_int, g_int, n) != _mul_rows(g_int, a0_int, n):
             raise AssertionError("section identity failed despite rank match")
-        g = _made(n, n, _canonical(g_int, [g_den] * n))
-        return rows, den, red, g
-
-    def evaluate(self, b: Matrix) -> tuple[Matrix, Scalar, Matrix]:
-        """The section's leading block at B, its determinant and g(B).
-
-        ``[A | c]`` is read off B in integers and row-reduced once; g(B) is
-        unvec(vec(I) minus ``A^-1 c`` spread over the complement vectors).
-        Validity is checked exactly: the displacement rank must match the
-        base point's, the leading block must be invertible, and g(B) itself
-        must be invertible; otherwise OutsideNeighborhood is raised.
-        ``B g = g A0`` is asserted.
-        """
-        rows, den, red, g = self._solve(b)
-        rho = self.rank
-        block = _made(rho, rho, _canonical([row[:rho] for row in rows], [den] * rho))
-        return block, red.det(), g
-
-    def conjugator_at(self, b: Matrix) -> Matrix:
-        """g(B), invertible with ``B @ g(B) = g(B) @ A0``, and g(A0) = I."""
-        return self._solve(b)[3]
+        return _made(n, n, _canonical(g_int, [g_den] * n))
 
 
 def conjugation_section(a0: Matrix) -> ConjugationSection:

@@ -18,6 +18,7 @@ from nilpath.errors import (
 from nilpath.jordan import jordan_basis, nilpotent_profile, similarity_witness
 from nilpath.matrix import (
     Matrix,
+    _ints,
     det,
     direct_sum,
     inverse,
@@ -37,6 +38,7 @@ from nilpath.paths import (
     connect_roots,
     lift_family,
     LiftCore,
+    LiftInterval,
     path_from_json_obj,
     RootPath,
     verify,
@@ -353,7 +355,10 @@ def test_connect_and_certified_verify_factor_the_blend_once(monkeypatch):
     path = _catalog_path(2, (6, 4), (5, 5), 1)
     assert verify(path, 4, mode="certified").ok
     assert calls == [path.segments[-1].conjugator]
-    assert len(dets) == 1
+    # lift charts take r x r determinants through _levels_det too; the
+    # blend's, on the rows of RC, is taken once
+    rows, dens = _ints(path.segments[-1].blend.rc)
+    assert sum([level[0] for level in levels] == rows and d == dens for levels, d, _ in dets) == 1
 
 
 def _blend_determinant_by_poly_det(q):
@@ -855,22 +860,32 @@ def test_certified_mode_on_nontrivial_lift():
         assert matrix_pow(lift.gamma(Fraction(num, 6)), 2) == a0
 
 
-def reference_certify_lift_interval(section, family_power, p, anchor, anchor_inv, left, right):
-    """The certification record from the generic rank*p + 1 node bound."""
-    node_count = max(section.rank, 1) * p + 1
+def _leading_block(section, b):
+    """The section's leading block A at B, read off ``block_rows``."""
+    rows, den = section.block_rows(b)
+    rho = section.rank
+    return Matrix.from_rows([[Fraction(x, den) for x in row[:rho]] for row in rows])
+
+
+def reference_certify_lift_interval(section, family_power, p, anchor, anchor_inv, left, right, node_count=None):
+    """The certification record, d1 and det ghat in t, interpolated from
+    ``node_count`` equally spaced nodes, by default the generic rank*p + 1
+    bound; each node is a full section solve."""
+    if node_count is None:
+        node_count = max(section.rank, 1) * p + 1
     nodes = [left + (right - left) * Fraction(i, node_count - 1) for i in range(node_count)]
     d1_samples, ghat_samples = [], []
     for t in nodes:
         b = matrix_mul(anchor_inv, matrix_mul(family_power(t), anchor))
-        block, _, g = section.evaluate(b)
-        d_val = det(block)
+        g = section.conjugator_at(b)
+        d_val = det(_leading_block(section, b))
         d1_samples.append((t, Matrix(1, 1, [[d_val]])))
         ghat_samples.append((t, g.scale(d_val)))
     d1 = poly_interpolate_entries(d1_samples, node_count - 1)[0][0]
     det_ghat = poly_matrix_det(poly_interpolate_entries(ghat_samples, node_count - 1))
     roots_d1 = sturm_root_count(d1, left, right)
     roots_g = sturm_root_count(det_ghat, left, right)
-    return {
+    record = {
         "interval": [format_rational(left), format_rational(right)],
         "sectionDetDegree": d1.degree(),
         "conjugatorDetDegree": det_ghat.degree(),
@@ -878,19 +893,49 @@ def reference_certify_lift_interval(section, family_power, p, anchor, anchor_inv
         "conjugatorDetRoots": roots_g,
         "ok": roots_d1 == 0 and roots_g == 0,
     }
+    return record, d1, det_ghat
+
+
+def _assert_closed_form_matches(record, d1, det_ghat, lift, iv):
+    """The reference's d1 and det ghat in sigma, t = left + (right - left)
+    sigma, equal the closed form's, and its record equals the certificate's."""
+    assert record == certify_lift_interval(lift, iv), (lift.k, lift.l, lift.p, iv.left)
+    span = (Scalar(iv.left), Scalar(iv.right - iv.left))
+    closed = paths_module._chart_polynomials(lift, iv)
+    assert closed == (d1.compose_affine(*span), det_ghat.compose_affine(*span)), (lift.k, lift.l, lift.p, iv.left)
+
+
+def _on_line(m, start, step):
+    """Whether m = start + s step for some s."""
+    diff = m - start
+    if diff.is_zero():
+        return True
+    i, j = next((i, j) for i, row in enumerate(step.data) for j, e in enumerate(row) if not e.is_zero())
+    return diff == step.scale(diff.data[i][j] / step.data[i][j])
 
 
 def test_certify_lift_interval_matches_generic_degree_bound(monkeypatch):
-    node_counts = []
-    interpolate = paths_module.poly_interpolate_entries
+    import nilpath.polynomials as polynomials_module
+
+    assert not hasattr(paths_module, "poly_interpolate_entries")
+    interpolations, eliminations, solves = [], [], []
+    interpolate = polynomials_module.poly_interpolate_entries
+    reduction = paths_module._Reduction
+    conjugator_at = ConjugationSection.conjugator_at
 
     def counting(samples, degree_bound):
-        node_counts.append(len(samples))
+        interpolations.append(len(samples))
         return interpolate(samples, degree_bound)
 
-    monkeypatch.setattr(paths_module, "poly_interpolate_entries", counting)
-    windows = (((2, 3, 2), 5), ((1, 3, 3), 2), ((2, 4, 2), 4), ((0, 2, 2), 2), ((0, 2, 3), 2), ((0, 3, 3), 2))
-    for (k, l, p), nodes in windows:
+    def recording(rows, dens, pivot_cols):
+        eliminations.append(Matrix.from_rows([[Fraction(x, d) for x in row[:pivot_cols]] for row, d in zip(rows, dens)]))
+        return reduction(rows, dens, pivot_cols)
+
+    monkeypatch.setattr(polynomials_module, "poly_interpolate_entries", counting)
+    monkeypatch.setattr(paths_module, "_Reduction", recording)
+    monkeypatch.setattr(ConjugationSection, "conjugator_at", lambda cs, b: solves.append(b) or conjugator_at(cs, b))
+    windows = ((2, 3, 2), (1, 3, 3), (2, 4, 2), (0, 2, 2), (0, 2, 3), (0, 3, 3))
+    for k, l, p in windows:
         lift = lift_family(k, l, p)
 
         def family_power(t):
@@ -898,12 +943,19 @@ def test_certify_lift_interval_matches_generic_degree_bound(monkeypatch):
 
         for iv in lift.intervals:
             args = (lift.section, family_power, p, iv.anchor, iv.anchor_inv, iv.left, iv.right)
-            node_counts.clear()
+            interpolations.clear()
+            eliminations.clear()
+            solves.clear()
             record = certify_lift_interval(lift, iv)
-            assert record == reference_certify_lift_interval(*args), (k, l, p, iv.left)
+            # no interpolation, no conjugator_at, and at most one elimination
+            # of a section block A(t) on the chart
+            assert interpolations == [] and solves == [], (k, l, p)
+            ends = [matrix_mul(iv.anchor_inv, matrix_mul(family_power(t), iv.anchor)) for t in (iv.left, iv.right)]
+            start, end = (_leading_block(lift.section, b) for b in ends)
+            assert sum(_on_line(m, start, end - start) for m in eliminations if m.cols == lift.section.rank) <= 1
+            reference, *_ = reference_certify_lift_interval(*args)
+            assert record == reference, (k, l, p, iv.left)
             assert record["ok"]
-            # d1 and ghat are each interpolated through rank(dA) + 2 nodes
-            assert node_counts == [nodes, nodes], (k, l, p)
 
 
 def test_certified_lift_on_large_windows():
@@ -934,6 +986,28 @@ def test_every_adjacency_window_lifts_on_two_certified_charts():
         for record in certify_lift(lift):
             assert record["ok"], (k, l, p, record)
             assert record["sectionDetRoots"] == record["conjugatorDetRoots"] == 0, (k, l, p)
+
+        # the closed form equals interpolation through rank(dA) + 2 nodes
+        def family_power(t):
+            return matrix_pow(basic_family(k, l, t), p)
+
+        for iv in lift.intervals:
+            ends = [matrix_mul(iv.anchor_inv, matrix_mul(family_power(t), iv.anchor)) for t in (iv.left, iv.right)]
+            start, end = (_leading_block(lift.section, b) for b in ends)
+            args = (lift.section, family_power, p, iv.anchor, iv.anchor_inv, iv.left, iv.right, rank(end - start) + 2)
+            _assert_closed_form_matches(*reference_certify_lift_interval(*args), lift, iv)
+
+
+def test_anchor_free_charts_that_reach_t_1_are_not_ok():
+    # the left chart's formula degenerates at t = 1, so stretched to reach it
+    # it fails, by an endpoint zero of d1
+    for k, l, p in ((2, 4, 2), (3, 5, 3), (4, 6, 2)):
+        lift = lift_family(k, l, p)
+        identity = Matrix.identity(k + l)
+        for left in (Fraction(1, 2), Fraction(0), Fraction(1, 4)):
+            record = certify_lift_interval(lift, LiftInterval(left, Fraction(1), identity, identity, identity))
+            assert record["ok"] is False, (k, l, p, left)
+            assert record["reason"] == "leading-block determinant vanishes at an endpoint", (k, l, p, left)
 
 
 @pytest.mark.parametrize("chart", ["left", "right"])

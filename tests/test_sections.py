@@ -6,6 +6,8 @@ import pytest
 from nilpath.errors import NotInKernelError, NotNilpotentError, OutsideNeighborhoodError
 from nilpath.matrix import (
     Matrix,
+    _canonical,
+    _made,
     det,
     direct_sum,
     inverse,
@@ -280,7 +282,23 @@ def test_conjugation_section_rejects_non_nilpotent_base():
             conjugation_section(a0)
 
 
-def test_evaluate_returns_leading_block_determinant():
+def _block(cs, b):
+    """``[A | c]`` at B as a matrix, read off ``block_rows``."""
+    rows, den = cs.block_rows(b)
+    return _made(cs.rank, cs.rank + 1, _canonical(rows, [den] * cs.rank))
+
+
+def _evaluate(cs, b):
+    """The leading block at B, its determinant and g(B): ``conjugator_at``,
+    which raises with its reason where the section is invalid, and the
+    block read off ``block_rows``."""
+    g = cs.conjugator_at(b)
+    block = Matrix(cs.rank, cs.rank, [row[: cs.rank] for row in _block(cs, b).data])
+    return block, det(block), g
+
+
+def test_block_rows_are_affine_and_solve_to_the_conjugator():
+    third = Scalar(Fraction(1, 3))
     for k, l, p in CATALOG_WINDOWS:
         a0 = _window_base(k, l, p)
         n = a0.rows
@@ -292,16 +310,27 @@ def test_evaluate_returns_leading_block_determinant():
         for t in (Fraction(1, 8), Fraction(1, 4)):
             u_p = matrix_pow(basic_family(k, l, t), p)
             probes += [u_p, matrix_mul(inverse(r), matrix_mul(u_p, r))]
+        for b0, b1 in zip(probes, probes[1:]):
+            start, end = _block(cs, b0), _block(cs, b1)
+            assert _block(cs, b0 + (b1 - b0).scale(third)) == start + (end - start).scale(third), (k, l, p)
         nontrivial = 0
         for b in probes:
             try:
-                block, block_det, g = cs.evaluate(b)
+                g = cs.conjugator_at(b)
             except OutsideNeighborhoodError:
                 continue
-            assert block_det == det(block), (k, l, p)
-            assert g == cs.conjugator_at(b)
-            nontrivial += block != Matrix.identity(cs.rank)
+            # g = I - sum_k y_k E_front[k], with A y = c
+            block = _block(cs, b)
+            leading = Matrix(cs.rank, cs.rank, [row[: cs.rank] for row in block.data])
+            y = solve(leading, Matrix(cs.rank, 1, [row[cs.rank :] for row in block.data]))
+            expected = [list(row) for row in Matrix.identity(n).data]
+            for idx, e in zip(cs.section.front, y.column_entries()):
+                expected[idx % n][idx // n] = expected[idx % n][idx // n] - e
+            assert g == Matrix(n, n, expected), (k, l, p)
+            nontrivial += leading != Matrix.identity(cs.rank)
         assert nontrivial > 0 or cs.rank == 0, (k, l, p)
+        with pytest.raises(ValueError):
+            cs.block_rows(Matrix.identity(n + 1))
 
 
 def _codomain_inverse_top(sd):
@@ -334,10 +363,11 @@ def _reference_section_eval(sd, top, v):
 
 
 def _elementwise_evaluate(cs, b, top=None):
-    """ConjugationSection.evaluate as it was written before it read [A | c]
-    off B in integers: the operator's images of the complement vectors and
-    of vec(I) as columns of Scalars, times the top rows of the codomain
-    inverse (``top``, computed when not given)."""
+    """The section's leading block at B, its determinant and g(B), as they
+    were computed before the section read [A | c] off B in integers: the
+    operator's images of the complement vectors and of vec(I) as columns of
+    Scalars, times the top rows of the codomain inverse (``top``, computed
+    when not given)."""
     if top is None:
         top = _codomain_inverse_top(cs.section)
     n = cs.base.rows
@@ -436,7 +466,7 @@ def test_structured_evaluate_matches_elementwise_and_operator_sections():
     for name, a0 in _structured_bases().items():
         cs = conjugation_section(a0)
         for b in _structured_probes(rng, a0):
-            got = _outcome_with_reason(cs.evaluate, b)
+            got = _outcome_with_reason(_evaluate, cs, b)
             _assert_matches_elementwise(cs, got, _outcome_with_reason(_elementwise_evaluate, cs, b))
             reference = _outcome(_reference_conjugator, cs, b)
             if isinstance(got, str):
@@ -457,13 +487,13 @@ def _support(top):
 
 def _check_against_codomain_inverse(cs, probes):
     """rows is the support of the old codomain inverse's top rows, and
-    evaluate, conjugator_at and section_eval agree with what it gave."""
+    block_rows, conjugator_at and section_eval agree with what it gave."""
     sd = cs.section
     top = _codomain_inverse_top(sd)
     assert sd.rows == _support(top)
     outcomes = set()
     for b in probes:
-        got = _outcome_with_reason(cs.evaluate, b)
+        got = _outcome_with_reason(_evaluate, cs, b)
         reference = _outcome_with_reason(_elementwise_evaluate, cs, b, top)
         _assert_matches_elementwise(cs, got, reference)
         expected_g = reference if isinstance(reference, str) else reference[2]
@@ -522,8 +552,8 @@ def test_empty_base_has_no_section():
 
 
 def test_conjugation_section_constructor_derives_its_terms():
-    """The public three-field constructor works and evaluates as
-    conjugation_section's, real and complex."""
+    """The public three-field constructor works and reads its block and
+    conjugator as conjugation_section's, real and complex."""
     rng = random.Random(5)
     i = Scalar(0, 1)
     cases = (
@@ -543,6 +573,7 @@ def test_conjugation_section_constructor_derives_its_terms():
             if det(r).is_zero():
                 continue
             b = matrix_mul(r, matrix_mul(a0, inverse(r)))
-            block, d, g = built.evaluate(b)
-            assert (block, d, g) == cs.evaluate(b)
+            g = built.conjugator_at(b)
+            assert built.block_rows(b) == cs.block_rows(b)
+            assert g == cs.conjugator_at(b)
             assert matrix_mul(b, g) == matrix_mul(g, a0)
