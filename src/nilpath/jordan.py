@@ -1,9 +1,10 @@
 """Jordan structure of nilpotent matrices.
 
-Profiles are computed from the rank sequence of powers; Jordan bases use
-the classical chain construction seeded deterministically from echelon
-kernel bases, so conjugators (and everything built on them) are
-reproducible.
+Profiles come from the rank sequence of powers and Jordan bases from the
+classical chain construction seeded deterministically from echelon kernel
+vectors, so conjugators (and everything built on them) are reproducible.
+Both read the row spaces of the powers off one push in pivot coordinates
+(``matrix._row_pushes``); a similarity witness is one solve.
 """
 
 from __future__ import annotations
@@ -16,18 +17,20 @@ from .matrix import (
     Matrix,
     _canonical,
     _independent,
+    _kernel_vector,
     _ints,
+    _Ints,
     _made,
     _mul_rows,
     _over_one,
+    _product,
     _row_pushes,
     _times,
     _transposed,
     direct_sum,
-    inverse,
     jordan_cell,
-    matrix_mul,
     power_ranks,
+    solve,
 )
 from .profiles import Profile
 
@@ -75,50 +78,46 @@ def jordan_basis(m: Matrix) -> JordanDecomposition:
     and of the vectors carried down from longer chains.  Cells come out in
     decreasing size; ties keep seed creation order.
 
-    The seed test runs in the quotient by ker(M^(j-1)): each candidate v is
-    replaced by R v, with R the reduced echelon basis of row(M^(j-1)).  The
-    kernel of v -> R v is exactly ker(M^(j-1)), so v is independent of
-    ker(M^(j-1)) and the earlier candidates exactly when R v is independent
-    of their images, and the greedy choice picks the same seeds in
-    rank(M^(j-1)) coordinates instead of n.
+    The seed test runs in the quotient by ker(M^(j-1)): a candidate w in
+    ker(M^j) is replaced by R w, with R = rref(M^(j-1)), a map with kernel
+    ker(M^(j-1)).  R w lies in the kernel of the push's rref(C_j), so it is
+    fixed by its entries at the rows of R whose pivots leave at level j.
+    There the echelon kernel vector of free column f maps to R's column f,
+    with no product; a kernel vector is built only for a chosen seed.
     """
     if not m.is_square():
         raise ValueError("Jordan basis of a non-square matrix")
     n = m.rows
 
-    # M in integers over one denominator, as the kernels run on it.
-    m_int, m_den = _over_one(_ints(m))
-
-    # bases[j] is the reduced echelon basis of row(M^j), and kernels[j] the
-    # echelon kernel basis of M^j, which depends only on that row space.  M
-    # is nilpotent exactly when the pushes end at rank 0, so that ker(M^s)
-    # is everything, and their number s is its nilpotency index.  Kernel
-    # vectors are integer vectors over a denominator.
-    pushes = list(_row_pushes(m_int))
-    bases = [[[int(i == j) for j in range(n)] for i in range(n)]] + [rows for _, rows in pushes]
-    kernels = [[]] + [red.kernel(n) for red, _ in pushes]
-    if len(kernels[-1]) != n:
+    # levels[j] is P_j and the integer form of rref(M^j).  M is nilpotent
+    # exactly when the pushes end at rank 0, so that ker(M^s) is everything,
+    # and their number s is its nilpotency index.
+    levels = [(range(n), _Ints([[int(i == j) for j in range(n)] for i in range(n)], [1] * n))]
+    for pivots, coeffs in _row_pushes(_ints(m)):
+        levels.append((pivots, _product(coeffs, levels[-1][1], n)))
+    if levels[-1][0]:
         raise NotNilpotentError("matrix is not nilpotent")
-    s = len(kernels) - 1
 
     # A chain vector v is pushed through M as the integer row v^T M^T, over
     # its denominator times M's.
+    m_int, m_den = _over_one(_ints(m))
     mt = _transposed(m_int, n)
     chains: list[list[tuple[list, int]]] = []  # chains[i][k] is M^k applied to seed i
-    for j in range(s, 0, -1):
+    for j in range(len(levels) - 1, 0, -1):
         # seeds: kernel vectors of M^j independent, modulo ker(M^(j-1)), of
-        # the vectors M^(L-j) seed carried down from chains of length L > j
+        # the vectors M^(L-j) seed carried down from chains of length L > j.
+        # A row of R is scaled by its denominator, which keeps independence.
+        (above, r_form), (pivots, form) = levels[j - 1], levels[j]
+        leaving = [row for p, row in zip(above, r_form.rows) if p not in pivots]
+        free = [f for f in range(n) if f not in pivots]
         carried = [chain[len(chain) - j][0] for chain in chains if len(chain) > j]
-        basis = bases[j - 1]
-        images = _mul_rows(carried + [v for v, _ in kernels[j]], _transposed(basis, n), len(basis))
-        for c in _independent(len(basis), images):
+        images = _mul_rows(carried, _transposed(leaving, n), len(leaving))
+        rows, den = _over_one(form)
+        for c in _independent(len(leaving), images + [[row[f] for row in leaving] for f in free]):
             if c >= len(carried):
-                v, den = kernels[j][c - len(carried)]
-                chain = [(v, den)]
-                for _ in range(j - 1):
-                    (v,) = _mul_rows([v], mt, n)
-                    den *= m_den
-                    chain.append((v, den))
+                chain = [(_kernel_vector(pivots, rows, den, free[c - len(carried)], n), den)]
+                for k in range(1, j):
+                    chain.append((_mul_rows([chain[-1][0]], mt, n)[0], den * m_den**k))
                 chains.append(chain)
 
     chains.sort(key=len, reverse=True)  # list.sort is stable
@@ -146,8 +145,8 @@ def _witness(dx: JordanDecomposition, dy: JordanDecomposition) -> Matrix:
         raise NotSimilarError(
             f"profiles differ: {list(dx.cell_sizes)} vs {list(dy.cell_sizes)}"
         )
-    # x = Px J Px^-1 and y = Py J Py^-1, so y = (Py Px^-1) x (Py Px^-1)^-1.
-    return matrix_mul(dy.conjugator, inverse(dx.conjugator))
+    # x = Px J Px^-1 and y = Py J Py^-1, so Q = Py Px^-1 solves Px^T Q^T = Py^T.
+    return solve(dx.conjugator.transpose(), dy.conjugator.transpose()).transpose()
 
 
 def profile_matrix(profile: Profile) -> Matrix:

@@ -674,25 +674,6 @@ class _Reduction:
             dens.append(den)
         return _canonical(out, dens)
 
-    def kernel(self, cols: int) -> list[tuple[list, int]]:
-        """Echelon-ordered basis of the null space of the reduced ``cols``
-        columns, one vector per free column in ascending order, each as
-        integers over a positive denominator: the vector of free column f
-        is e_f minus the rref's column f on the pivot columns."""
-        pivot_set = set(self.pivots)
-        free = [c for c in range(cols) if c not in pivot_set]
-        at_free = self.form(range(len(self.pivots)), free)
-        basis = []
-        for f, fc in enumerate(free):
-            terms = [(pc, row[f], d) for row, d, pc in zip(at_free.rows, at_free.dens, self.pivots) if row[f]]
-            den = lcm(*[d for _, _, d in terms])
-            v = [0] * cols
-            v[fc] = den
-            for pc, x, d in terms:
-                v[pc] = x * (-den // d)
-            basis.append((v, den))
-        return basis
-
     def det_ints(self) -> tuple:
         """The signed product of the rational pivots as an integer over a
         denominator: ±(last pivot) over the denominators of the pivot rows,
@@ -767,27 +748,27 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     return _made(m.rows, m.cols, red.form(range(m.rows), range(m.cols))), red.pivots
 
 
-def _row_pushes(m_int: list[list]):
-    """The push behind :func:`power_ranks` and ``jordan_basis``, for M as n
-    integer rows over one denominator.
+def _row_pushes(m: _Ints):
+    """The push behind :func:`power_ranks` and ``jordan_basis``, on M's form.
 
-    Yields ``(red, rows)`` for j = 1, 2, ... while the rank falls: ``red``
-    reduces the rows of M, then the previous ``rows`` times M, so its pivot
-    rows span row(M^j) = row(M^(j-1)) M, and ``rows`` is the reduced echelon
-    basis of row(M^j) over one denominator.  That basis is unique, so its
-    entries do not compound from push to push as fraction-free pivot rows
-    would.  No power of M is formed.
+    Yields ``(pivots, coeffs)`` for j = 1, 2, ... while the rank falls:
+    P_j, the pivot columns of R_j = rref(M^j), and the form of rref(C_j),
+    with R_j = rref(C_j) R_(j-1) and R_0 = I.  No power of M is formed and
+    each push is r x r: row(M^j) lies in row(R_(j-1)), whose vectors are
+    fixed by their entries at P_(j-1), so R_(j-1) M = C_j R_(j-1) for C_j
+    the columns P_(j-1) of R_(j-1) M.  C_1 = M and C_(j+1) = rref(C_j) C_j
+    at the columns of its pivots.
     """
-    n = len(m_int)
-    images = m_int
-    while images:
-        red = _Reduction(images, [1] * len(images), n)
+    pivots, images = range(len(m.rows)), m
+    while images.rows:
+        red = _Reduction(*images, len(images.rows))
         r = len(red.pivots)
-        if r == len(images):
+        if r == len(images.rows):
             return
-        rows = _over_one(red.form(range(r), range(n)))[0]
-        yield red, rows
-        images = _mul_rows(rows, m_int, n)
+        coeffs = red.form(range(r), range(len(images.rows)))
+        pivots = [pivots[c] for c in red.pivots]
+        yield pivots, coeffs
+        images = _product(coeffs, _Ints([[row[c] for c in red.pivots] for row in images.rows], images.dens), r)
 
 
 def power_ranks(m: Matrix) -> list[int]:
@@ -799,8 +780,17 @@ def power_ranks(m: Matrix) -> list[int]:
     """
     if not m.is_square():
         raise ValueError("power ranks of a non-square matrix")
-    pushes = _row_pushes(_over_one(_ints(m))[0])
-    return [m.rows] + [len(red.pivots) for red, _ in pushes]
+    return [m.rows] + [len(pivots) for pivots, _ in _row_pushes(_ints(m))]
+
+
+def _kernel_vector(pivots: list[int], rows: list[list], den: int, f: int, cols: int) -> list:
+    """The echelon kernel vector at free column f of the reduced echelon form
+    ``rows / den`` (pivot columns ``pivots``), times den: e_f - column f."""
+    v = [0] * cols
+    v[f] = den
+    for p, row in zip(pivots, rows):
+        v[p] = row[f] * -1  # (a _GaussInt has no unary minus)
+    return v
 
 
 def kernel_basis(m: Matrix) -> list[Matrix]:
@@ -810,10 +800,10 @@ def kernel_basis(m: Matrix) -> list[Matrix]:
     the result is deterministic.
     """
     red = _Reduction(*_ints(m), m.cols)
-    return [
-        _made(m.cols, 1, _canonical([[x] for x in v], [den] * m.cols))
-        for v, den in red.kernel(m.cols)
-    ]
+    rows, den = _over_one(red.form(range(len(red.pivots)), range(m.cols)))
+    free = [f for f in range(m.cols) if f not in red.pivots]
+    vectors = [_kernel_vector(red.pivots, rows, den, f, m.cols) for f in free]
+    return [_made(m.cols, 1, _canonical([[x] for x in v], [den] * m.cols)) for v in vectors]
 
 
 # -- matrix-space vectorization (column-major stacking) ---------------------

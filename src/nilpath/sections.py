@@ -8,21 +8,22 @@ has its last nonzero entry, which makes u[rows, front] invertible.  For any
 nearby operator v whose block v[rows, front] stays invertible, solving
 ``v[rows, front] y = (v x0)[rows]`` gives ``f(v) = x0 - sum_k y_k e_front[k]``,
 rational in v with ``f(u) = x0``.  When v has the rank of u, its rows at
-``rows`` span its row space, so ``v @ f(v) = 0``.
+``rows`` span its row space, so ``v @ f(v) = 0``.  ``front`` and ``rows``
+are chosen block by block, over the rows and columns that u's nonzero
+entries connect.
 
 Specializing to the operator ``M -> B@M - M@A0`` on matrix space with
 anchor x0 = vec(I) turns this into a local cross-section of conjugation:
 g(B) with ``B @ g(B) = g(B) @ A0`` and ``g(A0) = I``.  Its n^2 x n^2 matrix
-is built once, to choose ``front`` and ``rows`` around A0.  Evaluating at B
-forms neither that matrix nor any image vector.  The rank test comes from
-the power-rank sequences of B and A0.  With row r = vec(E_ac) and
-complement vector k = vec(E_ij), the block entry is
-``A[r][k] = B[a][i] [j = c] - [a = i] A0[j][c]`` and the right-hand side is
-``c_r = (B - A0)[a][c]``.  Both are built as integer rows over one
-denominator and go straight into the elimination loop, which solves the
-block.  The block is affine in B, so along an affine curve of operators,
-as a lift chart has, certification reads it at the two ends
-(:meth:`ConjugationSection.block_rows`) and solves it once.
+is never formed: its nonzero entries are read off A0's, and for a lift's
+A0 its blocks have a few rows.  The rank test comes from the power-rank
+sequences of B and A0.  With row r = vec(E_ac) and complement vector
+k = vec(E_ij), the block entry is ``A[r][k] = B[a][i] [j = c] - [a = i]
+A0[j][c]`` and the right-hand side is ``c_r = (B - A0)[a][c]``.  Both are
+built as integer rows over one denominator and go straight into the
+elimination loop, which solves the block.  The block is affine in B, so on
+a lift chart's affine curve of operators, certification reads it at the
+two ends (:meth:`ConjugationSection.block_rows`) and solves it once.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ from .matrix import (
 class SectionData:
     """Where the kernel section near one operator reads its block."""
 
-    operator: Matrix  # reference operator u
     anchor: Matrix  # kernel vector x0, a column
     rank: int
     front: tuple[int, ...]  # indices of the standard vectors spanning the complement
@@ -65,7 +65,7 @@ class SectionData:
 
     @property
     def dimension(self) -> int:
-        return self.operator.rows
+        return self.anchor.rows
 
 
 def section_setup(u: Matrix, x0: Matrix) -> SectionData:
@@ -79,21 +79,44 @@ def section_setup(u: Matrix, x0: Matrix) -> SectionData:
     """
     if not u.is_square():
         raise ValueError("section operator must be square")
-    n = u.rows
-    if x0.rows != n or x0.cols != 1:
+    if x0.rows != u.rows or x0.cols != 1:
         raise ValueError("anchor must be an n-by-1 column")
-    if x0.is_zero():
-        raise NotInKernelError("anchor vector is zero")
-    if not matrix_mul(u, x0).is_zero():
-        raise NotInKernelError("anchor vector is not in the kernel")
+    return _setup([{c: e for c, e in enumerate(row) if e} for row in _ints(u).rows], x0)
 
-    front = _Reduction(*_ints(u), n).pivots
-    rho = len(front)
-    upward = _independent(rho, [[row[k] for k in front] for row in reversed(_ints(u).rows)])
-    rows = sorted(n - 1 - s for s in upward)
-    if len(rows) != rho:
+
+def _setup(sparse: list[dict], x0: Matrix) -> SectionData:
+    """:func:`section_setup` on u's rows as {column: entry} maps holding every
+    nonzero entry.  An entry joins its row and column into one block, so a
+    column depends on earlier ones (a row on later ones) as in its block."""
+    x = [row[0] for row in _over_one(_ints(x0))[0]]
+    if not any(x):
+        raise NotInKernelError("anchor vector is zero")
+    if any(sum(e * x[c] for c, e in row.items()) for row in sparse):
+        raise NotInKernelError("anchor vector is not in the kernel")
+    by_col: list[list[int]] = [[] for _ in sparse]
+    for r, row in enumerate(sparse):
+        for c in row:
+            by_col[c].append(r)
+    seen, front, rows = set(), [], []
+    for start, row in enumerate(sparse):
+        if start in seen or not row:
+            continue
+        seen.add(start)
+        block, cols = [start], set()
+        for r in block:  # the block grows as it is walked
+            for c in sparse[r].keys() - cols:
+                cols.add(c)
+                block += [s for s in by_col[c] if s not in seen]
+                seen.update(by_col[c])
+        block, cols = sorted(block), sorted(cols)
+        grid = [[sparse[r].get(c, 0) for c in cols] for r in block]
+        pivots = _Reduction(grid, [1] * len(grid), len(cols)).pivots
+        front += [cols[k] for k in pivots]
+        upward = _independent(len(pivots), [[row[k] for k in pivots] for row in reversed(grid)])
+        rows += [block[-1 - s] for s in upward]
+    if len(rows) != len(front):
         raise AssertionError("images of complement vectors must be independent")
-    return SectionData(u, x0, rho, tuple(front), tuple(rows))
+    return SectionData(x0, len(front), tuple(sorted(front)), tuple(sorted(rows)))
 
 
 def section_eval(s: SectionData, v: Matrix) -> Matrix:
@@ -131,6 +154,21 @@ def _over_common(b: Matrix, a0: Matrix) -> tuple[list[list], list[list], int]:
     return [_times(row, a0_den) for row in b_int], [_times(row, b_den) for row in a0_int], b_den * a0_den
 
 
+def _ad_rows(b_int: list[list], a0_int: list[list]) -> list[dict]:
+    """The rows of :func:`ad_operator` from B and A0 as integer rows over
+    one denominator, as {column: entry} maps that hold every nonzero entry."""
+    n = len(b_int)
+    a0_nz = [[(c2, a0_int[c2][c1]) for c2 in range(n) if a0_int[c2][c1]] for c1 in range(n)]
+    rows = []
+    for c1 in range(n):
+        for r1 in range(n):
+            row = {c1 * n + r2: e for r2, e in enumerate(b_int[r1]) if e}
+            for c2, e in a0_nz[c1]:
+                row[c2 * n + r1] = row.get(c2 * n + r1, 0) - e
+            rows.append(row)
+    return rows
+
+
 def ad_operator(b: Matrix, a0: Matrix) -> Matrix:
     """Matrix of ``M -> B@M - M@A0`` on column-stacked n*n matrix space.
 
@@ -139,19 +177,9 @@ def ad_operator(b: Matrix, a0: Matrix) -> Matrix:
     rows over one denominator."""
     if not b.is_square() or not a0.is_square() or b.rows != a0.rows:
         raise ValueError("ad operator needs square matrices of equal size")
-    n = b.rows
-    big = n * n
+    big = b.rows * b.rows
     b_int, a0_int, den = _over_common(b, a0)
-    rows = []
-    for c1 in range(n):
-        for r1 in range(n):
-            row = [0] * big
-            row[c1 * n : (c1 + 1) * n] = b_int[r1]
-            for c2 in range(n):
-                e = a0_int[c2][c1]
-                if e:
-                    row[c2 * n + r1] = row[c2 * n + r1] - e
-            rows.append(row)
+    rows = [[sparse.get(k, 0) for k in range(big)] for sparse in _ad_rows(b_int, a0_int)]
     return _made(big, big, _canonical(rows, [den] * big))
 
 
@@ -253,8 +281,8 @@ def conjugation_section(a0: Matrix) -> ConjugationSection:
     ranks = power_ranks(a0)
     if ranks[-1] > 0:
         raise NotNilpotentError("base point must be nilpotent")
-    n = a0.rows
-    sd = section_setup(ad_operator(a0, a0), vec(Matrix.identity(n)))
+    a0_int = _over_one(_ints(a0))[0]
+    sd = _setup(_ad_rows(a0_int, a0_int), vec(Matrix.identity(a0.rows)))
     cs = ConjugationSection(a0, sd, tuple(ranks))
     if cs.displacement_rank(a0) != sd.rank:
         raise AssertionError("rank formula disagrees with the base point's operator")

@@ -16,8 +16,10 @@ from nilpath.matrix import (
     pivot_columns,
     power_ranks,
     random_invertible,
+    rank,
     rref,
 )
+from nilpath.paths import connect_roots
 from nilpath.profiles import Profile, profile_power
 from nilpath.scalar import Scalar
 
@@ -124,6 +126,33 @@ def test_similarity_witness_generic():
     assert conjugate(x, q) == y
 
 
+def test_similarity_witness_is_py_times_px_inverse():
+    """The witness is one solve of Px^T Q^T = Py^T: exactly Py Px^-1, on
+    rational and Gaussian pairs, and y Q = Q x."""
+    rng = random.Random(29)
+
+    def unit_lower(n, entry):
+        return Matrix.from_rows([[1 if i == j else entry() if i > j else 0 for j in range(n)] for i in range(n)])
+
+    def rational():
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+
+    def gaussian():
+        return Scalar(Fraction(rng.randint(-2, 2), rng.randint(1, 3)), rng.randint(-1, 1))
+
+    pairs = []
+    for parts in ((3, 2, 1), (2, 2, 1, 1), (4,)):
+        model, n = direct_sum([jordan_cell(k) for k in parts]), sum(parts)
+        for entry in (rational, gaussian):
+            conjugators = [matrix_mul(unit_lower(n, entry), unit_lower(n, entry).transpose()) for _ in range(2)]
+            pairs.append(tuple(conjugate(model, c) for c in conjugators))
+    assert any(e.im for x, y in pairs for m in (x, y) for row in m.data for e in row)
+    for x, y in pairs:
+        q = similarity_witness(x, y)
+        assert q == matrix_mul(jordan_basis(y).conjugator, inverse(jordan_basis(x).conjugator))
+        assert matrix_mul(y, q) == matrix_mul(q, x)
+
+
 def test_similarity_witness_rejects_different_profiles():
     with pytest.raises(NotSimilarError):
         similarity_witness(jordan_cell(2), Matrix.zeros(2, 2))
@@ -210,6 +239,31 @@ def test_jordan_basis_matches_chain_loop():
         model = direct_sum([jordan_cell(k) for k in parts])
         inputs.append(conjugate(model, matrix_mul(lower, random_invertible(n, rng))))
     assert any(e.im for m in inputs for row in m.data for e in row)
+    # the large-entry segment ends of a scrambled (6,3,3) -> (5,5,1,1) connect
+    jx, jy = (direct_sum([jordan_cell(k) for k in parts]) for parts in ((6, 3, 3), (5, 5, 1, 1)))
+    s = random_invertible(12, rng, -1, 1)
+    x = conjugate(jx, s)
+    y = conjugate(conjugate(jy, similarity_witness(matrix_pow(jy, 2), matrix_pow(jx, 2))), s)
+    ends = [seg.end for seg in connect_roots(matrix_pow(x, 2), 2, x, y).segments]
+    assert len(ends) >= 2 and max(abs(e.re.numerator) for m in ends for row in m.data for e in row) > 10**6
+    inputs += ends
     for m in inputs:
         d = jordan_basis(m)
         assert (d.conjugator, d.cell_sizes) == _chain_loop_basis(m), m
+        assert power_ranks(m) == _ranks_of_formed_powers(m)
+    # the push stops before rank 0 at level 1 (M invertible) and later (a
+    # nilpotent block plus an invertible one)
+    r = random_invertible(5, rng)
+    stalled = (random_invertible(5, rng), direct_sum([jordan_cell(3), random_invertible(2, rng)]))
+    for m in (conjugate(model, r) for model in stalled):
+        assert power_ranks(m) == _ranks_of_formed_powers(m) and power_ranks(m)[-1] > 0
+        with pytest.raises(NotNilpotentError):
+            jordan_basis(m)
+
+
+def _ranks_of_formed_powers(m):
+    """Ranks of M^0, M^1, ... up to the first repeat, each power formed."""
+    ranks = [m.rows]
+    while (r := rank(matrix_pow(m, len(ranks)))) != ranks[-1]:
+        ranks.append(r)
+    return ranks

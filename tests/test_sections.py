@@ -276,6 +276,36 @@ def test_front_is_rref_pivots_of_operator():
         assert conjugation_section(a0).section.front == front
 
 
+def _dense_setup(a0):
+    """section_setup on the formed n^2 x n^2 operator ad(A0, A0): the
+    oracle for conjugation_section's block-wise set-up."""
+    return section_setup(ad_operator(a0, a0), vec(Matrix.identity(a0.rows)))
+
+
+def test_conjugation_section_blocks_match_dense_setup():
+    bases = [_window_base(k, l, p) for p in range(2, 6) for l in range(1, 13) for k in range(min(l, 13 - l))]
+    assert len(bases) == 4 * 42
+    # a dense scrambled nilpotent: ad(A0, A0) is one block
+    rng = random.Random(61)
+    r = Matrix.from_rows([[rng.choice((-2, -1, 1, 2)) for _ in range(5)] for _ in range(5)])
+    dense = matrix_mul(r, matrix_mul(direct_sum([jordan_cell(3), jordan_cell(2)]), inverse(r)))
+    assert all(not e.is_zero() for row in dense.data for e in row)
+    # Gaussian bases, the last one scrambled by a unit lower triangular matrix
+    lower = Matrix.from_rows(
+        [[1 if i == j else Scalar(rng.randint(-1, 1), rng.randint(-1, 1)) if i > j else 0 for j in range(6)]
+         for i in range(6)]
+    )
+    gaussian = [_structured_bases()["gaussian"], _conjugate(R_COMPLEX, jordan_cell(3))]
+    gaussian.append(_conjugate(lower, direct_sum([jordan_cell(3), jordan_cell(2), jordan_cell(1)])))
+    assert all(any(e.im for row in a0.data for e in row) for a0 in gaussian)
+    for a0 in bases + [dense] + gaussian:
+        sd, oracle = conjugation_section(a0).section, _dense_setup(a0)
+        assert (sd.front, sd.rows, sd.rank) == (oracle.front, oracle.rows, oracle.rank), a0
+    for setup in (conjugation_section, _dense_setup):
+        with pytest.raises(NotInKernelError, match="anchor vector is zero"):
+            setup(Matrix.zeros(0, 0))
+
+
 def test_conjugation_section_rejects_non_nilpotent_base():
     for a0 in (Matrix.identity(2), direct_sum([jordan_cell(2), Matrix.identity(1)])):
         with pytest.raises(NotNilpotentError):
@@ -333,11 +363,11 @@ def test_block_rows_are_affine_and_solve_to_the_conjugator():
             cs.block_rows(Matrix.identity(n + 1))
 
 
-def _codomain_inverse_top(sd):
+def _codomain_inverse_top(sd, u):
     """The first rank rows of the inverse of the codomain basis that
-    section_setup built before it chose ``rows``: the images of the
-    complement vectors, completed greedily by e_0, e_1, ..."""
-    u, rho, big = sd.operator, sd.rank, sd.dimension
+    section_setup built around u before it chose ``rows``: the images of
+    the complement vectors, completed greedily by e_0, e_1, ..."""
+    rho, big = sd.rank, sd.dimension
     images = [u.column_entries(k) for k in sd.front]
     standard = list(Matrix.identity(big).data)
     chosen = pivot_columns(big, images + standard)
@@ -369,7 +399,7 @@ def _elementwise_evaluate(cs, b, top=None):
     Scalars, times the top rows of the codomain inverse (``top``, computed
     when not given)."""
     if top is None:
-        top = _codomain_inverse_top(cs.section)
+        top = _codomain_inverse_top(cs.section, ad_operator(cs.base, cs.base))
     n = cs.base.rows
     if cs.displacement_rank(b) != cs.rank:
         raise OutsideNeighborhoodError("displacement rank differs from base point")
@@ -454,7 +484,8 @@ def _assert_matches_elementwise(cs, got, reference):
         assert got == reference
         return
     sd = cs.section
-    u_block = Matrix(sd.rank, sd.rank, [[sd.operator.data[r][k] for k in sd.front] for r in sd.rows])
+    u = ad_operator(cs.base, cs.base)
+    u_block = Matrix(sd.rank, sd.rank, [[u.data[r][k] for k in sd.front] for r in sd.rows])
     assert got[0] == matrix_mul(u_block, reference[0])
     assert got[1] == det(u_block) * reference[1] == det(got[0])
     assert got[2] == reference[2]
@@ -489,7 +520,7 @@ def _check_against_codomain_inverse(cs, probes):
     """rows is the support of the old codomain inverse's top rows, and
     block_rows, conjugator_at and section_eval agree with what it gave."""
     sd = cs.section
-    top = _codomain_inverse_top(sd)
+    top = _codomain_inverse_top(sd, ad_operator(cs.base, cs.base))
     assert sd.rows == _support(top)
     outcomes = set()
     for b in probes:
@@ -529,7 +560,7 @@ def test_rows_are_the_support_of_the_codomain_inverse():
             continue
         sections += 1
         sd = section_setup(u, kernel[0])
-        top = _codomain_inverse_top(sd)
+        top = _codomain_inverse_top(sd, u)
         assert sd.rows == _support(top)
         denom = rng.randint(50, 300)
         pert_l, pert_r = (
