@@ -8,7 +8,6 @@ machine-checkable certificates.
 
 from .errors import (
     ChainGuardError,
-    DegenerateParameterError,
     DetourSearchExhaustedError,
     DuplicateSampleError,
     GuardError,
@@ -77,7 +76,6 @@ from .paths import (
     RootPath,
     adjacency_segment,
     basic_family,
-    basic_family_similarity,
     centralizer_segment,
     connect_roots,
     lift_family,

@@ -121,7 +121,7 @@ def _cmd_connect(args) -> int:
     x = _read_matrix(args.x)
     y = _read_matrix(args.y)
     path = connect_roots(a, args.p, x, y)
-    cert = verify(path, args.samples, mode=args.mode)
+    cert = verify(path, args.samples)
     _emit({"path": path.to_json_obj(), "certificate": cert.to_json_obj()})
     return 0 if cert.ok else 1
 
@@ -137,7 +137,7 @@ def _cmd_eval_path(args) -> int:
 
 def _cmd_verify(args) -> int:
     path = path_from_json_obj(_read_json_file(args.path))
-    cert = verify(path, args.samples, mode=args.mode)
+    cert = verify(path, args.samples)
     _emit(cert.to_json_obj())
     return 0 if cert.ok else 1
 
@@ -172,6 +172,7 @@ def _cmd_solvable(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    mode_help = "ignored, kept for old scripts: every verify certifies"
     parser = argparse.ArgumentParser(
         prog="nilpath",
         description="Exact p-th roots of nilpotent matrices: profiles, graphs, paths.",
@@ -207,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--x", required=True, help="first root JSON file")
     sp.add_argument("--y", required=True, help="second root JSON file")
     sp.add_argument("--samples", type=int, default=100)
-    sp.add_argument("--mode", choices=("sampled", "certified"), default="sampled")
+    sp.add_argument("--mode", choices=("sampled", "certified"), help=mode_help)
     sp.set_defaults(func=_cmd_connect)
 
     sp = sub.add_parser("eval-path", help="evaluate a stored path at a parameter")
@@ -218,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="re-verify a stored path")
     sp.add_argument("path", help="path JSON file")
     sp.add_argument("--samples", type=int, default=100)
-    sp.add_argument("--mode", choices=("sampled", "certified"), default="sampled")
+    sp.add_argument("--mode", choices=("sampled", "certified"), help=mode_help)
     sp.set_defaults(func=_cmd_verify)
 
     sp = sub.add_parser("solvable", help="decide f(X) = N from zero multiplicities")

