@@ -3,8 +3,8 @@
 Every command reads and writes exact rational JSON (or DOT for graphs);
 no floating point appears anywhere, so outputs are byte-stable and
 re-checkable.  Exit codes: 0 success / affirmative, 1 well-formed negative
-answer, 2 malformed input, 3 internal guard (a size cap, a search budget
-or a lift chart that fails).
+answer, 2 malformed input, 3 internal guard (a size cap or a search
+budget).
 """
 
 from __future__ import annotations

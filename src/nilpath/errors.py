@@ -1,8 +1,7 @@
 """Exception hierarchy for the nilpath library.
 
 Guard errors indicate a tripped internal safety limit (size caps, search
-and iteration budgets, a lift chart that fails) rather than a mathematically
-negative answer.
+and iteration budgets) rather than a mathematically negative answer.
 """
 
 
@@ -15,7 +14,7 @@ class InputFormatError(NilpathError):
 
 
 class GuardError(NilpathError):
-    """An internal safety guard tripped (a size cap, a budget or a lift chart)."""
+    """An internal safety guard tripped (a size cap or a budget)."""
 
 
 class NotNilpotentError(NilpathError):

@@ -9,21 +9,16 @@ Two segment kinds compose into a root-connecting path:
   r x r solve, so a sample where the blend is singular raises;
 * adjacency segments deform a trailing pair of Jordan cells (k, l) toward
   (k+1, l-1) through the one-parameter family ``U_t``, conjugating back by
-  an exactly-lifted family q(t) so that ``gamma(t)^p`` is constant.
+  the lift q(t) = I + tF so that ``gamma(t)^p`` is constant.
 
-The lift is a deterministic function of its window (k, l, p), realized in
-two charts of the local cross-section around the power matrix: one anchored
-at t = 0 on [0, 1/2], and one anchored at the deformation endpoint, where
-the first always degenerates, on [1/2, 1].  An exact centralizer correction
-glues them at t = 1/2.  A stored adjacency segment is therefore just its
-move, outer conjugator and bystander block; loading rebuilds the lift, and
-``verify`` Sturm-certifies both of its charts.  U_t^p is affine
-in t, which each lift proves once, so a chart's two certificate polynomials
-come in closed form from one elimination of the section block at the
-chart's left end (Sylvester's and Woodbury's identities), with no
-interpolation nodes.  ``verify``
-gets each sample, and its Jordan profile read off its segment's small
-model, not off the sample, from one call to that segment.
+The lift is a deterministic function of its window (k, l, p): F is read off
+the window, and F^2 = 0, dU F = 0 and dU = F A0 - A0 F, where U_t^p =
+A0 + t dU, give ``U_t^p q(t) = q(t) A0`` for every t with q(t)^-1 = I - tF.
+A stored adjacency segment is therefore just its move, outer conjugator and
+bystander block; loading rebuilds the lift, and ``verify`` proves those
+identities, which cover all of [0, 1].  ``verify`` gets each sample, and its
+Jordan profile read off its segment's small model, not off the sample, from
+one call to that segment.
 """
 
 from __future__ import annotations
@@ -33,16 +28,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from math import lcm
 from typing import Optional, Sequence, Union
 
 from .errors import (
     DetourSearchExhaustedError,
-    GuardError,
     InputFormatError,
     MissingCellsError,
     NotNilpotentError,
-    OutsideNeighborhoodError,
     PowerMismatchError,
     SingularMatrixError,
     WindowViolationError,
@@ -54,11 +46,9 @@ from .matrix import (
     _canonical,
     _columns,
     _ints,
-    _Ints,
     _made,
     _plus_scaled,
     _Reduction,
-    _times,
     direct_sum,
     inverse,
     jordan_cell,
@@ -69,22 +59,13 @@ from .matrix import (
     power_ranks,
     solve,
 )
-from .polynomials import (
-    RatPoly,
-    _levels_det,
-    _poly,
-    certify_nonvanishing_segment,
-    poly_matrix_det,
-    sturm_root_count,
-)
+from .polynomials import RatPoly, _levels_det, certify_nonvanishing_segment
 from .profiles import AdjacencyMove, Profile, _window_a, apply_move
 from .scalar import ONE, ZERO, Scalar, format_rational, format_scalar, parse_int, parse_scalar
-from .sections import ConjugationSection, conjugation_section
 
 # The number of lift intervals.  Only bench/tracing.py reads it: it counts
 # lift intervals beyond it as bisections, so paths.lift.bisections reads 0.
-INITIAL_LIFT_INTERVALS = 2
-_HALF = Fraction(1, 2)  # where the lift's two charts meet
+INITIAL_LIFT_INTERVALS = 1
 DETOUR_BUDGET = 32
 
 ParamLike = Union[Fraction, int]
@@ -144,34 +125,16 @@ def basic_family(k: int, l: int, t: ParamLike) -> Matrix:
 
 
 @dataclass(frozen=True)
-class LiftInterval:
-    """One lift interval with its anchoring rule.
-
-    On [left, right] the lift is ``q(t) = anchor @ g(anchor^-1 U_t^p anchor)
-    @ correction``.  The left chart, on [0, 1/2], has the identity for both;
-    the right chart, on [1/2, 1], anchors at t = 1 (the left chart always
-    degenerates exactly there), and its correction is the centralizer
-    element gluing it continuously onto the left chart.
-    """
-
-    left: Fraction
-    right: Fraction
-    anchor: Matrix
-    anchor_inv: Matrix
-    correction: Matrix
-
-
-@dataclass(frozen=True)
 class LiftCore:
-    """Two-chart lift data: q(t) at t = 0, 1/2, 1 locks U_t^p onto A0."""
+    """The lift q(t) = I + tF of one window, with U_t^p q(t) = q(t) A0."""
 
     k: int
     l: int
     p: int
-    section: ConjugationSection  # around A0 = U_0^p
-    partition: tuple[Fraction, ...]
-    conjugators: tuple[Matrix, ...]
-    intervals: tuple[LiftInterval, ...]
+    step: Matrix  # F, with F^2 = 0
+
+    # q(t) is one formula on all of [0, 1], and verify proves it there
+    intervals = ((Fraction(0), Fraction(1)),)
 
     def family_matrix(self, t: ParamLike) -> Matrix:
         return basic_family(self.k, self.l, t)
@@ -184,11 +147,9 @@ class LiftCore:
         """(A0, dU) with ``U_t^p = A0 + t dU`` for every t, proven once per
         lift.  ``basic_family`` sets only entries above the diagonal, so
         U_t^(k+l) = 0 and U_t^p has degree at most m = min(p, k + l) in t;
-        matching its chord at the m + 1 parameters i/m proves it affine.
-        A0 = U_0^p is the section's base; the other m powers go through
-        ``family_power``, as ``q_at`` takes them."""
+        matching its chord at the m + 1 parameters i/m proves it affine."""
         m = min(self.p, self.k + self.l)
-        base = self.section.base
+        base = self.family_power(0)
         slope = self.family_power(1) - base
         for i in range(1, m):
             s = Fraction(i, m)
@@ -196,169 +157,60 @@ class LiftCore:
                 raise AssertionError("family power must be affine in the lift parameter")
         return base, slope
 
+    def _shear(self, t: Fraction) -> Matrix:
+        return _plus_scaled(Matrix.identity(self.k + self.l), Scalar(t), self.step)
+
     def q_at(self, t: ParamLike) -> Matrix:
-        """Lift conjugator q(t) by its chart's formula; exact at partition
-        points by construction.  Raises OutsideNeighborhood where the
-        formula is invalid, which a certified interval rules out."""
+        """The lift conjugator q(t) = I + tF, whose inverse is I - tF."""
         t = _as_fraction(t)
         if t < 0 or t > 1:
             raise ValueError("lift parameter must lie in [0, 1]")
-        if t in self.partition:
-            return self.conjugators[self.partition.index(t)]
-        iv = self.intervals[t > _HALF]
-        u_p = self.family_power(t)
-        g = self.section.conjugator_at(matrix_mul(iv.anchor_inv, matrix_mul(u_p, iv.anchor)))
-        return matrix_mul(matrix_mul(iv.anchor, g), iv.correction)
+        return self._shear(t)
 
     def gamma(self, t: ParamLike) -> Matrix:
-        """The deformed root: q(t)^-1 U_t q(t), with gamma(t)^p = A0."""
+        """The deformed root: (I - tF) U_t (I + tF), with gamma(t)^p = A0."""
         t = _as_fraction(t)
         q = self.q_at(t)
-        return solve(q, matrix_mul(self.family_matrix(t), q))
+        return matrix_mul(self._shear(-t), matrix_mul(self.family_matrix(t), q))
 
 
 def lift_family(k: int, l: int, p: int) -> LiftCore:
-    """Two-chart lift of the two-cell deformation with exact power lock.
+    """The lift of the two-cell deformation of window (k, l, p).
 
-    The left chart, on [0, 1/2], is ``q(t) = g(U_t^p)`` with g the
-    cross-section around A0 = U_0^p.  It degenerates at t = 1, so the right
-    chart, on [1/2, 1], anchors there through an exact similarity
-    ``U_1^p = Q1 A0 Q1^-1``: ``q(t) = Q1 g(Q1^-1 U_t^p Q1) S``, where the
-    centralizer element S glues the charts at t = 1/2.  The result depends
-    on (k, l, p) alone, so a stored path rebuilds it;
-    ``certify_lift_interval`` proves a chart valid on its whole interval.
-    Raises GuardError when either chart fails at the glue point.
+    In the basis (x_k..x_1, y_l..y_1) of ``basic_family``, F maps both
+    y_(jp+1) and x_(jp) to x_(jp) - y_(jp+1), for j = 1..a with a the
+    window index, and every other basis vector to 0.  The lift depends on
+    (k, l, p) alone, so a stored path rebuilds it; ``certify_lift_interval``
+    proves that it holds U_t^p onto A0 for every t.
     """
-    if _window_a(k, l, p) is None:
+    a = _window_a(k, l, p)
+    if a is None:
         raise WindowViolationError(f"no window index a with {p}a <= {k} < {l} <= {p}(a+1)")
-    a0, power_half, power_end = (matrix_pow(basic_family(k, l, t), p) for t in (0, _HALF, 1))
-    section = conjugation_section(a0)
-    identity = Matrix.identity(k + l)
-    q1 = similarity_witness(a0, power_end)
-    q1_inv = inverse(q1)
-    try:
-        q_half = section.conjugator_at(power_half)
-        g_right = section.conjugator_at(matrix_mul(q1_inv, matrix_mul(power_half, q1)))
-    except OutsideNeighborhoodError:
-        raise GuardError(f"lift chart of window ({k}, {l}, {p}) is invalid at t = 1/2") from None
-    # glue: Q1 g_right S = q_half, with S in the centralizer of A0
-    correction = solve(matrix_mul(q1, g_right), q_half)
-    if matrix_mul(correction, a0) != matrix_mul(a0, correction):
-        raise AssertionError("glue correction must centralize the base power")
-
-    left = LiftInterval(Fraction(0), _HALF, identity, identity, identity)
-    right = LiftInterval(_HALF, Fraction(1), q1, q1_inv, correction)
-    partition = (Fraction(0), _HALF, Fraction(1))
-    conjugators = (identity, q_half, matrix_mul(q1, correction))
-    # The invariant U_t^p q = q A0 holds at t = 0 (q = I) and at t = 1/2
-    # (the section asserted it); at t = 1 it is the only check of Q1.
-    if matrix_mul(power_end, conjugators[2]) != matrix_mul(conjugators[2], a0):
-        raise AssertionError("lift invariant failed at t = 1")
-    return LiftCore(k, l, p, section, partition, conjugators, (left, right))
+    n = k + l
+    rows = [[0] * n for _ in range(n)]
+    for j in range(1, a + 1):
+        x, y = k - j * p, n - j * p - 1  # the indices of x_(jp) and y_(jp+1)
+        for col in (x, y):
+            rows[x][col], rows[y][col] = 1, -1
+    return LiftCore(k, l, p, _made(n, n, _canonical(rows, [1] * n)))
 
 
-def certify_lift_interval(lift: LiftCore, interval: LiftInterval) -> dict:
-    """Sturm-certify section validity across one whole lift interval.
+def certify_lift_interval(lift: LiftCore, interval: tuple[Fraction, Fraction]) -> dict:
+    """Prove the lift on ``interval`` by exact products.
 
-    The section's leading-block determinant d1 and the cleared-denominator
-    conjugator ``ghat = d1 g(B)`` along the anchored power curve ``B(t) =
-    anchor^-1 U_t^p anchor`` are polynomials, formed in closed form by
-    :func:`_chart_polynomials` in sigma, with t = left + (right - left)
-    sigma; the change of variable is affine, so it keeps degrees and root
-    counts.  Nonvanishing of d1 and det(ghat) on [0, 1] makes the
-    interval's lift formula valid everywhere on it.  A chart whose section
-    fails at an end, by its displacement rank or, at the left end, by a
-    singular block, is recorded as invalid at a certification node.
+    On the proven curve U_t^p = A0 + t dU (``power_curve``), F^2 = 0,
+    dU F = 0 and dU = F A0 - A0 F give ``(A0 + t dU)(I + tF) = A0 + t F A0
+    = (I + tF) A0`` for every t, and I + tF is invertible with inverse
+    I - tF, so gamma(t)^p = A0 on the whole interval.
     """
-    record = {"interval": [format_rational(interval.left), format_rational(interval.right)]}
-    try:
-        d1, det_ghat = _chart_polynomials(lift, interval)
-    except OutsideNeighborhoodError:
-        record.update(ok=False, reason="section invalid at a certification node")
-        return record
-    record.update(sectionDetDegree=d1.degree(), conjugatorDetDegree=det_ghat.degree())
-    if d1.eval(0).is_zero() or d1.eval(1).is_zero():
-        record.update(ok=False, reason="leading-block determinant vanishes at an endpoint")
-        return record
-    if det_ghat.eval(0).is_zero() or det_ghat.eval(1).is_zero():
-        record.update(ok=False, reason="conjugator determinant vanishes at an endpoint")
-        return record
-    roots_d1 = sturm_root_count(d1, 0, 1)
-    roots_g = sturm_root_count(det_ghat, 0, 1)
-    record["sectionDetRoots"] = roots_d1
-    record["conjugatorDetRoots"] = roots_g
-    record["ok"] = roots_d1 == 0 and roots_g == 0
-    return record
-
-
-def _chart_polynomials(lift: LiftCore, interval: LiftInterval) -> tuple[RatPoly, RatPoly]:
-    """d1 and det ghat on one chart, in sigma with t = left + (right - left)
-    sigma, from one elimination.
-
-    B is affine on the proven power curve, so the block ``[A | c]`` is too:
-    it is read off B at the two ends, and its slope ``[dA | dc]`` is their
-    difference.  With dA = CR (C the pivot columns of dA, R the nonzero
-    rows of its rref, r = rank dA), ``A_left`` is reduced once against
-    ``[C | c_left | dc]``, giving det A_left, X = A_left^-1 C, y_left and
-    A_left^-1 dc.  With ``M(sigma) = I_r + sigma RX`` and ``u(sigma) =
-    R (y_left + sigma A_left^-1 dc)``, Sylvester's identity gives ``d1 =
-    det A_left det M`` and Woodbury's ``d1 y = det A_left (det M (y_left +
-    sigma A_left^-1 dc) - sigma X adj(M) u)``, with adj(M) u as r Cramer
-    determinants of size r.  Then ``ghat = d1 I - sum_k (d1 y)_k
-    E_front[k]``.  At rank 0 the block is 0 x 0: d1 = 1 and ghat = I,
-    valid exactly where B = 0, that is where U_t^p = 0, which the curve's
-    two ends show.
-
-    Raises OutsideNeighborhoodError where the displacement rank differs from
-    the base point's at an end, or A_left is singular.
-    """
-    section, rho = lift.section, lift.section.rank
     base, slope = lift.power_curve
-    powers = [_plus_scaled(base, Scalar(t), slope) for t in (interval.left, interval.right)]
-    if not rho:  # B = 0 exactly where U_t^p = 0
-        if not all(u.is_zero() for u in powers):
-            raise OutsideNeighborhoodError("displacement rank differs from base point")
-        one = RatPoly((1,))
-        return one, one
-    ends = [matrix_mul(interval.anchor_inv, matrix_mul(u, interval.anchor)) for u in powers]
-    if any(section.displacement_rank(b) != rho for b in ends):
-        raise OutsideNeighborhoodError("displacement rank differs from base point")
-    (left, left_den), (right, right_den) = map(section.block_rows, ends)
-    den = lcm(left_den, right_den)
-    left = [_times(row, den // left_den) for row in left]
-    step = [[y - x for x, y in zip(row, _times(other, den // right_den))] for row, other in zip(left, right)]
-    factor = _Reduction(step, [den] * rho, rho)
-    pivots, r = factor.pivots, len(factor.pivots)
-    joined = [row[:rho] + [d[c] for c in pivots] + [row[rho], d[rho]] for row, d in zip(left, step)]
-    red = _Reduction(joined, [den] * rho, rho)
-    if len(red.pivots) < rho:
-        raise OutsideNeighborhoodError("leading block singular at this operator")
-    solved = red.form(range(rho), range(rho, rho + r + 2))  # [X | y_left | A_left^-1 dc]
-    det_num, det_den = red.det_ints()
-    # R [X | y_left | A_left^-1 dc] = [RX | u(0) | u(1) - u(0)]
-    ru = _ints(matrix_mul(_made(r, rho, factor.form(range(r), range(rho))), _made(rho, r + 2, solved)))
-    m, cramer = _identity_plus_det(ru, r), [_identity_plus_det(ru, r, i) for i in range(r)]
-    # ghat / det A_left is det M I minus (d1 y)_k / det A_left at each
-    # front[k] = (i, j); a column j that no front[k] reaches holds det M
-    # alone, so the determinant is det M^(n - |S|) times that of the block
-    # on the columns S that they reach, and the same rows
-    n = base.rows
-    cols = sorted({idx // n for idx in section.section.front})
-    at = {j: a for a, j in enumerate(cols)}
-    zero = RatPoly()
-    block = [[m if a == b else zero for b in range(len(cols))] for a in range(len(cols))]
-    for idx, x, e in zip(section.section.front, *solved):
-        i, j = idx % n, idx // n
-        if i in at:
-            entry = m * _poly(x[r : r + 2], e)
-            for xi, w in zip(x, cramer):
-                if xi:
-                    entry = entry - w * _poly([0, xi], e)
-            block[at[i]][at[j]] = block[at[i]][at[j]] - entry
-    det_ghat = _poly([det_num**n], det_den**n) * poly_matrix_det(block)
-    for _ in range(n - len(cols)):
-        det_ghat = det_ghat * m
-    return _poly([det_num], det_den) * m, det_ghat
+    f = lift.step
+    ok = (
+        matrix_mul(f, f).is_zero()
+        and matrix_mul(slope, f).is_zero()
+        and slope == matrix_mul(f, base) - matrix_mul(base, f)
+    )
+    return {"interval": [format_rational(t) for t in interval], "ok": ok}
 
 
 # -- centralizer segments -----------------------------------------------------
@@ -380,23 +232,11 @@ class BlendFactor:
 
     @cached_property
     def determinant(self) -> RatPoly:
-        """det M(z), of degree at most r."""
-        return _identity_plus_det(_ints(self.rc), self.rc.rows)
-
-
-def _identity_plus_det(form: _Ints, r: int, column: Optional[int] = None) -> RatPoly:
-    """det(I_r + z X), of degree at most r, for X the first r columns of the
-    integer form ``form``; with ``column``, Cramer's numerator for u(z) =
-    u0 + z u1, the form's next two columns: that column of I_r + z X
-    replaced by u(z).  With row i of the form x_i / d_i, row i of d_i (I_r +
-    z X) has the integer coefficient rows x_i[:r] and d_i e_i."""
-    levels = []
-    for i, (x, d) in enumerate(zip(*form)):
-        top, low = x[:r], [d * (i == j) for j in range(r)]
-        if column is not None:
-            top[column], low[column] = x[r + 1], x[r]
-        levels.append([top, low])
-    return _levels_det(levels, form.dens, r)
+        """det M(z), of degree at most r.  With row i of RC x_i / d_i, row i
+        of d_i M(z) has the integer coefficient rows x_i and d_i e_i."""
+        form, r = _ints(self.rc), self.rc.rows
+        levels = [[x, [d * (i == j) for j in range(r)]] for i, (x, d) in enumerate(zip(*form))]
+        return _levels_det(levels, form.dens, r)
 
 
 @dataclass(frozen=True)
@@ -783,12 +623,18 @@ def connect_roots(a: Matrix, p: int, x: Matrix, y: Matrix, mode=None) -> RootPat
     return RootPath(a, p, tuple(segments))
 
 
-def _certify_segment(seg) -> dict:
+def _certify_segment(seg, a: Matrix, p: int) -> dict:
+    """The segment's record, ``ok`` only when its start is a p-th root of a
+    and, for a centralizer segment, Q commutes with a.  With its detour or
+    lift certificates, every point of the segment is then a root."""
+    rooted = _is_root(seg.start, p, a)
     if seg.kind == "centralizer":
         pieces = list(_detour_records(seg.waypoints, seg.blend.determinant))
-        return {"kind": "centralizer", "pieces": pieces, "ok": all(p["ok"] for p in pieces)}
+        q = seg.conjugator
+        ok = rooted and matrix_mul(q, a) == matrix_mul(a, q) and all(piece["ok"] for piece in pieces)
+        return {"kind": "centralizer", "pieces": pieces, "ok": ok}
     intervals = [certify_lift_interval(seg.lift, iv) for iv in seg.lift.intervals]
-    return {"kind": "adjacency", "intervals": intervals, "ok": all(rec["ok"] for rec in intervals)}
+    return {"kind": "adjacency", "intervals": intervals, "ok": rooted and all(rec["ok"] for rec in intervals)}
 
 
 def verify(path: RootPath, sample_count: int, mode=None) -> Certificate:
@@ -798,9 +644,11 @@ def verify(path: RootPath, sample_count: int, mode=None) -> Certificate:
     off its segment's model (None when it is not nilpotent or fails its
     segment's conjugation check); where the path is undefined, a sample has
     a nonzero residual and no profile.  Every segment certification must
-    pass too: both charts of each adjacency lift and each detour piece are
-    Sturm-certified on their whole intervals.  ``mode`` is accepted for
-    older callers and ignored.
+    pass too: each segment starts at a root, each adjacency lift is proven
+    on [0, 1], and each centralizer conjugator commutes with the target and
+    has each detour piece Sturm-certified, so an ``ok`` path lies in the
+    root set whatever the sample count.  ``mode`` is accepted for older
+    callers and ignored.
     """
     if sample_count < 1:
         raise ValueError("need at least one sample interval")
@@ -812,13 +660,13 @@ def verify(path: RootPath, sample_count: int, mode=None) -> Certificate:
         t = Fraction(i, sample_count)
         residual_zero, prof = False, None
         # where the path is undefined, or the model is not nilpotent, the sample fails
-        with suppress(SingularMatrixError, OutsideNeighborhoodError, NotNilpotentError):
+        with suppress(SingularMatrixError, NotNilpotentError):
             m, prof = path.sample(t)
             residual_zero = _is_root(m, path.power, path.target)
         all_ok = all_ok and residual_zero and prof is not None
         samples.append((t, residual_zero, prof))
 
-    seg_certs = tuple(_certify_segment(seg) for seg in path.segments)
+    seg_certs = tuple(_certify_segment(seg, path.target, path.power) for seg in path.segments)
     all_ok = all_ok and all(c["ok"] for c in seg_certs)
     return Certificate(tuple(samples), seg_certs, all_ok)
 

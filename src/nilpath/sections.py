@@ -21,9 +21,9 @@ sequences of B and A0.  With row r = vec(E_ac) and complement vector
 k = vec(E_ij), the block entry is ``A[r][k] = B[a][i] [j = c] - [a = i]
 A0[j][c]`` and the right-hand side is ``c_r = (B - A0)[a][c]``.  Both are
 built as integer rows over one denominator and go straight into the
-elimination loop, which solves the block.  The block is affine in B, so on
-a lift chart's affine curve of operators, certification reads it at the
-two ends (:meth:`ConjugationSection.block_rows`) and solves it once.
+elimination loop, which solves the block.  No path in the library solves
+a section any more: the adjacency lift has a closed form
+(``paths.lift_family``).
 """
 
 from __future__ import annotations
@@ -211,14 +211,6 @@ class ConjugationSection:
         kernel = sum((rb[k - 1] - rb[k]) * (ra[k - 1] - ra[k]) for k in range(1, len(ra)))
         return n * n - kernel
 
-    def block_rows(self, b: Matrix) -> tuple[list[list], int]:
-        """``[A | c]`` at B, as integer rows over one denominator, and that
-        denominator: the block of the section's solve, affine in B."""
-        if b.rows != self.base.rows or b.cols != self.base.rows:
-            raise ValueError("dimension mismatch")
-        b_int, a0_int, den = _over_common(b, self.base)
-        return self._block(b_int, a0_int), den
-
     def _block(self, b_int: list[list], a0_int: list[list]) -> list[list]:
         """``[A | c]`` from B and A0 as integer rows over one denominator:
         ``A[r][k] = B[a][i] [j = c] - [a = i] A0[j][c]`` and ``c_r = (B -
@@ -244,7 +236,7 @@ class ConjugationSection:
     def conjugator_at(self, b: Matrix) -> Matrix:
         """g(B), invertible with ``B @ g(B) = g(B) @ A0``, and g(A0) = I.
 
-        ``[A | c]`` is read off B in integers (:meth:`block_rows`) and
+        ``[A | c]`` is read off B in integers (:meth:`_block`) and
         row-reduced once; g(B) is unvec(vec(I) minus ``A^-1 c`` spread over
         the complement vectors).  Validity is checked exactly: the
         displacement rank must match the base point's, the leading block

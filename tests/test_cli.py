@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilpath.cli import main
-from nilpath.errors import OutsideNeighborhoodError
 from nilpath.paths import connect_roots
 from nilpath.jordan import similarity_witness
 from nilpath.matrix import (
@@ -26,7 +25,6 @@ from nilpath.matrix import (
     matrix_to_json_obj,
 )
 from nilpath.scalar import Scalar
-from nilpath.sections import ConjugationSection
 
 
 def fixture_roots():
@@ -271,8 +269,43 @@ def test_connect_output_pinned(files, capsys):
     )
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "fa73b66b8777ecd0050bc71c43c9700faf1f9c13a9a0eb39829e33fe1406b758"
+        "d865db00967ecab980be8954264d07e37d1f408d7edae96c72ac03dd5d06c516"
     )
+    # the path object alone, as the two-chart lift wrote it too
+    assert hashlib.sha256(json.dumps(json.loads(out)["path"]).encode()).hexdigest() == (
+        "99272041caa4b16fb6d71e1d77354b6b90614c6e170c60b4ebe5fc39e002c869"
+    )
+
+
+def forged_path_obj():
+    """Two centralizer segments X -> Q X Q^-1 -> X, X = J3 + J1, p = 2: the
+    endpoints and the samples at t = 0, 1 are roots of A = X^2, but Q does
+    not commute with A, so the point at t = 1/2 is not."""
+    x = direct_sum([jordan_cell(3), jordan_cell(1)])
+    q = Matrix.from_rows([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, 1]])
+    a = matrix_pow(x, 2)
+    assert matrix_mul(q, a) != matrix_mul(a, q)
+    segments = [
+        {"kind": "centralizer", "baseRoot": matrix_to_json_obj(base), "conjugator": matrix_to_json_obj(c),
+         "waypoints": ["0", "1"]}
+        for base, c in ((x, q), (matrix_mul(q, matrix_mul(x, inverse(q))), inverse(q)))
+    ]
+    ends = {"X": matrix_to_json_obj(x), "Y": matrix_to_json_obj(x)}
+    return {"A": matrix_to_json_obj(a), "p": 2, "endpoints": ends, "segments": segments}
+
+
+@pytest.mark.parametrize("samples", ["1", "2", "4"])
+def test_verify_rejects_a_path_that_leaves_the_root_set(tmp_path, capsys, samples):
+    path_file = tmp_path / "forged.json"
+    path_file.write_text(json.dumps(forged_path_obj()))
+    code, out = run(capsys, ["verify", str(path_file), "--samples", samples])
+    assert code == 1
+    cert = json.loads(out)
+    assert cert["ok"] is False
+    # every detour piece is certified, yet neither segment is: the first
+    # one's Q does not commute with A, and the second starts off the roots
+    assert [c["ok"] for c in cert["segmentCertifications"]] == [False, False]
+    assert all(piece["ok"] for c in cert["segmentCertifications"] for piece in c["pieces"])
 
 
 def test_connect_certified_output_pinned(files, capsys):
@@ -285,7 +318,7 @@ def test_connect_certified_output_pinned(files, capsys):
     )
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "fa73b66b8777ecd0050bc71c43c9700faf1f9c13a9a0eb39829e33fe1406b758"
+        "d865db00967ecab980be8954264d07e37d1f408d7edae96c72ac03dd5d06c516"
     )
 
 
@@ -452,20 +485,6 @@ def test_size_cap_env_guard(files, capsys, monkeypatch):
     code, _ = run(capsys, ["graph", "--p", "2", "--profile", "2:2,1:2"])
     assert code == 3
     monkeypatch.delenv("NILPATH_SIZE_CAP")
-
-
-def test_connect_exits_three_when_a_lift_chart_fails(files, capsys, monkeypatch):
-    # no section conjugator exists, so the (2,4,2) lift fails at its glue point
-    def outside(section, b):
-        raise OutsideNeighborhoodError("chart invalid")
-
-    monkeypatch.setattr(ConjugationSection, "conjugator_at", outside)
-    code = main(["connect", "--p", "2", "--a", files["A"], "--x", files["X"], "--y", files["Y"]])
-    captured = capsys.readouterr()
-    assert code == 3
-    assert captured.out == ""
-    assert "guard tripped" in captured.err
-    assert "Traceback" not in captured.err
 
 
 def test_verify_ignores_the_size_cap(files, capsys, monkeypatch, tmp_path):

@@ -7,10 +7,8 @@ from pathlib import Path
 import pytest
 
 from nilpath.errors import (
-    GuardError,
     InputFormatError,
     MissingCellsError,
-    OutsideNeighborhoodError,
     PowerMismatchError,
     WindowViolationError,
 )
@@ -36,15 +34,13 @@ from nilpath.paths import (
     connect_roots,
     lift_family,
     LiftCore,
-    LiftInterval,
     path_from_json_obj,
     RootPath,
     verify,
 )
-from nilpath.polynomials import RatPoly, poly_interpolate_entries, poly_matrix_det, sturm_root_count
+from nilpath.polynomials import RatPoly, poly_matrix_det
 from nilpath.profiles import AdjacencyMove, Profile, _window_a, apply_move
 from nilpath.scalar import Scalar, format_rational
-from nilpath.sections import ConjugationSection
 
 
 def conjugate(m, p):
@@ -98,38 +94,15 @@ def test_lift_endpoints():
 
 def test_lift_constant_power():
     lift = lift_family(2, 4, 2)
-    a0 = lift.section.base
+    a0, _ = lift.power_curve
     for num in range(0, 9):
         t = Fraction(num, 8)
         assert matrix_pow(lift.gamma(t), 2) == a0
 
 
-def test_lift_partition_point_consistency():
-    # inside-interval formula agrees with the stored conjugators at the seams
-    lift = lift_family(2, 3, 2)
-    for t, q in zip(lift.partition, lift.conjugators):
-        assert lift.q_at(t) == q
-
-
-def test_lift_interval_formula_continuous_at_seams():
-    # evaluate each interval's rule directly at both of its endpoints
-    for k, l, p in ((2, 3, 2), (2, 4, 2), (3, 4, 3)):
-        lift = lift_family(k, l, p)
-        for i, iv in enumerate(lift.intervals):
-            for t, stored in (
-                (iv.left, lift.conjugators[i]),
-                (iv.right, lift.conjugators[i + 1]),
-            ):
-                u_p = matrix_pow(lift.family_matrix(t), p)
-                b = matrix_mul(iv.anchor_inv, matrix_mul(u_p, iv.anchor))
-                g = lift.section.conjugator_at(b)
-                formula = matrix_mul(matrix_mul(iv.anchor, g), iv.correction)
-                assert formula == stored, (k, l, p, i, t)
-
-
 def test_lift_degenerate_base():
     lift = lift_family(0, 2, 2)  # base power is the zero matrix
-    assert lift.section.base.is_zero()
+    assert lift.power_curve[0].is_zero()
     for num in range(0, 5):
         t = Fraction(num, 4)
         assert matrix_pow(lift.gamma(t), 2).is_zero()
@@ -138,7 +111,7 @@ def test_lift_degenerate_base():
 
 def test_lift_higher_power():
     lift = lift_family(3, 4, 3)  # window a = 1: 3 <= 3 < 4 <= 6
-    a0 = lift.section.base
+    a0, _ = lift.power_curve
     for num in range(0, 7):
         t = Fraction(num, 6)
         assert matrix_pow(lift.gamma(t), 3) == a0
@@ -157,7 +130,7 @@ def test_lift_battery_all_small_windows():
     assert len(windows) >= 15
     for k, l, p in sorted(windows):
         lift = lift_family(k, l, p)
-        a0 = lift.section.base
+        a0, _ = lift.power_curve
         for num in range(0, 7):
             t = Fraction(num, 6)
             assert matrix_pow(lift.gamma(t), p) == a0, (k, l, p, t)
@@ -328,8 +301,7 @@ def test_connect_and_certified_verify_factor_the_blend_once(monkeypatch):
     path = _catalog_path(2, (6, 4), (5, 5), 1)
     assert verify(path, 4).ok
     assert calls == [path.segments[-1].conjugator]
-    # lift charts take r x r determinants through _levels_det too; the
-    # blend's, on the rows of RC, is taken once
+    # the blend's r x r determinant, on the rows of RC, is taken once
     rows, dens = _ints(path.segments[-1].blend.rc)
     assert sum([level[0] for level in levels] == rows and d == dens for levels, d, _ in dets) == 1
 
@@ -643,7 +615,7 @@ def test_verify_certified_mode():
 
 
 def test_verify_fails_when_a_lift_chart_is_unproven(monkeypatch, tmp_path, capsys):
-    # every verify certifies: a chart without a proof fails the path, whatever
+    # every verify certifies: a lift without a proof fails the path, whatever
     # mode the caller names
     from nilpath.cli import main
 
@@ -652,7 +624,7 @@ def test_verify_fails_when_a_lift_chart_is_unproven(monkeypatch, tmp_path, capsy
     monkeypatch.setattr(
         paths_module,
         "certify_lift_interval",
-        lambda lift, iv: {"interval": [format_rational(iv.left), format_rational(iv.right)], "ok": False},
+        lambda lift, iv: {"interval": [format_rational(t) for t in iv], "ok": False},
     )
     for kwargs in ({}, {"mode": "sampled"}, {"mode": "certified"}):
         assert verify(path, 4, **kwargs).ok is False
@@ -693,7 +665,7 @@ def test_certified_verify_ignores_stored_certifications():
 
 
 def fixture_42_33():
-    # (4,2) -> (3,3) at p = 2: one (2,4,2) lift whose last interval anchors at t = 1
+    # (4,2) -> (3,3) at p = 2: one (2,4,2) lift, with a nonzero step F
     x = direct_sum([jordan_cell(4), jordan_cell(2)])
     a = matrix_pow(x, 2)
     model = direct_sum([jordan_cell(3), jordan_cell(3)])
@@ -747,8 +719,7 @@ def test_path_json_roundtrip_rebuilds_lifts():
                 assert set(seg_obj) == {"kind", "move", "outerConjugator", "bystander"}
                 directions.add(seg.move.direction)
                 assert seg_again.reversed_time == seg.reversed_time
-                assert seg_again.lift.partition == seg.lift.partition
-                assert seg_again.lift.conjugators == seg.lift.conjugators
+                assert seg_again.lift.step == seg.lift.step
         for num in range(0, 9):
             t = Fraction(num, 8)
             assert again.evaluate(t) == path.evaluate(t)
@@ -759,23 +730,21 @@ def test_path_json_roundtrip_rebuilds_lifts():
 
 
 def with_old_lift_keys(seg_obj, seg):
-    """The adjacency segment keys that older files carry besides the move."""
+    """The adjacency segment keys that older files carry besides the move:
+    a two-chart lift's partition, conjugators and intervals."""
     lift = seg.lift
+    half = Fraction(1, 2)
+    ident = matrix_to_json_obj(Matrix.identity(lift.k + lift.l))
     seg_obj.update(
         k=lift.k,
         l=lift.l,
         p=lift.p,
         reversedTime=seg.reversed_time,
-        partition=[format_rational(t) for t in lift.partition],
-        liftConjugators=[matrix_to_json_obj(q) for q in lift.conjugators],
+        partition=[format_rational(t) for t in (Fraction(0), half, Fraction(1))],
+        liftConjugators=[matrix_to_json_obj(lift.q_at(t)) for t in (0, half, 1)],
         liftIntervals=[
-            {
-                "left": format_rational(iv.left),
-                "right": format_rational(iv.right),
-                "anchor": matrix_to_json_obj(iv.anchor),
-                "correction": matrix_to_json_obj(iv.correction),
-            }
-            for iv in lift.intervals
+            {"left": format_rational(left), "right": format_rational(right), "anchor": ident, "correction": ident}
+            for left, right in ((Fraction(0), half), (half, Fraction(1)))
         ],
         certifications=None,
     )
@@ -846,178 +815,71 @@ def test_certified_mode_on_nontrivial_lift():
     lift = lift_family(2, 3, 2)
     certifications = certify_lift(lift)
     assert all(c["ok"] for c in certifications)
-    a0 = lift.section.base
+    a0, _ = lift.power_curve
     for num in range(0, 7):
         assert matrix_pow(lift.gamma(Fraction(num, 6)), 2) == a0
-
-
-def _leading_block(section, b):
-    """The section's leading block A at B, read off ``block_rows``."""
-    rows, den = section.block_rows(b)
-    rho = section.rank
-    return Matrix.from_rows([[Fraction(x, den) for x in row[:rho]] for row in rows])
-
-
-def reference_certify_lift_interval(section, family_power, p, anchor, anchor_inv, left, right, node_count=None):
-    """The certification record, d1 and det ghat in t, interpolated from
-    ``node_count`` equally spaced nodes, by default the generic rank*p + 1
-    bound; each node is a full section solve."""
-    if node_count is None:
-        node_count = max(section.rank, 1) * p + 1
-    nodes = [left + (right - left) * Fraction(i, node_count - 1) for i in range(node_count)]
-    d1_samples, ghat_samples = [], []
-    for t in nodes:
-        b = matrix_mul(anchor_inv, matrix_mul(family_power(t), anchor))
-        g = section.conjugator_at(b)
-        d_val = det(_leading_block(section, b))
-        d1_samples.append((t, Matrix(1, 1, [[d_val]])))
-        ghat_samples.append((t, g.scale(d_val)))
-    d1 = poly_interpolate_entries(d1_samples, node_count - 1)[0][0]
-    det_ghat = poly_matrix_det(poly_interpolate_entries(ghat_samples, node_count - 1))
-    roots_d1 = sturm_root_count(d1, left, right)
-    roots_g = sturm_root_count(det_ghat, left, right)
-    record = {
-        "interval": [format_rational(left), format_rational(right)],
-        "sectionDetDegree": d1.degree(),
-        "conjugatorDetDegree": det_ghat.degree(),
-        "sectionDetRoots": roots_d1,
-        "conjugatorDetRoots": roots_g,
-        "ok": roots_d1 == 0 and roots_g == 0,
-    }
-    return record, d1, det_ghat
-
-
-def _assert_closed_form_matches(record, d1, det_ghat, lift, iv):
-    """The reference's d1 and det ghat in sigma, t = left + (right - left)
-    sigma, equal the closed form's, and its record equals the certificate's."""
-    assert record == certify_lift_interval(lift, iv), (lift.k, lift.l, lift.p, iv.left)
-    span = (Scalar(iv.left), Scalar(iv.right - iv.left))
-    closed = paths_module._chart_polynomials(lift, iv)
-    assert closed == (d1.compose_affine(*span), det_ghat.compose_affine(*span)), (lift.k, lift.l, lift.p, iv.left)
-
-
-def _on_line(m, start, step):
-    """Whether m = start + s step for some s."""
-    diff = m - start
-    if diff.is_zero():
-        return True
-    i, j = next((i, j) for i, row in enumerate(step.data) for j, e in enumerate(row) if not e.is_zero())
-    return diff == step.scale(diff.data[i][j] / step.data[i][j])
-
-
-def test_certify_lift_interval_matches_generic_degree_bound(monkeypatch):
-    import nilpath.polynomials as polynomials_module
-
-    assert not hasattr(paths_module, "poly_interpolate_entries")
-    interpolations, eliminations, solves = [], [], []
-    interpolate = polynomials_module.poly_interpolate_entries
-    reduction = paths_module._Reduction
-    conjugator_at = ConjugationSection.conjugator_at
-
-    def counting(samples, degree_bound):
-        interpolations.append(len(samples))
-        return interpolate(samples, degree_bound)
-
-    def recording(rows, dens, pivot_cols):
-        eliminations.append(Matrix.from_rows([[Fraction(x, d) for x in row[:pivot_cols]] for row, d in zip(rows, dens)]))
-        return reduction(rows, dens, pivot_cols)
-
-    monkeypatch.setattr(polynomials_module, "poly_interpolate_entries", counting)
-    monkeypatch.setattr(paths_module, "_Reduction", recording)
-    monkeypatch.setattr(ConjugationSection, "conjugator_at", lambda cs, b: solves.append(b) or conjugator_at(cs, b))
-    windows = ((2, 3, 2), (1, 3, 3), (2, 4, 2), (0, 2, 2), (0, 2, 3), (0, 3, 3))
-    for k, l, p in windows:
-        lift = lift_family(k, l, p)
-
-        def family_power(t):
-            return matrix_pow(basic_family(k, l, t), p)
-
-        for iv in lift.intervals:
-            args = (lift.section, family_power, p, iv.anchor, iv.anchor_inv, iv.left, iv.right)
-            interpolations.clear()
-            eliminations.clear()
-            solves.clear()
-            record = certify_lift_interval(lift, iv)
-            # no interpolation, no conjugator_at, and at most one elimination
-            # of a section block A(t) on the chart
-            assert interpolations == [] and solves == [], (k, l, p)
-            ends = [matrix_mul(iv.anchor_inv, matrix_mul(family_power(t), iv.anchor)) for t in (iv.left, iv.right)]
-            start, end = (_leading_block(lift.section, b) for b in ends)
-            assert sum(_on_line(m, start, end - start) for m in eliminations if m.cols == lift.section.rank) <= 1
-            reference, *_ = reference_certify_lift_interval(*args)
-            assert record == reference, (k, l, p, iv.left)
-            assert record["ok"]
 
 
 def test_certified_lift_on_large_windows():
     for k, l, p in ((3, 5, 3), (4, 6, 2)):
         lift = lift_family(k, l, p)
         certifications = certify_lift(lift)
-        assert len(certifications) == len(lift.intervals)
-        assert all(c["ok"] for c in certifications)
-        a0 = lift.section.base
+        assert certifications == [{"interval": ["0/1", "1/1"], "ok": True}]
+        a0, _ = lift.power_curve
         for t in (Fraction(1, 3), Fraction(7, 8), Fraction(1)):
             assert matrix_pow(lift.gamma(t), p) == a0, (k, l, p, t)
 
 
-def test_every_adjacency_window_lifts_on_two_certified_charts():
-    # every window of a nontrivial move, (k, l) -> (k+1, l-1) with l - k >= 2
+def test_every_adjacency_window_lifts_by_one_shear():
+    # every window with p = 2..8 and k + l <= 28: the lift is I + tF, its
+    # three identities hold, and they lock gamma(t)^p onto A0
     windows = [
         (k, l, p)
-        for p in range(2, 6)
-        for l in range(2, 13)
-        for k in range(0, l - 1)
-        if k + l <= 12 and _window_a(k, l, p) is not None
+        for p in range(2, 9)
+        for l in range(1, 29)
+        for k in range(l)
+        if k + l <= 28 and _window_a(k, l, p) is not None
     ]
-    assert len(windows) == 30
-    half = Fraction(1, 2)
+    assert len(windows) == 302
+    third = Fraction(1, 3)
     for k, l, p in windows:
         lift = lift_family(k, l, p)
-        assert [(iv.left, iv.right) for iv in lift.intervals] == [(0, half), (half, 1)], (k, l, p)
-        for record in certify_lift(lift):
-            assert record["ok"], (k, l, p, record)
-            assert record["sectionDetRoots"] == record["conjugatorDetRoots"] == 0, (k, l, p)
-
-        # the closed form equals interpolation through rank(dA) + 2 nodes
-        def family_power(t):
-            return matrix_pow(basic_family(k, l, t), p)
-
-        for iv in lift.intervals:
-            ends = [matrix_mul(iv.anchor_inv, matrix_mul(family_power(t), iv.anchor)) for t in (iv.left, iv.right)]
-            start, end = (_leading_block(lift.section, b) for b in ends)
-            args = (lift.section, family_power, p, iv.anchor, iv.anchor_inv, iv.left, iv.right, rank(end - start) + 2)
-            _assert_closed_form_matches(*reference_certify_lift_interval(*args), lift, iv)
-
-
-def test_anchor_free_charts_that_reach_t_1_are_not_ok():
-    # the left chart's formula degenerates at t = 1, so stretched to reach it
-    # it fails, by an endpoint zero of d1
-    for k, l, p in ((2, 4, 2), (3, 5, 3), (4, 6, 2)):
-        lift = lift_family(k, l, p)
+        assert certify_lift(lift) == [{"interval": ["0/1", "1/1"], "ok": True}], (k, l, p)
+        a0, _ = lift.power_curve
         identity = Matrix.identity(k + l)
-        for left in (Fraction(1, 2), Fraction(0), Fraction(1, 4)):
-            record = certify_lift_interval(lift, LiftInterval(left, Fraction(1), identity, identity, identity))
-            assert record["ok"] is False, (k, l, p, left)
-            assert record["reason"] == "leading-block determinant vanishes at an endpoint", (k, l, p, left)
+        assert lift.q_at(third) == identity + lift.step.scale(Scalar(third)), (k, l, p)
+        assert lift.q_at(1) == identity + lift.step, (k, l, p)
+        assert matrix_pow(lift.gamma(third), p) == a0, (k, l, p)
+        end = lift.gamma(1)
+        assert matrix_pow(end, p) == a0, (k, l, p)
+        assert nilpotent_profile(end) == Profile.from_partition(s for s in (k + 1, l - 1) if s), (k, l, p)
 
 
-@pytest.mark.parametrize("chart", ["left", "right"])
-def test_lift_chart_failing_at_the_glue_point_is_a_guard(monkeypatch, chart):
-    # lift_family evaluates the left chart at t = 1/2, then the right one
-    conjugator_at = ConjugationSection.conjugator_at
-    calls = []
+def test_a_changed_lift_step_is_not_certified(monkeypatch, tmp_path, capsys):
+    # one entry of F changed where gamma(1) stays the same: a stored path
+    # across the window still loads, and at t = 0, 1/2, 1 its samples are
+    # roots, but the lift's certificate fails, and with it verify
+    from nilpath.cli import main
 
-    def failing(section, b):
-        calls.append(b)
-        if len(calls) == ("left", "right").index(chart) + 1:
-            raise OutsideNeighborhoodError("chart invalid")
-        return conjugator_at(section, b)
-
-    monkeypatch.setattr(ConjugationSection, "conjugator_at", failing)
-    with pytest.raises(GuardError, match="t = 1/2"):
-        lift_family(2, 4, 2)
-    if chart == "left":
-        assert calls == [matrix_pow(basic_family(2, 4, Fraction(1, 2)), 2)]
+    a, x, y = fixture_42_33()
+    stored = tmp_path / "path.json"
+    stored.write_text(json.dumps(connect_roots(a, 2, x, y).to_json_obj()))
+    assert main(["verify", str(stored), "--samples", "2"]) == 0
+    capsys.readouterr()
+    lift = lift_family(2, 4, 2)
+    n = lift.k + lift.l
+    for i, j in ((0, 4), (0, 5)):
+        rows = [list(row) for row in lift.step.data]
+        rows[i][j] = rows[i][j] + 1
+        changed = LiftCore(2, 4, 2, Matrix(n, n, rows))
+        assert changed.gamma(1) == lift.gamma(1), (i, j)
+        assert certify_lift_interval(changed, changed.intervals[0])["ok"] is False, (i, j)
+        with monkeypatch.context() as patch:
+            patch.setattr(paths_module, "lift_family", lambda k, l, p: changed)
+            assert main(["verify", str(stored), "--samples", "2"]) == 1, (i, j)
+        cert = json.loads(capsys.readouterr().out)
+        assert all(s["residualZero"] for s in cert["samples"]), (i, j)
+        assert [c["ok"] for c in cert["segmentCertifications"]] == [False, True], (i, j)
 
 
 def test_certify_lift_interval_rejects_non_affine_family(monkeypatch):

@@ -23,12 +23,14 @@ from nilpath.matrix import (
     unvec,
     vec,
 )
-from nilpath.paths import basic_family, lift_family
+from nilpath.jordan import similarity_witness
+from nilpath.paths import basic_family
 from nilpath.scalar import ZERO, Scalar
 from nilpath.sections import (
     ConjugationSection,
     ad_operator,
     conjugation_section,
+    _over_common,
     section_eval,
     section_setup,
 )
@@ -244,15 +246,21 @@ def test_displacement_rank_matches_ad_operator_rank():
 
 def test_conjugator_at_matches_operator_section():
     seen = set()
+    half = Fraction(1, 2)
     for k, l, p in ((2, 4, 2), (0, 3, 3), (1, 3, 3)):
-        lift = lift_family(k, l, p)
-        cs = lift.section
+        a0 = _window_base(k, l, p)
+        cs = conjugation_section(a0)
         n = k + l
-        probes = [Matrix.identity(n), matrix_pow(basic_family(k, l, 1), p)]
-        for iv in lift.intervals:
-            for t in (iv.left, (iv.left + iv.right) / 2, iv.right):
-                u_p = matrix_pow(basic_family(k, l, t), p)
-                probes.append(matrix_mul(iv.anchor_inv, matrix_mul(u_p, iv.anchor)))
+        end = matrix_pow(basic_family(k, l, 1), p)
+        probes = [Matrix.identity(n), end]
+        # U_t^p on [0, 1/2], and on [1/2, 1] pulled back by a similarity
+        # U_1^p = Q1 A0 Q1^-1, near which the section at A0 is valid again
+        q1 = similarity_witness(a0, end)
+        q1_inv = inverse(q1)
+        for t in (0, half / 2, half):
+            probes.append(matrix_pow(basic_family(k, l, t), p))
+        for t in (half, 3 * half / 2, 1):
+            probes.append(matrix_mul(q1_inv, matrix_mul(matrix_pow(basic_family(k, l, t), p), q1)))
         for b in probes:
             got = _outcome(cs.conjugator_at, b)
             assert got == _outcome(_reference_conjugator, cs, b), (k, l, p)
@@ -313,54 +321,18 @@ def test_conjugation_section_rejects_non_nilpotent_base():
 
 
 def _block(cs, b):
-    """``[A | c]`` at B as a matrix, read off ``block_rows``."""
-    rows, den = cs.block_rows(b)
-    return _made(cs.rank, cs.rank + 1, _canonical(rows, [den] * cs.rank))
+    """``[A | c]`` at B as a matrix, read off the section's integer block."""
+    b_int, a0_int, den = _over_common(b, cs.base)
+    return _made(cs.rank, cs.rank + 1, _canonical(cs._block(b_int, a0_int), [den] * cs.rank))
 
 
 def _evaluate(cs, b):
     """The leading block at B, its determinant and g(B): ``conjugator_at``,
     which raises with its reason where the section is invalid, and the
-    block read off ``block_rows``."""
+    block read off the section's integer block."""
     g = cs.conjugator_at(b)
     block = Matrix(cs.rank, cs.rank, [row[: cs.rank] for row in _block(cs, b).data])
     return block, det(block), g
-
-
-def test_block_rows_are_affine_and_solve_to_the_conjugator():
-    third = Scalar(Fraction(1, 3))
-    for k, l, p in CATALOG_WINDOWS:
-        a0 = _window_base(k, l, p)
-        n = a0.rows
-        cs = conjugation_section(a0)
-        rows = [list(row) for row in Matrix.identity(n).data]
-        rows[0][n - 1] = Scalar(Fraction(1, 3), 1)
-        r = Matrix(n, n, rows)
-        probes = [a0]
-        for t in (Fraction(1, 8), Fraction(1, 4)):
-            u_p = matrix_pow(basic_family(k, l, t), p)
-            probes += [u_p, matrix_mul(inverse(r), matrix_mul(u_p, r))]
-        for b0, b1 in zip(probes, probes[1:]):
-            start, end = _block(cs, b0), _block(cs, b1)
-            assert _block(cs, b0 + (b1 - b0).scale(third)) == start + (end - start).scale(third), (k, l, p)
-        nontrivial = 0
-        for b in probes:
-            try:
-                g = cs.conjugator_at(b)
-            except OutsideNeighborhoodError:
-                continue
-            # g = I - sum_k y_k E_front[k], with A y = c
-            block = _block(cs, b)
-            leading = Matrix(cs.rank, cs.rank, [row[: cs.rank] for row in block.data])
-            y = solve(leading, Matrix(cs.rank, 1, [row[cs.rank :] for row in block.data]))
-            expected = [list(row) for row in Matrix.identity(n).data]
-            for idx, e in zip(cs.section.front, y.column_entries()):
-                expected[idx % n][idx // n] = expected[idx % n][idx // n] - e
-            assert g == Matrix(n, n, expected), (k, l, p)
-            nontrivial += leading != Matrix.identity(cs.rank)
-        assert nontrivial > 0 or cs.rank == 0, (k, l, p)
-        with pytest.raises(ValueError):
-            cs.block_rows(Matrix.identity(n + 1))
 
 
 def _codomain_inverse_top(sd, u):
@@ -518,7 +490,7 @@ def _support(top):
 
 def _check_against_codomain_inverse(cs, probes):
     """rows is the support of the old codomain inverse's top rows, and
-    block_rows, conjugator_at and section_eval agree with what it gave."""
+    the block, conjugator_at and section_eval agree with what it gave."""
     sd = cs.section
     top = _codomain_inverse_top(sd, ad_operator(cs.base, cs.base))
     assert sd.rows == _support(top)
@@ -605,6 +577,6 @@ def test_conjugation_section_constructor_derives_its_terms():
                 continue
             b = matrix_mul(r, matrix_mul(a0, inverse(r)))
             g = built.conjugator_at(b)
-            assert built.block_rows(b) == cs.block_rows(b)
+            assert _block(built, b) == _block(cs, b)
             assert g == cs.conjugator_at(b)
             assert matrix_mul(b, g) == matrix_mul(g, a0)
