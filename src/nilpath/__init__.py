@@ -50,7 +50,6 @@ from .profiles import (
     is_p_adjacent,
     profile_power,
     profiles_of_size,
-    size,
 )
 from .criteria import (
     SemigroupWitness,

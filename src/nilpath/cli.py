@@ -172,7 +172,6 @@ def _cmd_solvable(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    mode_help = "ignored, kept for old scripts: every verify certifies"
     parser = argparse.ArgumentParser(
         prog="nilpath",
         description="Exact p-th roots of nilpotent matrices: profiles, graphs, paths.",
@@ -208,7 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--x", required=True, help="first root JSON file")
     sp.add_argument("--y", required=True, help="second root JSON file")
     sp.add_argument("--samples", type=int, default=100)
-    sp.add_argument("--mode", choices=("sampled", "certified"), help=mode_help)
     sp.set_defaults(func=_cmd_connect)
 
     sp = sub.add_parser("eval-path", help="evaluate a stored path at a parameter")
@@ -219,7 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="re-verify a stored path")
     sp.add_argument("path", help="path JSON file")
     sp.add_argument("--samples", type=int, default=100)
-    sp.add_argument("--mode", choices=("sampled", "certified"), help=mode_help)
     sp.set_defaults(func=_cmd_verify)
 
     sp = sub.add_parser("solvable", help="decide f(X) = N from zero multiplicities")

@@ -123,9 +123,7 @@ def _finite_generators(spec: ZeroSpec, m: Profile) -> list[tuple[tuple[int, int,
     return gens
 
 
-def is_f_solvable(
-    spec: ZeroSpec, m: Profile, cap: Optional[int] = None
-) -> Optional[SemigroupWitness]:
+def is_f_solvable(spec: ZeroSpec, m: Profile) -> Optional[SemigroupWitness]:
     """Witness that m lies in the zero-multiplicity semigroup, or None.
 
     Dijkstra-style dynamic program over sub-profiles of m (count vectors on
@@ -135,8 +133,7 @@ def is_f_solvable(
     keyed (0, p, a, r); the infinite-multiplicity e_1 generator is keyed
     (1, 0, 0, 0).
     """
-    if cap is None:
-        cap = size_cap()
+    cap = size_cap()
     if m.size() > cap:
         raise SizeCapExceededError(f"size {m.size()} exceeds cap {cap}")
 

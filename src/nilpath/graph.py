@@ -9,7 +9,7 @@ inside its window until the supports meet.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .errors import ChainGuardError, PowerMismatchError
 from .profiles import (
@@ -71,7 +71,7 @@ def _forward_moves(u: Profile, p: int) -> Iterator[tuple[Profile, AdjacencyMove]
                 yield u.shifted(((k, -1), (l, -1), (k + 1, 1), (l - 1, 1))), AdjacencyMove(a, k, l, "forward", p)
 
 
-def build_graph(target: Profile, p: int, cap: Optional[int] = None) -> ProfileGraph:
+def build_graph(target: Profile, p: int) -> ProfileGraph:
     """Graph on all preimage profiles with every adjacent pair as an edge.
 
     Vertices are in descending partition order.  A forward move replaces a
@@ -81,7 +81,7 @@ def build_graph(target: Profile, p: int, cap: Optional[int] = None) -> ProfileGr
     in vertex order and each with its move: the edges of a scan over all
     pairs with ``is_p_adjacent``, in its order, at the cost of u's moves.
     """
-    vertices = sorted(enumerate_preimages(target, p, cap=cap), key=Profile.partition, reverse=True)
+    vertices = sorted(enumerate_preimages(target, p), key=Profile.partition, reverse=True)
     index = {v: j for j, v in enumerate(vertices)}
     edges = []
     for u in vertices:

@@ -23,9 +23,9 @@ every result equals the rational one.  A pivot row divided by its pivot is
 a row of the rref, and the signed product of the rational pivots is
 ±(last pivot) over the product of the pivot rows' denominators.  rank
 counts the pivots, det is that product, inverse and solve read the reduced
-augmented block, and rref, kernel_basis and pivot_columns read the echelon
-form.  Callers in the package that build their rows in integers hand them
-to the elimination as they are (``_Reduction``).
+augmented block, and rref and kernel_basis read the echelon form.  Callers
+in the package that build their rows in integers hand them to the
+elimination as they are (``_Reduction``).
 
 Both loops run on the entries of a real matrix.  When a loop reads a
 Gaussian entry as a factor (a nonzero a_ik of the product, the pivot or
@@ -716,16 +716,11 @@ def det(m: Matrix) -> Scalar:
 
 
 def _independent(length: int, columns: Sequence[Sequence]) -> list[int]:
-    """:func:`pivot_columns` of integer columns; each column may carry any
-    nonzero factor."""
+    """Indices of the greedy independent subset of the integer ``columns``
+    (each of length ``length``, and each with any nonzero factor): a column
+    is kept unless it lies in the span of those before it, which makes the
+    kept ones the pivot columns of their rref."""
     return _Reduction(_transposed(columns, length), [1] * length, len(columns)).pivots
-
-
-def pivot_columns(rows: int, columns: Sequence[Sequence[Scalar]]) -> list[int]:
-    """Indices of the greedy independent subset of ``columns`` (each of
-    length ``rows``): a column is kept unless it lies in the span of those
-    before it, which makes the kept ones the pivot columns of their rref."""
-    return _independent(rows, _ints_of(columns).rows)
 
 
 def inverse(m: Matrix) -> Matrix:
@@ -814,14 +809,6 @@ def vec(m: Matrix) -> Matrix:
     return Matrix.column([e for col in zip(*m.data) for e in col])
 
 
-def unvec(v: Matrix, n: int) -> Matrix:
-    """Inverse of :func:`vec` for an n-by-n matrix."""
-    if v.rows != n * n or v.cols != 1:
-        raise ValueError("unvec shape mismatch")
-    entries = v.column_entries()
-    return Matrix(n, n, [[entries[j * n + i] for j in range(n)] for i in range(n)])
-
-
 # -- JSON format -------------------------------------------------------------
 
 
@@ -866,13 +853,3 @@ def matrix_from_json(text: str) -> Matrix:
     except (ValueError, RecursionError) as exc:  # as in the CLI's file reader
         raise InputFormatError(f"invalid JSON: {exc}") from None
     return matrix_from_json_obj(obj)
-
-
-def random_invertible(n: int, rng, lo: int = -3, hi: int = 3) -> Matrix:
-    """Random integer matrix with nonzero determinant (rejection sampling)."""
-    while True:
-        m = Matrix.from_rows(
-            [[Fraction(rng.randint(lo, hi)) for _ in range(n)] for _ in range(n)]
-        )
-        if not det(m).is_zero():
-            return m

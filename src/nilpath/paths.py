@@ -600,7 +600,7 @@ def connect_roots(a: Matrix, p: int, x: Matrix, y: Matrix, mode=None) -> RootPat
     The profile chain between the two root profiles drives one adjacency
     segment per move (each starting exactly where the previous ended); a
     closing centralizer segment lands exactly on y.  ``verify`` certifies
-    it.  ``mode`` is accepted for older callers and ignored.
+    it.  ``mode`` is ignored, kept only because bench/workloads.py passes it.
     """
     if not _is_root(x, p, a):
         raise PowerMismatchError("x^p differs from the target")
@@ -647,8 +647,8 @@ def verify(path: RootPath, sample_count: int, mode=None) -> Certificate:
     pass too: each segment starts at a root, each adjacency lift is proven
     on [0, 1], and each centralizer conjugator commutes with the target and
     has each detour piece Sturm-certified, so an ``ok`` path lies in the
-    root set whatever the sample count.  ``mode`` is accepted for older
-    callers and ignored.
+    root set whatever the sample count.  ``mode`` is ignored, kept only
+    because bench/workloads.py passes it.
     """
     if sample_count < 1:
         raise ValueError("need at least one sample interval")

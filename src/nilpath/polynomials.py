@@ -4,8 +4,7 @@ A :class:`RatPoly` is held as the matrix kernels hold a row: its ascending
 coefficients as integers over one positive denominator, each an ``int``, or
 a Gaussian integer (``_GaussInt``) when it is not real, trailing zeros
 trimmed and divided by their gcd with the denominator, so that equal
-polynomials have equal forms.  Arithmetic, evaluation and affine
-substitution run in integers.
+polynomials have equal forms.  Affine substitution runs in integers.
 Interpolation is one Newton routine on integer divided differences:
 rational nodes are scaled to integers, and at the nodes 0, ..., N the
 differences are the forward differences over N!.  Polynomial determinants
@@ -25,7 +24,6 @@ their gcd.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import zip_longest
 from math import gcd, lcm
 from typing import Optional, Sequence
 
@@ -77,41 +75,6 @@ class RatPoly:
 
     def __repr__(self):
         return f"RatPoly({[str(c) for c in self.coeffs]})"
-
-    def __add__(self, other: "RatPoly") -> "RatPoly":
-        den = lcm(self.den, other.den)
-        a, b = _times(self.nums, den // self.den), _times(other.nums, den // other.den)
-        return _poly([x + y for x, y in zip_longest(a, b, fillvalue=0)], den)
-
-    def __sub__(self, other: "RatPoly") -> "RatPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "RatPoly":
-        return _poly(_times(self.nums, -1), self.den)
-
-    def __mul__(self, other: "RatPoly") -> "RatPoly":
-        if not isinstance(other, RatPoly):
-            return NotImplemented
-        a, b = self.nums, other.nums
-        out = [0] * (len(a) + len(b) - 1) if a and b else []
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] = out[i + j] + x * y
-        return _poly(out, self.den * other.den)
-
-    def eval(self, x) -> Scalar:
-        """f(x) by Horner's rule in integers: with x = w/e, d = deg f and f's
-        numerators c_i, ``e^d f(x)`` is the sum of ``c_i w^i e^(d - i)`` over
-        f's denominator."""
-        if not isinstance(x, Scalar):
-            x = Scalar(x)
-        ((w,),), (e,) = _int_rows([[x]])
-        acc, power = 0, 1
-        for c in reversed(self.nums):
-            acc = acc * w + c * power
-            power *= e
-        return _scalar(acc, self.den * e ** max(self.degree(), 0))
 
     def compose_affine(self, c0: Scalar, c1: Scalar) -> "RatPoly":
         """The polynomial s -> f(c0 + c1*s), by Horner's rule in integers:

@@ -233,11 +233,6 @@ class AdjacencyMove:
             raise InputFormatError(f"bad move JSON: {exc}") from None
 
 
-def size(m: Profile) -> int:
-    """Total dimension sum(k * m_k) of any matrix realizing the profile."""
-    return m.size()
-
-
 def cell_power_profile(k: int, p: int) -> Profile:
     """Profile of the p-th power of a single size-k cell.
 
@@ -360,7 +355,7 @@ def profiles_of_size(n: int) -> Iterator[Profile]:
         yield Profile.from_partition(parts)
 
 
-def enumerate_preimages(target: Profile, p: int, cap: Optional[int] = None) -> set[Profile]:
+def enumerate_preimages(target: Profile, p: int) -> set[Profile]:
     """All profiles m of matching size with ``profile_power(m, p) == target``.
 
     Walks partitions of size(target) by descending parts, accumulating the
@@ -368,8 +363,7 @@ def enumerate_preimages(target: Profile, p: int, cap: Optional[int] = None) -> s
     """
     if p < 1:
         raise ValueError("power must be positive")
-    if cap is None:
-        cap = size_cap()
+    cap = size_cap()
     n = target.size()
     if n > cap:
         raise SizeCapExceededError(f"size {n} exceeds cap {cap}")

@@ -21,7 +21,6 @@ from nilpath.matrix import (
     matrix_mul,
     matrix_pow,
     rank,
-    random_invertible,
 )
 from nilpath.paths import connect_roots, verify
 from nilpath.profiles import (
@@ -34,6 +33,8 @@ from nilpath.profiles import (
 )
 from nilpath.scalar import Scalar
 from nilpath.sections import conjugation_section, section_eval, section_setup
+
+from helpers import random_invertible
 
 
 def _report(num, desc, t0, budget):

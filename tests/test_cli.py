@@ -233,16 +233,23 @@ def test_connect_certified_mode(files, capsys, tmp_path):
     combined = json.loads(out)
     assert combined["certificate"]["mode"] == "certified"
     assert combined["certificate"]["ok"] is True
-    # --mode is accepted and ignored: every connect and verify certifies
     stored = tmp_path / "path.json"
     stored.write_text(out)
-    verify_argv = ["verify", str(stored), "--samples", "8"]
-    code, verified = run(capsys, verify_argv)
+    code, verified = run(capsys, ["verify", str(stored), "--samples", "8"])
     assert code == 0
+    assert json.loads(verified)["ok"] is True
+
+
+def test_mode_flag_is_a_usage_error(files, capsys, tmp_path):
+    # every connect and verify certifies, so --mode is no longer an option
+    connect = ["connect", "--p", "2", "--a", files["A"], "--x", files["X"], "--y", files["Y"], "--samples", "2"]
+    code, out = run(capsys, connect)
+    assert code == 0
+    stored = tmp_path / "path.json"
+    stored.write_text(out)
     for mode in ("sampled", "certified"):
-        assert run(capsys, [*connect, "--mode", mode]) == (0, out)
-        assert run(capsys, [*verify_argv, "--mode", mode]) == (0, verified)
-    assert run(capsys, [*verify_argv, "--mode", "bogus"])[0] == 2
+        assert run(capsys, [*connect, "--mode", mode]) == (2, "")
+        assert run(capsys, ["verify", str(stored), "--samples", "2", "--mode", mode]) == (2, "")
 
 
 def test_output_byte_stability(files, capsys):
@@ -309,12 +316,11 @@ def test_verify_rejects_a_path_that_leaves_the_root_set(tmp_path, capsys, sample
 
 
 def test_connect_certified_output_pinned(files, capsys):
-    # --mode is ignored: the same stdout as without it, whose certificate
-    # carries every lift interval's certification record
+    # every connect certifies: its certificate carries every lift
+    # interval's certification record
     code, out = run(
         capsys,
-        ["connect", "--p", "2", "--a", files["A"], "--x", files["X"], "--y", files["Y"],
-         "--samples", "5", "--mode", "certified"],
+        ["connect", "--p", "2", "--a", files["A"], "--x", files["X"], "--y", files["Y"], "--samples", "5"],
     )
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (

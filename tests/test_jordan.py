@@ -13,15 +13,15 @@ from nilpath.matrix import (
     kernel_basis,
     matrix_mul,
     matrix_pow,
-    pivot_columns,
     power_ranks,
-    random_invertible,
     rank,
     rref,
 )
 from nilpath.paths import connect_roots
 from nilpath.profiles import Profile, profile_power
 from nilpath.scalar import Scalar
+
+from helpers import greedy_pivot_columns, random_invertible
 
 
 def conjugate(m, p):
@@ -204,7 +204,7 @@ def _chain_loop_basis(m):
     for j in range(s, 0, -1):
         carried = [chain[len(chain) - j].column_entries() for chain in chains if len(chain) > j]
         skip = len(kernels[j - 1]) + len(carried)
-        for c in pivot_columns(n, kernels[j - 1] + carried + kernels[j]):
+        for c in greedy_pivot_columns(kernels[j - 1] + carried + kernels[j]):
             if c >= skip:
                 chain = [Matrix.column(kernels[j][c - skip])]
                 for _ in range(j - 1):

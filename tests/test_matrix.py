@@ -11,7 +11,9 @@ from nilpath.errors import InputFormatError, SingularMatrixError
 from nilpath.matrix import (
     Matrix,
     _GaussInt,
+    _independent,
     _ints,
+    _ints_of,
     _mul_rows,
     _plus_scaled,
     _Reduction,
@@ -24,16 +26,15 @@ from nilpath.matrix import (
     matrix_mul,
     matrix_pow,
     matrix_to_json,
-    pivot_columns,
     power_ranks,
     rank,
-    random_invertible,
     rref,
     solve,
-    unvec,
     vec,
 )
 from nilpath.scalar import ONE, ZERO, Scalar, format_scalar, parse_scalar
+
+from helpers import greedy_pivot_columns, random_invertible, unvec
 
 
 def test_jordan_cell_shapes():
@@ -335,27 +336,6 @@ def test_det_and_rank_match_cofactor_reference():
         det(Matrix.zeros(2, 3))
 
 
-class _GreedySpan:
-    """Row-at-a-time independence test (reference for pivot-column choice)."""
-
-    def __init__(self):
-        self._rows = []
-        self._pivots = []
-
-    def add(self, v):
-        v = list(v)
-        for row, piv in zip(self._rows, self._pivots):
-            f = v[piv]
-            if not f.is_zero():
-                v = [a - f * b for a, b in zip(v, row)]
-        lead = next((j for j, e in enumerate(v) if not e.is_zero()), None)
-        if lead is None:
-            return False
-        self._rows.append([e / v[lead] for e in v])
-        self._pivots.append(lead)
-        return True
-
-
 def test_pivot_columns_match_greedy_independent_subset():
     rng = random.Random(29)
     for _ in range(40):
@@ -373,9 +353,8 @@ def test_pivot_columns_match_greedy_independent_subset():
             else:  # a combination of two earlier columns
                 a, b = rng.choice(cols), rng.choice(cols)
                 cols.append([x + Scalar(0, 1) * y for x, y in zip(a, b)])
-        tracker = _GreedySpan()
-        expected = [i for i, c in enumerate(cols) if tracker.add(c)]
-        assert pivot_columns(n, cols) == expected
+        expected = greedy_pivot_columns(cols)
+        assert _independent(n, _ints_of(cols).rows) == expected
         if cols:
             assert rref(Matrix(n, len(cols), [list(r) for r in zip(*cols)]))[1] == expected
 
@@ -570,7 +549,7 @@ def test_integer_kernels_match_rational_reference():
         assert rref(m) == _ref_rref(m), m
         assert (kernel_basis(m), rref(m)[1]) == _ref_kernel_and_pivots(m), m
         columns = [m.column_entries(j) for j in range(m.cols)]
-        assert pivot_columns(m.rows, columns) == _ref_rref(m)[1], m
+        assert _independent(m.rows, _ints_of(columns).rows) == _ref_rref(m)[1], m
         swaps += m.rows > 1 and m.cols > 0 and m.data[0][0].is_zero() and not m.data[-1][0].is_zero()
         if not m.is_square():
             continue

@@ -42,6 +42,8 @@ from nilpath.polynomials import RatPoly, poly_matrix_det
 from nilpath.profiles import AdjacencyMove, Profile, _window_a, apply_move
 from nilpath.scalar import Scalar, format_rational
 
+from helpers import random_invertible, unvec
+
 
 def conjugate(m, p):
     return matrix_mul(p, matrix_mul(m, inverse(p)))
@@ -616,7 +618,7 @@ def test_verify_certified_mode():
 
 def test_verify_fails_when_a_lift_chart_is_unproven(monkeypatch, tmp_path, capsys):
     # every verify certifies: a lift without a proof fails the path, whatever
-    # mode the caller names
+    # mode= the caller passes
     from nilpath.cli import main
 
     a, x, y = fixture_42_33()
@@ -630,9 +632,8 @@ def test_verify_fails_when_a_lift_chart_is_unproven(monkeypatch, tmp_path, capsy
         assert verify(path, 4, **kwargs).ok is False
     stored = tmp_path / "path.json"
     stored.write_text(json.dumps(path.to_json_obj()))
-    for flags in ([], ["--mode", "sampled"], ["--mode", "certified"]):
-        assert main(["verify", str(stored), "--samples", "4", *flags]) == 1
-        assert json.loads(capsys.readouterr().out)["ok"] is False
+    assert main(["verify", str(stored), "--samples", "4"]) == 1
+    assert json.loads(capsys.readouterr().out)["ok"] is False
 
 
 def test_certified_path_json_keeps_certifications():
@@ -920,7 +921,6 @@ def test_randomized_end_to_end_battery():
     import random
 
     from nilpath.jordan import profile_matrix
-    from nilpath.matrix import random_invertible
     from nilpath.profiles import enumerate_preimages, profiles_of_size
 
     rng = random.Random(2024)
@@ -1002,7 +1002,7 @@ def _detour_path(p, parts):
     scrambled by a seeded random_invertible."""
     import random
 
-    from nilpath.matrix import kernel_basis, random_invertible, unvec
+    from nilpath.matrix import kernel_basis
     from nilpath.sections import ad_operator
 
     x = _model(parts)
@@ -1207,7 +1207,6 @@ def test_is_root_decides_large_powers_from_x_to_the_n():
     # for p >= n, x^p = a is read off x^n; the one answer that differs from
     # forming x^p: x and a both not nilpotent raises NotNilpotentError
     from nilpath.errors import NotNilpotentError
-    from nilpath.matrix import random_invertible
 
     rng = random.Random(23)
     cells = [jordan_cell(3), direct_sum([jordan_cell(2), jordan_cell(1)]), Matrix.zeros(3, 3)]

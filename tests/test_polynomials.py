@@ -29,10 +29,10 @@ def rp(*coeffs):
 
 
 def linear_factor_product(roots):
-    poly = rp(1)
+    poly = ScalarPoly((ONE,))
     for r in roots:
-        poly = poly * RatPoly([Scalar(-Fraction(r)), Scalar(1)])
-    return poly
+        poly = poly * ScalarPoly((Scalar(-Fraction(r)), ONE))
+    return RatPoly(poly.coeffs)
 
 
 def test_sturm_examples():
@@ -48,7 +48,7 @@ def test_sturm_endpoint_roots_are_excluded():
 
 
 def test_sturm_counts_distinct_roots_of_non_squarefree():
-    f = rp(0, 0, 1) * rp(-1, 1)  # x^2 (x-1)
+    f = rp(0, 0, -1, 1)  # x^2 (x-1)
     assert sturm_root_count(f, Fraction(-1, 2), Fraction(2)) == 2
 
 
@@ -117,20 +117,21 @@ def test_sturm_matches_squarefree_oracle():
     for _ in range(60):
         lo = Fraction(rng.randint(-6, 2), rng.randint(1, 3))
         hi = lo + Fraction(rng.randint(1, 8), rng.randint(1, 3))
-        f = rp(rng.randint(1, 3))
+        f = ScalarPoly((Scalar(rng.randint(1, 3)),))
         for _ in range(rng.randint(1, 4)):
             if rng.random() < 0.6:  # a linear factor, its root inside, outside or at an end
                 inside = lo + (hi - lo) * Fraction(rng.randint(1, 5), 6)
                 outside = rng.choice([lo, hi]) + rng.choice([-1, 1]) * Fraction(rng.randint(1, 9), 4)
                 root = rng.choice([lo, hi, inside, outside])
-                factor = RatPoly([Scalar(-root), ONE])
+                factor = ScalarPoly((Scalar(-root), ONE))
             else:  # an irreducible quadratic x^2 + bx + c
                 b, c = rng.randint(-4, 4), rng.randint(-6, 6)
                 while (d := b * b - 4 * c) >= 0 and isqrt(d) ** 2 == d:
                     c += 1
-                factor = rp(c, b, 1)
+                factor = ScalarPoly((Scalar(c), Scalar(b), ONE))
             for _ in range(rng.randint(1, 4)):
                 f = f * factor
+        f = RatPoly(f.coeffs)
         assert sturm_root_count(f, lo, hi) == squarefree_sturm_count(f, lo, hi), (f, lo, hi)
 
 
@@ -179,17 +180,7 @@ def test_certify_sampled_soundness():
         d = z1 - z0
         for i in range(0, 1001):
             s = Scalar(Fraction(i, 1000))
-            assert not f.eval(z0 + d * s).is_zero()
-
-
-def test_poly_arithmetic_identity():
-    f = rp(2, 0, 1)  # x^2 + 2 = (x - 1)(x + 1) + 3
-    g = rp(1, 1)
-    q, r = rp(-1, 1), rp(3)
-    assert q * g + r == f
-    assert f - r == g * q
-    assert (f - q * g).degree() < g.degree()
-    assert -f + f == RatPoly(()) and (f - f).is_zero()
+            assert not ScalarPoly(f.coeffs).eval(z0 + d * s).is_zero()
 
 
 def test_compose_affine():
@@ -202,7 +193,7 @@ def test_interpolation_constant():
     m = Matrix.from_rows([[Fraction(3, 7)]])
     polys = poly_interpolate_entries([(Fraction(0), m), (Fraction(1), m)], 1)
     assert polys[0][0].degree() <= 0
-    assert polys[0][0].eval(Scalar(Fraction(1, 2))) == Scalar(Fraction(3, 7))
+    assert ScalarPoly(polys[0][0].coeffs).eval(Scalar(Fraction(1, 2))) == Scalar(Fraction(3, 7))
 
 
 def test_interpolation_linear_entries_recheck_at_third_point():
@@ -215,7 +206,7 @@ def test_interpolation_linear_entries_recheck_at_third_point():
     probe = u(t)
     for i in range(2):
         for j in range(2):
-            assert polys[i][j].eval(Scalar(t)) == probe.data[i][j]
+            assert ScalarPoly(polys[i][j].coeffs).eval(Scalar(t)) == probe.data[i][j]
 
 
 def test_interpolation_errors():
@@ -372,12 +363,6 @@ def test_ratpoly_matches_scalar_oracle():
         cf, cg = random_coeffs(rng, kind), random_coeffs(rng, rng.choice(KINDS))
         f, g, of, og = RatPoly(cf), RatPoly(cg), ScalarPoly(cf), ScalarPoly(cg)
         assert agrees(f, of) and agrees(g, og), (cf, cg)
-        assert agrees(f + g, of + og), (cf, cg)
-        assert agrees(f - g, of - og), (cf, cg)
-        assert agrees(-f, -of), cf
-        assert agrees(f * g, of * og), (cf, cg)
-        x = random_scalar(rng, rng.choice(KINDS))
-        assert f.eval(x) == of.eval(x), (cf, x)
         c0, c1 = random_scalar(rng, rng.choice(KINDS)), random_scalar(rng, rng.choice(KINDS))
         assert agrees(f.compose_affine(c0, c1), of.compose_affine(c0, c1)), (cf, c0, c1)
     assert RatPoly(()).is_zero() and RatPoly([ZERO, ZERO]).degree() == -1
@@ -388,20 +373,17 @@ def test_ratpoly_equal_forms_hash_equal():
     rng = random.Random(99)
     for trial in range(200):
         cf = random_coeffs(rng, KINDS[trial % 3])
-        cg = random_coeffs(rng, KINDS[(trial + 1) % 3])
-        f, g = RatPoly(cf), RatPoly(cg)
-        two = RatPoly([Scalar(2)])
+        c0 = random_scalar(rng, KINDS[(trial + 1) % 3])
+        c1 = Scalar(Fraction(rng.randint(1, 5), rng.randint(1, 4)), rng.randint(-2, 2))
+        f = RatPoly(cf)
         pairs = [
-            ((f + g) - g, f),
-            (f + f, RatPoly([c * 2 for c in cf])),
-            (f * two, f + f),
-            (-(-f), f),
-            ((f * g) + (f * g), (f * two) * g),
-            (f - f, RatPoly(())),
+            (RatPoly(cf + [ZERO, ZERO]), f),
+            (RatPoly(f.coeffs), f),
             (f.compose_affine(ZERO, ONE), f),
+            (f.compose_affine(c0, c1).compose_affine(-c0 / c1, ONE / c1), f),
         ]
         for a, b in pairs:
-            assert a == b and hash(a) == hash(b), (cf, cg)
+            assert a == b and hash(a) == hash(b), (cf, c0, c1)
             assert (a.nums, a.den, a.gaussian) == (b.nums, b.den, b.gaussian)
             assert a.den > 0
     assert RatPoly([Scalar(1, 1)]) != RatPoly([Scalar(1)])
@@ -421,7 +403,7 @@ def test_interpolation_matches_scalar_oracle():
             got = poly_interpolate_entries(samples, n - 1)[0][0]
             want = scalar_newton_poly([Scalar(t) for t in nodes], values)
             assert agrees(got, want), (nodes, values)
-            assert all(got.eval(t) == v for t, v in zip(nodes, values))
+            assert all(ScalarPoly(got.coeffs).eval(Scalar(t)) == v for t, v in zip(nodes, values))
         # the default nodes 0, ..., n - 1, on the integer form of the values
         form = _ints(Matrix.column(values))
         got = _newton_poly([(row[0], d) for row, d in zip(form.rows, form.dens)])

@@ -3,9 +3,11 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilpath.polynomials import RatPoly, sturm_root_count
-from nilpath.profiles import Profile, profile_power, size
+from nilpath.polynomials import sturm_root_count
+from nilpath.profiles import Profile, profile_power
 from nilpath.scalar import ONE, Scalar, format_scalar, parse_scalar
+
+from test_polynomials import linear_factor_product
 
 fractions = st.fractions(min_value=-1000, max_value=1000, max_denominator=100)
 scalars = st.builds(Scalar, fractions, fractions)
@@ -33,7 +35,7 @@ def test_scalar_text_roundtrip(a):
 
 @given(profiles, st.integers(1, 4))
 def test_power_map_preserves_size(m, p):
-    assert size(profile_power(m, p)) == size(m)
+    assert profile_power(m, p).size() == m.size()
 
 
 @given(profiles, profiles, st.integers(1, 4))
@@ -44,9 +46,7 @@ def test_power_map_is_additive(m, m2, p):
 @given(st.lists(st.fractions(min_value=-30, max_value=30, max_denominator=6), min_size=1, max_size=5))
 @settings(max_examples=60, deadline=None)
 def test_sturm_counts_known_roots(roots):
-    poly = RatPoly((Scalar(1),))
-    for r in roots:
-        poly = poly * RatPoly((Scalar(-r), Scalar(1)))
+    poly = linear_factor_product(roots)
     lo = min(roots) - 1
     hi = max(roots) + 1
     assert sturm_root_count(poly, lo, hi) == len(set(roots))
@@ -60,8 +60,6 @@ def test_sturm_open_interval_semantics(roots, a, b):
     if a == b:
         return
     lo, hi = (a, b) if a < b else (b, a)
-    poly = RatPoly((Scalar(1),))
-    for r in roots:
-        poly = poly * RatPoly((Scalar(-r), Scalar(1)))
+    poly = linear_factor_product(roots)
     expected = len({r for r in roots if lo < r < hi})
     assert sturm_root_count(poly, lo, hi) == expected

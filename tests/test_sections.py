@@ -15,12 +15,9 @@ from nilpath.matrix import (
     kernel_basis,
     matrix_mul,
     matrix_pow,
-    pivot_columns,
     rank,
-    random_invertible,
     rref,
     solve,
-    unvec,
     vec,
 )
 from nilpath.jordan import similarity_witness
@@ -34,6 +31,8 @@ from nilpath.sections import (
     section_eval,
     section_setup,
 )
+
+from helpers import greedy_pivot_columns, random_invertible, unvec
 
 
 def test_section_anchor_recovered():
@@ -109,8 +108,6 @@ def test_ad_operator_matches_definition():
     b = Matrix.from_rows([[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)])
     a0 = Matrix.from_rows([[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)])
     op = ad_operator(b, a0)
-    from nilpath.matrix import unvec, vec
-
     for _ in range(5):
         m = Matrix.from_rows(
             [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
@@ -279,7 +276,7 @@ def test_front_is_rref_pivots_of_operator():
         assert list(front) == rref(u)[1], (k, l, p)
         kernel = [v.column_entries() for v in kernel_basis(u)]
         skip = 1 + len(kernel)
-        greedy = pivot_columns(u.rows, [x0.column_entries()] + kernel + list(Matrix.identity(u.rows).data))
+        greedy = greedy_pivot_columns([x0.column_entries()] + kernel + list(Matrix.identity(u.rows).data))
         assert list(front) == [c - skip for c in greedy if c >= skip], (k, l, p)
         assert conjugation_section(a0).section.front == front
 
@@ -342,7 +339,7 @@ def _codomain_inverse_top(sd, u):
     rho, big = sd.rank, sd.dimension
     images = [u.column_entries(k) for k in sd.front]
     standard = list(Matrix.identity(big).data)
-    chosen = pivot_columns(big, images + standard)
+    chosen = greedy_pivot_columns(images + standard)
     assert chosen[:rho] == list(range(rho))
     basis = images + [standard[c - rho] for c in chosen[rho:]]
     return Matrix(rho, big, inverse(Matrix(big, big, [list(r) for r in zip(*basis)])).data[:rho])
