@@ -107,8 +107,9 @@ def _finite_generators(spec: ZeroSpec, m: Profile) -> list[tuple[tuple[int, int,
 
     Generators touching sizes above the support of m can never appear in a
     witness, which bounds a; for multiplicities above size(m) only the
-    a = 0 forms (pure e_1 bundles) survive.  A generator has size p*a + r,
-    so r stops at size(m) - p*a, and the loops never grow with p.
+    a = 0 forms (pure e_1 bundles) survive.  As (p, a, p) is the bundle
+    (p, a + 1, 0), r < p; a generator has size p*a + r, so r also stops at
+    size(m) - p*a, and the loops never grow with p.
     """
     top = m.max_index()
     total = m.size()
@@ -116,7 +117,7 @@ def _finite_generators(spec: ZeroSpec, m: Profile) -> list[tuple[tuple[int, int,
     for p in sorted(set(spec.finite_multiplicities)):
         max_a = top if p <= total else 0
         for a in range(0, max_a + 1):
-            for r in range(1 if a == 0 else 0, min(p, total - p * a) + 1):
+            for r in range(1 if a == 0 else 0, min(p - 1, total - p * a) + 1):
                 g = cell_power_profile(p * a + r, p)
                 if all(c <= m.get(k) for k, c in g.items()):
                     gens.append(((p, a, r), g))

@@ -133,7 +133,8 @@ class LiftCore:
     p: int
     step: Matrix  # F, with F^2 = 0
 
-    # q(t) is one formula on all of [0, 1], and verify proves it there
+    # q(t) is one formula on all of [0, 1], and verify proves it there; the
+    # one-interval tuple is kept only because bench/tracing.py counts it
     intervals = ((Fraction(0), Fraction(1)),)
 
     def family_matrix(self, t: ParamLike) -> Matrix:
@@ -195,13 +196,14 @@ def lift_family(k: int, l: int, p: int) -> LiftCore:
     return LiftCore(k, l, p, _made(n, n, _canonical(rows, [1] * n)))
 
 
-def certify_lift_interval(lift: LiftCore, interval: tuple[Fraction, Fraction]) -> dict:
-    """Prove the lift on ``interval`` by exact products.
+def certify_lift_interval(lift: LiftCore) -> dict:
+    """Prove the lift on [0, 1] by exact products; ``{"ok": ...}``.  The name
+    stays because bench/tracing.py traces it.
 
     On the proven curve U_t^p = A0 + t dU (``power_curve``), F^2 = 0,
     dU F = 0 and dU = F A0 - A0 F give ``(A0 + t dU)(I + tF) = A0 + t F A0
     = (I + tF) A0`` for every t, and I + tF is invertible with inverse
-    I - tF, so gamma(t)^p = A0 on the whole interval.
+    I - tF, so gamma(t)^p = A0 for every t.
     """
     base, slope = lift.power_curve
     f = lift.step
@@ -210,7 +212,7 @@ def certify_lift_interval(lift: LiftCore, interval: tuple[Fraction, Fraction]) -
         and matrix_mul(slope, f).is_zero()
         and slope == matrix_mul(f, base) - matrix_mul(base, f)
     )
-    return {"interval": [format_rational(t) for t in interval], "ok": ok}
+    return {"ok": ok}
 
 
 # -- centralizer segments -----------------------------------------------------
@@ -297,10 +299,16 @@ class CentralizerSegment:
             return gamma, None
         return gamma, self._root_profile
 
-    @property
-    def certifications(self) -> tuple[dict, ...]:
-        """The record of each detour piece, as the path JSON holds it."""
-        return _detour_records(self.waypoints)
+    @cached_property
+    def pieces(self) -> tuple[dict, ...]:
+        """Each detour piece's record, with the blend determinant
+        Sturm-certified nonvanishing on it: the search that built the
+        segment and ``verify`` read the same records."""
+        d = self.blend.determinant
+        return tuple(
+            {"from": format_scalar(w0), "to": format_scalar(w1), "ok": certify_nonvanishing_segment(d, w0, w1)}
+            for w0, w1 in zip(self.waypoints, self.waypoints[1:])
+        )
 
     _root_profile = cached_property(lambda self: nilpotent_profile(self.base_root))
 
@@ -318,21 +326,7 @@ class CentralizerSegment:
             "baseRoot": matrix_to_json_obj(self.base_root),
             "conjugator": matrix_to_json_obj(self.conjugator),
             "waypoints": [format_scalar(w) for w in self.waypoints],
-            "certifications": list(self.certifications),
         }
-
-
-def _detour_records(waypoints: tuple[Scalar, ...], d: Optional[RatPoly] = None) -> tuple[dict, ...]:
-    """The record of each detour piece: as the path JSON holds it, or, given
-    the blend determinant d, certified nonvanishing on the piece."""
-    return tuple(
-        {
-            "from": format_scalar(w0),
-            "to": format_scalar(w1),
-            "ok": d is None or certify_nonvanishing_segment(d, w0, w1),
-        }
-        for w0, w1 in zip(waypoints, waypoints[1:])
-    )
 
 
 def centralizer_segment(
@@ -368,9 +362,9 @@ def centralizer_segment(
         (ZERO, Scalar(0, Fraction(1, k)), Scalar(1, Fraction(1, k)), ONE) for k in range(2, 2 + DETOUR_BUDGET)
     )
     for waypoints in chain([(ZERO, ONE)], detours):
-        pieces = zip(waypoints, waypoints[1:])
-        if all(certify_nonvanishing_segment(blend.determinant, w0, w1) for w0, w1 in pieces):
-            return CentralizerSegment(x, q, waypoints, blend)
+        seg = CentralizerSegment(x, q, waypoints, blend)
+        if all(piece["ok"] for piece in seg.pieces):
+            return seg
     raise DetourSearchExhaustedError("no certified detour within the epsilon budget")
 
 
@@ -580,7 +574,6 @@ class Certificate:
 
     def to_json_obj(self) -> dict:
         return {
-            "mode": "certified",  # the only mode; kept so the schema stays the same
             "samples": [
                 {
                     "t": format_rational(t),
@@ -629,12 +622,11 @@ def _certify_segment(seg, a: Matrix, p: int) -> dict:
     lift certificates, every point of the segment is then a root."""
     rooted = _is_root(seg.start, p, a)
     if seg.kind == "centralizer":
-        pieces = list(_detour_records(seg.waypoints, seg.blend.determinant))
         q = seg.conjugator
-        ok = rooted and matrix_mul(q, a) == matrix_mul(a, q) and all(piece["ok"] for piece in pieces)
-        return {"kind": "centralizer", "pieces": pieces, "ok": ok}
-    intervals = [certify_lift_interval(seg.lift, iv) for iv in seg.lift.intervals]
-    return {"kind": "adjacency", "intervals": intervals, "ok": rooted and all(rec["ok"] for rec in intervals)}
+        ok = rooted and matrix_mul(q, a) == matrix_mul(a, q) and all(piece["ok"] for piece in seg.pieces)
+        return {"kind": "centralizer", "pieces": [dict(piece) for piece in seg.pieces], "ok": ok}
+    lift = certify_lift_interval(seg.lift)["ok"]
+    return {"kind": "adjacency", "lift": lift, "ok": rooted and lift}
 
 
 def verify(path: RootPath, sample_count: int, mode=None) -> Certificate:
@@ -677,11 +669,11 @@ def verify(path: RootPath, sample_count: int, mode=None) -> Certificate:
 def _segment_from_json_obj(obj, p: int) -> object:
     """One segment of a path with power p, from its JSON object.
 
-    A centralizer segment's certification records are derived from its
-    waypoints; stored records must equal them.  An adjacency segment is read
-    as its move, outer conjugator and bystander block, and its lift is
-    rebuilt from the move's window; any other keys (the lift data and
-    certifications older files carry) are ignored.
+    A centralizer segment is read as its base root, conjugator and
+    waypoints; an adjacency segment as its move, outer conjugator and
+    bystander block, and its lift is rebuilt from the move's window.  Any
+    other keys (the detour records, lift data and certifications older
+    files carry) are ignored: ``verify`` recomputes every proof.
     """
     if not isinstance(obj, dict):
         raise InputFormatError("segment JSON must be an object")
@@ -692,9 +684,6 @@ def _segment_from_json_obj(obj, p: int) -> object:
         waypoints = tuple(parse_scalar(w) for w in obj["waypoints"])
         if len(waypoints) < 2 or waypoints[0] != ZERO or waypoints[-1] != ONE:
             raise InputFormatError("centralizer waypoints must run from 0 to 1")
-        records = list(_detour_records(waypoints))
-        if obj.get("certifications", records) != records:
-            raise InputFormatError("centralizer certifications do not match its waypoints")
         base = matrix_from_json_obj(obj["baseRoot"])
         q = matrix_from_json_obj(obj["conjugator"])
         if not base.is_square():

@@ -231,7 +231,7 @@ def test_connect_certified_mode(files, capsys, tmp_path):
     code, out = run(capsys, connect)
     assert code == 0
     combined = json.loads(out)
-    assert combined["certificate"]["mode"] == "certified"
+    assert "mode" not in combined["certificate"]
     assert combined["certificate"]["ok"] is True
     stored = tmp_path / "path.json"
     stored.write_text(out)
@@ -276,11 +276,11 @@ def test_connect_output_pinned(files, capsys):
     )
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "d865db00967ecab980be8954264d07e37d1f408d7edae96c72ac03dd5d06c516"
+        "62b96a2c0fe5b97124bcb16c4528f9a69b8874ec9581cd7c3e88b49f2c4ad782"
     )
-    # the path object alone, as the two-chart lift wrote it too
+    # the path object alone, which stores no certification records
     assert hashlib.sha256(json.dumps(json.loads(out)["path"]).encode()).hexdigest() == (
-        "99272041caa4b16fb6d71e1d77354b6b90614c6e170c60b4ebe5fc39e002c869"
+        "4e6120baf8c9451cac613ea759cb2a44576ced6485fd9aa0dc2fb7ab8940d65c"
     )
 
 
@@ -316,15 +316,15 @@ def test_verify_rejects_a_path_that_leaves_the_root_set(tmp_path, capsys, sample
 
 
 def test_connect_certified_output_pinned(files, capsys):
-    # every connect certifies: its certificate carries every lift
-    # interval's certification record
+    # every connect certifies: its certificate carries each segment's record,
+    # the adjacency lift proven on [0, 1] and each detour piece certified
     code, out = run(
         capsys,
         ["connect", "--p", "2", "--a", files["A"], "--x", files["X"], "--y", files["Y"], "--samples", "5"],
     )
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "d865db00967ecab980be8954264d07e37d1f408d7edae96c72ac03dd5d06c516"
+        "62b96a2c0fe5b97124bcb16c4528f9a69b8874ec9581cd7c3e88b49f2c4ad782"
     )
 
 
@@ -399,9 +399,6 @@ MALFORMED_PATHS = {
     "tampered_endpoint_y": lambda obj: obj["endpoints"].update(Y=ZERO_2X2),
     "tampered_endpoint_x": lambda obj: obj["endpoints"].update(X=obj["endpoints"]["Y"]),
     "move_for_other_power": lambda obj: obj["segments"][0]["move"].update(p=3),
-    "unchecked_certification": lambda obj: obj["segments"][1].update(
-        certifications=[{"from": "0/1", "to": "1/1", "ok": True, "note": "never checked"}]
-    ),
     "move_outside_window": lambda obj: obj["segments"][0]["move"].update(l=5),
     "outer_larger_than_lift": lambda obj: obj["segments"][0].update(
         outerConjugator=matrix_to_json_obj(Matrix.identity(3))

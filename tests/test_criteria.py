@@ -99,6 +99,18 @@ def test_repeated_multiplicity_changes_nothing():
         assert all(a < b for a, b in zip(keys, keys[1:])), (m, keys)
 
 
+def test_each_generator_is_keyed_once_in_canonical_form():
+    # (p, a, p) is the bundle (p, a + 1, 0): keys keep r < p, so no bundle
+    # has two keys and witnesses name the canonical one
+    for m in all_profiles_up_to(9):
+        gens = _finite_generators(ZeroSpec((1, 2, 3, 5)), m)
+        assert all(r < p for (p, _, r), _ in gens), m
+        bundles = [(p, p * a + r) for (p, a, r), _ in gens]
+        assert len(bundles) == len(set(bundles)), m
+    assert is_f_solvable(ZeroSpec((1,)), Profile({3: 1})).generators == ((1, 3, 0),)
+    assert is_f_solvable(ZeroSpec((2,)), Profile({2: 2})).generators == ((2, 2, 0),)
+
+
 def test_witness_determinism():
     m = Profile({3: 1, 2: 1, 1: 1})
     first = is_f_solvable(ZeroSpec((2, 3)), m)

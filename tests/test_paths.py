@@ -177,7 +177,7 @@ def test_centralizer_detour_engages():
     assert matrix_pow(y, 2) == e
     seg = centralizer_segment(e, 2, x, y)
     assert len(seg.waypoints) == 4  # three-piece detour
-    assert all(c["ok"] for c in seg.certifications)
+    assert all(c["ok"] for c in seg.pieces)
     assert seg.start == x and seg.end == y
     for num in range(0, 13):
         assert matrix_pow(seg.evaluate(Fraction(num, 12)), 2) == e
@@ -549,30 +549,54 @@ def test_path_json_roundtrip_with_complex_detour():
 
 
 def test_centralizer_records_come_from_the_waypoints():
+    # the path JSON stores the waypoints alone; the certificate holds one
+    # record per detour piece, each certified
     x = jordan_cell(3)
     path = connect_roots(matrix_pow(x, 2), 2, x, x.scale(Scalar(-1)))
-    text = json.dumps(path.to_json_obj())
-    obj = json.loads(text)
-    centralizers = [s for s in obj["segments"] if s["kind"] == "centralizer"]
-    assert [len(s["certifications"]) for s in centralizers] == [3]
-    for seg in centralizers:
-        del seg["certifications"]
-    assert json.dumps(path_from_json_obj(obj).to_json_obj()) == text
-    for records in (
-        [{"from": "0/1", "to": "1/1", "ok": True, "note": "never checked"}],
-        [{"from": "0/1", "to": "0/1+1/2 i", "ok": True}],
-        "not a list",
-    ):
-        centralizers[0]["certifications"] = records
-        with pytest.raises(InputFormatError):
-            path_from_json_obj(obj)
+    centralizers = [s for s in path.to_json_obj()["segments"] if s["kind"] == "centralizer"]
+    assert [sorted(s) for s in centralizers] == [["baseRoot", "conjugator", "kind", "waypoints"]]
+    records = [c["pieces"] for c in verify(path, 4).segment_certifications if c["kind"] == "centralizer"]
+    assert records == [
+        [{"from": w0, "to": w1, "ok": True} for w0, w1 in zip(s["waypoints"], s["waypoints"][1:])]
+        for s in centralizers
+    ]
+
+
+def test_stored_centralizer_certifications_change_nothing(tmp_path, capsys):
+    # verify recomputes every detour record, so no stored certifications
+    # value, false, forged or not a list, moves what it prints or returns
+    from nilpath.cli import main
+
+    x = jordan_cell(3)
+    detour = connect_roots(matrix_pow(x, 2), 2, x, x.scale(Scalar(-1))).to_json_obj()
+    # Q = -I: the blend (1 - 2z)I is singular at z = 1/2
+    singular = _constant_path_obj(Matrix.zeros(2, 2), jordan_cell(2))
+    singular["segments"][0]["conjugator"] = matrix_to_json_obj(Matrix.identity(2).scale(Scalar(-1)))
+    stored = tmp_path / "path.json"
+    for obj, code in ((detour, 0), (singular, 1)):
+        fresh = verify(path_from_json_obj(obj), 4).to_json_obj()
+        assert fresh["ok"] is (code == 0)
+        stored.write_text(json.dumps(obj))
+        assert main(["verify", str(stored), "--samples", "4"]) == code
+        printed = capsys.readouterr().out
+        for records in (
+            [{"ok": False}],
+            [{"from": "0/1", "to": "1/1", "ok": True, "note": "never checked"}],
+            "not a list",
+        ):
+            carried = json.loads(json.dumps(obj))
+            carried["segments"][-1]["certifications"] = records
+            assert verify(path_from_json_obj(carried), 4).to_json_obj() == fresh, records
+            stored.write_text(json.dumps(carried))
+            assert main(["verify", str(stored), "--samples", "4"]) == code, records
+            assert capsys.readouterr().out == printed, records
 
 
 def test_certificate_json_schema():
     z = Matrix.zeros(2, 2)
     path = connect_roots(z, 2, z, jordan_cell(2))
     cert = verify(path, 4).to_json_obj()
-    assert set(cert) == {"mode", "samples", "segmentCertifications", "ok"}
+    assert set(cert) == {"samples", "segmentCertifications", "ok"}
     for sample in cert["samples"]:
         assert set(sample) == {"t", "residualZero", "profile"}
         assert isinstance(sample["t"], str) and "/" in sample["t"]
@@ -611,7 +635,7 @@ def test_verify_certified_mode():
     path = connect_roots(z, 2, z, jordan_cell(2))
     cert = verify(path, 10)
     assert cert.ok
-    assert cert.to_json_obj()["mode"] == "certified"
+    assert "mode" not in cert.to_json_obj()
     kinds = {c["kind"] for c in cert.segment_certifications}
     assert kinds == {"adjacency", "centralizer"}
 
@@ -626,7 +650,7 @@ def test_verify_fails_when_a_lift_chart_is_unproven(monkeypatch, tmp_path, capsy
     monkeypatch.setattr(
         paths_module,
         "certify_lift_interval",
-        lambda lift, iv: {"interval": [format_rational(t) for t in iv], "ok": False},
+        lambda lift: {"ok": False},
     )
     for kwargs in ({}, {"mode": "sampled"}, {"mode": "certified"}):
         assert verify(path, 4, **kwargs).ok is False
@@ -807,15 +831,9 @@ def test_path_json_checks_moves_before_lifting(monkeypatch):
     assert lifted == []
 
 
-def certify_lift(lift):
-    """certify_lift_interval's record for every interval of the lift."""
-    return [certify_lift_interval(lift, iv) for iv in lift.intervals]
-
-
 def test_certified_mode_on_nontrivial_lift():
     lift = lift_family(2, 3, 2)
-    certifications = certify_lift(lift)
-    assert all(c["ok"] for c in certifications)
+    assert certify_lift_interval(lift) == {"ok": True}
     a0, _ = lift.power_curve
     for num in range(0, 7):
         assert matrix_pow(lift.gamma(Fraction(num, 6)), 2) == a0
@@ -824,8 +842,7 @@ def test_certified_mode_on_nontrivial_lift():
 def test_certified_lift_on_large_windows():
     for k, l, p in ((3, 5, 3), (4, 6, 2)):
         lift = lift_family(k, l, p)
-        certifications = certify_lift(lift)
-        assert certifications == [{"interval": ["0/1", "1/1"], "ok": True}]
+        assert certify_lift_interval(lift) == {"ok": True}
         a0, _ = lift.power_curve
         for t in (Fraction(1, 3), Fraction(7, 8), Fraction(1)):
             assert matrix_pow(lift.gamma(t), p) == a0, (k, l, p, t)
@@ -845,7 +862,7 @@ def test_every_adjacency_window_lifts_by_one_shear():
     third = Fraction(1, 3)
     for k, l, p in windows:
         lift = lift_family(k, l, p)
-        assert certify_lift(lift) == [{"interval": ["0/1", "1/1"], "ok": True}], (k, l, p)
+        assert certify_lift_interval(lift) == {"ok": True}, (k, l, p)
         a0, _ = lift.power_curve
         identity = Matrix.identity(k + l)
         assert lift.q_at(third) == identity + lift.step.scale(Scalar(third)), (k, l, p)
@@ -874,7 +891,7 @@ def test_a_changed_lift_step_is_not_certified(monkeypatch, tmp_path, capsys):
         rows[i][j] = rows[i][j] + 1
         changed = LiftCore(2, 4, 2, Matrix(n, n, rows))
         assert changed.gamma(1) == lift.gamma(1), (i, j)
-        assert certify_lift_interval(changed, changed.intervals[0])["ok"] is False, (i, j)
+        assert certify_lift_interval(changed)["ok"] is False, (i, j)
         with monkeypatch.context() as patch:
             patch.setattr(paths_module, "lift_family", lambda k, l, p: changed)
             assert main(["verify", str(stored), "--samples", "2"]) == 1, (i, j)
@@ -891,7 +908,7 @@ def test_certify_lift_interval_rejects_non_affine_family(monkeypatch):
     for k, l, p in ((2, 3, 2), (2, 4, 2)):
         lift = lift_family(k, l, p)
         with pytest.raises(AssertionError):
-            certify_lift_interval(lift, lift.intervals[0])
+            certify_lift_interval(lift)
 
 
 def test_evaluate_rejects_out_of_range():
