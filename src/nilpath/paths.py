@@ -9,7 +9,8 @@ Two segment kinds compose into a root-connecting path:
   r x r solve, so a sample where the blend is singular raises;
 * adjacency segments deform a trailing pair of Jordan cells (k, l) toward
   (k+1, l-1) through the one-parameter family ``U_t``, conjugating back by
-  the lift q(t) = I + tF so that ``gamma(t)^p`` is constant.
+  the lift q(t) = I + tF so that ``gamma(t)^p`` is constant; a backward
+  move starts at gamma(1), aligned in closed form with no similarity solve.
 
 The lift is a deterministic function of its window (k, l, p): F is read off
 the window, and F^2 = 0, dU F = 0 and dU = F A0 - A0 F, where U_t^p =
@@ -40,7 +41,7 @@ from .errors import (
     WindowViolationError,
 )
 from .graph import profile_chain
-from .jordan import JordanDecomposition, _witness, jordan_basis, nilpotent_profile, similarity_witness
+from .jordan import JordanDecomposition, _witness, jordan_basis, nilpotent_profile
 from .matrix import (
     Matrix,
     _canonical,
@@ -376,12 +377,13 @@ class AdjacencySegment:
     """Deformation of one trailing cell pair, conjugated into position."""
 
     outer: Matrix  # P'
-    outer_inv: Matrix
     bystander: Matrix  # untouched Jordan block sum
     lift: LiftCore
     move: AdjacencyMove
 
     kind = "adjacency"
+
+    outer_inv = cached_property(lambda self: inverse(self.outer))  # the segment's one inverse
 
     @property
     def reversed_time(self) -> bool:
@@ -459,8 +461,8 @@ def adjacency_segment(
 
     A Jordan decomposition of n is reordered so the move's cells sit last;
     the two-cell deformation runs forward for a forward move and in
-    reversed time (aligned through an exact similarity of the deformed
-    endpoint) for a backward one.
+    reversed time for a backward one, aligned in closed form (below), so
+    no similarity is solved for.
 
     A caller that has already checked ``n^p = a`` and holds
     ``jordan_basis(n)``, as ``connect_roots`` does for each segment's end,
@@ -474,37 +476,32 @@ def adjacency_segment(
     if move.p != p:
         raise ValueError("move was built for a different power")
     dec = jordan_basis(n) if basis is None else basis
-    prof = dec.profile
     k, l = move.k, move.l
     forward = move.direction == "forward"
-    if forward:
-        needed = [s for s in (k, l) if s > 0]
-    else:
-        needed = [k + 1, l - 1]
-
+    needed = [s for s in (k, l) if s > 0] if forward else [k + 1, l - 1]
     others, chosen = _reorder_cells_trailing(dec.cell_sizes, needed)
-    order = others + chosen
     # regroup the conjugator's columns cell by cell in the new order
     starts = [sum(dec.cell_sizes[:i]) for i in range(len(dec.cell_sizes))]
-    p1 = _columns(dec.conjugator, [c for i in order for c in range(starts[i], starts[i] + dec.cell_sizes[i])])
-
+    cols = [c for i in others + chosen for c in range(starts[i], starts[i] + dec.cell_sizes[i])]
     bystander = direct_sum([jordan_cell(dec.cell_sizes[i]) for i in others])
     lift = lift_family(k, l, p)
 
     if forward:
-        outer = p1
+        outer = _columns(dec.conjugator, cols)
     else:
-        gamma1 = lift.gamma(Fraction(1))
-        model = direct_sum([jordan_cell(k + 1), jordan_cell(l - 1)])
-        w = similarity_witness(model, gamma1)  # gamma1 = w model w^-1
-        outer = matrix_mul(p1, direct_sum([Matrix.identity(bystander.rows), inverse(w)]))
+        # U_1 = Pi (J_(k+1) + J_(l-1)) Pi^-1, Pi moving y_1 (the last basis
+        # vector) to position k, so w = (I - F) Pi carries those cells onto
+        # gamma(1), and w^-1 = Pi^-1 q(1): the (k+1)-cell's seed moves last.
+        cols.append(cols.pop(bystander.rows + k))
+        shear = direct_sum([Matrix.identity(bystander.rows), lift.q_at(1)])
+        outer = matrix_mul(_columns(dec.conjugator, cols), shear)
 
-    seg = AdjacencySegment(outer, inverse(outer), bystander, lift, move)
+    seg = AdjacencySegment(outer, bystander, lift, move)
     if seg.start != n:
         raise AssertionError("adjacency segment must start exactly at the given root")
     if matrix_pow(seg.end, p) != a:
         raise AssertionError("adjacency segment endpoint lost the power identity")
-    if seg.end_basis.profile != apply_move(prof, move):
+    if seg.end_basis.profile != apply_move(dec.profile, move):
         raise AssertionError("adjacency segment endpoint has the wrong profile")
     return seg
 
@@ -702,7 +699,7 @@ def _segment_from_json_obj(obj, p: int) -> object:
         if not bystander.is_square() or outer.rows != bystander.rows + move.k + move.l:
             raise InputFormatError("outer conjugator must have k + l more rows than the bystander")
         lift = lift_family(move.k, move.l, p)
-        return AdjacencySegment(outer, inverse(outer), bystander, lift, move)
+        return AdjacencySegment(outer, bystander, lift, move)
     raise InputFormatError(f"unknown segment kind {kind!r}")
 
 

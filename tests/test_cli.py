@@ -284,6 +284,25 @@ def test_connect_output_pinned(files, capsys):
     )
 
 
+def test_connect_backward_output_pinned(files, capsys):
+    # X and Y swapped: one backward move in window (2,4,2), aligned in
+    # closed form; sha256 recorded once `nilpath verify` of it exited 0
+    code, out = run(
+        capsys,
+        ["connect", "--p", "2", "--a", files["A"], "--x", files["Y"], "--y", files["X"], "--samples", "5"],
+    )
+    assert code == 0
+    segments = json.loads(out)["path"]["segments"]
+    moves = [s["move"] for s in segments if s["kind"] == "adjacency"]
+    assert [(m["k"], m["l"], m["p"], m["direction"]) for m in moves] == [(2, 4, 2, "backward")]
+    stored = files["dir"] / "backward.json"
+    stored.write_text(out)
+    assert run(capsys, ["verify", str(stored), "--samples", "5"])[0] == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "d062fec39783c89dd6a0f56cdfb943a96c89770e922814495b2b70c74c93b2d9"
+    )
+
+
 def forged_path_obj():
     """Two centralizer segments X -> Q X Q^-1 -> X, X = J3 + J1, p = 2: the
     endpoints and the samples at t = 0, 1 are roots of A = X^2, but Q does

@@ -12,7 +12,8 @@ from nilpath.errors import (
     PowerMismatchError,
     WindowViolationError,
 )
-from nilpath.jordan import jordan_basis, nilpotent_profile, similarity_witness
+import nilpath.jordan as jordan_module
+from nilpath.jordan import JordanDecomposition, jordan_basis, nilpotent_profile, similarity_witness
 from nilpath.matrix import (
     Matrix,
     _ints,
@@ -27,6 +28,7 @@ from nilpath.matrix import (
 )
 import nilpath.paths as paths_module
 from nilpath.paths import (
+    AdjacencySegment,
     adjacency_segment,
     basic_family,
     centralizer_segment,
@@ -302,7 +304,7 @@ def test_connect_and_certified_verify_factor_the_blend_once(monkeypatch):
     monkeypatch.setattr(paths_module, "_levels_det", lambda *args: dets.append(args) or determinant(*args))
     path = _catalog_path(2, (6, 4), (5, 5), 1)
     assert verify(path, 4).ok
-    assert calls == [path.segments[-1].conjugator]
+    assert calls == [(path.segments[-1].conjugator,)]
     # the blend's r x r determinant, on the rows of RC, is taken once
     rows, dens = _ints(path.segments[-1].blend.rc)
     assert sum([level[0] for level in levels] == rows and d == dens for levels, d, _ in dets) == 1
@@ -848,9 +850,18 @@ def test_certified_lift_on_large_windows():
             assert matrix_pow(lift.gamma(t), p) == a0, (k, l, p, t)
 
 
+def _seed_last(k, l):
+    """Pi, which moves the last of k + l basis vectors to position k: its
+    columns are e_0 .. e_(k-1), e_(k+l-1), e_k .. e_(k+l-2)."""
+    n = k + l
+    order = [*range(k), n - 1, *range(k, n - 1)]
+    return Matrix.from_rows([[int(i == order[j]) for j in range(n)] for i in range(n)])
+
+
 def test_every_adjacency_window_lifts_by_one_shear():
     # every window with p = 2..8 and k + l <= 28: the lift is I + tF, its
-    # three identities hold, and they lock gamma(t)^p onto A0
+    # three identities hold, and they lock gamma(t)^p onto A0; U_1 is the
+    # cells (k+1, l-1) with y_1 moved to position k
     windows = [
         (k, l, p)
         for p in range(2, 9)
@@ -871,6 +882,60 @@ def test_every_adjacency_window_lifts_by_one_shear():
         end = lift.gamma(1)
         assert matrix_pow(end, p) == a0, (k, l, p)
         assert nilpotent_profile(end) == Profile.from_partition(s for s in (k + 1, l - 1) if s), (k, l, p)
+        pi = _seed_last(k, l)
+        u1 = matrix_mul(pi, matrix_mul(_model((k + 1, l - 1)), pi.transpose()))
+        assert lift.family_matrix(1) == u1, (k, l, p)
+
+
+def test_backward_segments_align_in_closed_form():
+    # a backward move starts at gamma(1) = (I - F) U_1 (I + F), and
+    # U_1 = Pi (J_(k+1) + J_(l-1)) Pi^-1, so a root S (J_2 + J_(k+1) + J_(l-1))
+    # S^-1, given S as its Jordan basis with the cells already in the order
+    # the segment puts them, gets the outer conjugator S (I_2 + Pi^-1 q(1)),
+    # on every window with k + l <= 12
+    rng = random.Random(30)
+    windows = [
+        (k, l, p)
+        for p in range(2, 9)
+        for l in range(2, 13)
+        for k in range(l - 1)
+        if k + l <= 12 and _window_a(k, l, p) is not None
+    ]
+    assert len(windows) == 92
+    for k, l, p in windows:
+        sizes = (2, k + 1, l - 1)
+        s = _unimodular(k + l + 2, rng)
+        root = conjugate(_model(sizes), s)
+        move = AdjacencyMove(_window_a(k, l, p), k, l, "backward", p)
+        seg = adjacency_segment(matrix_pow(root, p), p, root, move, basis=JordanDecomposition(s, sizes))
+        assert seg.start == root, (k, l, p)
+        end_profile = Profile.from_partition(part for part in (2, k, l) if part)
+        assert nilpotent_profile(seg.end) == end_profile, (k, l, p)
+        closed = matrix_mul(_seed_last(k, l).transpose(), seg.lift.q_at(1))
+        assert seg.outer == matrix_mul(s, direct_sum([Matrix.identity(2), closed])), (k, l, p)
+
+
+def test_backward_paths_stored_with_a_solved_witness_still_verify(tmp_path):
+    # a backward move's outer conjugator was once P w^-1, with P the root's
+    # Jordan basis (two 3-cells, so no regrouping) and the similarity
+    # w = similarity_witness(J_3 + J_3, gamma(1)) solved for; a path stored
+    # that way still loads and verifies, with the closed form's samples
+    a, y, x = fixture_42_33()
+    new = connect_roots(a, 2, x, y)
+    seg = new.segments[0]
+    assert (seg.move.k, seg.move.l, seg.move.direction) == (2, 4, "backward") and len(new.segments) == 2
+    w = similarity_witness(_model((3, 3)), seg.lift.gamma(1))
+    old_outer = matrix_mul(jordan_basis(x).conjugator, inverse(w))
+    old_seg = AdjacencySegment(old_outer, seg.bystander, seg.lift, seg.move)
+    assert old_seg.outer != seg.outer and old_seg.start == x
+    old = RootPath(a, 2, (old_seg, centralizer_segment(a, 2, old_seg.end, y)))
+    stored = tmp_path / "old.json"
+    stored.write_text(json.dumps(old.to_json_obj()))
+    loaded = path_from_json_obj(json.loads(stored.read_text()))
+    assert loaded.segments[0].outer == old_seg.outer
+    cert = verify(loaded, 8)
+    assert cert.ok
+    assert cert.samples == verify(new, 8).samples
 
 
 def test_a_changed_lift_step_is_not_certified(monkeypatch, tmp_path, capsys):
@@ -992,24 +1057,32 @@ def _model(parts):
     return direct_sum([jordan_cell(k) for k in parts])
 
 
-def _catalog_path(p, mx, my, seed):
-    """connect_roots on the model pair of one catalog entry, conjugated by
-    a seeded unimodular L U with entries in {-1, 0, 1}."""
-    import random
-
-    rng = random.Random(f"{seed}/{p}/{mx}/{my}")
-    jx, jy = _model(mx), _model(my)
-    y0 = conjugate(jy, similarity_witness(matrix_pow(jy, p), matrix_pow(jx, p)))
-    n = jx.rows
+def _unimodular(n, rng):
+    """A seeded unimodular L U with entries in {-1, 0, 1}."""
     lower, upper = (
         Matrix.from_rows(
             [[1 if i == j else rng.choice((-1, 0, 1)) if (i > j) == low else 0 for j in range(n)] for i in range(n)]
         )
         for low in (True, False)
     )
-    s = matrix_mul(lower, upper)
+    return matrix_mul(lower, upper)
+
+
+def _catalog_roots(p, mx, my, seed):
+    """(A, X, Y): the model pair of one catalog entry, conjugated by a
+    seeded unimodular L U."""
+    rng = random.Random(f"{seed}/{p}/{mx}/{my}")
+    jx, jy = _model(mx), _model(my)
+    y0 = conjugate(jy, similarity_witness(matrix_pow(jy, p), matrix_pow(jx, p)))
+    s = _unimodular(jx.rows, rng)
     x, y = conjugate(jx, s), conjugate(y0, s)
-    return connect_roots(matrix_pow(x, p), p, x, y)
+    return matrix_pow(x, p), x, y
+
+
+def _catalog_path(p, mx, my, seed):
+    """connect_roots on one catalog entry's scrambled model pair."""
+    a, x, y = _catalog_roots(p, mx, my, seed)
+    return connect_roots(a, p, x, y)
 
 
 def _detour_path(p, parts):
@@ -1135,24 +1208,31 @@ def test_centralizer_sample_profile_checks_the_conjugation(monkeypatch, detour_p
 # -- one Jordan basis per root ---------------------------------------------------
 
 
-def _record_calls(monkeypatch, name):
-    """A list that collects the argument of every call to ``paths.<name>``."""
+def _record_calls(monkeypatch, name, module=paths_module):
+    """A list that collects the arguments of every call to ``module.<name>``."""
     calls = []
-    original = getattr(paths_module, name)
-    monkeypatch.setattr(paths_module, name, lambda m: calls.append(m) or original(m))
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or original(*args))
     return calls
 
 
 def test_connect_takes_one_jordan_basis_per_root(monkeypatch):
+    # the bases taken inside nilpath.jordan count too; a backward move
+    # solves for no similarity, so no witness takes two more
     profiles = _record_calls(monkeypatch, "nilpotent_profile")
     bases = _record_calls(monkeypatch, "jordan_basis")
+    inner_bases = _record_calls(monkeypatch, "jordan_basis", jordan_module)
+    witnesses = _record_calls(monkeypatch, "similarity_witness", jordan_module)
+    assert not hasattr(paths_module, "similarity_witness")
     for p, mx, my in ((2, (6, 3, 3), (5, 5, 1, 1)), (2, (7, 5), (7, 5))):
-        profiles.clear()
-        bases.clear()
-        path = _catalog_path(p, mx, my, 1)
+        a, x, y = _catalog_roots(p, mx, my, 1)
+        for calls in (profiles, bases, inner_bases, witnesses):
+            calls.clear()
+        path = connect_roots(a, p, x, y)
         moves = [seg.move for seg in path.segments if seg.kind == "adjacency"]
         assert profiles == []
-        assert len(bases) == len(moves) + 2
+        assert len(bases) + len(inner_bases) == len(moves) + 2
+        assert witnesses == []
         if moves:
             assert {mv.direction for mv in moves} == {"forward", "backward"}
 
