@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .criteria import ZeroSpec, find_root_profile, is_f_solvable
@@ -53,8 +54,16 @@ def _read_matrix(path: str) -> Matrix:
 
 
 def _emit(obj) -> None:
-    json.dump(obj, sys.stdout)
-    sys.stdout.write("\n")
+    """Write obj to stdout as one JSON line, or a string as it is.  A reader
+    that closed stdout is no error: stdout is pointed at os.devnull, so the
+    flush at exit stays silent and the command keeps its exit code."""
+    try:
+        sys.stdout.write(obj if isinstance(obj, str) else json.dumps(obj) + "\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _cmd_profile(args) -> int:
@@ -96,7 +105,7 @@ def _cmd_graph(args) -> int:
         target = Profile.from_text(args.profile)
     g = build_graph(target, args.p)
     if args.dot:
-        sys.stdout.write(export_dot(g))
+        _emit(export_dot(g))
     else:
         _emit(g.to_report_obj())
     return 0

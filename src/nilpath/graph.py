@@ -68,7 +68,8 @@ def _forward_moves(u: Profile, p: int) -> Iterator[tuple[Profile, AdjacencyMove]
         a = (l - 1) // p
         for k in sizes + [0]:
             if p * a <= k <= l - 2:
-                yield u.shifted(((k, -1), (l, -1), (k + 1, 1), (l - 1, 1))), AdjacencyMove(a, k, l, "forward", p)
+                move = AdjacencyMove(a, k, l, "forward", p)
+                yield u.shifted(move.shifts), move
 
 
 def build_graph(target: Profile, p: int) -> ProfileGraph:

@@ -15,11 +15,11 @@ Two segment kinds compose into a root-connecting path:
 The lift is a deterministic function of its window (k, l, p): F is read off
 the window, and F^2 = 0, dU F = 0 and dU = F A0 - A0 F, where U_t^p =
 A0 + t dU, give ``U_t^p q(t) = q(t) A0`` for every t with q(t)^-1 = I - tF.
-A stored adjacency segment is therefore just its move, outer conjugator and
-bystander block; loading rebuilds the lift, and ``verify`` proves those
-identities, which cover all of [0, 1].  ``verify`` gets each sample, and its
-Jordan profile read off its segment's small model, not off the sample, from
-one call to that segment.
+An adjacency segment, in memory as in its JSON, is therefore just its move,
+outer conjugator and bystander block; it derives its lift from the move,
+and ``verify`` proves those identities, which cover all of [0, 1].
+``verify`` gets each sample, and its Jordan profile read off its segment's
+small model, not off the sample, from one call to that segment.
 """
 
 from __future__ import annotations
@@ -374,16 +374,17 @@ def centralizer_segment(
 
 @dataclass(frozen=True)
 class AdjacencySegment:
-    """Deformation of one trailing cell pair, conjugated into position."""
+    """Deformation of one trailing cell pair, conjugated into position; the
+    lift is derived from the move, as ``outer_inv`` is from ``outer``."""
 
     outer: Matrix  # P'
     bystander: Matrix  # untouched Jordan block sum
-    lift: LiftCore
     move: AdjacencyMove
 
     kind = "adjacency"
 
     outer_inv = cached_property(lambda self: inverse(self.outer))  # the segment's one inverse
+    lift = cached_property(lambda self: lift_family(self.move.k, self.move.l, self.move.p))
 
     @property
     def reversed_time(self) -> bool:
@@ -419,8 +420,8 @@ class AdjacencySegment:
     end_basis = cached_property(lambda self: jordan_basis(self.end))
 
     def to_json_obj(self) -> dict:
-        """The move and the conjugation into position; the lift is rebuilt
-        from the move's window on load."""
+        """The move and the conjugation into position; the lift is derived
+        from the move."""
         return {
             "kind": "adjacency",
             "move": self.move.to_json_obj(),
@@ -476,27 +477,25 @@ def adjacency_segment(
     if move.p != p:
         raise ValueError("move was built for a different power")
     dec = jordan_basis(n) if basis is None else basis
-    k, l = move.k, move.l
-    forward = move.direction == "forward"
-    needed = [s for s in (k, l) if s > 0] if forward else [k + 1, l - 1]
-    others, chosen = _reorder_cells_trailing(dec.cell_sizes, needed)
+    # the cells the move takes, those whose count falls, move last
+    taken = [s for s, c in move.shifts if s > 0 and c < 0]
+    others, chosen = _reorder_cells_trailing(dec.cell_sizes, taken)
     # regroup the conjugator's columns cell by cell in the new order
     starts = [sum(dec.cell_sizes[:i]) for i in range(len(dec.cell_sizes))]
     cols = [c for i in others + chosen for c in range(starts[i], starts[i] + dec.cell_sizes[i])]
     bystander = direct_sum([jordan_cell(dec.cell_sizes[i]) for i in others])
-    lift = lift_family(k, l, p)
 
-    if forward:
+    if move.direction == "forward":
         outer = _columns(dec.conjugator, cols)
     else:
         # U_1 = Pi (J_(k+1) + J_(l-1)) Pi^-1, Pi moving y_1 (the last basis
         # vector) to position k, so w = (I - F) Pi carries those cells onto
         # gamma(1), and w^-1 = Pi^-1 q(1): the (k+1)-cell's seed moves last.
-        cols.append(cols.pop(bystander.rows + k))
-        shear = direct_sum([Matrix.identity(bystander.rows), lift.q_at(1)])
+        cols.append(cols.pop(bystander.rows + move.k))
+        shear = direct_sum([Matrix.identity(bystander.rows), lift_family(move.k, move.l, p).q_at(1)])
         outer = matrix_mul(_columns(dec.conjugator, cols), shear)
 
-    seg = AdjacencySegment(outer, bystander, lift, move)
+    seg = AdjacencySegment(outer, bystander, move)
     if seg.start != n:
         raise AssertionError("adjacency segment must start exactly at the given root")
     if matrix_pow(seg.end, p) != a:
@@ -668,9 +667,9 @@ def _segment_from_json_obj(obj, p: int) -> object:
 
     A centralizer segment is read as its base root, conjugator and
     waypoints; an adjacency segment as its move, outer conjugator and
-    bystander block, and its lift is rebuilt from the move's window.  Any
-    other keys (the detour records, lift data and certifications older
-    files carry) are ignored: ``verify`` recomputes every proof.
+    bystander block, from which it derives its lift.  Any other keys (the
+    detour records, lift data and certifications older files carry) are
+    ignored: ``verify`` recomputes every proof.
     """
     if not isinstance(obj, dict):
         raise InputFormatError("segment JSON must be an object")
@@ -698,8 +697,7 @@ def _segment_from_json_obj(obj, p: int) -> object:
         bystander = matrix_from_json_obj(obj["bystander"])
         if not bystander.is_square() or outer.rows != bystander.rows + move.k + move.l:
             raise InputFormatError("outer conjugator must have k + l more rows than the bystander")
-        lift = lift_family(move.k, move.l, p)
-        return AdjacencySegment(outer, bystander, lift, move)
+        return AdjacencySegment(outer, bystander, move)
     raise InputFormatError(f"unknown segment kind {kind!r}")
 
 

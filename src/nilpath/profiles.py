@@ -3,8 +3,10 @@
 A profile maps cell size k >= 1 to a positive count; absent keys mean zero.
 Profiles of the same size are related by the power map and by adjacency
 moves, which trade a pair of cells (k, l) inside a window
-``p*a <= k < l <= p*(a+1)`` for the pair (k+1, l-1).  Size-0 cells are
-dropped everywhere (the empty-cell convention).
+``p*a <= k < l <= p*(a+1)`` for the pair (k+1, l-1).  That trade is written
+once, as ``AdjacencyMove.shifts``: applying a move, listing the moves out of
+a profile and recognising one between two profiles all read it.  Size-0
+cells are dropped everywhere (the empty-cell convention).
 """
 
 from __future__ import annotations
@@ -18,9 +20,6 @@ from .scalar import parse_int
 
 DEFAULT_SIZE_CAP = 24
 _SIZE_CAP_ENV = "NILPATH_SIZE_CAP"
-
-#: Signed multiplicity vectors (differences of profiles).
-ProfileDelta = dict
 
 
 def size_cap() -> int:
@@ -134,17 +133,6 @@ class Profile:
             counts[k] = counts.get(k, 0) + c
         return Profile._of(counts)
 
-    def delta(self, other: "Profile") -> ProfileDelta:
-        """Signed difference self - other as a plain dict."""
-        out = dict(self._counts)
-        for k, c in other._counts.items():
-            v = out.get(k, 0) - c
-            if v:
-                out[k] = v
-            else:
-                out.pop(k, None)
-        return out
-
     # -- dunder ------------------------------------------------------------
 
     def __eq__(self, other):
@@ -191,7 +179,8 @@ class AdjacencyMove:
     """Witness of an adjacency step inside the window [p*a, p*(a+1)].
 
     Applied forward to m it yields ``m - e_k - e_l + e_(k+1) + e_(l-1)``;
-    backward is the inverse.  The degenerate solution l = k+1 is excluded.
+    backward is the inverse; ``shifts`` holds these count changes.  The
+    degenerate solution l = k+1 is excluded.
     """
 
     a: int
@@ -210,6 +199,14 @@ class AdjacencyMove:
             )
         if self.l == self.k + 1:
             raise InvalidMoveError("degenerate move l = k+1")
+
+    @property
+    def shifts(self) -> tuple[tuple[int, int], ...]:
+        """The (size, count change) pairs of applying the move (size 0 is
+        no cell): k and l lose a cell and k + 1 and l - 1 gain one forward,
+        and the reverse backward."""
+        s = 1 if self.direction == "forward" else -1
+        return ((self.k, -s), (self.l, -s), (self.k + 1, s), (self.l - 1, s))
 
     def flipped(self) -> "AdjacencyMove":
         other = "backward" if self.direction == "forward" else "forward"
@@ -275,67 +272,37 @@ def profile_power(m: Profile, p: int) -> Profile:
     return Profile._of(counts)
 
 
-def _move_delta(k: int, l: int) -> ProfileDelta:
-    """Signed dict of e_k + e_l - e_(k+1) - e_(l-1) with e_0 dropped."""
-    out: dict[int, int] = {}
-    for idx, sgn in ((k, 1), (l, 1), (k + 1, -1), (l - 1, -1)):
-        if idx >= 1:
-            v = out.get(idx, 0) + sgn
-            if v:
-                out[idx] = v
-            else:
-                out.pop(idx, None)
-    return out
-
-
 def _window_a(k: int, l: int, p: int) -> Optional[int]:
-    """Least a with p*a <= k < l <= p*(a+1), or None."""
-    a = -(-l // p) - 1  # ceil(l/p) - 1
-    if a < 0:
-        a = 0
-    if p * a <= k < l <= p * (a + 1):
-        return a
-    return None
+    """The a with p*a <= k < l <= p*(a+1), or None: a = (l - 1) // p is the
+    one window whose range (p*a, p*(a+1)] holds l."""
+    a = (l - 1) // p
+    return a if 0 <= p * a <= k < l <= p * (a + 1) else None
 
 
 def is_p_adjacent(m: Profile, m2: Profile, p: int) -> Optional[AdjacencyMove]:
     """Witnessing move from m to m2 when the two are p-adjacent, else None.
 
-    Candidate (k, l) pairs are read off the support of the difference: the
-    positive part of the signed pattern is e_k + e_l (just e_l when k = 0),
-    so at most two candidates exist per sign.
+    A move's cells l and k (none when k = 0) are the sizes whose count falls
+    as it runs forward: from m to m2 for a forward move, from m2 to m for a
+    backward one.  So each direction has one candidate move, and it
+    witnesses exactly when applying it to m gives m2.
     """
     if p < 1:
         raise ValueError("power must be positive")
-    if m == m2:
-        return None
-    diff = m.delta(m2)
-    for sign, direction in ((1, "forward"), (-1, "backward")):
-        signed = {idx: sign * c for idx, c in diff.items()}
-        pos = sorted(idx for idx, c in signed.items() if c > 0)
-        if len(pos) == 2 and all(signed[idx] == 1 for idx in pos):
-            k, l = pos
-        elif len(pos) == 1 and signed[pos[0]] == 1:
-            k, l = 0, pos[0]
-        else:
-            continue
-        if l < k + 2:
-            continue
-        if signed != _move_delta(k, l):
-            continue
-        a = _window_a(k, l, p)
-        if a is None:
-            continue
-        return AdjacencyMove(a, k, l, direction, p)
+    for direction, src, dst in (("forward", m, m2), ("backward", m2, m)):
+        l, k = ([s for s, c in src.items() if c > dst.get(s)] + [0, 0])[:2]
+        try:
+            move = AdjacencyMove((l - 1) // p, k, l, direction, p)
+            if apply_move(m, move) == m2:
+                return move
+        except InvalidMoveError:
+            pass
     return None
 
 
 def apply_move(m: Profile, move: AdjacencyMove) -> Profile:
     """Apply an adjacency move; InvalidMove if a count would go negative."""
-    k, l = move.k, move.l
-    if move.direction == "forward":
-        return m.shifted(((k, -1), (l, -1), (k + 1, 1), (l - 1, 1)))
-    return m.shifted(((k + 1, -1), (l - 1, -1), (k, 1), (l, 1)))
+    return m.shifted(move.shifts)
 
 
 def partitions(n: int, max_part: Optional[int] = None) -> Iterator[tuple[int, ...]]:

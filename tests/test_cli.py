@@ -3,6 +3,8 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import time
 
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nilpath
 from nilpath.cli import main
 from nilpath.paths import connect_roots
 from nilpath.jordan import similarity_witness
@@ -365,6 +368,56 @@ def test_complex_detour_eval_output_pinned(tmp_path, capsys):
         assert code == 0
         assert " i" in out
         assert hashlib.sha256(out.encode()).hexdigest() == digest, t
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ["graph", "--p", "2", "--profile", "3:2,2:3,1:4"],
+            "aa360bd3fb8af91c5f46750c0d21fac45dfb01a2526f0e784a608968d81ea564",
+        ),
+        (
+            ["graph", "--p", "3", "--profile", "2:3,1:3", "--dot"],
+            "b461dee50e51189dd453c82ab0b964d899687a1b183f97f1986b471266b626af",
+        ),
+        # one backward move, then two forward ones
+        (
+            ["chain", "--p", "2", "--from", "6:1,3:2", "--to", "5:2,1:2"],
+            "6b7bf44daa0da8fcf07045bf5980692fcb15b08804b24cb50153003bec92e778",
+        ),
+    ],
+    ids=["graph", "graph-dot", "chain"],
+)
+def test_decide_output_pinned(capsys, argv, digest):
+    # sha256 of each stdout as first recorded: every printed move and edge
+    code, out = run(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["graph", "--p", "2", "--profile", "2:6,1:8"],
+        # 148 kB, more than a pipe holds: the write meets the closed pipe
+        # however stdout is buffered
+        ["chain", "--p", "2", "--from", "2:2000", "--to", "1:4000"],
+    ],
+    ids=["graph", "long-chain"],
+)
+def test_closed_stdout_keeps_the_exit_code_without_traceback(argv):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nilpath.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED="1")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "nilpath.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    )
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert b"Traceback" not in err and b"BrokenPipe" not in err, err
 
 
 @pytest.mark.parametrize(

@@ -926,7 +926,7 @@ def test_backward_paths_stored_with_a_solved_witness_still_verify(tmp_path):
     assert (seg.move.k, seg.move.l, seg.move.direction) == (2, 4, "backward") and len(new.segments) == 2
     w = similarity_witness(_model((3, 3)), seg.lift.gamma(1))
     old_outer = matrix_mul(jordan_basis(x).conjugator, inverse(w))
-    old_seg = AdjacencySegment(old_outer, seg.bystander, seg.lift, seg.move)
+    old_seg = AdjacencySegment(old_outer, seg.bystander, seg.move)
     assert old_seg.outer != seg.outer and old_seg.start == x
     old = RootPath(a, 2, (old_seg, centralizer_segment(a, 2, old_seg.end, y)))
     stored = tmp_path / "old.json"

@@ -131,6 +131,73 @@ def test_adjacency_roundtrip_and_power_preservation():
                 assert back is not None and apply_move(m2, back) == m
 
 
+def _signed_move_pattern(k, l):
+    """e_k + e_l - e_(k+1) - e_(l-1) with e_0 dropped, as a dict."""
+    out = Counter()
+    for idx, sgn in ((k, 1), (l, 1), (k + 1, -1), (l - 1, -1)):
+        if idx >= 1:
+            out[idx] += sgn
+    return {idx: c for idx, c in out.items() if c}
+
+
+def _adjacency_from_difference(m, m2, p):
+    """The move from m to m2 read off the signed difference m - m2: its
+    positive part is e_k + e_l (just e_l when k = 0), and the whole
+    difference must be the move's pattern, in a window of p."""
+    if m == m2:
+        return None
+    diff = Counter(dict(m.items()))
+    diff.subtract(dict(m2.items()))
+    for sign, direction in ((1, "forward"), (-1, "backward")):
+        signed = {idx: sign * c for idx, c in diff.items() if c}
+        pos = sorted(idx for idx, c in signed.items() if c > 0)
+        if len(pos) == 2 and all(signed[idx] == 1 for idx in pos):
+            k, l = pos
+        elif len(pos) == 1 and signed[pos[0]] == 1:
+            k, l = 0, pos[0]
+        else:
+            continue
+        if l < k + 2 or signed != _signed_move_pattern(k, l):
+            continue
+        a = max(-(-l // p) - 1, 0)
+        if p * a <= k < l <= p * (a + 1):
+            return AdjacencyMove(a, k, l, direction, p)
+    return None
+
+
+def _profiles_by_size(n):
+    return [list(profiles_of_size(s)) for s in range(n + 1)]
+
+
+def test_is_p_adjacent_agrees_with_the_signed_difference():
+    for p in (1, 2, 3, 4):
+        for same_size in _profiles_by_size(9):
+            for m in same_size:
+                for m2 in same_size:
+                    assert is_p_adjacent(m, m2, p) == _adjacency_from_difference(m, m2, p), (m, m2, p)
+
+
+def test_apply_move_agrees_with_explicit_shifts():
+    profs = [m for same_size in _profiles_by_size(9) for m in same_size]
+    for p in (2, 3, 4):
+        for l in range(2, 10):
+            a = (l - 1) // p
+            for k in range(p * a, l - 1):
+                for m in profs:
+                    for direction, shifts in (
+                        ("forward", ((k, -1), (l, -1), (k + 1, 1), (l - 1, 1))),
+                        ("backward", ((k + 1, -1), (l - 1, -1), (k, 1), (l, 1))),
+                    ):
+                        move = AdjacencyMove(a, k, l, direction, p)
+                        try:
+                            expected = m.shifted(shifts)
+                        except InvalidMoveError:
+                            with pytest.raises(InvalidMoveError):
+                                apply_move(m, move)
+                        else:
+                            assert apply_move(m, move) == expected, (m, move)
+
+
 def test_apply_move_examples():
     mv = AdjacencyMove(1, 2, 4, "forward", 2)
     assert apply_move(Profile({4: 1, 2: 1}), mv) == Profile({3: 2})
