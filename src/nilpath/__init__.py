@@ -9,16 +9,13 @@ machine-checkable certificates.
 from .errors import (
     ChainGuardError,
     DetourSearchExhaustedError,
-    DuplicateSampleError,
     GuardError,
     InputFormatError,
     InvalidMoveError,
     MissingCellsError,
     NilpathError,
-    NotInKernelError,
     NotNilpotentError,
     NotSimilarError,
-    OutsideNeighborhoodError,
     PowerMismatchError,
     SingularMatrixError,
     SizeCapExceededError,
@@ -60,13 +57,8 @@ from .criteria import (
     special_two_three,
 )
 from .graph import ProfileChain, ProfileGraph, build_graph, export_dot, is_connected, profile_chain
-from .polynomials import (
-    RatPoly,
-    certify_nonvanishing_segment,
-    poly_interpolate_entries,
-    sturm_root_count,
-)
-from .sections import ConjugationSection, SectionData, conjugation_section, section_eval, section_setup
+from .polynomials import RatPoly, certify_nonvanishing_segment
+from . import sections  # bench/tracing.py looks nilpath.sections up in sys.modules
 from .paths import (
     AdjacencySegment,
     CentralizerSegment,

@@ -43,7 +43,7 @@ class JordanDecomposition:
     cell_sizes: tuple[int, ...]
 
     def jordan_form(self) -> Matrix:
-        return direct_sum([jordan_cell(k) for k in self.cell_sizes])
+        return profile_matrix(self.profile)
 
     @property
     def profile(self) -> Profile:
@@ -75,8 +75,9 @@ def jordan_basis(m: Matrix) -> JordanDecomposition:
 
     Chains are seeded level by level, from the longest down: at level j a
     new seed is any echelon kernel vector of M^j independent of ker(M^(j-1))
-    and of the vectors carried down from longer chains.  Cells come out in
-    decreasing size; ties keep seed creation order.
+    and of the vectors carried down from longer chains.  Level j seeds the
+    chains of length j, so cells come out in decreasing size; ties keep seed
+    creation order.
 
     The seed test runs in the quotient by ker(M^(j-1)): a candidate w in
     ker(M^j) is replaced by R w, with R = rref(M^(j-1)), a map with kernel
@@ -120,7 +121,6 @@ def jordan_basis(m: Matrix) -> JordanDecomposition:
                     chain.append((_mul_rows([chain[-1][0]], mt, n)[0], den * m_den**k))
                 chains.append(chain)
 
-    chains.sort(key=len, reverse=True)  # list.sort is stable
     columns: list[tuple[list, int]] = []
     sizes = []
     for chain in chains:

@@ -6,11 +6,16 @@ Two segment kinds compose into a root-connecting path:
   detour on which the determinant is certified nonvanishing, keeping the
   p-th power literally fixed; through one factor of Q - I, of rank r, that
   determinant is taken from r x r determinants, and a sample costs one
-  r x r solve, so a sample where the blend is singular raises;
+  r x r solve, so a sample where the blend is singular raises.  The factor
+  holds Q, and the segment reads its conjugator from there;
 * adjacency segments deform a trailing pair of Jordan cells (k, l) toward
   (k+1, l-1) through the one-parameter family ``U_t``, conjugating back by
   the lift q(t) = I + tF so that ``gamma(t)^p`` is constant; a backward
   move starts at gamma(1), aligned in closed form with no similarity solve.
+  The move's cells are picked from the root's Jordan basis in one pass: for
+  each size whose count falls, from the last such in ``move.shifts`` to the
+  first, the last cell of that size not yet taken; they go last, in the
+  order of ``move.shifts``, after the bystander cells.
 
 The lift is a deterministic function of its window (k, l, p): F is read off
 the window, and F^2 = 0, dU F = 0 and dU = F A0 - A0 F, where U_t^p =
@@ -25,11 +30,11 @@ small model, not off the sample, from one call to that segment.
 from __future__ import annotations
 
 from contextlib import suppress
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 from .errors import (
     DetourSearchExhaustedError,
@@ -41,7 +46,7 @@ from .errors import (
     WindowViolationError,
 )
 from .graph import profile_chain
-from .jordan import JordanDecomposition, _witness, jordan_basis, nilpotent_profile
+from .jordan import JordanDecomposition, _witness, jordan_basis, nilpotent_profile, profile_matrix
 from .matrix import (
     Matrix,
     _canonical,
@@ -52,7 +57,6 @@ from .matrix import (
     _Reduction,
     direct_sum,
     inverse,
-    jordan_cell,
     matrix_from_json_obj,
     matrix_mul,
     matrix_pow,
@@ -219,15 +223,19 @@ def certify_lift_interval(lift: LiftCore) -> dict:
 # -- centralizer segments -----------------------------------------------------
 
 
+@dataclass
 class BlendFactor:
     """N = Q - I = CR for the blend B(z) = (1-z)I + zQ = I + zCR of a square
     Q: C is the pivot columns of N and R the nonzero rows of rref(N), so
     r = rank N.  With M(z) = I_r + zRC, ``det B(z) = det M(z)`` by
-    Sylvester's identity and ``B(z)^-1 = I - zC M(z)^-1 R`` by Woodbury's."""
+    Sylvester's identity and ``B(z)^-1 = I - zC M(z)^-1 R`` by Woodbury's.
+    The factor holds Q and compares by it, as C, R and RC follow from Q."""
 
-    def __init__(self, q: Matrix):
-        n = q.rows
-        shifted = q - Matrix.identity(n)
+    q: Matrix
+
+    def __post_init__(self):
+        n = self.q.rows
+        shifted = self.q - Matrix.identity(n)
         red = _Reduction(*_ints(shifted), n)
         r = len(red.pivots)
         self.c, self.r = _columns(shifted, red.pivots), _made(r, n, red.form(range(r), range(n)))
@@ -255,11 +263,12 @@ class CentralizerSegment:
     """
 
     base_root: Matrix  # X
-    conjugator: Matrix  # Q, commuting with the common power
+    blend: BlendFactor  # Q - I = CR, with Q commuting with the common power
     waypoints: tuple[Scalar, ...]  # complex detour from 0 to 1
-    blend: BlendFactor = field(compare=False, repr=False)  # Q - I = CR, derived from Q
 
     kind = "centralizer"
+
+    conjugator = property(lambda self: self.blend.q)  # Q
 
     def _omega(self, s: Fraction) -> Scalar:
         pieces = len(self.waypoints) - 1
@@ -363,7 +372,7 @@ def centralizer_segment(
         (ZERO, Scalar(0, Fraction(1, k)), Scalar(1, Fraction(1, k)), ONE) for k in range(2, 2 + DETOUR_BUDGET)
     )
     for waypoints in chain([(ZERO, ONE)], detours):
-        seg = CentralizerSegment(x, q, waypoints, blend)
+        seg = CentralizerSegment(x, blend, waypoints)
         if all(piece["ok"] for piece in seg.pieces):
             return seg
     raise DetourSearchExhaustedError("no certified detour within the epsilon budget")
@@ -430,31 +439,6 @@ class AdjacencySegment:
         }
 
 
-def _reorder_cells_trailing(
-    dec_sizes: Sequence[int], trailing: Sequence[int]
-) -> tuple[list[int], list[int]]:
-    """Indices of cells with the requested trailing sizes moved to the end.
-
-    The last cell of each requested size is taken (later requests may not
-    reuse an index), keeping everything deterministic.
-    """
-    chosen: list[int] = []
-    used: set[int] = set()
-    for size in reversed(trailing):
-        found = None
-        for i in range(len(dec_sizes) - 1, -1, -1):
-            if i not in used and dec_sizes[i] == size:
-                found = i
-                break
-        if found is None:
-            raise MissingCellsError(f"no unused Jordan cell of size {size}")
-        used.add(found)
-        chosen.append(found)
-    chosen.reverse()
-    others = [i for i in range(len(dec_sizes)) if i not in used]
-    return others, chosen
-
-
 def adjacency_segment(
     a: Matrix, p: int, n: Matrix, move: AdjacencyMove, *, basis: Optional[JordanDecomposition] = None
 ) -> AdjacencySegment:
@@ -477,13 +461,20 @@ def adjacency_segment(
     if move.p != p:
         raise ValueError("move was built for a different power")
     dec = jordan_basis(n) if basis is None else basis
-    # the cells the move takes, those whose count falls, move last
-    taken = [s for s, c in move.shifts if s > 0 and c < 0]
-    others, chosen = _reorder_cells_trailing(dec.cell_sizes, taken)
+    sizes = dec.cell_sizes
+    # the move's cells, picked as the module docstring says, move last
+    chosen: list[int] = []
+    for size, change in reversed(move.shifts):
+        if size > 0 and change < 0:
+            i = next((i for i in reversed(range(len(sizes))) if sizes[i] == size and i not in chosen), None)
+            if i is None:
+                raise MissingCellsError(f"no unused Jordan cell of size {size}")
+            chosen.insert(0, i)
+    others = [i for i in range(len(sizes)) if i not in chosen]
     # regroup the conjugator's columns cell by cell in the new order
-    starts = [sum(dec.cell_sizes[:i]) for i in range(len(dec.cell_sizes))]
-    cols = [c for i in others + chosen for c in range(starts[i], starts[i] + dec.cell_sizes[i])]
-    bystander = direct_sum([jordan_cell(dec.cell_sizes[i]) for i in others])
+    starts = [sum(sizes[:i]) for i in range(len(sizes))]
+    cols = [c for i in others + chosen for c in range(starts[i], starts[i] + sizes[i])]
+    bystander = profile_matrix(Profile.from_partition(sizes[i] for i in others))
 
     if move.direction == "forward":
         outer = _columns(dec.conjugator, cols)
@@ -688,7 +679,7 @@ def _segment_from_json_obj(obj, p: int) -> object:
             raise InputFormatError(
                 f"centralizer conjugator is {q.rows}x{q.cols}, but its base root is {base.rows}x{base.rows}"
             )
-        return CentralizerSegment(base, q, waypoints, BlendFactor(q))
+        return CentralizerSegment(base, BlendFactor(q), waypoints)
     if kind == "adjacency":
         move = AdjacencyMove.from_json_obj(obj["move"])
         if move.p != p:

@@ -257,8 +257,7 @@ def profile_power(m: Profile, p: int) -> Profile:
     Entry a >= 1 of the image is ``sum_(|j| < p) (p - |j|) * m_(p*a + j)``,
     the triangular-weighted window sum around p*a.  It is summed over the
     support, in O(#sizes) whatever p is, with the split of
-    ``cell_power_profile`` written inline: a Profile per cell made this
-    inner call of ``enumerate_preimages`` 3-4 times slower.
+    ``cell_power_profile`` written inline.
     """
     if p < 1:
         raise ValueError("power must be positive")

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import random
@@ -13,7 +14,8 @@ from nilpath.errors import (
     WindowViolationError,
 )
 import nilpath.jordan as jordan_module
-from nilpath.jordan import JordanDecomposition, jordan_basis, nilpotent_profile, similarity_witness
+from nilpath.graph import _forward_moves
+from nilpath.jordan import JordanDecomposition, jordan_basis, nilpotent_profile, profile_matrix, similarity_witness
 from nilpath.matrix import (
     Matrix,
     _ints,
@@ -41,7 +43,7 @@ from nilpath.paths import (
     verify,
 )
 from nilpath.polynomials import RatPoly, poly_matrix_det
-from nilpath.profiles import AdjacencyMove, Profile, _window_a, apply_move
+from nilpath.profiles import AdjacencyMove, Profile, _window_a, apply_move, profiles_of_size
 from nilpath.scalar import Scalar, format_rational
 
 from helpers import random_invertible, unvec
@@ -224,7 +226,23 @@ def test_centralizer_evaluate_matches_inverse_form():
 def _centralizer(x, q, waypoints):
     """A centralizer segment from x through the blends of q, uncertified."""
     waypoints = tuple(Scalar(w) if not isinstance(w, Scalar) else w for w in waypoints)
-    return paths_module.CentralizerSegment(x, q, waypoints, paths_module.BlendFactor(q))
+    return paths_module.CentralizerSegment(x, paths_module.BlendFactor(q), waypoints)
+
+
+def test_centralizer_segment_is_what_its_json_rebuilds():
+    # Q = I + E_13 commutes with A = X^2 for X = J_3 + J_1; the segment holds
+    # Q in its blend factor alone, so its JSON reloads to a segment that
+    # verify certifies with the same bytes
+    x = direct_sum([jordan_cell(3), jordan_cell(1)])
+    q = Matrix.from_rows([[1, 0, 0, 0], [0, 1, 0, 1], [0, 0, 1, 0], [0, 0, 0, 1]])
+    seg = _centralizer(x, q, (0, 1))
+    assert seg.conjugator is seg.blend.q
+    path = RootPath(matrix_pow(x, 2), 2, (seg,))
+    again = path_from_json_obj(json.loads(json.dumps(path.to_json_obj())))
+    assert again.segments == (seg,)
+    cert = json.dumps(verify(path, 4).to_json_obj())
+    assert json.loads(cert)["ok"] is True
+    assert json.dumps(verify(again, 4).to_json_obj()) == cert
 
 
 def test_centralizer_low_rank_evaluation_matches_the_blend():
@@ -412,6 +430,27 @@ def test_adjacency_with_bystander_cells():
     assert nilpotent_profile(seg.end) == apply_move(nilpotent_profile(x), mv)
     for num in range(0, 5):
         assert matrix_pow(seg.evaluate(Fraction(num, 4)), 2) == a
+
+
+def test_adjacency_cell_pick_pinned():
+    # every forward move from every profile of size <= 9 for p = 2..4, and
+    # its flipped backward move from the moved profile: bystanders with
+    # repeated sizes, and backward moves with l = k + 2 that take two cells
+    # of one size, each root conjugated by a seeded unimodular L U; sha256
+    # of the segment JSON as first recorded
+    rng = random.Random(32)
+    digest, count = hashlib.sha256(), 0
+    for n in range(1, 10):
+        for u in profiles_of_size(n):
+            for p in (2, 3, 4):
+                for v, move in _forward_moves(u, p):
+                    for start, mv in ((u, move), (v, move.flipped())):
+                        x = conjugate(profile_matrix(start), _unimodular(n, rng))
+                        seg = adjacency_segment(matrix_pow(x, p), p, x, mv)
+                        digest.update(json.dumps(seg.to_json_obj()).encode())
+                        count += 1
+    assert count == 562
+    assert digest.hexdigest() == "0fcb8009cff020f1889017a79f32d8aeec1ec0c2088d940c2d2e2463f3a1e279"
 
 
 # -- connect + verify ---------------------------------------------------------------
