@@ -9,8 +9,10 @@ Both read the row spaces of the powers off one push in pivot coordinates
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from math import lcm
+from typing import Optional
 
 from .errors import NotNilpotentError, NotSimilarError
 from .matrix import (
@@ -28,6 +30,7 @@ from .matrix import (
     _times,
     _transposed,
     direct_sum,
+    inverse,
     jordan_cell,
     power_ranks,
     solve,
@@ -41,6 +44,10 @@ class JordanDecomposition:
 
     conjugator: Matrix
     cell_sizes: tuple[int, ...]
+    built_inverse: Optional[Matrix] = field(default=None, compare=False, repr=False)  # P^-1, built with P
+
+    # P^-1: as built with P, or else one inverse on first use
+    conjugator_inv = cached_property(lambda s: inverse(s.conjugator) if s.built_inverse is None else s.built_inverse)
 
     def jordan_form(self) -> Matrix:
         return profile_matrix(self.profile)
@@ -55,19 +62,10 @@ def nilpotent_profile(m: Matrix) -> Profile:
 
     Raises if M is not nilpotent (the ranks settle above zero).
     """
-    ranks = power_ranks(m)
-    if ranks[-1] > 0:
+    ranks = power_ranks(m) + [0]  # the nilpotency index is len(ranks) - 2
+    if ranks[-2] > 0:
         raise NotNilpotentError("matrix is not nilpotent")
-    s = len(ranks) - 1  # nilpotency index
-    counts = {}
-    for k in range(1, s + 1):
-        r_prev = ranks[k - 1]
-        r_k = ranks[k]
-        r_next = ranks[k + 1] if k + 1 < len(ranks) else 0
-        c = r_prev - 2 * r_k + r_next
-        if c:
-            counts[k] = c
-    return Profile(counts)
+    return Profile({k: ranks[k - 1] - 2 * ranks[k] + ranks[k + 1] for k in range(1, len(ranks) - 1)})
 
 
 def jordan_basis(m: Matrix) -> JordanDecomposition:
@@ -136,11 +134,7 @@ def similarity_witness(x: Matrix, y: Matrix) -> Matrix:
     """Invertible Q with ``y = Q x Q^-1``, for similar nilpotent inputs."""
     if x.rows != y.rows or x.cols != y.cols:
         raise NotSimilarError("dimension mismatch")
-    return _witness(jordan_basis(x), jordan_basis(y))
-
-
-def _witness(dx: JordanDecomposition, dy: JordanDecomposition) -> Matrix:
-    """Q with ``y = Q x Q^-1``, from Jordan bases dx of x and dy of y."""
+    dx, dy = jordan_basis(x), jordan_basis(y)
     if dx.cell_sizes != dy.cell_sizes:
         raise NotSimilarError(
             f"profiles differ: {list(dx.cell_sizes)} vs {list(dy.cell_sizes)}"

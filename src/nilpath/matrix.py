@@ -208,6 +208,12 @@ def _columns(m: Matrix, order: Sequence[int]) -> Matrix:
     return _made(m.rows, len(order), _canonical([[row[c] for c in order] for row in rows], dens))
 
 
+def _rows(m: Matrix, order: Sequence[int]) -> Matrix:
+    """The matrix whose i-th row is row ``order[i]`` of m."""
+    rows, dens = _ints(m)
+    return _made(len(order), m.cols, _Ints([rows[i] for i in order], [dens[i] for i in order]))
+
+
 # -- integer kernels ---------------------------------------------------------
 
 

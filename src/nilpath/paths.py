@@ -2,12 +2,6 @@
 
 Two segment kinds compose into a root-connecting path:
 
-* centralizer segments conjugate a root by ``(1-z)I + zQ`` along a complex
-  detour on which the determinant is certified nonvanishing, keeping the
-  p-th power literally fixed; through one factor of Q - I, of rank r, that
-  determinant is taken from r x r determinants, and a sample costs one
-  r x r solve, so a sample where the blend is singular raises.  The factor
-  holds Q, and the segment reads its conjugator from there;
 * adjacency segments deform a trailing pair of Jordan cells (k, l) toward
   (k+1, l-1) through the one-parameter family ``U_t``, conjugating back by
   the lift q(t) = I + tF so that ``gamma(t)^p`` is constant; a backward
@@ -15,25 +9,26 @@ Two segment kinds compose into a root-connecting path:
   The move's cells are picked from the root's Jordan basis in one pass: for
   each size whose count falls, from the last such in ``move.shifts`` to the
   first, the last cell of that size not yet taken; they go last, in the
-  order of ``move.shifts``, after the bystander cells.
+  order of ``move.shifts``, after the bystander cells.  Each segment builds
+  its end's Jordan basis and inverse and hands them on;
+* a closing centralizer segment conjugates its root X by a blend B(z) from
+  I to Q split along A's cell classes (``ClosingFactor``), on a complex
+  detour where prod_s det((1-z)I + zC_s) is certified nonvanishing.
 
-The lift is a deterministic function of its window (k, l, p): F is read off
-the window, and F^2 = 0, dU F = 0 and dU = F A0 - A0 F, where U_t^p =
-A0 + t dU, give ``U_t^p q(t) = q(t) A0`` for every t with q(t)^-1 = I - tF.
-An adjacency segment, in memory as in its JSON, is therefore just its move,
-outer conjugator and bystander block; it derives its lift from the move,
-and ``verify`` proves those identities, which cover all of [0, 1].
-``verify`` gets each sample, and its Jordan profile read off its segment's
-small model, not off the sample, from one call to that segment.
+The lift is a function of its window (k, l, p), proven on all of [0, 1] by
+three identities (``certify_lift_interval``), so an adjacency segment is
+just its move, outer conjugator and bystander block.  ``verify`` gets each
+sample and its profile, read off its segment's model, in one call.
 """
 
 from __future__ import annotations
 
 from contextlib import suppress
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
+from operator import sub
 from typing import Optional, Union
 
 from .errors import (
@@ -41,20 +36,23 @@ from .errors import (
     InputFormatError,
     MissingCellsError,
     NotNilpotentError,
+    NotSimilarError,
     PowerMismatchError,
     SingularMatrixError,
     WindowViolationError,
 )
 from .graph import profile_chain
-from .jordan import JordanDecomposition, _witness, jordan_basis, nilpotent_profile, profile_matrix
+from .jordan import JordanDecomposition, jordan_basis, nilpotent_profile, profile_matrix
 from .matrix import (
     Matrix,
     _canonical,
     _columns,
     _ints,
+    _Ints,
     _made,
     _plus_scaled,
-    _Reduction,
+    _rows,
+    det,
     direct_sum,
     inverse,
     matrix_from_json_obj,
@@ -62,10 +60,9 @@ from .matrix import (
     matrix_pow,
     matrix_to_json_obj,
     power_ranks,
-    solve,
 )
 from .polynomials import RatPoly, _levels_det, certify_nonvanishing_segment
-from .profiles import AdjacencyMove, Profile, _window_a, apply_move
+from .profiles import AdjacencyMove, Profile, _window_a
 from .scalar import ONE, ZERO, Scalar, format_rational, format_scalar, parse_int, parse_scalar
 
 # The number of lift intervals.  Only bench/tracing.py reads it: it counts
@@ -223,52 +220,115 @@ def certify_lift_interval(lift: LiftCore) -> dict:
 # -- centralizer segments -----------------------------------------------------
 
 
+def _spread(w: Matrix, sizes: list[int]) -> Matrix:
+    """(+)_s W_s (x) I_s for W = (+)_s W_s, block diagonal over the A-cell sizes."""
+    rows, dens = _ints(w)
+    at = [(j, r) for j, s in enumerate(sizes) for r in range(s)]
+    spread = [[row[j] if r == q else 0 for j, q in at] for row, s in zip(rows, sizes) for r in range(s)]
+    return _made(len(at), len(at), _Ints(spread, [d for d, s in zip(dens, sizes) for _ in range(s)]))
+
+
 @dataclass
-class BlendFactor:
-    """N = Q - I = CR for the blend B(z) = (1-z)I + zQ = I + zCR of a square
-    Q: C is the pivot columns of N and R the nonzero rows of rref(N), so
-    r = rank N.  With M(z) = I_r + zRC, ``det B(z) = det M(z)`` by
-    Sylvester's identity and ``B(z)^-1 = I - zC M(z)^-1 R`` by Woodbury's.
-    The factor holds Q and compares by it, as C, R and RC follow from Q."""
+class ClosingFactor:
+    """Q = P_A D' U' P_A^-1 for a closing conjugator Q of the root X (compared
+    by X and Q).  P_A is X's basis P with its columns grouped by residue mod
+    p in each X-cell, a Jordan basis of A = X^p as X c_j = c_(j-1) gives
+    A c_j = c_(j-p); A-cells largest first.  Where Q commutes with A, so do
+    K' = P_A^-1 Q P_A and J_A; C_s is K''s block at the tops of the A-cells of
+    size s, D' = (+)_s C_s (x) I_s, and N' = D'^-1 K' - I is nilpotent (K' ->
+    (C_s)_s is an algebra map with the radical as kernel).  B(z) = P_A D'(z)
+    (I + zN') P_A^-1, D'(z) = (1-z)I + zD', runs from I to Q."""
 
+    root: Matrix  # X
     q: Matrix
+    power: int = field(compare=False)
+    end: Matrix = field(compare=False, repr=False)  # Y = Q X Q^-1
+    basis: Optional[JordanDecomposition] = field(default=None, compare=False, repr=False)  # X's, with P^-1
 
-    def __post_init__(self):
-        n = self.q.rows
-        shifted = self.q - Matrix.identity(n)
-        red = _Reduction(*_ints(shifted), n)
-        r = len(red.pivots)
-        self.c, self.r = _columns(shifted, red.pivots), _made(r, n, red.form(range(r), range(n)))
-        self.rc = matrix_mul(self.r, self.c)
+    identity = cached_property(lambda self: self.q == Matrix.identity(self.q.rows))
 
     @cached_property
-    def determinant(self) -> RatPoly:
-        """det M(z), of degree at most r.  With row i of RC x_i / d_i, row i
-        of d_i M(z) has the integer coefficient rows x_i and d_i e_i."""
-        form, r = _ints(self.rc), self.rc.rows
-        levels = [[x, [d * (i == j) for j in range(r)]] for i, (x, d) in enumerate(zip(*form))]
-        return _levels_det(levels, form.dens, r)
+    def dec(self) -> Optional[JordanDecomposition]:
+        """X's basis with P^-1: as given, else jordan_basis(X) (None if X is not nilpotent)."""
+        with suppress(NotNilpotentError):
+            return jordan_basis(self.root) if self.basis is None else self.basis
+
+    @cached_property
+    def cells(self) -> Optional[tuple[list[int], list[int], Matrix]]:
+        """P's columns in A-cell order, the A-cell sizes, and C = (+)_s C_s, K' at
+        the cell tops where sizes agree: #cells rows of P^-1 and columns of QP."""
+        dec, acells, start = self.dec, [], 0
+        if dec is None:
+            return None
+        for k in dec.cell_sizes:
+            acells += [list(range(start + r, start + k, self.power)) for r in range(min(self.power, k))]
+            start += k
+        acells.sort(key=len, reverse=True)
+        sizes, tops = [len(cell) for cell in acells], [cell[0] for cell in acells]
+        top = matrix_mul(_rows(dec.conjugator_inv, tops), matrix_mul(self.q, _columns(dec.conjugator, tops)))
+        (rows, dens), m = _ints(top), len(tops)
+        c = [[x if sizes[i] == sizes[j] else 0 for j, x in enumerate(row)] for i, row in enumerate(rows)]
+        return [i for cell in acells for i in cell], sizes, _made(m, m, _canonical(c, dens))
+
+    @cached_property
+    def determinant(self) -> Optional[RatPoly]:
+        """det((1-z)I + zC) = prod_s det((1-z)I + zC_s), with the zeros of det B(z)
+        = prod_s det((1-z)I + zC_s)^s, of degree at most the number of A-cells
+        (1 when Q = I, None without a basis), from C's integer rows x_i / d_i."""
+        if self.identity or self.cells is None:
+            return RatPoly((1,)) if self.identity else None
+        (rows, dens), m = _ints(self.cells[2]), len(self.cells[1])
+        eye = [[d * (i == j) for j in range(m)] for i, d in enumerate(dens)]
+        return _levels_det([[list(map(sub, x, e)), e] for x, e in zip(rows, eye)], dens, m)
+
+    @cached_property
+    def frame(self) -> Optional[tuple]:
+        """(P_A, P_A^-1, X', N', [N'^0, ..., N'^(v-1)]), X' = P_A^-1 X P_A the permuted
+        Jordan form; None unless P P^-1 = I, X P = P J, D'U' = K' and N'^v = 0."""
+        if self.cells is None:
+            return None
+        (order, sizes, c), dec, ident = self.cells, self.dec, Matrix.identity(self.q.rows)
+        p, jordan = dec.conjugator, dec.jordan_form()
+        if matrix_mul(p, dec.conjugator_inv) != ident or matrix_mul(self.root, p) != matrix_mul(p, jordan):
+            return None
+        pa, pa_inv, x_a = _columns(p, order), _rows(dec.conjugator_inv, order), _rows(_columns(jordan, order), order)
+        k = matrix_mul(pa_inv, matrix_mul(self.q, pa))
+        with suppress(SingularMatrixError):
+            u = matrix_mul(_spread(inverse(c), sizes), k)
+            if matrix_mul(_spread(c, sizes), u) != k:  # D'U' = K'
+                return None
+            nil, powers = u - ident, [ident]
+            while not powers[-1].is_zero() and len(powers) <= len(order):
+                powers.append(matrix_mul(nil, powers[-1]))
+            return (pa, pa_inv, x_a, nil, powers[:-1]) if powers[-1].is_zero() else None
+        return None
+
+    @cached_property
+    def terms(self) -> list[Matrix]:
+        """G'_0, ..., G'_v with H(z) = (I + zN') X' (I + zN')^-1 = sum_j z^j G'_j,
+        formed on the first interior sample: G'_j = (-1)^j (X' N'^j - N' X' N'^(j-1))."""
+        _, _, x_a, nil, powers = self.frame
+        gs = [x_a]
+        for j, power in enumerate(powers[1:] + [None], 1):
+            g = matrix_mul(nil, matrix_mul(x_a, powers[j - 1]))
+            g = -g if power is None else matrix_mul(x_a, power) - g
+            gs.append(-g if j % 2 else g)
+        return gs
 
 
 @dataclass(frozen=True)
 class CentralizerSegment:
-    """Conjugation by B(z) = (1-z)I + zQ along a determinant-certified detour.
+    """X conjugated by its factor's blend B(z) along a detour where the factor's
+    determinant is certified nonvanishing; Q = I needs no basis at all."""
 
-    With Q - I = N = CR (``blend``), BX = X + zNX and B^-1 = I - zC M^-1 R,
-    ``gamma(z) = B X B^-1 = BX - z (XC + z NXC) M(z)^-1 R``: a sample is one
-    solve of the r x r matrix M(z) against R and n x r x n products, with
-    NX, XC and NXC formed on the first evaluation.  As det B = det M, the
-    solve succeeds exactly where B is invertible and raises
-    SingularMatrixError elsewhere.
-    """
-
-    base_root: Matrix  # X
-    blend: BlendFactor  # Q - I = CR, with Q commuting with the common power
+    factor: ClosingFactor
     waypoints: tuple[Scalar, ...]  # complex detour from 0 to 1
 
     kind = "centralizer"
 
-    conjugator = property(lambda self: self.blend.q)  # Q
+    start = base_root = property(lambda self: self.factor.root)  # X
+    conjugator = property(lambda self: self.factor.q)  # Q
+    end = property(lambda self: self.factor.end)
 
     def _omega(self, s: Fraction) -> Scalar:
         pieces = len(self.waypoints) - 1
@@ -276,103 +336,84 @@ class CentralizerSegment:
         w0, w1 = self.waypoints[j], self.waypoints[j + 1]
         return w0 + (w1 - w0) * Scalar(s * pieces - j)
 
-    @cached_property
-    def _products(self) -> tuple[Matrix, Matrix, Matrix]:
-        """NX = C(RX), XC and NXC = C(RX C)."""
-        c, x = self.blend.c, self.base_root
-        rx = matrix_mul(self.blend.r, x)
-        return matrix_mul(c, rx), matrix_mul(x, c), matrix_mul(c, matrix_mul(rx, c))
+    def _inner(self, z: Scalar) -> tuple[Matrix, Matrix]:
+        """H(z) and U = I + zN' in A-cell coordinates: H U = U X' is M E = E X'."""
+        if self.factor.frame is None:
+            raise SingularMatrixError("the closing conjugator has no A-cell factorization")
+        nil, gs = self.factor.frame[3], self.factor.terms
+        h = gs[-1]
+        for g in reversed(gs[:-1]):
+            h = _plus_scaled(g, z, h)
+        return h, _plus_scaled(Matrix.identity(nil.rows), z, nil)
 
-    def _bx_minus(self, z: Scalar) -> tuple[Matrix, Optional[Matrix]]:
-        """``(gamma(z), BX)`` with ``gamma(z) = BX - z (XC + z NXC) M(z)^-1 R``
-        and BX = X + zNX; (X, None) when zN = 0, where B = I."""
-        f = self.blend
-        if not f.r.rows or z.is_zero():
-            return self.base_root, None
-        nx, xc, nxc = self._products
-        bx = _plus_scaled(self.base_root, z, nx)
-        rows = solve(_plus_scaled(Matrix.identity(f.r.rows), z, f.rc), f.r)
-        return _plus_scaled(bx, -z, matrix_mul(_plus_scaled(xc, z, nxc), rows)), bx
+    def sample(self, s: Fraction, check: bool = True) -> tuple[Matrix, Optional[Profile]]:
+        """gamma = (P_A D'(z)) H (D'(z)^-1 P_A^-1), D'(z)^-1 from tiny block inverses
+        (SingularMatrixError where one is singular), and X's profile once
+        H U = U X' holds exactly (P P^-1 = I was checked once); else None."""
+        z = self._omega(_as_fraction(s))
+        if self.factor.identity or z.is_zero() or z == ONE:
+            point, held = self.end if z == ONE else self.base_root, check
+        else:
+            (h, u), (pa, pa_inv, x_a, _, _), (_, sizes, c) = self._inner(z), self.factor.frame, self.factor.cells
+            blend = _plus_scaled(Matrix.identity(c.rows), z, c - Matrix.identity(c.rows))
+            right = matrix_mul(_spread(inverse(blend), sizes), pa_inv)
+            point = matrix_mul(matrix_mul(matrix_mul(pa, _spread(blend, sizes)), h), right)
+            held = check and matrix_mul(h, u) == matrix_mul(u, x_a)
+        return point, self._root_profile if held else None
 
     def evaluate(self, s: ParamLike) -> Matrix:
-        return self._bx_minus(self._omega(_as_fraction(s)))[0]
-
-    def sample(self, s: Fraction) -> tuple[Matrix, Optional[Profile]]:
-        """``evaluate(s)`` and X's profile, once ``gamma B == BX``, that is
-        ``gamma + z (gamma C) R == BX``, holds exactly for the BX that built
-        gamma (B is invertible there, as the solve with M succeeded); else
-        None for the profile."""
-        z = self._omega(s)
-        gamma, bx = self._bx_minus(z)
-        f = self.blend
-        if bx is not None and _plus_scaled(gamma, z, matrix_mul(matrix_mul(gamma, f.c), f.r)) != bx:
-            return gamma, None
-        return gamma, self._root_profile
+        return self.sample(s, check=False)[0]
 
     @cached_property
     def pieces(self) -> tuple[dict, ...]:
-        """Each detour piece's record, with the blend determinant
+        """Each detour piece's record, with the factor's determinant
         Sturm-certified nonvanishing on it: the search that built the
         segment and ``verify`` read the same records."""
-        d = self.blend.determinant
+        d, certified = self.factor.determinant, certify_nonvanishing_segment
         return tuple(
-            {"from": format_scalar(w0), "to": format_scalar(w1), "ok": certify_nonvanishing_segment(d, w0, w1)}
+            {"from": format_scalar(w0), "to": format_scalar(w1), "ok": d is not None and certified(d, w0, w1)}
             for w0, w1 in zip(self.waypoints, self.waypoints[1:])
         )
 
-    _root_profile = cached_property(lambda self: nilpotent_profile(self.base_root))
-
-    @property
-    def start(self) -> Matrix:
-        return self.base_root
-
-    @property
-    def end(self) -> Matrix:
-        return self.evaluate(Fraction(1))
+    @cached_property
+    def _root_profile(self) -> Profile:
+        """X's profile: its basis's, once the frame has checked it, else from power ranks."""
+        f = self.factor
+        return f.dec.profile if not f.identity and f.frame is not None else nilpotent_profile(self.base_root)
 
     def to_json_obj(self) -> dict:
-        return {
-            "kind": "centralizer",
-            "baseRoot": matrix_to_json_obj(self.base_root),
-            "conjugator": matrix_to_json_obj(self.conjugator),
-            "waypoints": [format_scalar(w) for w in self.waypoints],
-        }
+        x, q, w = matrix_to_json_obj(self.base_root), matrix_to_json_obj(self.conjugator), self.waypoints
+        return {"kind": "centralizer", "baseRoot": x, "conjugator": q, "waypoints": list(map(format_scalar, w))}
 
 
 def centralizer_segment(
-    a: Matrix,
-    p: int,
-    x: Matrix,
-    y: Matrix,
-    *,
-    bases: Optional[tuple[JordanDecomposition, JordanDecomposition]] = None,
+    a: Matrix, p: int, x: Matrix, y: Matrix, *, bases: Optional[tuple[JordanDecomposition, ...]] = None
 ) -> CentralizerSegment:
     """Certified path from x to y through conjugates sharing the power a.
 
-    Q = Py Px^-1 comes from Jordan bases of x and y.  A caller that has
-    already checked ``x^p = y^p = a`` and holds ``jordan_basis`` of both,
-    as ``connect_roots`` does, passes them as ``bases``; otherwise both
-    checks run and both bases are computed here.
-
-    The direct segment 0 -> 1 is tried first; if the blend determinant has
-    a root on it, three-piece detours through i*eps and 1 + i*eps are
-    searched over eps = 1/2, 1/3, ...  A valid detour always exists since
-    the determinant has finitely many roots and is 1 at z = 0; running out
-    of budget therefore signals a fault rather than a negative result.
+    Q = Py Px^-1, checked by Q Px = Py; ``connect_roots``, which has checked
+    x^p = y^p = a, passes both bases (x's with its inverse).  The segment 0
+    -> 1 is tried, then detours through i*eps and 1 + i*eps, eps = 1/2, 1/3,
+    ...; one exists, as the determinant is 1 at z = 0.
     """
     if bases is None:
         if not (_is_root(x, p, a) and _is_root(y, p, a)):
             raise PowerMismatchError("segment endpoints must both power to the target")
         bases = jordan_basis(x), jordan_basis(y)
-    q = _witness(*bases)
+    dx, dy = bases
+    if dx.cell_sizes != dy.cell_sizes:
+        raise NotSimilarError(f"profiles differ: {list(dx.cell_sizes)} vs {list(dy.cell_sizes)}")
+    q = matrix_mul(dy.conjugator, dx.conjugator_inv)
+    if matrix_mul(q, dx.conjugator) != dy.conjugator:
+        raise AssertionError("closing conjugator must carry x's basis onto y's")
     if matrix_mul(q, a) != matrix_mul(a, q):
         raise AssertionError("similarity witness must commute with the power")
-    blend = BlendFactor(q)
+    factor = ClosingFactor(x, q, p, y, dx)
     detours = (
         (ZERO, Scalar(0, Fraction(1, k)), Scalar(1, Fraction(1, k)), ONE) for k in range(2, 2 + DETOUR_BUDGET)
     )
     for waypoints in chain([(ZERO, ONE)], detours):
-        seg = CentralizerSegment(x, blend, waypoints)
+        seg = CentralizerSegment(factor, waypoints)
         if all(piece["ok"] for piece in seg.pieces):
             return seg
     raise DetourSearchExhaustedError("no certified detour within the epsilon budget")
@@ -389,10 +430,12 @@ class AdjacencySegment:
     outer: Matrix  # P'
     bystander: Matrix  # untouched Jordan block sum
     move: AdjacencyMove
+    inv: Optional[Matrix] = field(default=None, compare=False, repr=False)  # P'^-1, read off the root's
 
     kind = "adjacency"
 
-    outer_inv = cached_property(lambda self: inverse(self.outer))  # the segment's one inverse
+    # P'^-1: as read off the root's basis, or else the segment's one inverse
+    outer_inv = cached_property(lambda self: inverse(self.outer) if self.inv is None else self.inv)
     lift = cached_property(lambda self: lift_family(self.move.k, self.move.l, self.move.p))
 
     @property
@@ -424,9 +467,28 @@ class AdjacencySegment:
     def end(self) -> Matrix:
         return self.evaluate(Fraction(1))
 
-    # The end's Jordan basis: the segment's own profile check reads it, and
-    # the next segment of a path starts from it.
-    end_basis = cached_property(lambda self: jordan_basis(self.end))
+    @cached_property
+    def end_basis(self) -> JordanDecomposition:
+        """The end's Jordan basis and inverse, built: gamma(1) = (I - F) Pi (J_(k+1)
+        + J_(l-1)) Pi^-1 (I + F) gives P = P'(I + (I - F)) Pi forward (Pi moves the
+        last column to b + k), gamma(0) = J_k + J_l gives P = P' backward; cells
+        sorted largest first, P^-1 is that row order of (I + Pi^-1 (I + F)) P'^-1."""
+        b, k, l, rows = self.bystander.rows, self.move.k, self.move.l, _ints(self.bystander).rows
+        cuts = [i + 1 for i in range(b) if i + 1 == b or not rows[i][i + 1]]  # the bystander's cells
+        cells, order = [j - i for i, j in zip([0] + cuts, cuts)], list(range(b + k + l))
+        if self.reversed_time:
+            p, p_inv = self.outer, self.outer_inv
+            cells += [k, l]
+        else:
+            shear = self.lift.step
+            p = matrix_mul(self.outer, direct_sum([Matrix.identity(b), Matrix.identity(k + l) - shear]))
+            p_inv = matrix_mul(direct_sum([Matrix.identity(b), Matrix.identity(k + l) + shear]), self.outer_inv)
+            order.insert(b + k, order.pop())
+            cells += [k + 1, l - 1]
+        starts = [sum(cells[:i]) for i in range(len(cells))]
+        ranked = sorted((i for i in range(len(cells)) if cells[i]), key=lambda i: -cells[i])
+        order = [order[c] for i in ranked for c in range(starts[i], starts[i] + cells[i])]
+        return JordanDecomposition(_columns(p, order), tuple(cells[i] for i in ranked), _rows(p_inv, order))
 
     def to_json_obj(self) -> dict:
         """The move and the conjugation into position; the lift is derived
@@ -444,24 +506,21 @@ def adjacency_segment(
 ) -> AdjacencySegment:
     """Path from the root n across one adjacency move, power held at a.
 
-    A Jordan decomposition of n is reordered so the move's cells sit last;
-    the two-cell deformation runs forward for a forward move and in
-    reversed time for a backward one, aligned in closed form (below), so
-    no similarity is solved for.
-
-    A caller that has already checked ``n^p = a`` and holds
-    ``jordan_basis(n)``, as ``connect_roots`` does for each segment's end,
-    passes it as ``basis``; otherwise the check runs and the basis is
-    computed here.  Either way the exact checks below cover both: the
-    assertion ``seg.start == n`` proves ``P J P^-1 = n``, and as the lift
-    keeps the power constant, ``seg.end^p = a`` then gives ``n^p = a``.
+    A Jordan basis of n is reordered so the move's cells sit last; the
+    deformation runs forward, or in reversed time aligned in closed form
+    (below): no similarity is solved, and the outer conjugator's inverse is
+    read off the basis's.  ``connect_roots``, which has checked ``n^p = a``,
+    passes the basis each segment built for its end; else the check runs
+    and ``jordan_basis(n)`` is taken.  ``seg.start == n`` proves P J P^-1 =
+    n, ``seg.end^p = a`` then gives n^p = a, and the end's basis must carry
+    its Jordan form.
     """
     if basis is None and not _is_root(n, p, a):
         raise PowerMismatchError("root does not power to the target")
     if move.p != p:
         raise ValueError("move was built for a different power")
     dec = jordan_basis(n) if basis is None else basis
-    sizes = dec.cell_sizes
+    inv, sizes = dec.conjugator_inv, dec.cell_sizes
     # the move's cells, picked as the module docstring says, move last
     chosen: list[int] = []
     for size, change in reversed(move.shifts):
@@ -477,22 +536,24 @@ def adjacency_segment(
     bystander = profile_matrix(Profile.from_partition(sizes[i] for i in others))
 
     if move.direction == "forward":
-        outer = _columns(dec.conjugator, cols)
+        outer, outer_inv = _columns(dec.conjugator, cols), _rows(inv, cols)
     else:
         # U_1 = Pi (J_(k+1) + J_(l-1)) Pi^-1, Pi moving y_1 (the last basis
         # vector) to position k, so w = (I - F) Pi carries those cells onto
         # gamma(1), and w^-1 = Pi^-1 q(1): the (k+1)-cell's seed moves last.
         cols.append(cols.pop(bystander.rows + move.k))
-        shear = direct_sum([Matrix.identity(bystander.rows), lift_family(move.k, move.l, p).q_at(1)])
-        outer = matrix_mul(_columns(dec.conjugator, cols), shear)
-
-    seg = AdjacencySegment(outer, bystander, move)
+        shear = lift_family(move.k, move.l, p).step
+        ident_b, ident_kl = Matrix.identity(bystander.rows), Matrix.identity(move.k + move.l)
+        outer = matrix_mul(_columns(dec.conjugator, cols), direct_sum([ident_b, ident_kl + shear]))
+        outer_inv = matrix_mul(direct_sum([ident_b, ident_kl - shear]), _rows(inv, cols))
+    seg = AdjacencySegment(outer, bystander, move, outer_inv)
     if seg.start != n:
         raise AssertionError("adjacency segment must start exactly at the given root")
     if matrix_pow(seg.end, p) != a:
         raise AssertionError("adjacency segment endpoint lost the power identity")
-    if seg.end_basis.profile != apply_move(dec.profile, move):
-        raise AssertionError("adjacency segment endpoint has the wrong profile")
+    end = seg.end_basis
+    if matrix_mul(seg.end, end.conjugator) != matrix_mul(end.conjugator, end.jordan_form()):
+        raise AssertionError("adjacency segment endpoint basis must carry its Jordan form")
     return seg
 
 
@@ -514,13 +575,8 @@ class RootPath:
             if s0.end != s1.start:
                 raise ValueError("segments do not stitch exactly")
 
-    @property
-    def start(self) -> Matrix:
-        return self.segments[0].start
-
-    @property
-    def end(self) -> Matrix:
-        return self.segments[-1].end
+    start = property(lambda self: self.segments[0].start)
+    end = property(lambda self: self.segments[-1].end)
 
     def evaluate(self, t: ParamLike) -> Matrix:
         t = _as_fraction(t)
@@ -560,18 +616,11 @@ class Certificate:
     ok: bool
 
     def to_json_obj(self) -> dict:
-        return {
-            "samples": [
-                {
-                    "t": format_rational(t),
-                    "residualZero": res,
-                    "profile": None if prof is None else prof.to_text(),
-                }
-                for t, res, prof in self.samples
-            ],
-            "segmentCertifications": list(self.segment_certifications),
-            "ok": self.ok,
-        }
+        samples = [
+            {"t": format_rational(t), "residualZero": res, "profile": None if prof is None else prof.to_text()}
+            for t, res, prof in self.samples
+        ]
+        return {"samples": samples, "segmentCertifications": list(self.segment_certifications), "ok": self.ok}
 
 
 def connect_roots(a: Matrix, p: int, x: Matrix, y: Matrix, mode=None) -> RootPath:
@@ -587,9 +636,9 @@ def connect_roots(a: Matrix, p: int, x: Matrix, y: Matrix, mode=None) -> RootPat
     if not _is_root(y, p, a):
         raise PowerMismatchError("y^p differs from the target")
 
-    # One Jordan basis per root, each segment handing its end's basis on;
-    # jordan_basis(x) raises NotNilpotentError exactly when a = x^p is not
-    # nilpotent.
+    # jordan_basis of x and y only: each segment builds its end's basis and
+    # inverse and hands them on.  jordan_basis(x) raises NotNilpotentError
+    # exactly when a = x^p is not nilpotent.
     dx, dy = jordan_basis(x), jordan_basis(y)
     chain = profile_chain(dx.profile, dy.profile, p)
 
@@ -605,12 +654,14 @@ def connect_roots(a: Matrix, p: int, x: Matrix, y: Matrix, mode=None) -> RootPat
 
 def _certify_segment(seg, a: Matrix, p: int) -> dict:
     """The segment's record, ``ok`` only when its start is a p-th root of a
-    and, for a centralizer segment, Q commutes with a.  With its detour or
+    and, for a centralizer segment, Q commutes with a and, unless Q = I, its
+    factor's checks all hold (``ClosingFactor.frame``).  With its detour or
     lift certificates, every point of the segment is then a root."""
     rooted = _is_root(seg.start, p, a)
     if seg.kind == "centralizer":
-        q = seg.conjugator
-        ok = rooted and matrix_mul(q, a) == matrix_mul(a, q) and all(piece["ok"] for piece in seg.pieces)
+        f, q = seg.factor, seg.conjugator
+        ok = rooted and matrix_mul(q, a) == matrix_mul(a, q) and (f.identity or f.frame is not None)
+        ok = ok and all(piece["ok"] for piece in seg.pieces)
         return {"kind": "centralizer", "pieces": [dict(piece) for piece in seg.pieces], "ok": ok}
     lift = certify_lift_interval(seg.lift)["ok"]
     return {"kind": "adjacency", "lift": lift, "ok": rooted and lift}
@@ -623,18 +674,15 @@ def verify(path: RootPath, sample_count: int, mode=None) -> Certificate:
     off its segment's model (None when it is not nilpotent or fails its
     segment's conjugation check); where the path is undefined, a sample has
     a nonzero residual and no profile.  Every segment certification must
-    pass too: each segment starts at a root, each adjacency lift is proven
-    on [0, 1], and each centralizer conjugator commutes with the target and
-    has each detour piece Sturm-certified, so an ``ok`` path lies in the
-    root set whatever the sample count.  ``mode`` is ignored, kept only
-    because bench/workloads.py passes it.
+    pass too (``_certify_segment``), so an ``ok`` path lies in the root set
+    whatever the sample count.  ``mode`` is ignored, kept only because
+    bench/workloads.py passes it.
     """
     if sample_count < 1:
         raise ValueError("need at least one sample interval")
     nilpotent_profile(path.target)  # raises NotNilpotentError otherwise
 
-    samples = []
-    all_ok = True
+    samples, all_ok = [], True
     for i in range(sample_count + 1):
         t = Fraction(i, sample_count)
         residual_zero, prof = False, None
@@ -657,10 +705,10 @@ def _segment_from_json_obj(obj, p: int) -> object:
     """One segment of a path with power p, from its JSON object.
 
     A centralizer segment is read as its base root, conjugator and
-    waypoints; an adjacency segment as its move, outer conjugator and
-    bystander block, from which it derives its lift.  Any other keys (the
-    detour records, lift data and certifications older files carry) are
-    ignored: ``verify`` recomputes every proof.
+    waypoints (``path_from_json_obj`` gives it its end and basis), an
+    adjacency segment as its move, outer conjugator and bystander block.
+    Other keys (detour records, lift data and certifications that older
+    files carry) are ignored: ``verify`` recomputes every proof.
     """
     if not isinstance(obj, dict):
         raise InputFormatError("segment JSON must be an object")
@@ -676,10 +724,9 @@ def _segment_from_json_obj(obj, p: int) -> object:
         if not base.is_square():
             raise InputFormatError(f"centralizer base root is {base.rows}x{base.cols}, not square")
         if (q.rows, q.cols) != (base.rows, base.rows):
-            raise InputFormatError(
-                f"centralizer conjugator is {q.rows}x{q.cols}, but its base root is {base.rows}x{base.rows}"
-            )
-        return CentralizerSegment(base, BlendFactor(q), waypoints)
+            n = base.rows
+            raise InputFormatError(f"centralizer conjugator is {q.rows}x{q.cols}, but its base root is {n}x{n}")
+        return CentralizerSegment(ClosingFactor(base, q, p, None), waypoints)
     if kind == "adjacency":
         move = AdjacencyMove.from_json_obj(obj["move"])
         if move.p != p:
@@ -693,6 +740,10 @@ def _segment_from_json_obj(obj, p: int) -> object:
 
 
 def path_from_json_obj(obj) -> RootPath:
+    """The stored path.  A centralizer segment ends where the next segment
+    starts, or at the stored Y, once QX = YQ holds and Q is invertible; it
+    takes X's basis from the adjacency segment before it, and computes one
+    only if there is none."""
     if isinstance(obj, dict) and "path" in obj:
         obj = obj["path"]
     try:
@@ -702,17 +753,24 @@ def path_from_json_obj(obj) -> RootPath:
             raise InputFormatError("path power p must be a positive integer")
         if not isinstance(obj["segments"], list):
             raise InputFormatError("path segments must be a list")
-        segments = tuple(_segment_from_json_obj(s, power) for s in obj["segments"])
-        path = RootPath(target, power, segments)
+        segments = [_segment_from_json_obj(s, power) for s in obj["segments"]]
+        endpoints, stored_y = obj["endpoints"], matrix_from_json_obj(obj["endpoints"]["Y"])
+        for i, seg in enumerate(segments):
+            if seg.kind == "centralizer":
+                seg.factor.end = segments[i + 1].start if i + 1 < len(segments) else stored_y
+                seg.factor.basis = segments[i - 1].end_basis if i and segments[i - 1].kind == "adjacency" else None
+        path = RootPath(target, power, tuple(segments))
         n = path.start.rows
         if (target.rows, target.cols) != (n, n):
-            raise InputFormatError(
-                f"path target A is {target.rows}x{target.cols}, but the path is {n}x{n}"
-            )
-        endpoints = obj["endpoints"]
+            raise InputFormatError(f"path target A is {target.rows}x{target.cols}, but the path is {n}x{n}")
         if matrix_from_json_obj(endpoints["X"]) != path.start:
             raise InputFormatError("stored endpoint X is not the start of the path")
-        if matrix_from_json_obj(endpoints["Y"]) != path.end:
+        for seg in segments:  # a closing ends at Y = Q X Q^-1, with Q invertible
+            q, ending = getattr(seg, "conjugator", None), seg is segments[-1]
+            if q is not None and (matrix_mul(q, seg.start) != matrix_mul(seg.end, q) or det(q).is_zero()):
+                message = "stored endpoint Y is not the end of the path" if ending else "segments do not stitch"
+                raise InputFormatError(message)
+        if stored_y != path.end:
             raise InputFormatError("stored endpoint Y is not the end of the path")
         return path
     except (KeyError, TypeError, ValueError, ZeroDivisionError, SingularMatrixError) as exc:

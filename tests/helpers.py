@@ -1,9 +1,11 @@
 """Matrix helpers that only the tests use: seeded invertible matrices, the
-inverse of ``vec`` and a greedy pivot-column oracle in Scalar arithmetic."""
+inverse of ``vec``, a greedy pivot-column oracle in Scalar arithmetic and
+the blend determinant of any square Q."""
 
 from fractions import Fraction
 
 from nilpath.matrix import Matrix, det
+from nilpath.paths import ClosingFactor
 
 
 def random_invertible(n, rng, lo=-3, hi=3):
@@ -37,3 +39,10 @@ def greedy_pivot_columns(columns):
             pivots.append(lead)
             kept.append(i)
     return kept
+
+
+def blend_determinant(q):
+    """det((1-z)I + zQ), as the closing factor of the zero root takes it:
+    every A-cell of X = 0 has size 1, so its C is Q in X's basis."""
+    zero = Matrix.zeros(q.rows, q.rows)
+    return ClosingFactor(zero, q, 2, zero).determinant

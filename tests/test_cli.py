@@ -14,10 +14,11 @@ from hypothesis import strategies as st
 
 import nilpath
 from nilpath.cli import main
-from nilpath.paths import connect_roots
+from nilpath.paths import connect_roots, path_from_json_obj
 from nilpath.jordan import similarity_witness
 from nilpath.matrix import (
     Matrix,
+    det,
     direct_sum,
     inverse,
     jordan_cell,
@@ -272,18 +273,19 @@ def test_output_byte_stability(files, capsys):
 
 def test_connect_output_pinned(files, capsys):
     # sha256 of this stdout; any change to the path JSON or the certificate
-    # shows here, not only a change between two runs
+    # shows here, not only a change between two runs; recorded once
+    # `nilpath verify` of it exited 0
     code, out = run(
         capsys,
         ["connect", "--p", "2", "--a", files["A"], "--x", files["X"], "--y", files["Y"], "--samples", "5"],
     )
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "62b96a2c0fe5b97124bcb16c4528f9a69b8874ec9581cd7c3e88b49f2c4ad782"
+        "50ef1dedcf34b22b08d8eb102284ee1c2109f68d8008d15962aee05e6dbe9334"
     )
     # the path object alone, which stores no certification records
     assert hashlib.sha256(json.dumps(json.loads(out)["path"]).encode()).hexdigest() == (
-        "4e6120baf8c9451cac613ea759cb2a44576ced6485fd9aa0dc2fb7ab8940d65c"
+        "a4d6d70478e27a0c928b03d48fac24741f0c80526dbdd2fb8d0ce841a42feb1b"
     )
 
 
@@ -337,6 +339,78 @@ def test_verify_rejects_a_path_that_leaves_the_root_set(tmp_path, capsys, sample
     assert all(piece["ok"] for c in cert["segmentCertifications"] for piece in c["pieces"])
 
 
+def test_a_path_written_before_built_bases_verifies_the_same(capsys):
+    # a p = 2 path from (4,1,1) to (3,3), a backward and a forward move and a
+    # complex detour, written while each closing Q came from jordan_basis of
+    # both of its roots: it still loads, and verify prints the bytes it
+    # printed then (sha256 of each stdout)
+    path_file = os.path.join(os.path.dirname(__file__), "data", "path_written_before_built_bases.json")
+    for samples, digest in (
+        ("8", "ac03b3b3310214d2499d80aaa06f12623d34cca91267bf429f2f12c91fc1073b"),
+        ("12", "097dcbf5a98dad202f00d41536b945ffaf078ed2b1fe1e6ae81594290479dbd1"),
+    ):
+        code, out = run(capsys, ["verify", path_file, "--samples", samples])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _closing_path_obj(x, q):
+    """A p = 2 path JSON of one centralizer segment from x by q, ending at
+    Y = q x q^-1."""
+    ends = {"X": matrix_to_json_obj(x), "Y": matrix_to_json_obj(matrix_mul(q, matrix_mul(x, inverse(q))))}
+    segment = {"kind": "centralizer", "baseRoot": ends["X"], "conjugator": matrix_to_json_obj(q), "waypoints": ["0", "1"]}
+    return {"A": matrix_to_json_obj(matrix_pow(x, 2)), "p": 2, "endpoints": ends, "segments": [segment]}
+
+
+def _forged_basis_path_obj():
+    """(4,2,2) -> (3,3,2) at p = 2, with the bystander J_2 of its adjacency
+    segment stored as 2 J_2 and X, the closing root and Y moved to match:
+    every sample that is defined is a root, but the closing segment's basis,
+    built from that bystander, fails X P = P J."""
+    from nilpath.paths import _segment_from_json_obj
+
+    x = direct_sum([jordan_cell(4), jordan_cell(2), jordan_cell(2)])
+    a = matrix_pow(x, 2)
+    model = direct_sum([jordan_cell(3), jordan_cell(3), jordan_cell(2)])
+    s = similarity_witness(matrix_pow(model, 2), a)
+    obj = connect_roots(a, 2, x, matrix_mul(s, matrix_mul(model, inverse(s)))).to_json_obj()
+    adjacency, closing = obj["segments"]
+    assert matrix_from_json(json.dumps(adjacency["bystander"])) == jordan_cell(2)
+    adjacency["bystander"] = matrix_to_json_obj(jordan_cell(2).scale(Scalar(2)))
+    seg = _segment_from_json_obj(adjacency, 2)
+    q = matrix_from_json(json.dumps(closing["conjugator"]))
+    obj["endpoints"]["X"], closing["baseRoot"] = matrix_to_json_obj(seg.start), matrix_to_json_obj(seg.end)
+    obj["endpoints"]["Y"] = matrix_to_json_obj(matrix_mul(q, matrix_mul(seg.end, inverse(q))))
+    return obj
+
+
+def test_forged_closings_end_in_a_well_formed_answer(tmp_path, capsys):
+    # a closing whose Q does not commute with A, one whose block C_s is
+    # singular (Q invertible, but not in the centralizer), and one whose
+    # basis fails X P = P J: each verify exits 1 with ok false, and
+    # eval-path inside the closing answers or exits 2; a stored Y with
+    # Q X != Y Q is bad input.  None raises out of the set-up.
+    x = direct_sum([jordan_cell(3), jordan_cell(1)])
+    a = matrix_pow(x, 2)
+    shear = Matrix.from_rows([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, 1]])
+    swap = Matrix.from_rows([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    assert matrix_mul(shear, a) != matrix_mul(a, shear) and matrix_mul(swap, a) != matrix_mul(a, swap)
+    assert det(path_from_json_obj(_closing_path_obj(x, swap)).segments[0].factor.cells[2]).is_zero()
+    bad_y = _closing_path_obj(x, shear)
+    bad_y["endpoints"]["Y"] = matrix_to_json_obj(x)
+    for obj, code in ((_closing_path_obj(x, shear), 1), (_closing_path_obj(x, swap), 1), (_forged_basis_path_obj(), 1), (bad_y, 2)):
+        path_file = tmp_path / "forged.json"
+        path_file.write_text(json.dumps(obj))
+        assert main(["verify", str(path_file), "--samples", "4"]) == code
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        if code == 1:
+            cert = json.loads(captured.out)
+            assert cert["ok"] is False and cert["segmentCertifications"][-1]["ok"] is False
+        assert main(["eval-path", str(path_file), "--t", "7/8"]) in ((0, 2) if code == 1 else (2,))
+        assert "Traceback" not in capsys.readouterr().err
+
+
 def test_connect_certified_output_pinned(files, capsys):
     # every connect certifies: its certificate carries each segment's record,
     # the adjacency lift proven on [0, 1] and each detour piece certified
@@ -346,7 +420,7 @@ def test_connect_certified_output_pinned(files, capsys):
     )
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "62b96a2c0fe5b97124bcb16c4528f9a69b8874ec9581cd7c3e88b49f2c4ad782"
+        "50ef1dedcf34b22b08d8eb102284ee1c2109f68d8008d15962aee05e6dbe9334"
     )
 
 

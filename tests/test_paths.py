@@ -27,6 +27,7 @@ from nilpath.matrix import (
     matrix_pow,
     matrix_to_json_obj,
     rank,
+    rref,
 )
 import nilpath.paths as paths_module
 from nilpath.paths import (
@@ -46,7 +47,7 @@ from nilpath.polynomials import RatPoly, poly_matrix_det
 from nilpath.profiles import AdjacencyMove, Profile, _window_a, apply_move, profiles_of_size
 from nilpath.scalar import Scalar, format_rational
 
-from helpers import random_invertible, unvec
+from helpers import blend_determinant, random_invertible, unvec
 
 
 def conjugate(m, p):
@@ -209,7 +210,8 @@ def _blend(q, z):
 
 
 def test_centralizer_evaluate_matches_inverse_form():
-    # evaluate and end go through the low-rank factor of Q - I, not through q^-1
+    # evaluate goes through the closing factor's A-cell blend, not through
+    # q^-1; for these two Q its N' is 0, so the blend is (1-z)I + zQ
     x = jordan_cell(3)
     e = matrix_pow(x, 2)
     segments = [
@@ -223,20 +225,21 @@ def test_centralizer_evaluate_matches_inverse_form():
             assert seg.evaluate(Fraction(num, 6)) == conjugate(seg.base_root, qz)
 
 
-def _centralizer(x, q, waypoints):
-    """A centralizer segment from x through the blends of q, uncertified."""
+def _centralizer(x, q, waypoints, p=2):
+    """A centralizer segment from x through the blend of q's factor for the
+    power p, uncertified; x's basis is taken on first use."""
     waypoints = tuple(Scalar(w) if not isinstance(w, Scalar) else w for w in waypoints)
-    return paths_module.CentralizerSegment(x, paths_module.BlendFactor(q), waypoints)
+    return paths_module.CentralizerSegment(paths_module.ClosingFactor(x, q, p, conjugate(x, q)), waypoints)
 
 
 def test_centralizer_segment_is_what_its_json_rebuilds():
     # Q = I + E_13 commutes with A = X^2 for X = J_3 + J_1; the segment holds
-    # Q in its blend factor alone, so its JSON reloads to a segment that
+    # X and Q in its factor alone, so its JSON reloads to a segment that
     # verify certifies with the same bytes
     x = direct_sum([jordan_cell(3), jordan_cell(1)])
     q = Matrix.from_rows([[1, 0, 0, 0], [0, 1, 0, 1], [0, 0, 1, 0], [0, 0, 0, 1]])
     seg = _centralizer(x, q, (0, 1))
-    assert seg.conjugator is seg.blend.q
+    assert seg.conjugator is seg.factor.q and seg.base_root is seg.factor.root
     path = RootPath(matrix_pow(x, 2), 2, (seg,))
     again = path_from_json_obj(json.loads(json.dumps(path.to_json_obj())))
     assert again.segments == (seg,)
@@ -245,66 +248,93 @@ def test_centralizer_segment_is_what_its_json_rebuilds():
     assert json.dumps(verify(again, 4).to_json_obj()) == cert
 
 
-def test_centralizer_low_rank_evaluation_matches_the_blend():
-    # gamma(z) = B X B^-1 and end = Q X Q^-1, with B formed in the test
-    import random
+def _cell_spread(factor, w):
+    """(+)_s W_s (x) I_s in A-cell coordinates, for a matrix W on the
+    factor's A-cells: entry (i, j) of W at every level of A-cells i and j
+    of one size."""
+    sizes = factor.cells[1]
+    n, starts = sum(sizes), [sum(sizes[:i]) for i in range(len(sizes))]
+    entries = [[Scalar(0)] * n for _ in range(n)]
+    for i, j in ((i, j) for i in range(w.rows) for j in range(w.rows) if sizes[i] == sizes[j]):
+        for r in range(sizes[i]):
+            entries[starts[i] + r][starts[j] + r] = w.data[i][j]
+    return Matrix(n, n, entries)
 
+
+def _cell_blend(factor, z):
+    """B(z) = P_A D'(z) (I + zN') P_A^-1, formed here from the factor's
+    cells and frame."""
+    c = factor.cells[2]
+    pa, pa_inv, _, nil, _ = factor.frame
+    d = _cell_spread(factor, Matrix.identity(c.rows).scale(Scalar(1) - z) + c.scale(z))
+    return matrix_mul(pa, matrix_mul(d, matrix_mul(Matrix.identity(nil.rows) + nil.scale(z), pa_inv)))
+
+
+def _centralizer_basis(a):
+    """A basis of the centralizer of a, as matrices."""
+    from nilpath.matrix import kernel_basis
+    from nilpath.sections import ad_operator
+
+    return [unvec(v, a.rows) for v in kernel_basis(ad_operator(a, a))]
+
+
+def test_centralizer_evaluation_matches_the_cell_blend():
+    # gamma(z) = B X B^-1 for B formed in the test, on conjugators Q that
+    # commute with A = X^2: Q = I, a diagonal Q with no eigenvalue 1, and
+    # seeded rational and Gaussian combinations of the centralizer, whose N'
+    # is not 0
     rng = random.Random(18)
     half, i_unit = Fraction(1, 2), Scalar(0, 1)
     x = direct_sum([jordan_cell(3), jordan_cell(2)])
-    straight = (0, 1)
+    a = matrix_pow(x, 2)
     detour = (0, Scalar(0, half), Scalar(1, half), 1)
-    diag = Matrix.from_rows([[(2, 3, half, 4, 5)[i] if i == j else 0 for j in range(5)] for i in range(5)])
-    gaussian_u = Matrix.from_rows([[i_unit], [1], [0], [Scalar(half, -1)], [2]])
-    gaussian_v = Matrix.from_rows([[0, 1, i_unit, 0, Fraction(-1, 3)]])
-    cases = [
-        (Matrix.identity(5), straight, 0),
-        (diag, straight, 5),  # no eigenvalue 1: r = n
-        (diag, detour, 5),
-        (identity_plus_rank(5, 2, rng, [0, 1, -1, half]), detour, 2),
-        (Matrix.identity(5) + matrix_mul(gaussian_u, gaussian_v), detour, 1),  # a Gaussian Q
-        (random_gaussian_invertible(5, rng), detour, None),
-    ]
-    complex_samples = 0
-    for q, waypoints, r in cases:
+    diag = Matrix.from_rows([[(2, 3, 2, 4, 5)[i] * (i == j) for j in range(5)] for i in range(5)])
+    qs, basis = [(Matrix.identity(5), (0, 1)), (diag, (0, 1))], _centralizer_basis(a)
+    for coefficients in ([-1, 0, 1, 2], [0, 1, i_unit, Scalar(1, -1)]):  # two rational Q, two Gaussian
+        found = 0
+        while found < 2:
+            q = Matrix.identity(5)
+            for k in basis:
+                q = q + k.scale(rng.choice(coefficients))
+            if not det(q).is_zero():
+                qs.append((q, detour))
+                found += 1
+    nonzero_nil = complex_samples = 0
+    for q, waypoints in qs:
+        assert matrix_mul(q, a) == matrix_mul(a, q)
         seg = _centralizer(x, q, waypoints)
-        assert seg.blend.c.cols == rank(q - Matrix.identity(5))
-        if r is not None:
-            assert seg.blend.c.cols == r
         assert seg.end == conjugate(x, q)
+        if q != Matrix.identity(5):
+            nonzero_nil += not seg.factor.frame[3].is_zero()
         for num in range(0, 7):
             s = Fraction(num, 6)
             z = seg._omega(s)
-            if det(_blend(q, z)).is_zero():
+            if seg.factor.identity:
+                assert seg.sample(s) == (x, nilpotent_profile(x))
+                continue
+            b = _cell_blend(seg.factor, z)
+            if det(b).is_zero():
                 continue
             gamma, prof = seg.sample(s)
-            assert gamma == conjugate(x, _blend(q, z)), (q, s)
-            assert prof == nilpotent_profile(x)
+            assert gamma == conjugate(x, b), (q, s)
+            assert matrix_pow(gamma, 2) == a and prof == nilpotent_profile(x)
             complex_samples += not z.is_real()
-    assert complex_samples >= 16
-
-
-def random_gaussian_invertible(n, rng):
-    """A random invertible matrix with Gaussian entries in {0, 1, -1, i, 1 - i}."""
-    entries = [0, 1, -1, Scalar(0, 1), Scalar(1, -1)]
-    while True:
-        m = Matrix.from_rows([[rng.choice(entries) for _ in range(n)] for _ in range(n)])
-        if not det(m).is_zero():
-            return m
+    assert nonzero_nil >= 3 and complex_samples >= 16
 
 
 def test_centralizer_sample_on_a_singular_blend_raises():
-    # det B = 0 at the sample: z = 1/2 for Q = diag(-1, 1, 1) on the straight
-    # segment, z = i/2 for Q = diag(1 + 2i, 1, 1) on the detour's corner
+    # det B = 0 at the sample: z = 1/2 for Q = diag(-1, 1, -1) on the straight
+    # segment, z = i/2 for Q = diag(1 + 2i, 1, 1 + 2i) on the detour's corner;
+    # each Q commutes with A = X^2 = E_13, and a block C_s of it is singular
     from nilpath.errors import SingularMatrixError
 
     x = jordan_cell(3)
     half = Fraction(1, 2)
     for q, waypoints, s in (
-        (Matrix.from_rows([[-1, 0, 0], [0, 1, 0], [0, 0, 1]]), (0, 1), half),
+        (Matrix.from_rows([[-1, 0, 0], [0, 1, 0], [0, 0, -1]]), (0, 1), half),
         (-Matrix.identity(3), (0, 1), half),
         (
-            Matrix.from_rows([[Scalar(1, 2), 0, 0], [0, 1, 0], [0, 0, 1]]),
+            Matrix.from_rows([[Scalar(1, 2), 0, 0], [0, 1, 0], [0, 0, Scalar(1, 2)]]),
             (0, Scalar(0, half), Scalar(1, half), 1),
             Fraction(1, 3),
         ),
@@ -316,16 +346,25 @@ def test_centralizer_sample_on_a_singular_blend_raises():
 
 
 def test_connect_and_certified_verify_factor_the_blend_once(monkeypatch):
-    calls = _record_calls(monkeypatch, "BlendFactor")
+    # one A-cell set-up per closing segment: connect builds one factor, its
+    # small determinant on the A-cell blocks C is taken once for the detour
+    # search and verify, and verify sets up the frame of its samples once
+    from functools import cached_property
+
+    cls, frames = paths_module.ClosingFactor, []
+    frame = cls.frame.func
+    counted = cached_property(lambda f: frames.append(f) or frame(f))
+    counted.__set_name__(cls, "frame")
+    monkeypatch.setattr(cls, "frame", counted)
+    calls = _record_calls(monkeypatch, "ClosingFactor")
     dets = []
     determinant = paths_module._levels_det
     monkeypatch.setattr(paths_module, "_levels_det", lambda *args: dets.append(args) or determinant(*args))
     path = _catalog_path(2, (6, 4), (5, 5), 1)
     assert verify(path, 4).ok
-    assert calls == [(path.segments[-1].conjugator,)]
-    # the blend's r x r determinant, on the rows of RC, is taken once
-    rows, dens = _ints(path.segments[-1].blend.rc)
-    assert sum([level[0] for level in levels] == rows and d == dens for levels, d, _ in dets) == 1
+    factor = path.segments[-1].factor
+    assert [args[1] for args in calls] == [path.segments[-1].conjugator] and frames == [factor]
+    assert len(dets) == 1 and dets[0][2] == factor.cells[2].rows == len(factor.cells[1])
 
 
 def _blend_determinant_by_poly_det(q):
@@ -338,6 +377,19 @@ def _blend_determinant_by_poly_det(q):
         for i in range(n)
     ]
     return poly_matrix_det(entries, degree_bound=n)
+
+
+def _sylvester_determinant(q):
+    """det((1-z)I + zQ) as the r x r determinant det(I_r + zRC), for
+    Q - I = CR with C the pivot columns of Q - I and R the nonzero rows of
+    its rref (Sylvester's identity), r = rank(Q - I): the test oracle for
+    the closing factor's determinant."""
+    shifted = q - Matrix.identity(q.rows)
+    form, pivots = rref(shifted)
+    r = len(pivots)
+    c = Matrix(q.rows, r, [[row[j] for j in pivots] for row in shifted.data])
+    rc = matrix_mul(Matrix(r, q.rows, form.data[:r]), c)
+    return poly_matrix_det([[RatPoly((Scalar(int(i == j)), rc.data[i][j])) for j in range(r)] for i in range(r)], r)
 
 
 def identity_plus_rank(n, r, rng, entries):
@@ -375,8 +427,10 @@ def test_blend_determinant_matches_poly_matrix_det():
     qs += [Matrix.from_rows([[rng.choice(gaussians) for _ in range(4)] for _ in range(4)])]
     ranks = set()
     for q in qs:
-        got = paths_module.BlendFactor(q).determinant
-        assert got == _blend_determinant_by_poly_det(q), q
+        # the zero root's closing factor, the Sylvester oracle and the n x n
+        # polynomial determinant agree
+        got = blend_determinant(q)
+        assert got == _sylvester_determinant(q) == _blend_determinant_by_poly_det(q), q
         r = rank(q - Matrix.identity(q.rows))
         assert got.degree() <= r, q
         ranks.add((q.rows, r))
@@ -432,25 +486,45 @@ def test_adjacency_with_bystander_cells():
         assert matrix_pow(seg.evaluate(Fraction(num, 4)), 2) == a
 
 
-def test_adjacency_cell_pick_pinned():
-    # every forward move from every profile of size <= 9 for p = 2..4, and
-    # its flipped backward move from the moved profile: bystanders with
-    # repeated sizes, and backward moves with l = k + 2 that take two cells
-    # of one size, each root conjugated by a seeded unimodular L U; sha256
-    # of the segment JSON as first recorded
+def _cell_pick_segments():
+    """(start profile, move, segment) for every forward move from every
+    profile of size <= 9 for p = 2..4, and its flipped backward move from
+    the moved profile: bystanders with repeated sizes, and backward moves
+    with l = k + 2 that take two cells of one size, each root conjugated by
+    a seeded unimodular L U."""
     rng = random.Random(32)
-    digest, count = hashlib.sha256(), 0
     for n in range(1, 10):
         for u in profiles_of_size(n):
             for p in (2, 3, 4):
                 for v, move in _forward_moves(u, p):
                     for start, mv in ((u, move), (v, move.flipped())):
                         x = conjugate(profile_matrix(start), _unimodular(n, rng))
-                        seg = adjacency_segment(matrix_pow(x, p), p, x, mv)
-                        digest.update(json.dumps(seg.to_json_obj()).encode())
-                        count += 1
+                        yield start, mv, adjacency_segment(matrix_pow(x, p), p, x, mv)
+
+
+def test_adjacency_cell_pick_pinned():
+    # sha256 of the segment JSON as first recorded
+    digest, count = hashlib.sha256(), 0
+    for _, _, seg in _cell_pick_segments():
+        digest.update(json.dumps(seg.to_json_obj()).encode())
+        count += 1
     assert count == 562
     assert digest.hexdigest() == "0fcb8009cff020f1889017a79f32d8aeec1ec0c2088d940c2d2e2463f3a1e279"
+
+
+def test_built_end_bases_carry_the_jordan_form():
+    # each segment builds its end's Jordan basis and inverse from its own
+    # data, with no elimination; jordan_basis of the end is the oracle for
+    # the cell sizes
+    count = 0
+    for start, mv, seg in _cell_pick_segments():
+        dec, end = seg.end_basis, seg.end
+        assert dec.built_inverse is not None
+        assert matrix_mul(end, dec.conjugator) == matrix_mul(dec.conjugator, dec.jordan_form()), (start, mv)
+        assert matrix_mul(dec.conjugator, dec.conjugator_inv) == Matrix.identity(end.rows), (start, mv)
+        assert dec.profile == apply_move(start, mv) == jordan_basis(end).profile, (start, mv)
+        count += 1
+    assert count == 562
 
 
 # -- connect + verify ---------------------------------------------------------------
@@ -1001,7 +1075,9 @@ def test_a_changed_lift_step_is_not_certified(monkeypatch, tmp_path, capsys):
             assert main(["verify", str(stored), "--samples", "2"]) == 1, (i, j)
         cert = json.loads(capsys.readouterr().out)
         assert all(s["residualZero"] for s in cert["samples"]), (i, j)
-        assert [c["ok"] for c in cert["segmentCertifications"]] == [False, True], (i, j)
+        # the closing segment's basis is built from the changed F too, so
+        # X P = P J fails there and that segment is not certified either
+        assert [c["ok"] for c in cert["segmentCertifications"]] == [False, False], (i, j)
 
 
 def test_certify_lift_interval_rejects_non_affine_family(monkeypatch):
@@ -1196,6 +1272,62 @@ def test_verify_profiles_match_the_samples(monkeypatch):
     assert directions == {"forward", "backward"}
 
 
+SCALE_CASES = ((2, (8, 6, 2), (7, 7, 2)), (2, (12, 10), (11, 11)), (3, (9, 6, 3), (8, 7, 3)))
+
+
+def _poly_product(polys):
+    """The product of RatPolys, by convolving their coefficients."""
+    acc = [Scalar(1)]
+    for f in polys:
+        out = [Scalar(0)] * (len(acc) + len(f.coeffs) - 1)
+        for i, a in enumerate(acc):
+            for j, b in enumerate(f.coeffs):
+                out[i + j] = out[i + j] + a * b
+        acc = out
+    return RatPoly(acc)
+
+
+def test_closing_factors_split_along_the_cells():
+    # every closing of the connect, certified and verify catalogs (seeds 5
+    # and 7) and of the three scale cases, both ways: prod_s det((1-z)I +
+    # zC_s)^s is the r x r Sylvester determinant, D'U' = K' with N'
+    # nilpotent, B(0) = I and B(1) = Q, and the interior samples, complex
+    # detours included, power to A and are conjugates of X by B(z)
+    cases = [(p, mx, my, seed) for seed in (5, 7) for p, mx, my in CATALOG_PAIRS]
+    cases += [(p, mx, my, 5) for p, mx, my in SCALE_CASES]
+    closings = complex_samples = 0
+    for p, mx, my, seed in cases:
+        a, x, y = _catalog_roots(p, mx, my, seed)
+        for u, v in ((x, y), (y, x)):
+            seg = connect_roots(a, p, u, v).segments[-1]
+            factor, q = seg.factor, seg.conjugator
+            if factor.identity:
+                assert mx == my and factor.determinant == RatPoly([Scalar(1)])
+                continue
+            order, sizes, c = factor.cells
+            blocks = {s: [i for i, t in enumerate(sizes) if t == s] for s in sizes}
+            dets = {s: blend_determinant(Matrix(len(ix), len(ix), [[c.data[i][j] for j in ix] for i in ix]))
+                    for s, ix in blocks.items()}
+            assert _poly_product([d for s, d in dets.items() for _ in range(s)]) == _sylvester_determinant(q)
+            assert _poly_product(dets.values()) == factor.determinant
+            pa, pa_inv, _, nil, _ = factor.frame
+            ident = Matrix.identity(len(order))
+            assert matrix_mul(_cell_spread(factor, c), ident + nil) == matrix_mul(pa_inv, matrix_mul(q, pa))
+            assert matrix_pow(nil, len(order)).is_zero()
+            assert _cell_blend(factor, Scalar(0)) == ident and _cell_blend(factor, Scalar(1)) == q
+            # B(z) is invertible on the certified detour, so gamma B = B X
+            # gives gamma X's profile
+            assert all(piece["ok"] for piece in seg.pieces)
+            for s in (Fraction(1, 6), Fraction(1, 2), Fraction(5, 6)):
+                gamma, prof = seg.sample(s)
+                b = _cell_blend(factor, seg._omega(s))
+                assert matrix_pow(gamma, p) == a and matrix_mul(gamma, b) == matrix_mul(b, seg.base_root)
+                assert prof == nilpotent_profile(v)
+                complex_samples += not seg._omega(s).is_real()
+            closings += 1
+    assert closings == 2 * (2 * 13 + 3) and complex_samples > 0
+
+
 def test_verify_complex_detours_stay_fast(monkeypatch, detour_paths):
     import time
 
@@ -1217,18 +1349,26 @@ def test_verify_complex_detours_stay_fast(monkeypatch, detour_paths):
 
 
 def test_centralizer_sample_profile_checks_the_conjugation(monkeypatch, detour_paths):
+    # a sample H(z) in A-cell coordinates that fails H U = U X' (that is,
+    # M E = E X') records no profile, though the point it gives is still
+    # what the segment returns
     s = Fraction(3, 8)
-    bx_minus = paths_module.CentralizerSegment._bx_minus
+    inner = paths_module.CentralizerSegment._inner
     for path in (detour_paths[0], _catalog_path(2, (6, 4), (5, 5), 1)):
         seg = path.segments[-1]
         gamma = seg.evaluate(s)
         assert seg.sample(s) == (gamma, nilpotent_profile(seg.base_root))
-        rows = [list(row) for row in gamma.data]
+        z, (pa, pa_inv, *_), c = seg._omega(s), seg.factor.frame, seg.factor.cells[2]
+        h, u = inner(seg, z)
+        rows = [list(row) for row in h.data]
         rows[1][2] = rows[1][2] + 1
-        changed = Matrix(gamma.rows, gamma.cols, rows)
+        changed = Matrix(h.rows, h.cols, rows)
+        blend = Matrix.identity(c.rows).scale(Scalar(1) - z) + c.scale(z)
+        left, right = (_cell_spread(seg.factor, b) for b in (blend, inverse(blend)))
+        point = matrix_mul(matrix_mul(pa, left), matrix_mul(changed, matrix_mul(right, pa_inv)))
         with monkeypatch.context() as patch:
-            patch.setattr(paths_module.CentralizerSegment, "_bx_minus", lambda seg, z: (changed, bx_minus(seg, z)[1]))
-            assert seg.sample(s) == (changed, None)
+            patch.setattr(paths_module.CentralizerSegment, "_inner", lambda seg, z: (changed, u))
+            assert seg.sample(s) == (point, None)
 
     # through verify, on the catalog path: only the changed sample has no
     # profile, and the certificate fails
@@ -1236,8 +1376,8 @@ def test_centralizer_sample_profile_checks_the_conjugation(monkeypatch, detour_p
     at = (count - 1 + s) / count
     monkeypatch.setattr(
         paths_module.CentralizerSegment,
-        "_bx_minus",
-        lambda seg, z: (changed, bx_minus(seg, z)[1]) if z == seg._omega(s) else bx_minus(seg, z),
+        "_inner",
+        lambda seg, z: (changed, u) if z == seg._omega(s) else inner(seg, z),
     )
     cert = verify(path, 8 * count)
     assert not cert.ok
@@ -1256,22 +1396,25 @@ def _record_calls(monkeypatch, name, module=paths_module):
 
 
 def test_connect_takes_one_jordan_basis_per_root(monkeypatch):
-    # the bases taken inside nilpath.jordan count too; a backward move
-    # solves for no similarity, so no witness takes two more
+    # exactly two Jordan bases (of x and y), one inverse (of x's basis) and
+    # no solve per connect: each adjacency segment builds its end's basis and
+    # inverse, and the closing Q = Py Px^-1 is a product
     profiles = _record_calls(monkeypatch, "nilpotent_profile")
     bases = _record_calls(monkeypatch, "jordan_basis")
     inner_bases = _record_calls(monkeypatch, "jordan_basis", jordan_module)
     witnesses = _record_calls(monkeypatch, "similarity_witness", jordan_module)
-    assert not hasattr(paths_module, "similarity_witness")
+    inverses = [_record_calls(monkeypatch, "inverse", module) for module in (paths_module, jordan_module)]
+    solves = _record_calls(monkeypatch, "solve", jordan_module)
+    assert not hasattr(paths_module, "similarity_witness") and not hasattr(paths_module, "solve")
     for p, mx, my in ((2, (6, 3, 3), (5, 5, 1, 1)), (2, (7, 5), (7, 5))):
         a, x, y = _catalog_roots(p, mx, my, 1)
-        for calls in (profiles, bases, inner_bases, witnesses):
+        for calls in (profiles, bases, inner_bases, witnesses, solves, *inverses):
             calls.clear()
         path = connect_roots(a, p, x, y)
         moves = [seg.move for seg in path.segments if seg.kind == "adjacency"]
-        assert profiles == []
-        assert len(bases) + len(inner_bases) == len(moves) + 2
-        assert witnesses == []
+        assert profiles == [] and witnesses == [] and solves == []
+        assert len(bases) + len(inner_bases) == 2
+        assert sum(map(len, inverses)) == 1
         if moves:
             assert {mv.direction for mv in moves} == {"forward", "backward"}
 

@@ -6,7 +6,6 @@ import pytest
 
 from nilpath.errors import DuplicateSampleError, ZeroPolynomialError
 from nilpath.matrix import Matrix, _ints, det, matrix_mul
-from nilpath.paths import BlendFactor
 from nilpath.polynomials import (
     RatPoly,
     _ip_deflate_root,
@@ -22,6 +21,8 @@ from nilpath.polynomials import (
     sturm_root_count,
 )
 from nilpath.scalar import ONE, ZERO, Scalar
+
+from helpers import blend_determinant
 
 
 def rp(*coeffs):
@@ -451,7 +452,7 @@ def test_blend_determinant_segments_match_scalar_oracle():
     zero, one = Scalar(0), Scalar(1)
     failed = 0
     for q in qs:
-        d, want = BlendFactor(q).determinant, scalar_blend_determinant(q)
+        d, want = blend_determinant(q), scalar_blend_determinant(q)
         assert agrees(d, want), q
         if d.is_zero():
             continue
