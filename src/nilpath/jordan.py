@@ -23,7 +23,7 @@ from .matrix import (
     _ints,
     _Ints,
     _made,
-    _mul_rows,
+    _mul_cols,
     _over_one,
     _product,
     _row_pushes,
@@ -97,10 +97,10 @@ def jordan_basis(m: Matrix) -> JordanDecomposition:
     if levels[-1][0]:
         raise NotNilpotentError("matrix is not nilpotent")
 
-    # A chain vector v is pushed through M as the integer row v^T M^T, over
-    # its denominator times M's.
+    # The chain vectors M^k v of a level's seeds are pushed through M
+    # together, as the integer rows v^T M^T, whose columns are M's rows,
+    # over their denominator times M's.
     m_int, m_den = _over_one(_ints(m))
-    mt = _transposed(m_int, n)
     chains: list[list[tuple[list, int]]] = []  # chains[i][k] is M^k applied to seed i
     for j in range(len(levels) - 1, 0, -1):
         # seeds: kernel vectors of M^j independent, modulo ker(M^(j-1)), of
@@ -110,14 +110,13 @@ def jordan_basis(m: Matrix) -> JordanDecomposition:
         leaving = [row for p, row in zip(above, r_form.rows) if p not in pivots]
         free = [f for f in range(n) if f not in pivots]
         carried = [chain[len(chain) - j][0] for chain in chains if len(chain) > j]
-        images = _mul_rows(carried, _transposed(leaving, n), len(leaving))
+        images = _mul_cols(carried, leaving)
         rows, den = _over_one(form)
-        for c in _independent(len(leaving), images + [[row[f] for row in leaving] for f in free]):
-            if c >= len(carried):
-                chain = [(_kernel_vector(pivots, rows, den, free[c - len(carried)], n), den)]
-                for k in range(1, j):
-                    chain.append((_mul_rows([chain[-1][0]], mt, n)[0], den * m_den**k))
-                chains.append(chain)
+        picked = _independent(len(leaving), images + [[row[f] for row in leaving] for f in free])
+        pushed = [[_kernel_vector(pivots, rows, den, free[c - len(carried)], n) for c in picked if c >= len(carried)]]
+        for k in range(1, j):
+            pushed.append(_mul_cols(pushed[-1], m_int))
+        chains.extend([(v, den * m_den**k) for k, v in enumerate(chain)] for chain in zip(*pushed))
 
     columns: list[tuple[list, int]] = []
     sizes = []

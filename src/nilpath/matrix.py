@@ -27,27 +27,30 @@ augmented block, and rref and kernel_basis read the echelon form.  Callers
 in the package that build their rows in integers hand them to the
 elimination as they are (``_Reduction``).
 
-Both loops run on the entries of a real matrix.  When a loop reads a
-Gaussian entry as a factor (a nonzero a_ik of the product, the pivot or
-the eliminated entry f of a row update), it splits the rows into their
+The product loop runs on ``int`` matrices: a factor that holds a Gaussian
+entry is split once per product into its real and imaginary ``int``
+matrices (the right one before its scaling to one denominator), for two
+real products of a real and a Gaussian factor and Gauss's three of two
+Gaussian ones.  A left row more than half nonzero takes a dot product per
+column, a sparser one sums the right factor's rows scaled by its entries.
+The elimination loop runs on the entries of a real matrix.  At a Gaussian
+pivot or eliminated entry f of a row update it splits the rows into their
 real and imaginary ``int`` rows and does the rest of its work on those
-parts: a product in Gauss's three real multiplications, a row update
-``(piv*x - f*y) // s`` on the parts, with a Gaussian s divided out as a
-product by conj(s) and ``//`` by |s|^2.  A Gaussian entry that the loop
-reads only as the other operand takes the entry's own arithmetic, so no
-loop scans a matrix for its types.  The parts go back into entries once
-per output entry, in :func:`_canonical` after the row is reduced by its
-gcd.  :func:`_plus_scaled`, ``a + c*b`` in one pass, works on the parts
-too when c is Gaussian.
+parts: a row update ``(piv*x - f*y) // s``, with a Gaussian s divided out
+as a product by conj(s) and ``//`` by |s|^2.  A Gaussian entry that it
+reads only as the other operand takes the entry's own arithmetic.  Rows
+made on parts become entries once per output entry, in :func:`_canonical`
+after the row is reduced by its gcd.  :func:`_plus_scaled`, ``a + c*b`` in
+one pass, works on the parts too when c is Gaussian.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, compress, repeat
 from math import gcd, lcm, prod
-from operator import add, attrgetter, mul
+from operator import add, attrgetter, mul, sub
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import InputFormatError, SingularMatrixError
@@ -228,11 +231,8 @@ class _GaussInt:
     fields are named as int's are, so code reads the parts of either the
     same way.  It has what entry arithmetic uses: ``+``, ``-`` and ``*``
     with an int on either side and an exact ``//`` by an int, each
-    returning through :func:`_gauss`, and ``==`` for exact checks.  The
-    loops do their Gaussian work on split parts instead (see the module
-    docstring).  As it is never 0, it is
-    true, like any object, in the loops' ``if a:`` zero tests, and equal
-    entries have equal types."""
+    returning through :func:`_gauss`, and ``==`` for exact checks.  As it
+    is never 0, it is true in zero tests, and equal entries have equal types."""
 
     __slots__ = ("real", "imag")
 
@@ -396,77 +396,77 @@ def _scalar(x, den: int) -> Scalar:
 
 
 def _mul_rows(arows: list[list], brows: list, width: int) -> list[list]:
-    """The product loop: row i is the sum of ``a_ik * brows[k]`` over the
-    nonzero entries a_ik of ``arows[i]``, summed in integers, as entries.
-    A row :func:`_mul_parts` made on its real and imaginary parts is joined
-    here."""
-    return [row if type(row) is list else _joined(*row)[0] for row in _mul_parts(arows, brows, width)]
+    """The integer rows ``arows`` times the ``width``-column integer rows ``brows``, as entries."""
+    return [r if type(r) is list else _joined(*r)[0] for r in _mul_parts(_parts(arows), _parts(brows), width)]
 
 
-def _mul_parts(arows: list[list], brows: list, width: int) -> list:
-    """The rows of :func:`_mul_rows`, a row that meets a Gaussian a_ik
-    given as its real and imaginary ``int`` rows.  The loop runs on the
-    entries until the first Gaussian a_ik; from that row on
-    :func:`_mul_split` takes over.  A Gaussian entry of ``brows`` times an
-    int a_ik is one entry product."""
+def _mul_cols(arows: list[list], cols: list) -> list[list]:
+    """:func:`_mul_rows` with the right factor given by its columns ``cols``."""
+    return [r if type(r) is list else _joined(*r)[0] for r in _mul_parts(_parts(arows), _parts(cols), len(cols), True)]
+
+
+def _parts(rows: list[list]) -> tuple[list[list], Optional[list[list]]]:
+    """A matrix of entries as its real and imaginary ``int`` matrices, the second None if real."""
+    try:
+        gcd(1, *chain.from_iterable(rows))  # gcd takes only ints
+    except TypeError:
+        return [list(map(_REAL, row)) for row in rows], [list(map(_IMAG, row)) for row in rows]
+    return rows, None
+
+
+def _mul_parts(a: tuple, b: tuple, width: int, by_cols: bool = False) -> list:
+    """a times b, both split by :func:`_parts`, in :func:`_mul_ints`
+    products: one for a real b (a's parts stacked), two for a real a, and
+    else Gauss's three, x = ar br, y = ai bi and z = (ar + ai)(br + bi),
+    for the product (x - y) + (z - x - y) i.  A row is a list when both
+    factors are real, else the pair of its real and imaginary rows."""
+    (ar, ai), (br, bi) = a, b
+    if bi is None:
+        out = _mul_ints(ar if ai is None else ar + ai, br, width, by_cols)
+        return out if ai is None else list(zip(out[: len(ar)], out[len(ar) :]))
+    x = _mul_ints(ar, br, width, by_cols)
+    if ai is None:
+        return list(zip(x, _mul_ints(ar, bi, width, by_cols)))
+    y = _mul_ints(ai, bi, width, by_cols)
+    a_sum, b_sum = ([list(map(add, u, v)) for u, v in zip(*pair)] for pair in ((ar, ai), (br, bi)))
+    z = _mul_ints(a_sum, b_sum, width, by_cols)
+    return [(list(map(sub, u, v)), list(map(sub, map(sub, w, u), v))) for u, v, w in zip(x, y, z)]
+
+
+def _mul_ints(arows: list[list], b: list[list], width: int, by_cols: bool = False) -> list[list]:
+    """The product loop, on ``int`` matrices: ``arows`` times B, given by
+    its rows ``b``, or by its ``width`` columns when ``by_cols``, the other
+    built at first use.  A row of arows more than half nonzero takes a dot
+    product per column, a sparser one sums ``a_ik * brows[k]``."""
+    brows, cols = (None, b) if by_cols else (b, None)
     out = []
     for arow in arows:
-        acc = None
-        for a, brow in zip(arow, brows):
-            if a:
-                if type(a) is not int:
-                    return out + _mul_split(arows[len(out) :], brows, width)
+        zeros = arow.count(0)
+        if 2 * zeros < len(arow):
+            if cols is None:
+                cols = _transposed(brows, width)
+            out.append([sum(map(mul, arow, col)) for col in cols])
+        elif zeros == len(arow):
+            out.append([0] * width)
+        else:
+            if brows is None:
+                brows = _transposed(cols, len(arow))
+            acc = None
+            for a, brow in compress(zip(arow, brows), arow):
                 terms = map(mul, repeat(a), brow)
                 acc = list(terms) if acc is None else list(map(add, acc, terms))
-        out.append([0] * width if acc is None else acc)
-    return out
-
-
-def _mul_split(arows: list[list], brows: list, width: int) -> list:
-    """The product on real and imaginary ``int`` rows, by Gauss's
-    three-multiplication product.  Each row of ``brows`` is split once into
-    c + d*i, with c + d kept when d is not 0.  Per output row, real terms
-    a*c go to ``re``; other terms go to ``x = Σ a_r c``, ``y = Σ a_i d``
-    and ``z = Σ (a_r + a_i)(c + d)``, so a Gaussian × Gaussian term costs
-    three real products and a Gaussian × real one two (y takes nothing when
-    a_i or d is 0).  The row is then ``(re + x - y) + (z - x - y) i``: a
-    list when no term was Gaussian, else the pair of its parts."""
-    parts = []
-    for brow in brows:
-        d = list(map(_IMAG, brow))
-        if any(d):
-            c = list(map(_REAL, brow))
-            parts.append((c, d, list(map(add, c, d))))
-        else:
-            parts.append((brow, None, brow))
-    zero = [0] * width
-    out = []
-    for arow in arows:
-        re = x = y = z = zero
-        for a, (c, d, cd) in zip(arow, parts):
-            if not a:
-                continue
-            ar, ai = a.real, a.imag
-            if ai or d is not None:
-                k = ar + ai
-                x = [u + ar * v for u, v in zip(x, c)]
-                z = [u + k * v for u, v in zip(z, cd)]
-                if ai and d is not None:
-                    y = [u + ai * v for u, v in zip(y, d)]
-            else:
-                re = [u + a * v for u, v in zip(re, c)]
-        if x is zero:
-            out.append(re)
-        else:
-            out.append(([u + v - w for u, v, w in zip(re, x, y)], [u - v - w for u, v, w in zip(z, x, y)]))
+            out.append(acc)
     return out
 
 
 def _product(a: _Ints, b: _Ints, width: int) -> _Ints:
     """The integer form of the product: a's rows times b's rows over one
-    common denominator."""
-    brows, bden = _over_one(b)
-    return _canonical(_mul_parts(a.rows, brows, width), [d * bden for d in a.dens])
+    common denominator, to which b's parts are scaled."""
+    bden = lcm(*b.dens)
+    br, bi = _parts(b.rows)
+    if bden != 1:
+        br, bi = ([_times(row, bden // d) for row, d in zip(p, b.dens)] if p else p for p in (br, bi))
+    return _canonical(_mul_parts(_parts(a.rows), (br, bi), width), [d * bden for d in a.dens])
 
 
 def matrix_mul(a: Matrix, b: Matrix) -> Matrix:

@@ -454,9 +454,11 @@ class AdjacencySegment:
 
     def sample(self, s: Fraction) -> tuple[Matrix, Profile]:
         """``evaluate(s)``, a conjugate of the bystander plus q^-1 U_t q, and
-        its profile: the bystander's plus that of U_t."""
+        its profile: the bystander's plus that of U_t.  At s = 0 and 1 the
+        point is the cached ``start`` or ``end``."""
         t = 1 - s if self.reversed_time else s
-        return self.evaluate(s), self._bystander_profile + nilpotent_profile(self.lift.family_matrix(t))
+        point = self.start if s == 0 else self.end if s == 1 else self.evaluate(s)
+        return point, self._bystander_profile + nilpotent_profile(self.lift.family_matrix(t))
 
     # Each endpoint is a lift evaluation; the segment reads it once.
     @cached_property

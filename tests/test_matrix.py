@@ -14,6 +14,7 @@ from nilpath.matrix import (
     _independent,
     _ints,
     _ints_of,
+    _mul_cols,
     _mul_rows,
     _plus_scaled,
     _Reduction,
@@ -721,7 +722,7 @@ def _g(re, im=0):
 
 
 # Gaussian matrices that reach each branch of the split kernels; comments
-# name the branch of _eliminate (or _mul_parts, read as the left factor).
+# name the branch of _eliminate, or what the product loop meets in them.
 _SPLIT_CASES = [
     Matrix(0, 0, []),
     Matrix(0, 3, []),
@@ -740,7 +741,7 @@ _SPLIT_CASES = [
     Matrix.from_rows([[1, 2, _g(1, 1)], [3, 4, _g(0, -2)], [5, 6, 7]]),
     # a zero row and a zero column, rational entries over mixed denominators
     Matrix.from_rows([[0, 0, 0], [_g(Fraction(1, 2), 1), 0, 2], [3, 0, _g(0, Fraction(1, 3))]]),
-    # rows that start real and turn Gaussian: the product loop hands over mid-row
+    # real rows, Gaussian rows and a zero row in one factor, which the product splits whole
     Matrix.from_rows([[1, 0, 2], [3, _g(0, 1), _g(1, 1)], [0, 0, 0], [_g(2, -1), 1, 0]]),
     # rank 2: the third row is (1 + i) times the first plus the second
     Matrix.from_rows([[1, _g(0, 1), 2], [0, 3, _g(1, -1)], [_g(1, 1), _g(2, 4), _g(2, 1)]]),
@@ -796,7 +797,7 @@ def test_only_split_rows_carry_gaussian_scales():
 
 
 def test_product_rows_match_the_entry_product():
-    # _mul_rows joins the rows it made on their parts, for callers that read entries
+    # _mul_rows and _mul_cols join the rows made on parts, for callers that read entries
     rng = random.Random(43)
     for m in _SPLIT_CASES[3:]:
         a = [[_g(x.real, x.imag) for x in row] for row in _ints(m).rows]  # integer rows, denominators dropped
@@ -807,6 +808,71 @@ def test_product_rows_match_the_entry_product():
             assert _ints(ints).dens == [1] * m.rows and _ints(b).dens == [1] * m.cols
             rows = _mul_rows(_ints(ints).rows, _ints(b).rows, 3)
             assert rows == _ints(_ref_matrix_mul(ints, b)).rows
+            assert _mul_cols(_ints(ints).rows, _ints(b.transpose()).rows) == rows
+
+
+def test_product_branches_under_every_factor_pairing():
+    # a dense row (more than half nonzero), a sparse row and a zero row; width 0,
+    # inner dimension 0 and a one-row product, each with a real or Gaussian factor
+    # on either side
+    left = Matrix.from_rows([[1, Fraction(-2, 3), 5, 0, 7], [0, 0, 4, 0, 0], [0, 0, 0, 0, 0], [0, 3, 0, -1, 0]])
+    zeros = [row.count(0) for row in _ints(left).rows]
+    assert zeros == [1, 4, 5, 3]  # dense, sparse, zero and sparse
+    right = Matrix.from_rows([[1, 0, 2], [Fraction(1, 2), -1, 0], [0, 3, 1], [2, 2, Fraction(-5, 4)], [0, 0, 1]])
+    shapes = [
+        (left, right),
+        (left, Matrix(5, 0, [[]] * 5)),  # width 0
+        (Matrix(4, 0, [[]] * 4), Matrix(0, 3, [])),  # inner dimension 0
+        (Matrix(1, 5, [left.data[0]]), right),  # one row, dense
+        (Matrix(1, 5, [left.data[1]]), right),  # one row, sparse
+        (right.transpose(), left.transpose()),  # dense and sparse rows in the other order
+    ]
+    for a, b in shapes:
+        for a_gauss in (False, True):
+            for b_gauss in (False, True):
+                # a Gaussian multiple keeps the zero pattern in both parts
+                x, y = a.scale(_g(2, -1)) if a_gauss else a, b.scale(_g(0, 3)) if b_gauss else b
+                got = matrix_mul(x, y)
+                assert (got.rows, got.cols) == (x.rows, y.cols)
+                assert got == _ref_matrix_mul(x, y) and _is_canonical(got), (x, y)
+    # rows whose imaginary parts cancel, under each pairing that can make them
+    cancel = [
+        (Matrix.from_rows([[_g(1, 1), _g(1, -1)], [_g(0, 1), 1]]), Matrix.from_rows([[1, 0], [1, 2]])),
+        (Matrix.from_rows([[1, 1, 0]]), Matrix.from_rows([[_g(1, 1)], [_g(2, -1)], [_g(0, 5)]])),
+        (Matrix.from_rows([[_g(0, 1), 1], [2, 0]]), Matrix.from_rows([[_g(0, 1), 0], [1, 3]])),
+    ]
+    for x, y in cancel:
+        got = matrix_mul(x, y)
+        assert got == _ref_matrix_mul(x, y) and _is_canonical(got)
+        assert type(_ints(got).rows[0][0]) is int, got
+
+
+def test_real_by_gaussian_products_use_no_entry_arithmetic(monkeypatch):
+    # a real factor times a Gaussian one, either way round, runs on int parts
+    # only: no _GaussInt product or sum is formed
+    rng = random.Random(53)
+    real = _mixed_matrix(rng, 6, 6, False)
+    gaussian = Matrix.from_rows(
+        [[_g(Fraction(rng.randint(-5, 5), rng.randint(1, 3)), rng.randint(1, 5)) for _ in range(6)] for _ in range(6)]
+    )
+    calls = []
+
+    def counted(name):
+        original = getattr(_GaussInt, name)
+
+        def method(self, other):
+            calls.append(name)
+            return original(self, other)
+
+        return method
+
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+        monkeypatch.setattr(_GaussInt, name, counted(name))
+    products = [matrix_mul(real, gaussian), matrix_mul(gaussian, real)]
+    assert calls == []
+    monkeypatch.undo()
+    assert products == [_ref_matrix_mul(real, gaussian), _ref_matrix_mul(gaussian, real)]
+    assert all(map(_is_canonical, products))
 
 
 def test_split_kernels_give_int_entries_where_imaginary_parts_cancel():

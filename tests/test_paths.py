@@ -848,6 +848,28 @@ def test_connect_evaluates_each_adjacency_endpoint_once(monkeypatch):
         assert calls == {(id(seg), Fraction(0)): 1, (id(seg), Fraction(1)): 1}
 
 
+def test_verify_of_a_loaded_path_evaluates_each_adjacency_endpoint_once(monkeypatch):
+    # loading builds each adjacency segment's start and end; a sample at
+    # s = 0 or 1 reads them instead of evaluating again
+    calls = []
+    evaluate = paths_module.AdjacencySegment.evaluate
+
+    def counted(seg, s):
+        calls.append(Fraction(s))
+        return evaluate(seg, s)
+
+    a, x, y = fixture_42_33()
+    for start, end in ((x, y), (y, x)):
+        text = json.dumps(connect_roots(a, 2, start, end).to_json_obj())
+        monkeypatch.setattr(paths_module.AdjacencySegment, "evaluate", counted)
+        calls.clear()
+        path = path_from_json_obj(json.loads(text))
+        cert = verify(path, 4)
+        monkeypatch.undo()
+        assert cert.ok and path.segments[0].kind == "adjacency"
+        assert sorted(calls) == [0, Fraction(1, 2), 1], calls
+
+
 def test_path_json_roundtrip_rebuilds_lifts():
     directions = set()
     for path in roundtrip_paths():
